@@ -3,30 +3,15 @@ probing of trajectory differences and convergence bookkeeping."""
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
-
 import numpy as np
 
 from .cone import make_cone
 from .decouple import reduced_model
-from .errors import ConfigError, DimensionMismatch, NotScalarParameterized
+from .errors import DimensionMismatch, NotScalarParameterized
 from .integrate import Trajectory, default_step, detect_convergence, integrate_batch
 from .linalg import SymMatrix
 from .sampling import SplitMix64, sample_cone_pairs
 from .systems import LinearSPSystem, _varying_entries, jacobians
-
-THREADS_ENV = "DOMINION_THREADS"
-
-
-def thread_count():
-    val = os.environ.get(THREADS_ENV)
-    if val:
-        try:
-            return max(1, int(val))
-        except ValueError:
-            raise ConfigError(f"{THREADS_ENV} must be an integer, got {val!r}")
-    return os.cpu_count() or 1
 
 
 def fast_coupling_gain(sys):
@@ -97,21 +82,10 @@ def monotone_probe(sys, cert, n_pairs=100, t_final=9.0, seed=42,
 
     x0s = np.array([p for pair in pairs for p in pair])
 
-    workers = thread_count()
-    chunks = np.array_split(np.arange(len(x0s)), min(workers, len(pairs)))
-
-    def run(idx):
-        times, states = integrate_batch(sys, x0s[idx], (0.0, t_final), h,
-                                        record_times=sample_times)
-        return times, states
-
-    if workers > 1 and len(chunks) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(run, chunks))
-    else:
-        results = [run(idx) for idx in chunks]
-    times = results[0][0]
-    states = np.concatenate([r[1] for r in results], axis=1)
+    # RK4 works row by row, so one batch gives each pair the states it
+    # would get alone
+    times, states = integrate_batch(sys, x0s, (0.0, t_final), h,
+                                    record_times=sample_times)
 
     P = cone_spec.P.a
     interior = boundary = outside = 0

@@ -19,12 +19,11 @@ import sys as _sys
 import numpy as np
 
 from . import __version__
-from .analyze import (batch_trajectories, convergence_report, monotone_probe,
-                      thread_count)
+from .analyze import batch_trajectories, convergence_report, monotone_probe
 from .certify import MatrixPolytope, SPDominanceCertificate, certify_sp
 from .decouple import (InfeasibleAtFloor, build_decoupling, chang_residuals,
                        epsilon_star, full_system_matrix, reduced_model)
-from .errors import ConfigError, NotScalarParameterized
+from .errors import ConfigError, NonFinite, NotScalarParameterized
 from .integrate import find_equilibria, write_trajectory_csv
 from .systems import (LinearSPSystem, NonlinearSPSystem, a_block_hull,
                       jacobians, nonlinear_spring_certificate,
@@ -127,7 +126,6 @@ def new_report(command, args):
     rep = {"tool": "spdominance", "version": __version__, "command": command}
     if not getattr(args, "no_timestamp", False):
         rep["timestamp"] = datetime.datetime.now(datetime.timezone.utc).isoformat()
-    rep["threads"] = thread_count()
     return rep
 
 
@@ -236,13 +234,28 @@ def _equilibria(system):
     return [np.zeros(system.dim)]
 
 
+def _diverged(report, error, path):
+    """Report a trajectory that left the finite range as a failed check."""
+    report["error"] = str(error)
+    write_report(report, path)
+    print(f"diverged: {error}")
+    return EXIT_CHECK_FAILED
+
+
 def cmd_simulate(args):
     cfg = load_config(args.config)
     system = build_system(cfg)
     ics = cfg.get("initial_conditions")
     if not ics:
         raise ConfigError("config has no \"initial_conditions\" list")
-    trajectories = batch_trajectories(system, ics, args.t_final, h=args.step)
+    report = new_report("simulate", args)
+    report["t_final"] = args.t_final
+    report["tolerances"] = {"convergence": args.tol}
+    report_path = os.path.join(args.out, "report.json")
+    try:
+        trajectories = batch_trajectories(system, ics, args.t_final, h=args.step)
+    except NonFinite as e:
+        return _diverged(report, e, report_path)
     equilibria = _equilibria(system)
     verdicts = convergence_report(trajectories, equilibria, tol=args.tol)
     os.makedirs(args.out, exist_ok=True)
@@ -251,13 +264,10 @@ def cmd_simulate(args):
         path = os.path.join(args.out, f"trajectory_{i:02d}.csv")
         write_trajectory_csv(traj, path, n_r=system.n_r)
         csv_paths.append(path)
-    report = new_report("simulate", args)
-    report["t_final"] = args.t_final
-    report["tolerances"] = {"convergence": args.tol}
     report["equilibria"] = [[float(v) for v in q] for q in equilibria]
     report["trajectories"] = verdicts
     report["csv_files"] = csv_paths
-    write_report(report, os.path.join(args.out, "report.json"))
+    write_report(report, report_path)
     for v in verdicts:
         state = "converged to " + str(v["matched_equilibrium"]) if v["converged"] \
             else "no convergence"
@@ -269,12 +279,14 @@ def cmd_monotone_probe(args):
     cfg = load_config(args.config)
     system = build_system(cfg)
     cert = build_certificate(cfg)
+    report = new_report("monotone-probe", args)
     try:
         probe = monotone_probe(system, cert, n_pairs=args.pairs,
                                t_final=args.t_final, seed=args.seed)
     except NotScalarParameterized as e:
         raise ConfigError(f"no single certificate cone: {e}")
-    report = new_report("monotone-probe", args)
+    except NonFinite as e:
+        return _diverged(report, e, args.report)
     report["monotone_probe"] = probe
     write_report(report, args.report)
     print(f"{probe['interior']}/{probe['total_classifications']} interior, "

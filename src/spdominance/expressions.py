@@ -373,6 +373,23 @@ def compile_expr(ast, var_names):
     return eval(code, {"np": np, "__builtins__": {}})  # source generated from our own AST
 
 
+def compile_field(asts, var_names):
+    """Compile one AST per variable into a single vector field
+    field(s) -> out: names bind to the columns s[..., i], component i is
+    written to out[..., i] (a constant component broadcasts). Works on a
+    state of shape (dim,) or a batch of shape (..., dim)."""
+    if len(asts) != len(var_names):
+        raise ValueError(f"{len(asts)} components for {len(var_names)} variables")
+    lines = ["def field(s):"]
+    lines += [f"    {name} = s[..., {i}]" for i, name in enumerate(var_names)]
+    lines.append("    out = np.empty(s.shape)")
+    lines += [f"    out[..., {i}] = {_numpy_source(a)}" for i, a in enumerate(asts)]
+    lines.append("    return out")
+    namespace = {"np": np, "__builtins__": {}}
+    exec("\n".join(lines), namespace)  # source generated from our own AST
+    return namespace["field"]
+
+
 def _numpy_source(ast):
     if isinstance(ast, Const):
         return repr(ast.value)

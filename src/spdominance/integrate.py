@@ -8,12 +8,14 @@ right-hand side vectorized across the batch.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import DimensionMismatch, NonFinite
+from .expressions import BinOp, Const, Var, compile_field
 from .systems import LinearSPSystem, NonlinearSPSystem, jacobians
 
 STATE_NORM_LIMIT = 1e12
@@ -62,25 +64,20 @@ def make_rhs(sys):
 
     if not isinstance(sys, NonlinearSPSystem):
         raise TypeError(f"cannot integrate {type(sys).__name__}")
-    f_fns = sys.compiled("f", sys.f)
-    g_fns = sys.compiled("g", sys.g)
-    inv_eps = 1.0 / sys.eps
-    dim = sys.dim
+    return compile_field(_derivative_asts(sys), sys.names)
 
-    def rhs(s):
-        cols = [s[..., i] for i in range(dim)]
-        shape = s.shape[:-1]
-        parts = [np.broadcast_to(np.asarray(fn(*cols), dtype=float), shape)
-                 for fn in f_fns]
-        parts += [np.broadcast_to(np.asarray(fn(*cols), dtype=float), shape) * inv_eps
-                  for fn in g_fns]
-        return np.stack(parts, axis=-1)
 
-    return rhs
+def _derivative_asts(sys):
+    """The state derivative's components: f, then each g times 1/eps. The
+    product stays last (1/eps is not folded into g), so each fast component
+    rounds as g's value scaled by 1/eps."""
+    inv_eps = Const(1.0 / sys.eps)
+    return sys.f + [BinOp("*", e, inv_eps) for e in sys.g]
 
 
 def _check_finite(y, t):
-    if not np.all(np.isfinite(y)) or np.abs(y).max() > STATE_NORM_LIMIT:
+    # false for NaN too, so one reduction covers both checks
+    if not np.abs(y).max() <= STATE_NORM_LIMIT:
         raise NonFinite(f"state escaped at t={t:.6g}")
 
 
@@ -140,50 +137,33 @@ def integrate_batch(sys, x0s, t_span, h=None, record_times=None):
 def make_variational_rhs(sys):
     """Joint right-hand side on (base, delta) pairs: the delta half is driven
     by the Jacobian blocks evaluated at the current base state."""
-    base_rhs = make_rhs(sys)
-    dim = sys.dim
     if isinstance(sys, LinearSPSystem):
+        base_rhs = make_rhs(sys)
+        dim = sys.dim
+
         def rhs(s):
             return np.concatenate([base_rhs(s[..., :dim]), base_rhs(s[..., dim:])],
                                   axis=-1)
         return rhs
 
+    if not isinstance(sys, NonlinearSPSystem):
+        raise TypeError(f"cannot integrate {type(sys).__name__}")
     jac = sys.jacobian_asts()
-    order = ["A", "B", "C", "D"]
-    entry_fns = {key: sys.compiled("jac_" + key,
-                                   [e for row in jac[key] for e in row])
-                 for key in order}
-    n_r, n_f = sys.n_r, sys.n_f
-    inv_eps = 1.0 / sys.eps
+    deltas = ["d" + name for name in sys.names]
+    dx, dz = deltas[:sys.n_r], deltas[sys.n_r:]
+    inv_eps = Const(1.0 / sys.eps)
 
-    def rhs(s):
-        base = s[..., :dim]
-        delta = s[..., dim:]
-        cols = [base[..., i] for i in range(dim)]
-        shape = base.shape[:-1]
+    def dot(row, names):
+        # sum of entry * delta over the nonzero entries, starting from 0.0:
+        # a partial sum that starts at +0.0 is never -0.0, so leaving out the
+        # zero entries (each term +-0.0 for a finite delta) changes no result
+        terms = [BinOp("*", e, Var(d)) for e, d in zip(row, names) if e != Const(0.0)]
+        return functools.reduce(lambda a, b: BinOp("+", a, b), terms, Const(0.0))
 
-        def block(key, rows, cols_n):
-            fns = entry_fns[key]
-            vals = [np.broadcast_to(np.asarray(fn(*cols), dtype=float), shape)
-                    for fn in fns]
-            return vals  # row-major list of length rows*cols_n
-
-        A = block("A", n_r, n_r)
-        B = block("B", n_r, n_f)
-        C = block("C", n_f, n_r)
-        D = block("D", n_f, n_f)
-        dx = delta[..., :n_r]
-        dz = delta[..., n_r:]
-        out_x = [sum(A[i * n_r + j] * dx[..., j] for j in range(n_r))
-                 + sum(B[i * n_f + j] * dz[..., j] for j in range(n_f))
-                 for i in range(n_r)]
-        out_z = [(sum(C[i * n_r + j] * dx[..., j] for j in range(n_r))
-                  + sum(D[i * n_f + j] * dz[..., j] for j in range(n_f))) * inv_eps
-                 for i in range(n_f)]
-        ddelta = np.stack(out_x + out_z, axis=-1)
-        return np.concatenate([base_rhs(base), ddelta], axis=-1)
-
-    return rhs
+    d_slow = [BinOp("+", dot(a, dx), dot(b, dz)) for a, b in zip(jac["A"], jac["B"])]
+    d_fast = [BinOp("*", BinOp("+", dot(c, dx), dot(d, dz)), inv_eps)
+              for c, d in zip(jac["C"], jac["D"])]
+    return compile_field(_derivative_asts(sys) + d_slow + d_fast, sys.names + deltas)
 
 
 def integrate_variational(sys, x0, delta0, t_span, h=None):
@@ -283,8 +263,8 @@ def write_trajectory_csv(traj, path, n_r=None):
     idx = list(range(0, m, stride))
     if idx[-1] != m - 1:
         idx.append(m - 1)
+    row_format = ",".join(["%.17g"] * (dim + 1)) + "\n"
+    rows = np.column_stack([traj.times, traj.states])[idx].tolist()
     with open(path, "w") as fh:
         fh.write("t," + ",".join(names) + "\n")
-        for i in idx:
-            row = [f"{traj.times[i]:.17g}"] + [f"{v:.17g}" for v in traj.states[i]]
-            fh.write(",".join(row) + "\n")
+        fh.writelines(row_format % tuple(row) for row in rows)

@@ -123,6 +123,33 @@ def test_simulate_writes_csv_and_report(tmp_path):
     assert first == [0.0, 1.0, 0.0]
 
 
+def test_simulate_diverging_exits_2(tmp_path, capsys):
+    out = tmp_path / "out"
+    cfg = {"spec_version": 1, "kind": "nonlinear", "n_r": 1, "n_f": 1, "eps": 0.1,
+           "f": ["x1^3"], "g": ["x1 - z1"], "initial_conditions": [[2, 0]]}
+    code = main(["--no-timestamp", "simulate", write_cfg(tmp_path, cfg),
+                 "--out", str(out)])
+    assert code == 2
+    assert capsys.readouterr().out.startswith("diverged: state escaped at t=")
+    rep = json.loads((out / "report.json").read_text())
+    assert rep["command"] == "simulate"
+    assert "state escaped" in rep["error"]
+    assert "trajectories" not in rep
+
+
+def test_probe_diverging_exits_2(tmp_path, capsys):
+    cfg = spring_config()
+    cfg["f"] = ["x2", "x1^3 - 5*z1"]
+    rep = tmp_path / "probe.json"
+    code = main(["--no-timestamp", "monotone-probe", write_cfg(tmp_path, cfg),
+                 "--pairs", "2", "--report", str(rep)])
+    assert code == 2
+    assert capsys.readouterr().out.count("\n") == 1
+    report = json.loads(rep.read_text())
+    assert "state escaped" in report["error"]
+    assert "monotone_probe" not in report
+
+
 def test_probe_report_reproducible(tmp_path):
     path = spring_cfg_path(tmp_path)
     reports = []

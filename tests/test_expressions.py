@@ -3,7 +3,7 @@ import pytest
 
 from spdominance.errors import EvalError, ParseError
 from spdominance.expressions import (BinOp, Call, Const, Var, compile_expr,
-                                     diff_expr, evaluate, free_vars,
+                                     compile_field, diff_expr, evaluate, free_vars,
                                      parse_expr, simplify, to_string)
 
 
@@ -128,3 +128,17 @@ def test_compiled_matches_interpreter():
             evaluate(ast, {"x1": x1, "z1": z1}), rel=1e-14)
     xs = rng.uniform(-2, 2, (3, 5))
     assert fn(xs[0], xs[1], xs[2]).shape == (5,)
+
+
+def test_compiled_field_matches_interpreter():
+    asts = [parse_expr("x2"), parse_expr("7*tanh(x1) - 5*x1 - 5*z1"), Const(2.5)]
+    field = compile_field(asts, ["x1", "x2", "z1"])
+    states = np.random.default_rng(43).uniform(-2, 2, (4, 5, 3))
+    out = field(states)
+    assert out.shape == states.shape
+    env = {"x1": states[..., 0], "x2": states[..., 1], "z1": states[..., 2]}
+    for i, ast in enumerate(asts):
+        assert np.array_equal(out[..., i], np.broadcast_to(evaluate(ast, env), (4, 5)))
+    assert np.array_equal(field(states[1, 2]), out[1, 2])
+    with pytest.raises(ValueError):
+        compile_field(asts[:2], ["x1", "x2", "z1"])

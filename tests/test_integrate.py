@@ -2,9 +2,11 @@ import numpy as np
 import pytest
 
 from spdominance.errors import NonFinite
+from spdominance.expressions import compile_expr
 from spdominance.integrate import (Trajectory, detect_convergence,
                                    find_equilibria, integrate,
                                    integrate_batch, integrate_variational,
+                                   make_rhs, make_variational_rhs, rk4_run,
                                    write_trajectory_csv)
 from spdominance.systems import (LinearSPSystem, NonlinearSPSystem,
                                  SPRING_INITIAL_CONDITIONS,
@@ -72,6 +74,16 @@ def test_nonfinite_abort():
     growth = NonlinearSPSystem(1, 0, ["x1^3"], [], 1.0, {"x1": (-3, 3)})
     with pytest.raises(NonFinite):
         integrate(growth, [2.0], (0, 10), 1e-2)
+
+
+@pytest.mark.parametrize("rhs", [
+    lambda y: np.full_like(y, np.nan),
+    lambda y: np.full_like(y, np.inf),
+    lambda y: np.full_like(y, 1e15),  # finite, but the state passes 1e12
+])
+def test_rk4_run_rejects_escaped_state(rhs):
+    with pytest.raises(NonFinite):
+        rk4_run(rhs, np.zeros((2, 3)), (0.0, 1.0), 0.1)
 
 
 def test_linear_system_integration():
@@ -180,3 +192,125 @@ def test_csv_decimation(tmp_path):
     path = tmp_path / "big.csv"
     write_trajectory_csv(traj, path)
     assert len(path.read_text().splitlines()) - 1 <= 100_001
+
+
+def reference_csv(traj, path, n_r):
+    """The per-value writer that write_trajectory_csv replaced."""
+    m, dim = traj.states.shape
+    names = [f"x{i + 1}" for i in range(n_r)] + [f"z{j + 1}" for j in range(dim - n_r)]
+    with open(path, "w") as fh:
+        fh.write("t," + ",".join(names) + "\n")
+        for i in range(m):
+            row = [f"{traj.times[i]:.17g}"] + [f"{v:.17g}" for v in traj.states[i]]
+            fh.write(",".join(row) + "\n")
+
+
+def test_csv_matches_per_value_format(tmp_path):
+    values = [-0.0, 5e-324, 1e300, 1 / 3, -2.5e-8, 123456789.0]
+    states = np.array([values[k:] + values[:k] for k in range(len(values))])[:, :3]
+    traj = Trajectory(np.array([0.0, 1 / 3, 0.5, 1.0, 1e300, 2e300]), states, 1.0)
+    write_trajectory_csv(traj, tmp_path / "new.csv", n_r=2)
+    reference_csv(traj, tmp_path / "ref.csv", n_r=2)
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
+# -- the compiled kernels against the per-component closures they replaced ----
+
+def reference_rhs(sys):
+    f_fns = [compile_expr(e, sys.names) for e in sys.f]
+    g_fns = [compile_expr(e, sys.names) for e in sys.g]
+    inv_eps = 1.0 / sys.eps
+    dim = sys.dim
+
+    def rhs(s):
+        cols = [s[..., i] for i in range(dim)]
+        shape = s.shape[:-1]
+        parts = [np.broadcast_to(np.asarray(fn(*cols), dtype=float), shape)
+                 for fn in f_fns]
+        parts += [np.broadcast_to(np.asarray(fn(*cols), dtype=float), shape) * inv_eps
+                  for fn in g_fns]
+        return np.stack(parts, axis=-1)
+
+    return rhs
+
+
+def reference_variational_rhs(sys):
+    base_rhs = reference_rhs(sys)
+    dim = sys.dim
+    jac = sys.jacobian_asts()
+    entry_fns = {key: [compile_expr(e, sys.names) for row in jac[key] for e in row]
+                 for key in "ABCD"}
+    n_r, n_f = sys.n_r, sys.n_f
+    inv_eps = 1.0 / sys.eps
+
+    def rhs(s):
+        base = s[..., :dim]
+        delta = s[..., dim:]
+        cols = [base[..., i] for i in range(dim)]
+        shape = base.shape[:-1]
+        A, B, C, D = ([np.broadcast_to(np.asarray(fn(*cols), dtype=float), shape)
+                       for fn in entry_fns[key]] for key in "ABCD")
+        dx = delta[..., :n_r]
+        dz = delta[..., n_r:]
+        out_x = [sum(A[i * n_r + j] * dx[..., j] for j in range(n_r))
+                 + sum(B[i * n_f + j] * dz[..., j] for j in range(n_f))
+                 for i in range(n_r)]
+        out_z = [(sum(C[i * n_r + j] * dx[..., j] for j in range(n_r))
+                  + sum(D[i * n_f + j] * dz[..., j] for j in range(n_f))) * inv_eps
+                 for i in range(n_f)]
+        ddelta = np.stack(out_x + out_z, axis=-1)
+        return np.concatenate([base_rhs(base), ddelta], axis=-1)
+
+    return rhs
+
+
+def coupled_system():
+    """n_r = n_f = 2: f1 has two nonzero B entries, f2 is a nonzero constant
+    (an all-zero Jacobian row)."""
+    with pytest.warns(UserWarning, match="vanish"):
+        return NonlinearSPSystem(
+            2, 2, ["x1*z1 - 2*z2 + sin(x2)", "1.5"],
+            ["x1 - z1 + tanh(z2)", "exp(x2) - 1 - 3*z2 + cos(z1)*x1 - z1^2/4"],
+            0.05, {n: (-2, 2) for n in ("x1", "x2", "z1", "z2")})
+
+
+PINNED_SYSTEMS = {
+    "spring": nonlinear_spring_system,
+    "coupled": coupled_system,
+    "slow_only": lambda: NonlinearSPSystem(2, 0, ["x2", "-x1 - x2^3"], [], 1.0,
+                                           {"x1": (-3, 3), "x2": (-3, 3)}),
+}
+
+
+def pin_states(width, rows):
+    """One 1-D state and a 2-D batch whose first rows mix signed zeros."""
+    rng = np.random.default_rng(7)
+    states = rng.uniform(-2.0, 2.0, size=(rows, width))
+    even = np.arange(width) % 2 == 0
+    states[0] = 0.0
+    states[1] = -0.0
+    states[2] = np.where(even, -0.0, 0.0)
+    states[3] = np.where(even, 0.0, -0.0)
+    return [states[4], states]
+
+
+def assert_bitwise_equal(got, want):
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert np.array_equal(got, want)
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_SYSTEMS))
+def test_rhs_kernel_matches_reference(name):
+    sys_ = PINNED_SYSTEMS[name]()
+    new, old = make_rhs(sys_), reference_rhs(sys_)
+    for s in pin_states(sys_.dim, 9):
+        assert_bitwise_equal(new(s), old(s))
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_SYSTEMS))
+def test_variational_kernel_matches_reference(name):
+    sys_ = PINNED_SYSTEMS[name]()
+    new, old = make_variational_rhs(sys_), reference_variational_rhs(sys_)
+    for s in pin_states(2 * sys_.dim, 9):
+        assert_bitwise_equal(new(s), old(s))
