@@ -7,10 +7,8 @@ inequality at the two extreme stiffness matrices certifies it for every
 system in between, because the residual is affine in the system matrix.
 """
 
-import numpy as np
-
 from spdominance import (MatrixPolytope, SymMatrix, certify_polytope,
-                         cone_locate, inertia, make_cone, nsd_margin)
+                         cone_locate, inertia, make_cone)
 
 P_r = SymMatrix([[-5.1987, 3.6260], [3.6260, 6.1987]])
 print("inertia of P_r:", inertia(P_r).as_tuple())   # one negative direction

@@ -12,9 +12,9 @@ from .decouple import (ChangDecoupling, build_decoupling, epsilon_star,
                        full_system_matrix, reduced_model, solve_chang_lti)
 from .expressions import diff_expr, evaluate, parse_expr, to_string
 from .systems import (SPRING_INITIAL_CONDITIONS, SPRING_SLOPE_BOUNDS,
-                      LinearSPSystem, NonlinearSPSystem, jacobians,
+                      LinearSPSystem, NonlinearSPSystem, a_block_hull, jacobians,
                       nonlinear_spring_certificate, nonlinear_spring_system,
-                      reduced_manifold_slope, scalar_hull)
+                      reduced_manifold_slope)
 from .integrate import (Trajectory, VariationalTrajectory, detect_convergence,
                         find_equilibria, integrate, integrate_batch,
                         integrate_variational, write_trajectory_csv)
@@ -30,9 +30,9 @@ __all__ = [
     "full_system_matrix", "reduced_model", "solve_chang_lti",
     "diff_expr", "evaluate", "parse_expr", "to_string",
     "SPRING_INITIAL_CONDITIONS", "SPRING_SLOPE_BOUNDS",
-    "LinearSPSystem", "NonlinearSPSystem", "jacobians",
+    "LinearSPSystem", "NonlinearSPSystem", "a_block_hull", "jacobians",
     "nonlinear_spring_certificate", "nonlinear_spring_system",
-    "reduced_manifold_slope", "scalar_hull",
+    "reduced_manifold_slope",
     "Trajectory", "VariationalTrajectory", "detect_convergence",
     "find_equilibria", "integrate", "integrate_batch",
     "integrate_variational", "write_trajectory_csv",

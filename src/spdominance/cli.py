@@ -23,11 +23,12 @@ from .analyze import batch_trajectories, convergence_report, monotone_probe
 from .certify import MatrixPolytope, SPDominanceCertificate, certify_sp
 from .decouple import (InfeasibleAtFloor, build_decoupling, chang_residuals,
                        epsilon_star, full_system_matrix, reduced_model)
-from .errors import ConfigError, NonFinite, NotScalarParameterized
+from .errors import (ConfigError, NonFinite, NonpositiveEps,
+                     NotScalarParameterized)
 from .integrate import find_equilibria, write_trajectory_csv
 from .systems import (LinearSPSystem, NonlinearSPSystem, a_block_hull,
-                      jacobians, nonlinear_spring_certificate,
-                      nonlinear_spring_system, scalar_hull,
+                      jacobians, nonlinear_spring_certificate, state_names,
+                      SPRING_BOX, SPRING_F, SPRING_G,
                       SPRING_INITIAL_CONDITIONS, SPRING_SLOPE_BOUNDS)
 
 EXIT_OK = 0
@@ -94,30 +95,23 @@ def build_certificate(cfg):
         raise ConfigError(f"invalid certificate: {e}")
 
 
-def slow_fast_polytopes(cfg, system):
-    """Polytopes of reduced-model matrices and fast blocks for certification."""
-    if isinstance(system, NonlinearSPSystem):
-        hull = cfg.get("hull", {})
-        entry = hull.get("entry")
-        bounds = hull.get("bounds")
-        slow = scalar_hull(system, nonlinearity_entry=entry, bounds=bounds)
-        _, _, _, D = jacobians(system, system.omega_center())
-        return slow, MatrixPolytope([D])
-    verts = []
-    for A in system.A.vertices:
-        for D in system.D.vertices:
-            _, _, A0 = reduced_model(A, system.B, system.C, D)
-            verts.append(A0)
-    return MatrixPolytope(verts), system.D
-
-
 def coupling_inputs(cfg, system):
     """(A polytope, B, C, D polytope) for the eps-threshold search."""
     if isinstance(system, NonlinearSPSystem):
         hull = cfg.get("hull", {})
-        A_poly, B, C, D = a_block_hull(system, bounds=hull.get("bounds"))
+        A_poly, B, C, D = a_block_hull(system, bounds=hull.get("bounds"),
+                                       nonlinearity_entry=hull.get("entry"))
         return A_poly, B, C, MatrixPolytope([D])
     return system.A, system.B, system.C, system.D
+
+
+def slow_fast_polytopes(cfg, system):
+    """Polytopes of reduced-model matrices and fast blocks for certification:
+    one reduced matrix A - B D^{-1} C per (A, D) vertex pair."""
+    A_poly, B, C, D_poly = coupling_inputs(cfg, system)
+    verts = [reduced_model(A, B, C, D)[2]
+             for A in A_poly.vertices for D in D_poly.vertices]
+    return MatrixPolytope(verts), D_poly
 
 
 # -- reports ----------------------------------------------------------------
@@ -138,6 +132,16 @@ def cert_result_dict(res):
     }
 
 
+def certificate_report(cfg, system, cert):
+    """Slow and fast certificate verdicts over the system's polytopes."""
+    slow_res, fast_res = certify_sp(cert, *slow_fast_polytopes(cfg, system))
+    return {
+        "slow": cert_result_dict(slow_res),
+        "fast": cert_result_dict(fast_res),
+        "feasible": bool(slow_res.feasible and fast_res.feasible),
+    }
+
+
 def write_report(report, path):
     if path:
         os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
@@ -152,20 +156,14 @@ def cmd_certify(args):
     cfg = load_config(args.config)
     system = build_system(cfg)
     cert = build_certificate(cfg)
-    slow, fast = slow_fast_polytopes(cfg, system)
-    slow_res, fast_res = certify_sp(cert, slow, fast)
     report = new_report("certify", args)
     report["tolerances"] = {"feasibility_margin": 0.0, "boundary_slack_report": 1e-9}
-    report["certificate"] = {
-        "slow": cert_result_dict(slow_res),
-        "fast": cert_result_dict(fast_res),
-        "feasible": bool(slow_res.feasible and fast_res.feasible),
-    }
+    report["certificate"] = certificate_report(cfg, system, cert)
     write_report(report, args.report)
-    print(f"slow block: worst margin {slow_res.worst_margin:.6g} "
-          f"({'feasible' if slow_res.feasible else 'INFEASIBLE'})")
-    print(f"fast block: worst margin {fast_res.worst_margin:.6g} "
-          f"({'feasible' if fast_res.feasible else 'INFEASIBLE'})")
+    for block in ("slow", "fast"):
+        res = report["certificate"][block]
+        print(f"{block} block: worst margin {res['worst_margin']:.6g} "
+              f"({'feasible' if res['feasible'] else 'INFEASIBLE'})")
     return EXIT_OK if report["certificate"]["feasible"] else EXIT_CHECK_FAILED
 
 
@@ -228,6 +226,16 @@ def cmd_epsilon_star(args):
     return EXIT_OK
 
 
+def write_csvs(trajectories, out, n_r):
+    """One trajectory_NN.csv per trajectory in out; returns their paths."""
+    os.makedirs(out, exist_ok=True)
+    paths = [os.path.join(out, f"trajectory_{i:02d}.csv")
+             for i in range(len(trajectories))]
+    for traj, path in zip(trajectories, paths):
+        write_trajectory_csv(traj, path, n_r=n_r)
+    return paths
+
+
 def _equilibria(system):
     if isinstance(system, NonlinearSPSystem):
         return find_equilibria(system)
@@ -258,12 +266,7 @@ def cmd_simulate(args):
         return _diverged(report, e, report_path)
     equilibria = _equilibria(system)
     verdicts = convergence_report(trajectories, equilibria, tol=args.tol)
-    os.makedirs(args.out, exist_ok=True)
-    csv_paths = []
-    for i, traj in enumerate(trajectories):
-        path = os.path.join(args.out, f"trajectory_{i:02d}.csv")
-        write_trajectory_csv(traj, path, n_r=system.n_r)
-        csv_paths.append(path)
+    csv_paths = write_csvs(trajectories, args.out, system.n_r)
     report["equilibria"] = [[float(v) for v in q] for q in equilibria]
     report["trajectories"] = verdicts
     report["csv_files"] = csv_paths
@@ -283,8 +286,6 @@ def cmd_monotone_probe(args):
     try:
         probe = monotone_probe(system, cert, n_pairs=args.pairs,
                                t_final=args.t_final, seed=args.seed)
-    except NotScalarParameterized as e:
-        raise ConfigError(f"no single certificate cone: {e}")
     except NonFinite as e:
         return _diverged(report, e, args.report)
     report["monotone_probe"] = probe
@@ -295,7 +296,7 @@ def cmd_monotone_probe(args):
     return EXIT_OK if probe["passed"] else EXIT_CHECK_FAILED
 
 
-def spring_config(eps=0.01, sigma_r=0.01, box=3.0):
+def spring_config(eps=0.01, sigma_r=0.01, box=SPRING_BOX):
     """Built-in demo configuration (nonlinear spring with fast filter)."""
     cert = nonlinear_spring_certificate()
     return {
@@ -303,9 +304,9 @@ def spring_config(eps=0.01, sigma_r=0.01, box=3.0):
         "kind": "nonlinear",
         "n_r": 2, "n_f": 1,
         "eps": eps,
-        "f": ["x2", "7*tanh(x1) - 5*x1 - 5*z1"],
-        "g": ["x2 - z1"],
-        "omega": {n: [-box, box] for n in ("x1", "x2", "z1")},
+        "f": list(SPRING_F),
+        "g": list(SPRING_G),
+        "omega": {n: [-box, box] for n in state_names(2, 1)},
         "certificate": {
             "P_r": cert.P_r.a.tolist(), "P_f": cert.P_f.a.tolist(),
             "lambda_r": cert.lambda_r, "lambda_f": cert.lambda_f,
@@ -331,13 +332,7 @@ def cmd_reproduce_paper(args):
         cert_error = str(e)
 
     if cert is not None:
-        slow, fast = slow_fast_polytopes(cfg, system)
-        slow_res, fast_res = certify_sp(cert, slow, fast)
-        report["certificate"] = {
-            "slow": cert_result_dict(slow_res),
-            "fast": cert_result_dict(fast_res),
-            "feasible": bool(slow_res.feasible and fast_res.feasible),
-        }
+        report["certificate"] = certificate_report(cfg, system, cert)
         checks["certificate_feasible"] = report["certificate"]["feasible"]
         A_poly, B, C, D_poly = coupling_inputs(cfg, system)
         try:
@@ -360,14 +355,7 @@ def cmd_reproduce_paper(args):
     verdicts = convergence_report(trajectories, equilibria, tol=1e-3)
     report["trajectories"] = verdicts
     checks["all_converged"] = all(v["converged"] for v in verdicts)
-
-    os.makedirs(args.out, exist_ok=True)
-    csv_paths = []
-    for i, traj in enumerate(trajectories):
-        path = os.path.join(args.out, f"trajectory_{i:02d}.csv")
-        write_trajectory_csv(traj, path, n_r=system.n_r)
-        csv_paths.append(path)
-    report["csv_files"] = csv_paths
+    report["csv_files"] = write_csvs(trajectories, args.out, system.n_r)
 
     if cert is not None:
         probe = monotone_probe(system, cert, n_pairs=100, t_final=9.0, seed=42)
@@ -444,7 +432,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as e:
+    except (ConfigError, NonpositiveEps, NotScalarParameterized) as e:
         print(f"config error: {e}", file=_sys.stderr)
         return EXIT_USAGE
 

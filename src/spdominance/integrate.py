@@ -14,9 +14,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionMismatch, NonFinite
+from .errors import DimensionMismatch, NewtonFailure, NonFinite
 from .expressions import BinOp, Const, Var, compile_field
-from .systems import LinearSPSystem, NonlinearSPSystem, jacobians
+from .systems import LinearSPSystem, NonlinearSPSystem, damped_newton, jacobians
 
 STATE_NORM_LIMIT = 1e12
 CSV_MAX_ROWS = 100_000
@@ -187,53 +187,23 @@ def find_equilibria(sys, search_box=None, grid_n=5, tol=1e-10,
     if search_box is None:
         search_box = [sys.omega[name] for name in sys.names]
     axes = [np.linspace(lo, hi, max(2, grid_n)) for lo, hi in search_box]
-    rhs_unscaled = _unscaled_map(sys)
+    field = compile_field(sys.f + sys.g, sys.names)
+
+    def jac(point):
+        A, B, C, D = jacobians(sys, point)
+        return np.block([[A, B], [C, D]]) if sys.n_f else A
 
     found = []
     for seed in itertools.product(*axes):
-        point = np.array(seed, dtype=float)
-        point = _newton(sys, rhs_unscaled, point, tol, max_iter)
-        if point is None:
+        try:
+            point = damped_newton(field, jac, seed, tol, max_iter)
+        except NewtonFailure:
             continue
         if any(np.linalg.norm(point - q) <= merge_radius for q in found):
             continue
         found.append(point)
     found.sort(key=lambda p: tuple(p))
     return found
-
-
-def _unscaled_map(sys):
-    fns = sys.compiled("f", sys.f) + sys.compiled("g", sys.g)
-
-    def fun(point):
-        return np.array([fn(*point) for fn in fns], dtype=float)
-
-    return fun
-
-
-def _newton(sys, fun, point, tol, max_iter):
-    res = fun(point)
-    for _ in range(max_iter):
-        nrm = np.linalg.norm(res)
-        if nrm <= tol:
-            return point
-        A, B, C, D = jacobians(sys, point)
-        J = np.block([[A, B], [C, D]]) if sys.n_f else A
-        try:
-            step = np.linalg.solve(J, res)
-        except np.linalg.LinAlgError:
-            return None
-        alpha = 1.0
-        for _ in range(30):
-            cand = point - alpha * step
-            res_new = fun(cand)
-            if np.linalg.norm(res_new) < nrm:
-                break
-            alpha *= 0.5
-        else:
-            return None
-        point, res = cand, res_new
-    return point if np.linalg.norm(res) <= tol else None
 
 
 def detect_convergence(traj, equilibria, tol=1e-3):

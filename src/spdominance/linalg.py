@@ -1,9 +1,4 @@
-"""Dense symmetric linear algebra for small matrices.
-
-Eigenvalues are computed with cyclic Jacobi rotations: the matrices in this
-package are small (a few dozen rows at most) and symmetric, where Jacobi is
-unconditionally stable and needs no external solver.
-"""
+"""Dense symmetric linear algebra for small matrices."""
 
 from __future__ import annotations
 
@@ -63,58 +58,14 @@ def _as_sym(s):
     return s if isinstance(s, SymMatrix) else SymMatrix(s)
 
 
-def jacobi_eig(S, tol_factor=1e-14, max_sweeps=100):
-    """Cyclic Jacobi eigen-decomposition of a SymMatrix.
-
-    Returns (eigenvalues ascending, eigenvectors as columns). Converged when
-    the off-diagonal Frobenius norm drops below tol_factor * ||S||_F.
-    """
-    S = _as_sym(S)
-    a = S.a.copy()
-    n = a.shape[0]
-    v = np.eye(n)
-    norm_s = np.linalg.norm(a)
-    if n == 1 or norm_s == 0.0:
-        return a.diagonal().copy(), v
-
-    threshold = tol_factor * norm_s
-    for _ in range(max_sweeps):
-        off = np.linalg.norm(a - np.diag(a.diagonal()))
-        if off <= threshold:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if abs(apq) <= threshold / (n * n):
-                    continue
-                theta = 0.5 * (a[q, q] - a[p, p]) / apq
-                t = np.sign(theta) / (abs(theta) + np.sqrt(theta * theta + 1.0))
-                if theta == 0.0:
-                    t = 1.0
-                c = 1.0 / np.sqrt(t * t + 1.0)
-                s = t * c
-                # rotate rows/columns p and q
-                rp = a[p, :].copy()
-                rq = a[q, :].copy()
-                a[p, :] = c * rp - s * rq
-                a[q, :] = s * rp + c * rq
-                cp = a[:, p].copy()
-                cq = a[:, q].copy()
-                a[:, p] = c * cp - s * cq
-                a[:, q] = s * cp + c * cq
-                vp = v[:, p].copy()
-                vq = v[:, q].copy()
-                v[:, p] = c * vp - s * vq
-                v[:, q] = s * vp + c * vq
-    vals = a.diagonal().copy()
-    order = np.argsort(vals, kind="stable")
-    return vals[order], v[:, order]
-
-
 def sym_eigvals(S):
-    """Eigenvalues of a symmetric matrix, ascending."""
-    vals, _ = jacobi_eig(S)
-    return vals
+    """Eigenvalues of a symmetric matrix, ascending. A matrix with a
+    non-finite entry has all-NaN eigenvalues: LAPACK may return finite
+    values for it, which would let a NaN matrix pass as semidefinite."""
+    a = _as_sym(S).a
+    if not np.isfinite(a).all():
+        return np.full(a.shape[0], np.nan)
+    return np.linalg.eigvalsh(a)
 
 
 def inertia(S, zero_tol=None):

@@ -1,6 +1,6 @@
 """System definitions: nonlinear two-time-scale systems over the expression
-DSL, symbolic Jacobians, scalar-parameter Jacobian hulls, and the built-in
-nonlinear-spring demo system."""
+DSL, symbolic Jacobians, scalar-parameter Jacobian hulls, damped Newton, and
+the built-in nonlinear-spring demo system."""
 
 from __future__ import annotations
 
@@ -11,14 +11,18 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .certify import MatrixPolytope
-from .errors import (DimensionMismatch, NewtonFailure, NotScalarParameterized,
-                     SingularDz)
-from .expressions import (Const, compile_expr, diff_expr, evaluate, free_vars,
-                          parse_expr)
+from .errors import (DimensionMismatch, NewtonFailure, NonpositiveEps,
+                     NotScalarParameterized, SingularDz)
+from .expressions import compile_field, diff_expr, evaluate, free_vars, parse_expr
 
 
 def state_names(n_r, n_f):
     return [f"x{i + 1}" for i in range(n_r)] + [f"z{j + 1}" for j in range(n_f)]
+
+
+def _check_eps(eps):
+    if not eps > 0:
+        raise NonpositiveEps(f"eps must be positive, got {eps}")
 
 
 @dataclass
@@ -38,6 +42,7 @@ class NonlinearSPSystem:
     omega: dict = field(default_factory=dict)
 
     def __post_init__(self):
+        _check_eps(self.eps)
         names = set(state_names(self.n_r, self.n_f))
         self.f = [parse_expr(e) if isinstance(e, str) else e for e in self.f]
         self.g = [parse_expr(e) if isinstance(e, str) else e for e in self.g]
@@ -60,7 +65,6 @@ class NonlinearSPSystem:
             warnings.warn("system does not vanish at the origin; "
                           "dominance theory assumes a shifted equilibrium there")
         self._jac_asts = None
-        self._compiled = {}
 
     # -- symbolic machinery -------------------------------------------------
 
@@ -85,13 +89,6 @@ class NonlinearSPSystem:
             }
         return self._jac_asts
 
-    def compiled(self, key, asts):
-        """Cache of compiled (vectorized) functions of the full state tuple."""
-        if key not in self._compiled:
-            names = self.names
-            self._compiled[key] = [compile_expr(a, names) for a in asts]
-        return self._compiled[key]
-
     def in_omega(self, point):
         point = np.asarray(point, dtype=float)
         return all(self.omega[name][0] <= v <= self.omega[name][1]
@@ -114,6 +111,7 @@ class LinearSPSystem:
     omega: dict = None
 
     def __post_init__(self):
+        _check_eps(self.eps)
         if not isinstance(self.A, MatrixPolytope):
             self.A = MatrixPolytope([self.A])
         if not isinstance(self.D, MatrixPolytope):
@@ -156,18 +154,17 @@ def jacobians(sys, point):
         raise DimensionMismatch(f"point of shape {point.shape}, expected ({sys.dim},)")
     if not sys.in_omega(point):
         warnings.warn("Jacobian requested outside the declared state-space box")
+    return _jacobian_blocks(sys, point)
+
+
+def _jacobian_blocks(sys, point):
     env = dict(zip(sys.names, point))
-    blocks = []
-    for key in ("A", "B", "C", "D"):
-        rows = sys.jacobian_asts()[key]
-        blocks.append(np.array([[float(evaluate(e, env)) for e in row] for row in rows])
-                      .reshape(len(rows), len(rows[0]) if rows else 0))
-    A, B, C, D = blocks
-    A = A.reshape(sys.n_r, sys.n_r)
-    B = B.reshape(sys.n_r, sys.n_f)
-    C = C.reshape(sys.n_f, sys.n_r)
-    D = D.reshape(sys.n_f, sys.n_f)
-    return A, B, C, D
+    jac = sys.jacobian_asts()
+    n_r, n_f = sys.n_r, sys.n_f
+    shapes = {"A": (n_r, n_r), "B": (n_r, n_f), "C": (n_f, n_r), "D": (n_f, n_f)}
+    return tuple(np.array([[float(evaluate(e, env)) for e in row] for row in jac[key]],
+                          dtype=float).reshape(shape)
+                 for key, shape in shapes.items())
 
 
 def _varying_entries(sys):
@@ -193,17 +190,20 @@ def sample_entry_range(sys, entry_ast, grid_n=1000):
     return float(np.min(vals)), float(np.max(vals))
 
 
-def scalar_hull(sys, nonlinearity_entry=None, bounds=None, grid_n=1000):
-    """Two-vertex hull of reduced-model matrices A0 = A - B D^{-1} C when
-    exactly one entry of the A block varies with the state.
+def a_block_hull(sys, bounds=None, nonlinearity_entry=None, grid_n=1000):
+    """Hull of the A blocks over omega when at most one Jacobian entry varies
+    with the state and that entry sits in A: one vertex per bound of the
+    entry (one vertex when nothing varies), with the constant B, C, D.
+    Returns (A polytope, B, C, D).
 
     bounds is the [lo, hi] range of the varying entry; when omitted it is
     estimated by grid sampling over omega (heuristic, reported as a warning).
+    nonlinearity_entry, when given, must name the (i, j) entry that varies.
     """
     varying = _varying_entries(sys)
+    A, B, C, D = jacobians(sys, sys.omega_center())
     if not varying:
-        A, B, C, D = jacobians(sys, sys.omega_center())
-        return MatrixPolytope([A - B @ np.linalg.inv(D) @ C])
+        return MatrixPolytope([A]), B, C, D
     if len(varying) > 1:
         where = [(k, i, j) for k, i, j, _ in varying]
         raise NotScalarParameterized(f"multiple varying Jacobian entries: {where}")
@@ -220,74 +220,63 @@ def scalar_hull(sys, nonlinearity_entry=None, bounds=None, grid_n=1000):
         warnings.warn(f"entry bounds {bounds} obtained by grid sampling over "
                       "omega; sampled, not proven")
     lo, hi = bounds
-    A, B, C, D = jacobians(sys, sys.omega_center())
-    L0 = np.linalg.inv(D) @ C
     verts = []
     for val in (lo, hi):
-        Av = A.copy()
-        Av[i, j] = val
-        verts.append(Av - B @ L0)
-    return MatrixPolytope(verts)
-
-
-def a_block_hull(sys, bounds=None, grid_n=1000):
-    """Two-vertex hull of raw A blocks (not reduced) for the scalar case;
-    companion to scalar_hull for the eps-threshold search."""
-    varying = _varying_entries(sys)
-    A, B, C, D = jacobians(sys, sys.omega_center())
-    if not varying:
-        return MatrixPolytope([A]), B, C, D
-    if len(varying) > 1 or varying[0][0] != "A":
-        raise NotScalarParameterized("A-block scalar parameterization required")
-    _, i, j, entry_ast = varying[0]
-    if bounds is None:
-        bounds = sample_entry_range(sys, entry_ast, grid_n)
-    verts = []
-    for val in bounds:
         Av = A.copy()
         Av[i, j] = val
         verts.append(Av)
     return MatrixPolytope(verts), B, C, D
 
 
-def solve_manifold(sys, x, z0=None, tol=1e-12, max_iter=100):
-    """Solve g(x, z) = 0 for z by damped Newton (step halving on residual
-    increase, up to 30 halvings)."""
-    x = np.asarray(x, dtype=float)
-    z = np.zeros(sys.n_f) if z0 is None else np.asarray(z0, dtype=float).copy()
-    g_fns = sys.compiled("g", sys.g)
-    d_fns = sys.compiled("D", [e for row in sys.jacobian_asts()["D"] for e in row])
-
-    def g_at(z):
-        args = list(x) + list(z)
-        return np.array([fn(*args) for fn in g_fns], dtype=float)
-
-    def D_at(z):
-        args = list(x) + list(z)
-        return np.array([fn(*args) for fn in d_fns], dtype=float).reshape(sys.n_f, sys.n_f)
-
-    res = g_at(z)
-    for _ in range(max_iter):
+def damped_newton(fun, jac, x, tol, max_iter):
+    """Solve fun(x) = 0 by Newton steps, halving each step (up to 30 times)
+    until the residual norm decreases. Returns x once ||fun(x)|| <= tol;
+    raises NewtonFailure on no descent, a singular jac(x), or when max_iter
+    steps do not reach tol."""
+    x = np.array(x, dtype=float)
+    res = fun(x)
+    for k in range(max_iter + 1):
         nrm = np.linalg.norm(res)
         if nrm <= tol:
-            return z
-        D = D_at(z)
-        if abs(np.linalg.det(D)) < 1e-14 * max(1.0, np.linalg.norm(D)) ** sys.n_f:
-            raise SingularDz(f"fast Jacobian singular at z={z}")
-        step = np.linalg.solve(D, res)
+            return x
+        if k == max_iter:
+            raise NewtonFailure(f"Newton did not reach tolerance; residual {nrm:.2e}")
+        try:
+            step = np.linalg.solve(jac(x), res)
+        except np.linalg.LinAlgError as e:
+            raise NewtonFailure(f"singular Jacobian at {x}") from e
         alpha = 1.0
         for _ in range(30):
-            z_new = z - alpha * step
-            res_new = g_at(z_new)
+            cand = x - alpha * step
+            res_new = fun(cand)
             if np.linalg.norm(res_new) < nrm:
                 break
             alpha *= 0.5
         else:
-            raise NewtonFailure(f"no descent from z={z} (residual {nrm:.2e})")
-        z, res = z_new, res_new
-    if np.linalg.norm(res) <= tol:
-        return z
-    raise NewtonFailure(f"Newton did not reach tolerance; residual {np.linalg.norm(res):.2e}")
+            raise NewtonFailure(f"no descent from {x} (residual {nrm:.2e})")
+        x, res = cand, res_new
+
+
+def _check_dz(D, where):
+    if abs(np.linalg.det(D)) < 1e-14 * max(1.0, np.linalg.norm(D)) ** D.shape[0]:
+        raise SingularDz(f"fast Jacobian singular {where}")
+
+
+def solve_manifold(sys, x, z0=None, tol=1e-12, max_iter=100):
+    """Solve g(x, z) = 0 for z by damped Newton (see damped_newton)."""
+    x = np.asarray(x, dtype=float)
+    z0 = np.zeros(sys.n_f) if z0 is None else z0
+    field = compile_field(sys.f + sys.g, sys.names)
+
+    def g_at(z):
+        return field(np.concatenate([x, z]))[sys.n_r:]
+
+    def D_at(z):
+        D = _jacobian_blocks(sys, np.concatenate([x, z]))[3]
+        _check_dz(D, f"at z={z}")
+        return D
+
+    return damped_newton(g_at, D_at, z0, tol, max_iter)
 
 
 def reduced_manifold_slope(sys, x):
@@ -296,24 +285,36 @@ def reduced_manifold_slope(sys, x):
     x = np.asarray(x, dtype=float)
     z = solve_manifold(sys, x)
     _, _, C, D = jacobians(sys, np.concatenate([x, z]))
-    if abs(np.linalg.det(D)) < 1e-14 * max(1.0, np.linalg.norm(D)) ** sys.n_f:
-        raise SingularDz(f"fast Jacobian singular on the manifold at x={x}")
+    _check_dz(D, f"on the manifold at x={x}")
     return -np.linalg.solve(D, C)
 
 
 # -- built-in demo system ---------------------------------------------------
 
-def nonlinear_spring_system(eps=0.01, box=3.0):
+SPRING_F = ("x2", "7*tanh(x1) - 5*x1 - 5*z1")
+SPRING_G = ("x2 - z1",)
+SPRING_BOX = 3.0  # omega is [-box, box] in every state
+SPRING_SLOPE_BOUNDS = (-5.0, 2.0)  # range of d/dx1 [7 tanh(x1) - 5 x1]
+
+SPRING_INITIAL_CONDITIONS = (
+    (1.0, 1.0, 1.0),
+    (-1.0, 2.0, 1.0),
+    (-0.5, -2.0, 1.0),
+    (-2.0, -0.5, 1.0),
+    (0.25, 0.5, -1.0),
+)
+
+
+def nonlinear_spring_system(eps=0.01, box=SPRING_BOX):
     """Mass with a saturating spring force and a fast first-order filter on
     the velocity feedback: x1' = x2, x2' = 7 tanh(x1) - 5 x1 - 5 z,
     eps z' = x2 - z."""
-    names = state_names(2, 1)
     return NonlinearSPSystem(
         n_r=2, n_f=1,
-        f=["x2", "7*tanh(x1) - 5*x1 - 5*z1"],
-        g=["x2 - z1"],
+        f=list(SPRING_F),
+        g=list(SPRING_G),
         eps=eps,
-        omega={n: (-box, box) for n in names},
+        omega={n: (-box, box) for n in state_names(2, 1)},
     )
 
 
@@ -327,14 +328,3 @@ def nonlinear_spring_certificate():
         sigma_r=0.01, sigma_f=1.0,
         p=1,
     )
-
-
-SPRING_SLOPE_BOUNDS = (-5.0, 2.0)  # range of d/dx1 [7 tanh(x1) - 5 x1]
-
-SPRING_INITIAL_CONDITIONS = (
-    (1.0, 1.0, 1.0),
-    (-1.0, 2.0, 1.0),
-    (-0.5, -2.0, 1.0),
-    (-2.0, -0.5, 1.0),
-    (0.25, 0.5, -1.0),
-)

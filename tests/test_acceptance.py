@@ -10,9 +10,9 @@ import time
 import numpy as np
 import pytest
 
-from spdominance.analyze import certificate_cone, monotone_probe
+from spdominance.analyze import monotone_probe
 from spdominance.certify import (MatrixPolytope, SPDominanceCertificate,
-                                 certify_polytope, certify_sp, lmi_residual)
+                                 certify_polytope, lmi_residual)
 from spdominance.decouple import (build_decoupling, epsilon_star,
                                   full_system_matrix, reduced_model,
                                   solve_chang_lti)
@@ -23,8 +23,7 @@ from spdominance.integrate import (Trajectory, detect_convergence,
                                    integrate_batch, integrate_variational)
 from spdominance.linalg import SymMatrix, inertia, nsd_margin
 from spdominance.systems import (NonlinearSPSystem, SPRING_INITIAL_CONDITIONS,
-                                 SPRING_SLOPE_BOUNDS, jacobians,
-                                 nonlinear_spring_certificate,
+                                 jacobians, nonlinear_spring_certificate,
                                  nonlinear_spring_system)
 
 from test_integrate import bisection_root

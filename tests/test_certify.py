@@ -60,6 +60,14 @@ def test_certify_polytope_outside_slope_range():
     assert res.feasible == (expect <= 0)
 
 
+def test_certify_polytope_nan_vertex_infeasible():
+    res = certify_polytope(P_R, MatrixPolytope([M_LO, [[np.nan, 1.0], [2.0, -5.0]]]),
+                           2.0, 0.01)
+    assert not res.feasible
+    assert res.worst_vertex == 1
+    assert np.isnan(res.worst_margin)
+
+
 def test_certify_sp_spring():
     slow, fast = certify_sp(spring_cert(), MatrixPolytope([M_LO, M_HI]),
                             MatrixPolytope([[[-1.0]]]))

@@ -110,6 +110,52 @@ def test_epsilon_star_spring_exceeds_eps(tmp_path):
     assert rep["epsilon_star"] > 0.01
 
 
+@pytest.mark.parametrize("command", ["certify", "epsilon-star"])
+@pytest.mark.parametrize("field, value", [("f", ["x2*x2", "7*tanh(x1) - 5*x1 - 5*z1"]),
+                                          ("g", ["x2 - z1 - z1^3"])])
+def test_hull_not_scalar_exits_1(tmp_path, capsys, command, field, value):
+    cfg = spring_config()
+    cfg[field] = value
+    assert main([command, write_cfg(tmp_path, cfg)]) == 1
+    assert capsys.readouterr().err.startswith("config error: ")
+
+
+def test_epsilon_star_checks_hull_entry(tmp_path, capsys):
+    cfg = spring_config()
+    cfg["hull"]["entry"] = [0, 1]
+    assert main(["epsilon-star", write_cfg(tmp_path, cfg)]) == 1
+    assert "declared entry (0, 1)" in capsys.readouterr().err
+
+
+def test_epsilon_star_warns_on_sampled_bounds(tmp_path):
+    cfg = spring_config()
+    del cfg["hull"]["bounds"]
+    with pytest.warns(UserWarning, match="sampled, not proven"):
+        assert main(["epsilon-star", write_cfg(tmp_path, cfg)]) == 0
+
+
+def test_decouple_zero_eps_exits_1(tmp_path, capsys):
+    assert main(["decouple", linear_cfg(tmp_path), "--eps", "0"]) == 1
+    assert capsys.readouterr().err.startswith("config error: eps must be positive")
+
+
+@pytest.mark.parametrize("command", ["certify", "simulate"])
+def test_zero_eps_config_exits_1(tmp_path, capsys, command):
+    cfg = spring_config()
+    cfg["eps"] = 0
+    path = write_cfg(tmp_path, cfg)
+    assert main([command, path, "--out" if command == "simulate" else "--report",
+                 str(tmp_path / "out")]) == 1
+    assert "eps must be positive" in capsys.readouterr().err
+
+
+def test_reproduce_paper_negative_eps_exits_1(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(["reproduce-paper", "--eps", "-0.01", "--out", str(out)]) == 1
+    assert "eps must be positive" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_simulate_writes_csv_and_report(tmp_path):
     out = tmp_path / "out"
     path = linear_cfg(tmp_path, A=[[-1.0]])

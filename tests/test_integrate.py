@@ -157,6 +157,14 @@ def test_find_equilibria_stable_linear():
     assert np.allclose(eqs[0], 0.0, atol=1e-10)
 
 
+def test_find_equilibria_skips_failed_seeds():
+    # f' = 3 x^2 - 3 vanishes at the seeds x = +-1, so Newton fails there
+    sys_ = NonlinearSPSystem(1, 0, ["x1^3 - 3*x1"], [], 1.0, {"x1": (-1, 1)})
+    eqs = find_equilibria(sys_)
+    assert len(eqs) == 1
+    assert abs(eqs[0][0]) <= 1e-10
+
+
 def test_detect_convergence_scalar():
     traj = integrate(decay_system(), [1.0], (0, 20), 1e-2)
     match = detect_convergence(traj, [np.zeros(1)], tol=1e-3)

@@ -98,6 +98,12 @@ def test_nsd_margin_equals_last_eigenvalue():
     assert nsd_margin(S) == sym_eigvals(S)[-1]
 
 
+@pytest.mark.parametrize("d", [1.0, -1.0])
+def test_nsd_margin_of_nan_matrix_is_nan(d):
+    # LAPACK alone returns [0, -0] here, which would read as semidefinite
+    assert np.isnan(nsd_margin(SymMatrix([[np.nan, 0.0], [0.0, d]])))
+
+
 def test_symmetrization_warning():
     M = np.array([[1.0, 2.0], [2.1, 1.0]])
     with pytest.warns(UserWarning, match="asymmetry"):

@@ -1,13 +1,16 @@
 import numpy as np
 import pytest
 
-from spdominance.errors import NotScalarParameterized
+from spdominance.cli import slow_fast_polytopes
+from spdominance.errors import (NewtonFailure, NonpositiveEps,
+                                NotScalarParameterized, SingularDz)
 from spdominance.expressions import evaluate
 from spdominance.systems import (LinearSPSystem, NonlinearSPSystem,
-                                 SPRING_SLOPE_BOUNDS, a_block_hull, jacobians,
+                                 SPRING_SLOPE_BOUNDS, a_block_hull,
+                                 damped_newton, jacobians,
                                  nonlinear_spring_system,
                                  reduced_manifold_slope, sample_entry_range,
-                                 scalar_hull, solve_manifold)
+                                 solve_manifold)
 
 BOX3 = {"x1": (-3.0, 3.0), "x2": (-3.0, 3.0), "z1": (-3.0, 3.0)}
 
@@ -53,7 +56,8 @@ def test_jacobians_vs_finite_differences():
 
 
 def test_scalar_hull_spring_vertices():
-    hull = scalar_hull(nonlinear_spring_system(), bounds=SPRING_SLOPE_BOUNDS)
+    hull, _ = slow_fast_polytopes({"hull": {"bounds": SPRING_SLOPE_BOUNDS}},
+                                  nonlinear_spring_system())
     assert len(hull.vertices) == 2
     assert np.allclose(hull.vertices[0], [[0, 1], [-5, -5]])
     assert np.allclose(hull.vertices[1], [[0, 1], [2, -5]])
@@ -61,21 +65,21 @@ def test_scalar_hull_spring_vertices():
 
 def test_scalar_hull_declared_entry_checked():
     with pytest.raises(NotScalarParameterized):
-        scalar_hull(nonlinear_spring_system(), nonlinearity_entry=(0, 1),
-                    bounds=SPRING_SLOPE_BOUNDS)
+        a_block_hull(nonlinear_spring_system(), nonlinearity_entry=(0, 1),
+                     bounds=SPRING_SLOPE_BOUNDS)
 
 
 def test_scalar_hull_constant_system_single_vertex():
     sys_ = NonlinearSPSystem(2, 1, ["x2", "-2*x1 - 3*x2 + z1"], ["-x1 - z1"],
                              0.1, BOX3)
-    hull = scalar_hull(sys_)
+    hull, _, _, _ = a_block_hull(sys_)
     assert len(hull.vertices) == 1
 
 
 def test_scalar_hull_rejects_multiple_varying_entries():
     sys_ = NonlinearSPSystem(2, 1, ["x2 * x2", "tanh(x1)"], ["x2 - z1"], 0.1, BOX3)
     with pytest.raises(NotScalarParameterized):
-        scalar_hull(sys_)
+        a_block_hull(sys_)
 
 
 def test_sampled_bounds_within_analytic_range():
@@ -88,7 +92,7 @@ def test_sampled_bounds_within_analytic_range():
 
 def test_sampled_bounds_warn():
     with pytest.warns(UserWarning, match="sampled"):
-        scalar_hull(nonlinear_spring_system())
+        a_block_hull(nonlinear_spring_system())
 
 
 def test_manifold_slope_spring():
@@ -113,6 +117,39 @@ def test_manifold_slope_cubic():
     assert slope[0, 0] == pytest.approx(0.25, abs=1e-8)  # 1 / (3 z^2 + 1)
 
 
+def test_solve_manifold_singular_dz():
+    # dg/dz = 3 z^2 vanishes at the starting point z = 0
+    sys_ = NonlinearSPSystem(1, 1, ["-x1"], ["z1^3 - x1"], 0.1,
+                             {"x1": (-3, 3), "z1": (-3, 3)})
+    with pytest.raises(SingularDz):
+        solve_manifold(sys_, [1.0], z0=[0.0])
+
+
+def test_solve_manifold_no_real_root():
+    # z^2 + 0.5 z + 1 has no real root: the residual bottoms out at 15/16
+    sys_ = NonlinearSPSystem(1, 1, ["-x1"], ["z1^2 + 0.5*z1 + x1"], 0.1,
+                             {"x1": (-3, 3), "z1": (-3, 3)})
+    with pytest.raises(NewtonFailure):
+        solve_manifold(sys_, [1.0], z0=[2.0])
+
+
+def test_damped_newton_contract():
+    def fun(x):
+        return np.array([x[0] ** 2 - 4.0])
+
+    def jac(x):
+        return np.array([[2.0 * x[0]]])
+
+    x0 = np.array([3.0])
+    root = damped_newton(fun, jac, x0, 1e-12, 50)
+    assert root[0] == pytest.approx(2.0, abs=1e-12)
+    assert x0[0] == 3.0
+    with pytest.raises(NewtonFailure, match="singular"):
+        damped_newton(fun, jac, [0.0], 1e-12, 50)
+    with pytest.raises(NewtonFailure, match="tolerance"):
+        damped_newton(fun, jac, [3.0], 1e-12, 1)
+
+
 def test_reduced_matrix_agrees_with_manifold_chain_rule():
     # A - B D^{-1} C equals df/dx + df/dz * dh/dx at points on the manifold
     sys_ = nonlinear_spring_system()
@@ -124,6 +161,12 @@ def test_reduced_matrix_agrees_with_manifold_chain_rule():
         A0 = A - B @ np.linalg.inv(D) @ C
         chain = A + B @ reduced_manifold_slope(sys_, x)
         assert np.allclose(A0, chain, atol=1e-8)
+
+
+def test_a_block_hull_rejects_varying_fast_block():
+    sys_ = NonlinearSPSystem(2, 1, ["x2", "-x1"], ["x2 - z1 - z1^3"], 0.1, BOX3)
+    with pytest.raises(NotScalarParameterized, match="block D"):
+        a_block_hull(sys_)
 
 
 def test_a_block_hull_spring():
@@ -142,6 +185,14 @@ def test_origin_warning_for_shifted_system():
 def test_undeclared_variable_rejected():
     with pytest.raises(ValueError, match="undeclared"):
         NonlinearSPSystem(1, 0, ["-y1"], [], 1.0, {"x1": (-3, 3)})
+
+
+@pytest.mark.parametrize("eps", [0.0, -0.01])
+def test_nonpositive_eps_rejected(eps):
+    with pytest.raises(NonpositiveEps):
+        nonlinear_spring_system(eps=eps)
+    with pytest.raises(NonpositiveEps):
+        LinearSPSystem(A=[[-1.0]], B=[[1.0]], C=[[1.0]], D=[[-1.0]], eps=eps)
 
 
 def test_linear_system_shapes_validated():
