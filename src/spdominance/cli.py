@@ -23,7 +23,7 @@ from .analyze import batch_trajectories, convergence_report, monotone_probe
 from .certify import MatrixPolytope, SPDominanceCertificate, certify_sp
 from .decouple import (InfeasibleAtFloor, build_decoupling, chang_residuals,
                        epsilon_star, full_system_matrix, reduced_model)
-from .errors import (ConfigError, NonFinite, NonpositiveEps,
+from .errors import (ConfigError, NoConvergence, NonFinite, NonpositiveEps,
                      NotScalarParameterized)
 from .integrate import find_equilibria, write_trajectory_csv
 from .systems import (LinearSPSystem, NonlinearSPSystem, a_block_hull,
@@ -179,15 +179,22 @@ def cmd_decouple(args):
     system = build_system(cfg)
     eps = args.eps if args.eps is not None else float(cfg["eps"])
     A, B, C, D = _fixed_blocks(cfg, system)
-    dec = build_decoupling(A, B, C, D, eps)
+    report = new_report("decouple", args)
+    report["eps"] = eps
+    report["tolerances"] = {"coupling_residual": 1e-10, "block_diagonal_residual": 1e-8}
+    try:
+        dec = build_decoupling(A, B, C, D, eps)
+    except NoConvergence as e:
+        report["decoupling"] = None
+        report["error"] = str(e)
+        write_report(report, args.report)
+        print(f"no convergence: {e}")
+        return EXIT_CHECK_FAILED
     M = full_system_matrix(A, B, C, D, eps)
     Md = dec.T_inv @ M @ dec.T
     n_r = A.shape[0]
     offdiag = max(np.linalg.norm(Md[:n_r, n_r:]), np.linalg.norm(Md[n_r:, :n_r]))
     r_l, r_h = chang_residuals(A, B, C, D, dec.L, dec.H, eps)
-    report = new_report("decouple", args)
-    report["eps"] = eps
-    report["tolerances"] = {"coupling_residual": 1e-10, "block_diagonal_residual": 1e-8}
     report["decoupling"] = {
         "L": dec.L.tolist(),
         "H": dec.H.tolist(),
@@ -261,7 +268,7 @@ def cmd_simulate(args):
     report["tolerances"] = {"convergence": args.tol}
     report_path = os.path.join(args.out, "report.json")
     try:
-        trajectories = batch_trajectories(system, ics, args.t_final, h=args.step)
+        trajectories = batch_trajectories(system, ics, args.t_final)
     except NonFinite as e:
         return _diverged(report, e, report_path)
     equilibria = _equilibria(system)
@@ -403,7 +410,6 @@ def build_parser():
     p = sub.add_parser("simulate", help="integrate trajectories and check convergence")
     p.add_argument("config")
     p.add_argument("--t-final", type=float, default=9.0)
-    p.add_argument("--step", type=float, default=None)
     p.add_argument("--tol", type=float, default=1e-3)
     p.add_argument("--out", default="out")
     p.set_defaults(func=cmd_simulate)

@@ -1,9 +1,13 @@
-"""Fixed-step integration of stiff two-time-scale ODEs.
+"""Integration of stiff two-time-scale ODEs.
 
-Classical 4th-order Runge-Kutta with the step tied to the perturbation
-parameter (default h = min(1e-3, eps/20)) so the fast transient is
-resolved. Batches of trajectories share the stepping loop and evaluate the
-right-hand side vectorized across the batch.
+Two steppers share one vectorized right-hand side, so a batch of
+trajectories advances in lockstep:
+
+- dopri_run, the Dormand-Prince 5(4) embedded pair with its step controlled
+  by the local error estimate (tolerance DP_TOL), serves the batch runs;
+- rk4_run, classical 4th-order Runge-Kutta at a fixed step tied to the
+  perturbation parameter (default h = min(1e-3, eps/20)), serves the
+  variational equation and is the reference the tests pin.
 """
 
 from __future__ import annotations
@@ -20,6 +24,8 @@ from .systems import LinearSPSystem, NonlinearSPSystem, damped_newton, jacobians
 
 STATE_NORM_LIMIT = 1e12
 CSV_MAX_ROWS = 100_000
+# relative and absolute tolerance of dopri_run's local error estimate
+DP_TOL = 1e-10
 
 
 @dataclass
@@ -81,19 +87,14 @@ def _check_finite(y, t):
         raise NonFinite(f"state escaped at t={t:.6g}")
 
 
-def rk4_run(rhs, y0, t_span, h, record_times=None):
-    """Core stepping loop. Samples every step plus the endpoint, or only the
-    nearest steps to record_times when given. Returns (times, states)."""
+def rk4_run(rhs, y0, t_span, h):
+    """Fixed-step loop. Samples every step plus the endpoint. Returns
+    (times, states)."""
     t0, t1 = float(t_span[0]), float(t_span[1])
     if h <= 0 or t1 <= t0:
         raise ValueError("need h > 0 and t1 > t0")
     y = np.array(y0, dtype=float)
     n_steps = int(np.ceil((t1 - t0) / h - 1e-12))
-
-    if record_times is not None:
-        record_idx = set(int(round((t - t0) / h)) for t in record_times)
-    else:
-        record_idx = None
 
     times = [t0]
     samples = [y.copy()]
@@ -107,10 +108,98 @@ def rk4_run(rhs, y0, t_span, h, record_times=None):
         y = y + (step / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         t = t1 if k == n_steps - 1 else t0 + (k + 1) * h
         _check_finite(y, t)
-        if record_idx is None or (k + 1) in record_idx or k == n_steps - 1:
-            times.append(t)
-            samples.append(y.copy())
+        times.append(t)
+        samples.append(y.copy())
     return np.array(times), np.array(samples)
+
+
+# Dormand & Prince (1980) 5(4) tableau for an autonomous right-hand side:
+# the stage weights, whose last row gives the 5th-order solution (so the
+# 7th stage is the next step's 1st), and the 5th- minus 4th-order weights
+# of the error estimate
+_DP_A = [np.array(row) for row in (
+    (1 / 5,),
+    (3 / 40, 9 / 40),
+    (44 / 45, -56 / 15, 32 / 9),
+    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
+    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
+    (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
+)]
+_DP_E = np.array((71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200,
+                  22 / 525, -1 / 40))
+
+
+def dopri_run(rhs, y0, t_span, h0, sample_times=None):
+    """Dormand-Prince 5(4) stepping with error control; a batch of states
+    (..., dim) steps in lockstep under one shared step size.
+
+    The error of a step is the max over every row and component of
+    |err| / (DP_TOL + DP_TOL * max(|y|, |y_new|)); a step is accepted when
+    it is at most 1, and the next step is scaled by
+    clip(0.9 * err^(-1/5), 0.2, 5). The first step is h0.
+
+    Returns (times, states, stats). times starts at t0; then it holds every
+    accepted step up to t1, or, when sample_times is given, exactly those
+    times (strictly increasing within (t0, t1]): steps are cut to land on
+    each. stats counts accepted and rejected steps and rhs evaluations.
+    Raises NonFinite when an accepted state leaves the finite range, the
+    error estimate is NaN or the step underflows below 1e-12 * max(1, |t|).
+    """
+    t0, t1 = float(t_span[0]), float(t_span[1])
+    if h0 <= 0 or t1 <= t0:
+        raise ValueError("need h0 > 0 and t1 > t0")
+    if sample_times is None:
+        stops = [t1]
+    else:
+        stops = [float(t) for t in sample_times]
+        if not stops or stops[0] <= t0 or stops[-1] > t1 or \
+                any(b <= a for a, b in zip(stops, stops[1:])):
+            raise ValueError("sample times must increase strictly within (t0, t1]")
+    y = np.array(y0, dtype=float)
+    times = [t0]
+    samples = [y.copy()]
+    # stage derivatives; K_flat views them as rows for the weighted sums
+    K = np.empty((7,) + y.shape)
+    K_flat = K.reshape(7, -1)
+    K[0] = rhs(y)
+    stats = {"steps": 0, "rejected": 0, "rhs_evals": 1}
+    t, h = t0, float(h0)
+    for stop in stops:
+        while t < stop:
+            # the step of a smooth right-hand side shrinks this far where the
+            # solution leaves every bounded set, e.g. x' = x^3 at t = 1/(2 x0^2)
+            if h < 1e-12 * max(1.0, abs(t)):
+                raise NonFinite(f"state escaped at t={t:.6g}: step size underflow "
+                                f"(h={h:.3g})")
+            # stretch by up to 1% rather than leave a sliver before the stop
+            landing = t + 1.01 * h >= stop
+            step = stop - t if landing else h
+            for i, a in enumerate(_DP_A, start=1):
+                y_stage = y + step * (a @ K_flat[:i]).reshape(y.shape)
+                K[i] = rhs(y_stage)
+            stats["rhs_evals"] += 6
+            y_new = y_stage  # the last stage is taken at the 5th-order solution
+            err_vec = step * (_DP_E @ K_flat)
+            scale = DP_TOL + DP_TOL * np.maximum(np.abs(y), np.abs(y_new)).ravel()
+            err = float(np.max(np.abs(err_vec) / scale))
+            if np.isnan(err):
+                raise NonFinite(f"state escaped at t={t:.6g}: non-finite error estimate")
+            fac = 5.0 if err == 0.0 else min(5.0, max(0.2, 0.9 * err ** -0.2))
+            if err > 1.0:
+                stats["rejected"] += 1
+                h = step * fac
+                continue
+            stats["steps"] += 1
+            t = stop if landing else t + step
+            _check_finite(y_new, t)
+            y = y_new
+            K[0] = K[6]
+            # a step cut short to land on a stop does not shrink the next one
+            h = max(step * fac, h) if landing else step * fac
+            if sample_times is None or landing:
+                times.append(t)
+                samples.append(y)
+    return np.array(times), np.array(samples), stats
 
 
 def integrate(sys, x0, t_span, h=None):
@@ -124,14 +213,14 @@ def integrate(sys, x0, t_span, h=None):
                       meta={"h": h, "method": "rk4"})
 
 
-def integrate_batch(sys, x0s, t_span, h=None, record_times=None):
+def integrate_batch(sys, x0s, t_span, h=None):
     """Integrate many trajectories at once; states come back with shape
     (n_samples, n_traj, dim)."""
     h = default_step(sys) if h is None else h
     x0s = np.atleast_2d(np.asarray(x0s, dtype=float))
     if x0s.shape[1] != sys.dim:
         raise DimensionMismatch(f"initial states of shape {x0s.shape}")
-    return rk4_run(make_rhs(sys), x0s, t_span, h, record_times=record_times)
+    return rk4_run(make_rhs(sys), x0s, t_span, h)
 
 
 def make_variational_rhs(sys):
@@ -208,12 +297,15 @@ def find_equilibria(sys, search_box=None, grid_n=5, tol=1e-10,
 
 def detect_convergence(traj, equilibria, tol=1e-3):
     """Match the trajectory's final state to an equilibrium: the final state
-    must lie within tol of it and the final-quarter samples must vary by
-    less than tol. Returns the matched equilibrium or None."""
+    must lie within tol of it and the samples of the final quarter of the
+    time span must vary by less than tol. The quarter is taken by time, so
+    an adaptive grid, dense where the steps were small, gets the same check
+    as a uniform one. Returns the matched equilibrium or None."""
     if tol <= 0:
         raise ValueError("tol must be positive")
     final = traj.final_state
-    tail = traj.states[3 * len(traj.states) // 4:]
+    t0, t1 = traj.times[0], traj.times[-1]
+    tail = traj.states[traj.times >= t0 + 0.75 * (t1 - t0)]
     if np.abs(tail - final).max() > tol:
         return None
     for q in equilibria:

@@ -11,8 +11,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .certify import MatrixPolytope
-from .errors import (DimensionMismatch, NewtonFailure, NonpositiveEps,
-                     NotScalarParameterized, SingularDz)
+from .errors import (ConfigError, DimensionMismatch, NewtonFailure,
+                     NonpositiveEps, NotScalarParameterized, SingularDz)
 from .expressions import compile_field, diff_expr, evaluate, free_vars, parse_expr
 
 
@@ -143,7 +143,7 @@ class LinearSPSystem:
 
     def fixed_blocks(self):
         if len(self.A.vertices) > 1 or len(self.D.vertices) > 1:
-            raise ValueError("system has polytopic blocks; pick a vertex explicitly")
+            raise ConfigError("system has polytopic blocks; pick a vertex explicitly")
         return self.A.vertices[0], self.B, self.C, self.D.vertices[0]
 
 

@@ -87,6 +87,26 @@ def test_decouple_scalar(tmp_path):
     assert rep["decoupling"]["det_T_inv"] == pytest.approx(1.0, abs=1e-9)
 
 
+def test_decouple_no_convergence_exits_2(tmp_path, capsys):
+    # the linearized spring's Chang iteration diverges at eps = 50
+    report = tmp_path / "rep.json"
+    code = main(["--no-timestamp", "decouple", spring_cfg_path(tmp_path),
+                 "--eps", "50", "--report", str(report)])
+    assert code == 2
+    assert capsys.readouterr().out.startswith("no convergence: ")
+    rep = json.loads(report.read_text())
+    assert rep["decoupling"] is None
+    assert "diverging" in rep["error"]
+
+
+@pytest.mark.parametrize("command", ["simulate", "decouple", "monotone-probe"])
+def test_polytopic_linear_config_exits_1(tmp_path, capsys, command):
+    path = linear_cfg(tmp_path, A={"vertices": [[[-1.0]], [[-2.0]]]})
+    extra = ["--out", str(tmp_path / "out")] if command == "simulate" else []
+    assert main([command, path] + extra) == 1
+    assert capsys.readouterr().err.startswith("config error: system has polytopic blocks")
+
+
 def test_epsilon_star_decoupled_linear(tmp_path):
     report = tmp_path / "rep.json"
     path = linear_cfg(tmp_path, A=[[-1.0]], B=[[0.0]], C=[[0.0]])

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from spdominance.analyze import certificate_cone
+from spdominance.analyze import certificate_cone, monotone_probe
 from spdominance.certify import SPDominanceCertificate
 from spdominance.cone import ConeLocation, cone_locate, make_cone, quad_form
 from spdominance.errors import (DegenerateCone, DimensionMismatch,
@@ -143,3 +143,15 @@ def test_certificate_cone_rejects_varying_fast_block():
                                   lambda_f=0.0, sigma_r=0.5, sigma_f=1.0, p=1)
     with pytest.raises(NotScalarParameterized):
         certificate_cone(sys_, cert)
+
+
+@pytest.mark.parametrize("seed", [7, 123])  # seed 42 is acceptance criterion 6
+def test_probe_stays_in_decoupled_cone(seed):
+    probe = monotone_probe(nonlinear_spring_system(eps=0.01),
+                           nonlinear_spring_certificate(), n_pairs=100,
+                           t_final=9.0, seed=seed, n_samples=200)
+    assert probe["total_classifications"] == 20_000
+    assert probe["outside"] == 0 and probe["boundary_warnings"] == 0
+    run = probe["integrator"]
+    assert (run["method"], run["tol"]) == ("dopri5", 1e-10)
+    assert run["rhs_evals"] == 1 + 6 * (run["steps"] + run["rejected"])

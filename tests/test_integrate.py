@@ -1,15 +1,20 @@
+import itertools
+
 import numpy as np
 import pytest
 
+from spdominance.analyze import batch_trajectories, certificate_cone
 from spdominance.errors import NonFinite
 from spdominance.expressions import compile_expr
-from spdominance.integrate import (Trajectory, detect_convergence,
-                                   find_equilibria, integrate,
+from spdominance.integrate import (Trajectory, default_step, detect_convergence,
+                                   dopri_run, find_equilibria, integrate,
                                    integrate_batch, integrate_variational,
                                    make_rhs, make_variational_rhs, rk4_run,
                                    write_trajectory_csv)
+from spdominance.sampling import SplitMix64, sample_cone_pairs
 from spdominance.systems import (LinearSPSystem, NonlinearSPSystem,
                                  SPRING_INITIAL_CONDITIONS,
+                                 nonlinear_spring_certificate,
                                  nonlinear_spring_system)
 
 BOX = {"x1": (-3.0, 3.0), "x2": (-3.0, 3.0), "z1": (-3.0, 3.0)}
@@ -76,14 +81,108 @@ def test_nonfinite_abort():
         integrate(growth, [2.0], (0, 10), 1e-2)
 
 
-@pytest.mark.parametrize("rhs", [
+ESCAPING_RHS = [
     lambda y: np.full_like(y, np.nan),
     lambda y: np.full_like(y, np.inf),
     lambda y: np.full_like(y, 1e15),  # finite, but the state passes 1e12
-])
+]
+
+
+@pytest.mark.parametrize("rhs", ESCAPING_RHS)
 def test_rk4_run_rejects_escaped_state(rhs):
     with pytest.raises(NonFinite):
         rk4_run(rhs, np.zeros((2, 3)), (0.0, 1.0), 0.1)
+
+
+@pytest.mark.parametrize("rhs", ESCAPING_RHS)
+def test_dopri_run_rejects_escaped_state(rhs):
+    with pytest.raises(NonFinite):
+        dopri_run(rhs, np.zeros((2, 3)), (0.0, 1.0), 0.1)
+
+
+def test_dopri_run_raises_on_step_underflow():
+    # stages that alternate sign whatever the state: the error estimate
+    # stays ~1e8 * h / DP_TOL, so every step is rejected until h underflows
+    calls = itertools.count()
+
+    def rhs(y):
+        return np.full_like(y, 1e8 * (-1.0) ** next(calls))
+
+    with pytest.raises(NonFinite, match="step size underflow"):
+        dopri_run(rhs, np.zeros(2), (0.0, 1.0), 0.1)
+
+
+def test_dopri_run_lands_on_sample_times():
+    sys_ = nonlinear_spring_system()
+    sample_times = [k * 0.7 / 3 for k in range(1, 13)]  # not on any step grid
+    times, states, stats = dopri_run(make_rhs(sys_), np.array([[1.0, 1.0, 1.0]]),
+                                     (0.0, 3.0), 5e-4, sample_times=sample_times)
+    assert times[0] == 0.0
+    assert times[1:].tolist() == sample_times
+    assert states.shape == (13, 1, 3)
+    assert stats["rhs_evals"] == 1 + 6 * (stats["steps"] + stats["rejected"])
+
+    times, _, _ = dopri_run(make_rhs(sys_), [1.0, 1.0, 1.0], (0.0, 0.7 / 3), 5e-4)
+    assert times[-1] == 0.7 / 3
+    assert np.all(np.diff(times) > 0)
+
+
+def test_dopri_run_short_landing_keeps_step():
+    # a stop just after another cuts one step to 1e-6; the step after it
+    # must not restart from 5e-6 and regrow over several steps
+    rhs = make_rhs(decay_system())
+    free = dopri_run(rhs, [1.0], (0.0, 10.0), 1e-3)[2]["steps"]
+    stops = sorted([float(k) for k in range(1, 11)] + [k + 1e-6 for k in range(1, 10)])
+    cut = dopri_run(rhs, [1.0], (0.0, 10.0), 1e-3, sample_times=stops)[2]["steps"]
+    assert cut <= free + len(stops)
+
+
+def spring_radau(x0s, sample_times):
+    """States of the spring from each row of x0s at sample_times, from one
+    Radau solve of the stacked system (rtol 1e-12)."""
+    solve_ivp = pytest.importorskip("scipy.integrate").solve_ivp
+    n = len(x0s)
+
+    def fun(t, s):
+        x1, x2, z = s.reshape(n, 3).T
+        return np.column_stack([x2, 7 * np.tanh(x1) - 5 * x1 - 5 * z,
+                                (x2 - z) / 0.01]).ravel()
+
+    def jac(t, s):
+        J = np.zeros((3 * n, 3 * n))
+        for i, x1 in enumerate(s[0::3]):
+            J[3 * i:3 * i + 3, 3 * i:3 * i + 3] = [
+                [0.0, 1.0, 0.0], [7 / np.cosh(x1) ** 2 - 5, 0.0, -5.0], [0.0, 100.0, -100.0]]
+        return J
+
+    sol = solve_ivp(fun, (0.0, sample_times[-1]), np.ravel(x0s), method="Radau",
+                    rtol=1e-12, atol=1e-14, t_eval=sample_times, jac=jac)
+    assert sol.success
+    return sol.y.T.reshape(len(sample_times), n, 3)
+
+
+def test_batch_trajectories_match_radau():
+    sys_ = nonlinear_spring_system(eps=0.01)
+    trajs = batch_trajectories(sys_, SPRING_INITIAL_CONDITIONS, 9.0)
+    times = trajs[0].times
+    assert times[-1] == 9.0
+    ref = spring_radau(SPRING_INITIAL_CONDITIONS, times)
+    for j, traj in enumerate(trajs):
+        assert traj.meta == {"method": "dopri5", "tol": 1e-10}
+        assert np.abs(traj.states - ref[:, j]).max() <= 1e-9
+
+
+def test_dopri_run_probe_pairs_match_radau():
+    sys_ = nonlinear_spring_system(eps=0.01)
+    cone = certificate_cone(sys_, nonlinear_spring_certificate())
+    box = [sys_.omega[name] for name in sys_.names]
+    pairs = sample_cone_pairs(SplitMix64(42), box, cone, 10, strict_interior=False)
+    x0s = np.array([p for pair in pairs for p in pair])
+    sample_times = [k * 9.0 / 200 for k in range(1, 201)]
+    _, states, _ = dopri_run(make_rhs(sys_), x0s, (0.0, 9.0), default_step(sys_),
+                             sample_times=sample_times)
+    ref = spring_radau(x0s, sample_times)
+    assert np.abs(states[1:] - ref).max() <= 1e-9
 
 
 def test_linear_system_integration():
@@ -174,6 +273,26 @@ def test_detect_convergence_scalar():
 def test_detect_convergence_oscillator_none():
     traj = integrate(oscillator(), [1.0, 0.0], (0, 10), 1e-2)
     assert detect_convergence(traj, [np.zeros(2)], tol=1e-3) is None
+
+
+@pytest.mark.parametrize("t_final, converges", [(8.0, False), (12.0, True)])
+@pytest.mark.parametrize("grid", ["uniform", "dense_start", "dense_end"])
+def test_detect_convergence_final_quarter_by_time(grid, t_final, converges):
+    # exp(-t) varies by e^-6 - e^-8 = 2.1e-3 over [6, 8], the final quarter
+    # of [0, 8], and by 1.2e-4 over [9, 12]; only the time span may decide,
+    # not where a grid happens to be dense
+    split = 0.1 * t_final
+    times = {
+        "uniform": np.linspace(0.0, t_final, 1000),
+        "dense_start": np.concatenate([np.linspace(0.0, split, 900, endpoint=False),
+                                       np.linspace(split, t_final, 100)]),
+        "dense_end": np.concatenate([np.linspace(0.0, t_final - split, 100,
+                                                 endpoint=False),
+                                     np.linspace(t_final - split, t_final, 900)]),
+    }[grid]
+    traj = Trajectory(times, np.exp(-times)[:, None], 1.0)
+    match = detect_convergence(traj, [np.zeros(1)], tol=1e-3)
+    assert (match is not None) == converges
 
 
 def test_trajectory_validation():
