@@ -7,17 +7,16 @@ from .linalg import Inertia, SymMatrix, inertia, nsd_margin, sym_eigvals
 from .cone import ConeLocation, MatrixConeSpec, cone_locate, make_cone, quad_form
 from .certify import (CertResult, MatrixPolytope, SPDominanceCertificate,
                       block_conditions, certify_polytope, certify_sp,
-                      lmi_residual, search_certificate_2x2)
+                      lmi_residual)
 from .decouple import (ChangDecoupling, build_decoupling, epsilon_star,
                        full_system_matrix, reduced_model, solve_chang_lti)
 from .expressions import diff_expr, evaluate, parse_expr, to_string
 from .systems import (SPRING_INITIAL_CONDITIONS, SPRING_SLOPE_BOUNDS,
                       LinearSPSystem, NonlinearSPSystem, a_block_hull, jacobians,
-                      nonlinear_spring_certificate, nonlinear_spring_system,
-                      reduced_manifold_slope)
+                      nonlinear_spring_certificate, nonlinear_spring_system)
 from .integrate import (Trajectory, VariationalTrajectory, detect_convergence,
-                        find_equilibria, integrate, integrate_batch,
-                        integrate_variational, write_trajectory_csv)
+                        find_equilibria, integrate, integrate_variational,
+                        write_trajectory_csv)
 from .analyze import certificate_cone, monotone_probe
 
 __all__ = [
@@ -25,16 +24,14 @@ __all__ = [
     "ConeLocation", "MatrixConeSpec", "cone_locate", "make_cone", "quad_form",
     "CertResult", "MatrixPolytope", "SPDominanceCertificate",
     "block_conditions", "certify_polytope", "certify_sp", "lmi_residual",
-    "search_certificate_2x2",
     "ChangDecoupling", "build_decoupling", "epsilon_star",
     "full_system_matrix", "reduced_model", "solve_chang_lti",
     "diff_expr", "evaluate", "parse_expr", "to_string",
     "SPRING_INITIAL_CONDITIONS", "SPRING_SLOPE_BOUNDS",
     "LinearSPSystem", "NonlinearSPSystem", "a_block_hull", "jacobians",
     "nonlinear_spring_certificate", "nonlinear_spring_system",
-    "reduced_manifold_slope",
     "Trajectory", "VariationalTrajectory", "detect_convergence",
-    "find_equilibria", "integrate", "integrate_batch",
-    "integrate_variational", "write_trajectory_csv",
+    "find_equilibria", "integrate", "integrate_variational",
+    "write_trajectory_csv",
     "certificate_cone", "monotone_probe",
 ]

@@ -8,8 +8,7 @@ import numpy as np
 from .cone import make_cone
 from .decouple import reduced_model
 from .errors import DimensionMismatch, NotScalarParameterized
-from .integrate import (DP_TOL, Trajectory, default_step, detect_convergence,
-                        dopri_run, make_rhs)
+from .integrate import DP_TOL, detect_convergence, integrate
 from .linalg import SymMatrix
 from .sampling import SplitMix64, sample_cone_pairs
 from .systems import LinearSPSystem, _varying_entries, jacobians
@@ -73,7 +72,7 @@ def monotone_probe(sys, cert, n_pairs=100, t_final=9.0, seed=42,
     Boundary hits at t > 0 are warnings, not failures: numerical
     trajectories may graze the cone boundary within tolerance.
 
-    All 2 * n_pairs states go through dopri_run as one batch, which lands
+    All 2 * n_pairs states go through integrate as one batch, which lands
     on each sample time; the report's "integrator" entry counts its steps.
     """
     L0 = fast_coupling_gain(sys)
@@ -85,8 +84,7 @@ def monotone_probe(sys, cert, n_pairs=100, t_final=9.0, seed=42,
 
     x0s = np.array([p for pair in pairs for p in pair])
     # end at the last sample, which k * t_final / n_samples may round off t_final
-    _, states, stats = dopri_run(make_rhs(sys), x0s, (0.0, sample_times[-1]),
-                                 default_step(sys), sample_times=sample_times)
+    _, states, stats = integrate(sys, x0s, (0.0, sample_times[-1]), sample_times)
 
     P = cone_spec.P.a
     interior = boundary = outside = 0
@@ -140,15 +138,3 @@ def convergence_report(trajectories, equilibria, tol=1e-3):
             "tol": tol,
         })
     return out
-
-
-def batch_trajectories(sys, x0s, t_final):
-    """Integrate several initial conditions in one dopri_run batch and wrap
-    each as a Trajectory sampled at every accepted step."""
-    x0s = np.atleast_2d(np.asarray(x0s, dtype=float))
-    if x0s.shape[1] != sys.dim:
-        raise DimensionMismatch(f"initial states of shape {x0s.shape}")
-    times, states, _ = dopri_run(make_rhs(sys), x0s, (0.0, t_final), default_step(sys))
-    return [Trajectory(times, states[:, i, :], sys.eps,
-                       meta={"method": "dopri5", "tol": DP_TOL})
-            for i in range(states.shape[1])]

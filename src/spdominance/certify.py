@@ -5,9 +5,8 @@ the dominance condition holds iff S is negative semidefinite. The residual
 is affine in A, so checking it at polytope vertices certifies it on the
 whole convex hull.
 
-Certificates are verified, not synthesized: no SDP solver is involved.
-A coarse grid search over 2x2 indefinite candidates is provided as an
-experimental helper only.
+Certificates are verified, not synthesized: no SDP solver is involved,
+and a candidate certificate comes from the caller.
 """
 
 from __future__ import annotations
@@ -18,8 +17,6 @@ import numpy as np
 
 from .errors import DimensionMismatch, NonpositiveEps
 from .linalg import SymMatrix, _as_sym, inertia, nsd_margin
-
-FEASIBILITY_SLACK_REPORT = 1e-9
 
 
 @dataclass(frozen=True)
@@ -86,11 +83,6 @@ class CertResult:
     worst_vertex: int
     margins: tuple = field(default=())
 
-    @property
-    def within_slack(self):
-        # boundary-feasible up to roundoff; "<=" in the condition is non-strict
-        return self.worst_margin <= FEASIBILITY_SLACK_REPORT
-
 
 def lmi_residual(P, A, lam, sigma):
     """S = P*A + A^T*P + 2*lam*P + sigma*I; the condition holds iff S <= 0."""
@@ -152,29 +144,3 @@ def block_conditions(cert, A, B, L_eps, D, eps):
     m_fast = nsd_margin(lmi_residual(cert.P_f, fast, cert.lambda_r, sigma))
     return (CertResult(m_slow <= 0.0, m_slow, 0, (m_slow,)),
             CertResult(m_fast <= 0.0, m_fast, 0, (m_fast,)))
-
-
-def search_certificate_2x2(polytope, lam, sigma, grid_n=40, span=10.0):
-    """EXPERIMENTAL: coarse grid search for a 2x2 indefinite P with
-    det(P) = -1 making the polytope condition feasible. Returns the P with
-    the most negative worst margin, or None. No optimality claim."""
-    if polytope.n != 2:
-        raise DimensionMismatch("search only implemented for 2x2 matrices")
-    best = None
-    best_margin = np.inf
-    axis = np.linspace(-span, span, grid_n)
-    for a in axis:
-        if abs(a) < 1e-6:
-            continue
-        for b in axis:
-            c = (b * b - 1.0) / a  # a*c - b^2 = -1
-            P = SymMatrix([[a, b], [b, c]])
-            if inertia(P).as_tuple() != (1, 0, 1):
-                continue
-            res = certify_polytope(P, polytope, lam, sigma)
-            if res.worst_margin < best_margin:
-                best_margin = res.worst_margin
-                best = P
-    if best is not None and best_margin <= 0.0:
-        return best
-    return None

@@ -19,13 +19,14 @@ import sys as _sys
 import numpy as np
 
 from . import __version__
-from .analyze import batch_trajectories, convergence_report, monotone_probe
+from .analyze import convergence_report, monotone_probe
 from .certify import MatrixPolytope, SPDominanceCertificate, certify_sp
 from .decouple import (InfeasibleAtFloor, build_decoupling, chang_residuals,
                        epsilon_star, full_system_matrix, reduced_model)
-from .errors import (ConfigError, NoConvergence, NonFinite, NonpositiveEps,
-                     NotScalarParameterized)
-from .integrate import find_equilibria, write_trajectory_csv
+from .errors import (ConfigError, DimensionMismatch, NoConvergence, NonFinite,
+                     NonpositiveEps, NotScalarParameterized, SamplingExhausted,
+                     SingularD)
+from .integrate import Trajectory, find_equilibria, integrate, write_trajectory_csv
 from .systems import (LinearSPSystem, NonlinearSPSystem, a_block_hull,
                       jacobians, nonlinear_spring_certificate, state_names,
                       SPRING_BOX, SPRING_F, SPRING_G,
@@ -150,6 +151,61 @@ def write_report(report, path):
             fh.write("\n")
 
 
+def _failed(label, error):
+    """Print a failed check as one line and return its report entry."""
+    print(f"{label}: {error}")
+    return {"error": str(error)}
+
+
+# -- stages ------------------------------------------------------------------
+# Each stage serves its subcommand and reproduce-paper: it does the work,
+# handles the failures its check can report, printing one line for each, and
+# returns (fragment, verdict): its report entries, and its verdict, which is
+# None after a failure.
+
+def epsilon_star_stage(cfg, system, cert, eps_max=1.0):
+    """The certified eps threshold; the verdict is the threshold."""
+    A_poly, B, C, D_poly = coupling_inputs(cfg, system)
+    try:
+        eps_hat = epsilon_star(A_poly, B, C, D_poly, cert, eps_max=eps_max)
+    except InfeasibleAtFloor as e:
+        return {"epsilon_star": None, **_failed("infeasible", e)}, None
+    return {"epsilon_star": eps_hat}, eps_hat
+
+
+def simulation_stage(system, ics, t_final, tol, out):
+    """The equilibria, then the trajectories from ics to t_final, each
+    matched to an equilibrium and written into out as trajectory_NN.csv;
+    the verdict is whether every trajectory converged."""
+    equilibria = (find_equilibria(system) if isinstance(system, NonlinearSPSystem)
+                  else [np.zeros(system.dim)])
+    fragment = {"equilibria": [[float(v) for v in q] for q in equilibria]}
+    try:
+        times, states, _ = integrate(system, ics, (0.0, t_final))
+    except NonFinite as e:
+        return {**fragment, **_failed("diverged", e)}, None
+    trajectories = [Trajectory(times, states[:, i]) for i in range(states.shape[1])]
+    verdicts = convergence_report(trajectories, equilibria, tol=tol)
+    fragment["trajectories"] = verdicts
+    os.makedirs(out, exist_ok=True)
+    fragment["csv_files"] = [os.path.join(out, f"trajectory_{i:02d}.csv")
+                             for i in range(len(trajectories))]
+    for traj, path in zip(trajectories, fragment["csv_files"]):
+        write_trajectory_csv(traj, path, n_r=system.n_r)
+    return fragment, all(v["converged"] for v in verdicts)
+
+
+def probe_stage(system, cert, n_pairs, t_final, seed):
+    """The seeded monotonicity probe; the verdict is whether it passed."""
+    try:
+        probe = monotone_probe(system, cert, n_pairs=n_pairs, t_final=t_final, seed=seed)
+    except NonFinite as e:
+        return _failed("diverged", e), None
+    except SamplingExhausted as e:
+        return _failed("sampling exhausted", e), None
+    return {"monotone_probe": probe}, probe["passed"]
+
+
 # -- subcommands ------------------------------------------------------------
 
 def cmd_certify(args):
@@ -186,9 +242,8 @@ def cmd_decouple(args):
         dec = build_decoupling(A, B, C, D, eps)
     except NoConvergence as e:
         report["decoupling"] = None
-        report["error"] = str(e)
+        report.update(_failed("no convergence", e))
         write_report(report, args.report)
-        print(f"no convergence: {e}")
         return EXIT_CHECK_FAILED
     M = full_system_matrix(A, B, C, D, eps)
     Md = dec.T_inv @ M @ dec.T
@@ -216,45 +271,15 @@ def cmd_epsilon_star(args):
     cfg = load_config(args.config)
     system = build_system(cfg)
     cert = build_certificate(cfg)
-    A_poly, B, C, D_poly = coupling_inputs(cfg, system)
     report = new_report("epsilon-star", args)
     report["tolerances"] = {"eps_floor": 1e-12, "bisect_steps": 60}
-    try:
-        eps_hat = epsilon_star(A_poly, B, C, D_poly, cert, eps_max=args.eps_max)
-    except InfeasibleAtFloor as e:
-        report["epsilon_star"] = None
-        report["error"] = str(e)
-        write_report(report, args.report)
-        print(f"infeasible: {e}")
-        return EXIT_CHECK_FAILED
-    report["epsilon_star"] = eps_hat
+    fragment, eps_hat = epsilon_star_stage(cfg, system, cert, args.eps_max)
+    report.update(fragment)
     write_report(report, args.report)
+    if eps_hat is None:
+        return EXIT_CHECK_FAILED
     print(f"certified eps threshold: {eps_hat:.6g}")
     return EXIT_OK
-
-
-def write_csvs(trajectories, out, n_r):
-    """One trajectory_NN.csv per trajectory in out; returns their paths."""
-    os.makedirs(out, exist_ok=True)
-    paths = [os.path.join(out, f"trajectory_{i:02d}.csv")
-             for i in range(len(trajectories))]
-    for traj, path in zip(trajectories, paths):
-        write_trajectory_csv(traj, path, n_r=n_r)
-    return paths
-
-
-def _equilibria(system):
-    if isinstance(system, NonlinearSPSystem):
-        return find_equilibria(system)
-    return [np.zeros(system.dim)]
-
-
-def _diverged(report, error, path):
-    """Report a trajectory that left the finite range as a failed check."""
-    report["error"] = str(error)
-    write_report(report, path)
-    print(f"diverged: {error}")
-    return EXIT_CHECK_FAILED
 
 
 def cmd_simulate(args):
@@ -266,19 +291,12 @@ def cmd_simulate(args):
     report = new_report("simulate", args)
     report["t_final"] = args.t_final
     report["tolerances"] = {"convergence": args.tol}
-    report_path = os.path.join(args.out, "report.json")
-    try:
-        trajectories = batch_trajectories(system, ics, args.t_final)
-    except NonFinite as e:
-        return _diverged(report, e, report_path)
-    equilibria = _equilibria(system)
-    verdicts = convergence_report(trajectories, equilibria, tol=args.tol)
-    csv_paths = write_csvs(trajectories, args.out, system.n_r)
-    report["equilibria"] = [[float(v) for v in q] for q in equilibria]
-    report["trajectories"] = verdicts
-    report["csv_files"] = csv_paths
-    write_report(report, report_path)
-    for v in verdicts:
+    fragment, converged = simulation_stage(system, ics, args.t_final, args.tol, args.out)
+    report.update(fragment)
+    write_report(report, os.path.join(args.out, "report.json"))
+    if converged is None:
+        return EXIT_CHECK_FAILED
+    for v in fragment["trajectories"]:
         state = "converged to " + str(v["matched_equilibrium"]) if v["converged"] \
             else "no convergence"
         print(f"from {v['initial_state']}: {state}")
@@ -290,17 +308,16 @@ def cmd_monotone_probe(args):
     system = build_system(cfg)
     cert = build_certificate(cfg)
     report = new_report("monotone-probe", args)
-    try:
-        probe = monotone_probe(system, cert, n_pairs=args.pairs,
-                               t_final=args.t_final, seed=args.seed)
-    except NonFinite as e:
-        return _diverged(report, e, args.report)
-    report["monotone_probe"] = probe
+    fragment, passed = probe_stage(system, cert, args.pairs, args.t_final, args.seed)
+    report.update(fragment)
     write_report(report, args.report)
+    if passed is None:
+        return EXIT_CHECK_FAILED
+    probe = fragment["monotone_probe"]
     print(f"{probe['interior']}/{probe['total_classifications']} interior, "
           f"{probe['boundary_warnings']} boundary warnings, "
           f"{probe['outside']} outside; worst margin {probe['worst_quadform_margin']:.3e}")
-    return EXIT_OK if probe["passed"] else EXIT_CHECK_FAILED
+    return EXIT_OK if passed else EXIT_CHECK_FAILED
 
 
 def spring_config(eps=0.01, sigma_r=0.01, box=SPRING_BOX):
@@ -331,43 +348,33 @@ def cmd_reproduce_paper(args):
     report["eps"] = args.eps
     checks = {}
 
-    cert_error = None
+    def add(name, stage):
+        """Merge a stage's fragment into the report, its error entry as
+        name_error; return the stage's verdict."""
+        fragment, verdict = stage
+        for key, value in fragment.items():
+            report[f"{name}_error" if key == "error" else key] = value
+        return verdict
+
     try:
         cert = build_certificate(cfg)
     except ConfigError as e:
         cert = None
-        cert_error = str(e)
-
+        report["certificate"] = {"error": str(e)}
+        checks["certificate_feasible"] = False
     if cert is not None:
         report["certificate"] = certificate_report(cfg, system, cert)
         checks["certificate_feasible"] = report["certificate"]["feasible"]
-        A_poly, B, C, D_poly = coupling_inputs(cfg, system)
-        try:
-            eps_hat = epsilon_star(A_poly, B, C, D_poly, cert)
-            report["epsilon_star"] = eps_hat
-            checks["eps_below_threshold"] = args.eps < eps_hat
-        except InfeasibleAtFloor as e:
-            report["epsilon_star"] = None
-            report["epsilon_star_error"] = str(e)
-            checks["eps_below_threshold"] = False
-    else:
-        report["certificate"] = {"error": cert_error}
-        checks["certificate_feasible"] = False
+        eps_hat = add("epsilon_star", epsilon_star_stage(cfg, system, cert))
+        checks["eps_below_threshold"] = eps_hat is not None and args.eps < eps_hat
 
-    equilibria = find_equilibria(system)
-    report["equilibria"] = [[float(v) for v in q] for q in equilibria]
-    checks["three_equilibria"] = len(equilibria) == 3
-
-    trajectories = batch_trajectories(system, cfg["initial_conditions"], 9.0)
-    verdicts = convergence_report(trajectories, equilibria, tol=1e-3)
-    report["trajectories"] = verdicts
-    checks["all_converged"] = all(v["converged"] for v in verdicts)
-    report["csv_files"] = write_csvs(trajectories, args.out, system.n_r)
-
+    converged = add("simulate", simulation_stage(system, cfg["initial_conditions"],
+                                                 9.0, 1e-3, args.out))
+    checks["three_equilibria"] = len(report["equilibria"]) == 3
+    checks["all_converged"] = bool(converged)
     if cert is not None:
-        probe = monotone_probe(system, cert, n_pairs=100, t_final=9.0, seed=42)
-        report["monotone_probe"] = probe
-        checks["monotone_probe"] = probe["passed"]
+        passed = add("monotone_probe", probe_stage(system, cert, 100, 9.0, 42))
+        checks["monotone_probe"] = bool(passed)
 
     report["tolerances"] = {"convergence": 1e-3, "probe_classification": 1e-9,
                             "feasibility_margin": 0.0}
@@ -438,7 +445,8 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, NonpositiveEps, NotScalarParameterized) as e:
+    except (ConfigError, DimensionMismatch, NonpositiveEps, NotScalarParameterized,
+            SingularD) as e:
         print(f"config error: {e}", file=_sys.stderr)
         return EXIT_USAGE
 

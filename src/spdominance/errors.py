@@ -49,10 +49,6 @@ class NewtonFailure(RuntimeError):
     pass
 
 
-class SingularDz(RuntimeError):
-    pass
-
-
 class NonFinite(FloatingPointError):
     """State escaped to non-finite values during integration."""
 

@@ -1,24 +1,25 @@
 """Integration of stiff two-time-scale ODEs.
 
-Two steppers share one vectorized right-hand side, so a batch of
-trajectories advances in lockstep:
+One integrator, dopri_run, the Dormand-Prince 5(4) embedded pair with its
+step controlled by the local error estimate (tolerance DP_TOL), steps a
+batch of states in lockstep through one vectorized right-hand side.
+integrate runs a batch of trajectories of a system through it, and
+integrate_variational a trajectory jointly with its variation. Both start
+from default_step(sys) = min(1e-3, eps/20), which resolves the fast scale.
 
-- dopri_run, the Dormand-Prince 5(4) embedded pair with its step controlled
-  by the local error estimate (tolerance DP_TOL), serves the batch runs;
-- rk4_run, classical 4th-order Runge-Kutta at a fixed step tied to the
-  perturbation parameter (default h = min(1e-3, eps/20)), serves the
-  variational equation and is the reference the tests pin.
+rk4_run, classical 4th-order Runge-Kutta at a fixed step, is kept as the
+reference that tests pin; no library path calls it.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, NewtonFailure, NonFinite
+from .errors import ConfigError, DimensionMismatch, NewtonFailure, NonFinite
 from .expressions import BinOp, Const, Var, compile_field
 from .systems import LinearSPSystem, NonlinearSPSystem, damped_newton, jacobians
 
@@ -26,14 +27,14 @@ STATE_NORM_LIMIT = 1e12
 CSV_MAX_ROWS = 100_000
 # relative and absolute tolerance of dopri_run's local error estimate
 DP_TOL = 1e-10
+# dopri_run stops when its step falls below DP_STEP_FLOOR * max(1, |t|)
+DP_STEP_FLOOR = 1e-12
 
 
 @dataclass
 class Trajectory:
     times: np.ndarray
     states: np.ndarray  # (n_samples, dim)
-    eps: float
-    meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if np.any(np.diff(self.times) <= 0):
@@ -53,7 +54,15 @@ class VariationalTrajectory:
 
 
 def default_step(sys):
-    return min(1e-3, sys.eps / 20.0)
+    """First step of an integration: min(1e-3, eps/20). Raises ConfigError
+    when eps/20 is already at dopri_run's step floor: the fast scale is then
+    too stiff for the explicit pair, and the run would stop at t = 0."""
+    h = min(1e-3, sys.eps / 20.0)
+    if h <= DP_STEP_FLOOR:
+        raise ConfigError(f"eps = {sys.eps:.3g} is too stiff for the explicit "
+                          f"Dormand-Prince pair: the first step eps/20 = {h:.3g} "
+                          f"is at or below its step floor {DP_STEP_FLOOR:.3g}")
+    return h
 
 
 def make_rhs(sys):
@@ -143,7 +152,8 @@ def dopri_run(rhs, y0, t_span, h0, sample_times=None):
     times (strictly increasing within (t0, t1]): steps are cut to land on
     each. stats counts accepted and rejected steps and rhs evaluations.
     Raises NonFinite when an accepted state leaves the finite range, the
-    error estimate is NaN or the step underflows below 1e-12 * max(1, |t|).
+    error estimate is NaN or the step underflows below
+    DP_STEP_FLOOR * max(1, |t|).
     """
     t0, t1 = float(t_span[0]), float(t_span[1])
     if h0 <= 0 or t1 <= t0:
@@ -168,7 +178,7 @@ def dopri_run(rhs, y0, t_span, h0, sample_times=None):
         while t < stop:
             # the step of a smooth right-hand side shrinks this far where the
             # solution leaves every bounded set, e.g. x' = x^3 at t = 1/(2 x0^2)
-            if h < 1e-12 * max(1.0, abs(t)):
+            if h < DP_STEP_FLOOR * max(1.0, abs(t)):
                 raise NonFinite(f"state escaped at t={t:.6g}: step size underflow "
                                 f"(h={h:.3g})")
             # stretch by up to 1% rather than leave a sliver before the stop
@@ -202,25 +212,16 @@ def dopri_run(rhs, y0, t_span, h0, sample_times=None):
     return np.array(times), np.array(samples), stats
 
 
-def integrate(sys, x0, t_span, h=None):
-    """Integrate one trajectory of a nonlinear or linear SP system."""
-    h = default_step(sys) if h is None else h
-    x0 = np.asarray(x0, dtype=float)
-    if x0.shape != (sys.dim,):
-        raise DimensionMismatch(f"initial state of shape {x0.shape}, expected ({sys.dim},)")
-    times, states = rk4_run(make_rhs(sys), x0, t_span, h)
-    return Trajectory(times=times, states=states, eps=sys.eps,
-                      meta={"h": h, "method": "rk4"})
-
-
-def integrate_batch(sys, x0s, t_span, h=None):
-    """Integrate many trajectories at once; states come back with shape
-    (n_samples, n_traj, dim)."""
-    h = default_step(sys) if h is None else h
-    x0s = np.atleast_2d(np.asarray(x0s, dtype=float))
-    if x0s.shape[1] != sys.dim:
-        raise DimensionMismatch(f"initial states of shape {x0s.shape}")
-    return rk4_run(make_rhs(sys), x0s, t_span, h)
+def integrate(sys, x0s, t_span, sample_times=None):
+    """Integrate a batch of trajectories of a nonlinear or linear SP system
+    through dopri_run from default_step(sys). x0s has shape (n_traj, dim);
+    states come back with shape (n_samples, n_traj, dim). Returns
+    (times, states, stats) as dopri_run does."""
+    x0s = np.asarray(x0s, dtype=float)
+    if x0s.ndim != 2 or x0s.shape[1] != sys.dim:
+        raise DimensionMismatch(f"initial states of shape {x0s.shape}, "
+                                f"expected (n_traj, {sys.dim})")
+    return dopri_run(make_rhs(sys), x0s, t_span, default_step(sys), sample_times)
 
 
 def make_variational_rhs(sys):
@@ -255,17 +256,16 @@ def make_variational_rhs(sys):
     return compile_field(_derivative_asts(sys) + d_slow + d_fast, sys.names + deltas)
 
 
-def integrate_variational(sys, x0, delta0, t_span, h=None):
-    """Jointly integrate a trajectory and the variation along it."""
-    h = default_step(sys) if h is None else h
+def integrate_variational(sys, x0, delta0, t_span):
+    """Jointly integrate a trajectory and the variation along it through
+    dopri_run; both are sampled at every accepted step."""
     x0 = np.asarray(x0, dtype=float)
     delta0 = np.asarray(delta0, dtype=float)
     if x0.shape != (sys.dim,) or delta0.shape != (sys.dim,):
         raise DimensionMismatch("x0 and delta0 must have the system dimension")
     y0 = np.concatenate([x0, delta0])
-    times, states = rk4_run(make_variational_rhs(sys), y0, t_span, h)
-    base = Trajectory(times=times, states=states[:, :sys.dim], eps=sys.eps,
-                      meta={"h": h, "method": "rk4"})
+    times, states, _ = dopri_run(make_variational_rhs(sys), y0, t_span, default_step(sys))
+    base = Trajectory(times=times, states=states[:, :sys.dim])
     return VariationalTrajectory(base=base, delta_states=states[:, sys.dim:])
 
 

@@ -12,8 +12,8 @@ import numpy as np
 
 from .certify import MatrixPolytope
 from .errors import (ConfigError, DimensionMismatch, NewtonFailure,
-                     NonpositiveEps, NotScalarParameterized, SingularDz)
-from .expressions import compile_field, diff_expr, evaluate, free_vars, parse_expr
+                     NonpositiveEps, NotScalarParameterized)
+from .expressions import diff_expr, evaluate, free_vars, parse_expr
 
 
 def state_names(n_r, n_f):
@@ -154,10 +154,6 @@ def jacobians(sys, point):
         raise DimensionMismatch(f"point of shape {point.shape}, expected ({sys.dim},)")
     if not sys.in_omega(point):
         warnings.warn("Jacobian requested outside the declared state-space box")
-    return _jacobian_blocks(sys, point)
-
-
-def _jacobian_blocks(sys, point):
     env = dict(zip(sys.names, point))
     jac = sys.jacobian_asts()
     n_r, n_f = sys.n_r, sys.n_f
@@ -255,38 +251,6 @@ def damped_newton(fun, jac, x, tol, max_iter):
         else:
             raise NewtonFailure(f"no descent from {x} (residual {nrm:.2e})")
         x, res = cand, res_new
-
-
-def _check_dz(D, where):
-    if abs(np.linalg.det(D)) < 1e-14 * max(1.0, np.linalg.norm(D)) ** D.shape[0]:
-        raise SingularDz(f"fast Jacobian singular {where}")
-
-
-def solve_manifold(sys, x, z0=None, tol=1e-12, max_iter=100):
-    """Solve g(x, z) = 0 for z by damped Newton (see damped_newton)."""
-    x = np.asarray(x, dtype=float)
-    z0 = np.zeros(sys.n_f) if z0 is None else z0
-    field = compile_field(sys.f + sys.g, sys.names)
-
-    def g_at(z):
-        return field(np.concatenate([x, z]))[sys.n_r:]
-
-    def D_at(z):
-        D = _jacobian_blocks(sys, np.concatenate([x, z]))[3]
-        _check_dz(D, f"at z={z}")
-        return D
-
-    return damped_newton(g_at, D_at, z0, tol, max_iter)
-
-
-def reduced_manifold_slope(sys, x):
-    """Slope dh/dx of the slow manifold z = h(x): -D^{-1} C evaluated at
-    (x, h(x))."""
-    x = np.asarray(x, dtype=float)
-    z = solve_manifold(sys, x)
-    _, _, C, D = jacobians(sys, np.concatenate([x, z]))
-    _check_dz(D, f"on the manifold at x={x}")
-    return -np.linalg.solve(D, C)
 
 
 # -- built-in demo system ---------------------------------------------------

@@ -3,8 +3,7 @@ import pytest
 
 from spdominance.certify import (MatrixPolytope, SPDominanceCertificate,
                                  block_conditions, certify_polytope,
-                                 certify_sp, lmi_residual,
-                                 search_certificate_2x2)
+                                 certify_sp, lmi_residual)
 from spdominance.errors import DimensionMismatch, NonpositiveEps
 from spdominance.linalg import SymMatrix, nsd_margin
 
@@ -175,11 +174,3 @@ def test_dimension_mismatch():
         lmi_residual(SymMatrix(np.eye(2)), np.eye(3), 0.0, 1.0)
     with pytest.raises(DimensionMismatch):
         certify_polytope(SymMatrix(np.eye(3)), MatrixPolytope([np.eye(2)]), 0.0, 1.0)
-
-
-def test_experimental_search_recovers_a_certificate():
-    found = search_certificate_2x2(MatrixPolytope([M_LO, M_HI]), 2.0, 0.01,
-                                   grid_n=25, span=8.0)
-    if found is not None:
-        res = certify_polytope(found, MatrixPolytope([M_LO, M_HI]), 2.0, 0.01)
-        assert res.feasible

@@ -3,7 +3,9 @@ import json
 import numpy as np
 import pytest
 
+from spdominance import cli
 from spdominance.cli import main, spring_config
+from spdominance.errors import NonFinite, SamplingExhausted
 
 
 def write_cfg(tmp_path, cfg, name="config.json"):
@@ -189,6 +191,33 @@ def test_simulate_writes_csv_and_report(tmp_path):
     assert first == [0.0, 1.0, 0.0]
 
 
+def test_simulate_wrong_initial_condition_length_exits_1(tmp_path, capsys):
+    cfg = spring_config()
+    cfg["initial_conditions"] = [[1, 1]]
+    assert main(["simulate", write_cfg(tmp_path, cfg), "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err.startswith("config error: initial states of shape (1, 2)")
+
+
+@pytest.mark.parametrize("command", ["certify", "epsilon-star", "monotone-probe"])
+def test_singular_fast_block_exits_1(tmp_path, capsys, command):
+    assert main([command, linear_cfg(tmp_path, D=[[0.0]])]) == 1
+    assert capsys.readouterr().err.startswith("config error: fast block numerically singular")
+
+
+@pytest.mark.parametrize("command", ["simulate", "monotone-probe", "reproduce-paper"])
+def test_too_stiff_for_explicit_pair_exits_1(tmp_path, capsys, command):
+    # eps/20 = 5e-13 is below dopri_run's step floor: no state escaped
+    out = str(tmp_path / "out")
+    argv = (["reproduce-paper", "--eps", "1e-11", "--out", out]
+            if command == "reproduce-paper" else
+            [command, spring_cfg_path(tmp_path, eps=1e-11),
+             "--out" if command == "simulate" else "--report", out])
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("config error: eps = 1e-11 is too stiff")
+
+
 def test_simulate_diverging_exits_2(tmp_path, capsys):
     out = tmp_path / "out"
     cfg = {"spec_version": 1, "kind": "nonlinear", "n_r": 1, "n_f": 1, "eps": 0.1,
@@ -214,6 +243,41 @@ def test_probe_diverging_exits_2(tmp_path, capsys):
     report = json.loads(rep.read_text())
     assert "state escaped" in report["error"]
     assert "monotone_probe" not in report
+
+
+def test_probe_sampling_exhausted_exits_2(tmp_path, capsys):
+    # the cone of P_r = diag(-1e-7, 1) is too thin to sample in the box
+    cert = {"P_r": [[-1e-7, 0.0], [0.0, 1.0]], "P_f": [[1.0]], "lambda_r": 0.0,
+            "lambda_f": 0.0, "sigma_r": 0.5, "sigma_f": 1.0, "p": 1}
+    path = linear_cfg(tmp_path, A=[[-1.0, 0.0], [0.0, -2.0]], B=[[0.0], [0.0]],
+                      C=[[0.0, 0.0]], certificate=cert)
+    rep = tmp_path / "probe.json"
+    code = main(["--no-timestamp", "monotone-probe", path, "--pairs", "5",
+                 "--report", str(rep)])
+    assert code == 2
+    out = capsys.readouterr().out
+    assert out.startswith("sampling exhausted: ") and out.count("\n") == 1
+    report = json.loads(rep.read_text())
+    assert "too thin" in report["error"]
+    assert "monotone_probe" not in report
+
+
+@pytest.mark.parametrize("error", [NonFinite("state escaped at t=1"),
+                                   SamplingExhausted("the cone is too thin")])
+def test_reproduce_paper_reports_probe_failure(tmp_path, capsys, monkeypatch, error):
+    def failing_probe(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr(cli, "monotone_probe", failing_probe)
+    out = tmp_path / "out"
+    assert main(["--no-timestamp", "reproduce-paper", "--out", str(out)]) == 2
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].endswith(f": {error}")
+    assert lines[-1] == "monotone_probe: FAIL"
+    rep = json.loads((out / "report.json").read_text())
+    assert rep["monotone_probe_error"] == str(error)
+    assert rep["checks"]["monotone_probe"] is False
+    assert len(rep["csv_files"]) == 5
 
 
 def test_probe_report_reproducible(tmp_path):

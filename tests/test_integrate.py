@@ -3,13 +3,13 @@ import itertools
 import numpy as np
 import pytest
 
-from spdominance.analyze import batch_trajectories, certificate_cone
-from spdominance.errors import NonFinite
+from spdominance.analyze import certificate_cone
+from spdominance.errors import ConfigError, DimensionMismatch, NonFinite
 from spdominance.expressions import compile_expr
 from spdominance.integrate import (Trajectory, default_step, detect_convergence,
                                    dopri_run, find_equilibria, integrate,
-                                   integrate_batch, integrate_variational,
-                                   make_rhs, make_variational_rhs, rk4_run,
+                                   integrate_variational, make_rhs,
+                                   make_variational_rhs, rk4_run,
                                    write_trajectory_csv)
 from spdominance.sampling import SplitMix64, sample_cone_pairs
 from spdominance.systems import (LinearSPSystem, NonlinearSPSystem,
@@ -29,6 +29,12 @@ def oscillator():
                              {"x1": (-3, 3), "x2": (-3, 3)})
 
 
+def trajectory(sys, x0, t_span):
+    """One trajectory through integrate, as a batch of one."""
+    times, states, _ = integrate(sys, [x0], t_span)
+    return Trajectory(times, states[:, 0])
+
+
 def bisection_root(fn, lo, hi, tol=1e-10):
     """Independent root oracle."""
     flo = fn(lo)
@@ -43,34 +49,46 @@ def bisection_root(fn, lo, hi, tol=1e-10):
 
 
 def test_scalar_exponential():
-    traj = integrate(decay_system(), [1.0], (0, 1), 1e-3)
+    traj = trajectory(decay_system(), [1.0], (0, 1))
     assert traj.final_state[0] == pytest.approx(np.exp(-1.0), abs=1e-10)
 
 
 def test_rk4_order_four():
     errs = []
     for h in (0.1, 0.05):
-        traj = integrate(decay_system(), [1.0], (0, 1), h)
-        errs.append(abs(traj.final_state[0] - np.exp(-1.0)))
+        _, states = rk4_run(make_rhs(decay_system()), [1.0], (0, 1), h)
+        errs.append(abs(states[-1, 0] - np.exp(-1.0)))
     assert 14.0 <= errs[0] / errs[1] <= 18.0
 
 
 def test_oscillator_energy_conserved():
-    traj = integrate(oscillator(), [1.0, 0.0], (0, 10), 1e-3)
+    traj = trajectory(oscillator(), [1.0, 0.0], (0, 10))
     energy = traj.states[:, 0] ** 2 + traj.states[:, 1] ** 2
     assert np.abs(energy - 1.0).max() <= 1e-8
 
 
 def test_default_step_resolves_fast_scale():
-    sys_ = nonlinear_spring_system(eps=0.01)
-    traj = integrate(sys_, [1.0, 1.0, 1.0], (0, 0.01))
-    assert traj.meta["h"] == pytest.approx(0.0005)
+    assert default_step(nonlinear_spring_system(eps=0.01)) == pytest.approx(0.0005)
+
+
+@pytest.mark.parametrize("eps", [1e-11, 2e-11])
+def test_default_step_rejects_eps_at_step_floor(eps):
+    # eps/20 is at or below dopri_run's step floor: too stiff, not an escape
+    with pytest.raises(ConfigError, match="too stiff for the explicit"):
+        default_step(nonlinear_spring_system(eps=eps))
+
+
+def test_integrate_checks_batch_shape():
+    sys_ = nonlinear_spring_system()
+    for x0s in ([[1.0, 1.0]], [1.0, 1.0, 1.0], [[[1.0, 1.0, 1.0]]]):
+        with pytest.raises(DimensionMismatch):
+            integrate(sys_, x0s, (0, 1))
 
 
 def test_boundary_layer_collapse():
     # fast variable collapses onto the slow one within ~10 eps
     sys_ = nonlinear_spring_system(eps=0.01)
-    traj = integrate(sys_, [0.25, 0.25, -1.0], (0, 0.2))
+    traj = trajectory(sys_, [0.25, 0.25, -1.0], (0, 0.2))
     i = np.searchsorted(traj.times, 0.1)
     assert abs(traj.states[i, 2] - traj.states[i, 1]) <= 1e-2
 
@@ -78,7 +96,7 @@ def test_boundary_layer_collapse():
 def test_nonfinite_abort():
     growth = NonlinearSPSystem(1, 0, ["x1^3"], [], 1.0, {"x1": (-3, 3)})
     with pytest.raises(NonFinite):
-        integrate(growth, [2.0], (0, 10), 1e-2)
+        integrate(growth, [[2.0]], (0, 10))
 
 
 ESCAPING_RHS = [
@@ -163,13 +181,10 @@ def spring_radau(x0s, sample_times):
 
 def test_batch_trajectories_match_radau():
     sys_ = nonlinear_spring_system(eps=0.01)
-    trajs = batch_trajectories(sys_, SPRING_INITIAL_CONDITIONS, 9.0)
-    times = trajs[0].times
+    times, states, _ = integrate(sys_, SPRING_INITIAL_CONDITIONS, (0.0, 9.0))
     assert times[-1] == 9.0
     ref = spring_radau(SPRING_INITIAL_CONDITIONS, times)
-    for j, traj in enumerate(trajs):
-        assert traj.meta == {"method": "dopri5", "tol": 1e-10}
-        assert np.abs(traj.states - ref[:, j]).max() <= 1e-9
+    assert np.abs(states - ref).max() <= 1e-9
 
 
 def test_dopri_run_probe_pairs_match_radau():
@@ -187,7 +202,7 @@ def test_dopri_run_probe_pairs_match_radau():
 
 def test_linear_system_integration():
     sys_ = LinearSPSystem(A=[[-1.0]], B=[[0.0]], C=[[0.0]], D=[[-1.0]], eps=0.5)
-    traj = integrate(sys_, [1.0, 1.0], (0, 1), 1e-3)
+    traj = trajectory(sys_, [1.0, 1.0], (0, 1))
     assert traj.final_state[0] == pytest.approx(np.exp(-1.0), abs=1e-9)
     assert traj.final_state[1] == pytest.approx(np.exp(-2.0), abs=1e-9)
 
@@ -197,10 +212,10 @@ def test_variational_linear_superposition():
                           C=[[1.0, 0.0]], D=[[-2.0]], eps=0.1)
     x0 = np.array([1.0, 0.0, 0.5])
     d0 = np.array([0.3, -0.2, 0.1])
-    vt = integrate_variational(sys_, x0, d0, (0, 3), 1e-3)
-    t1 = integrate(sys_, x0, (0, 3), 1e-3)
-    t2 = integrate(sys_, x0 + d0, (0, 3), 1e-3)
-    assert np.abs(vt.delta_states - (t2.states - t1.states)).max() <= 1e-9
+    vt = integrate_variational(sys_, x0, d0, (0, 3))
+    # the two trajectories land on every sample of the variational grid
+    _, states, _ = integrate(sys_, [x0, x0 + d0], (0, 3), sample_times=vt.base.times[1:])
+    assert np.abs(vt.delta_states - (states[:, 1] - states[:, 0])).max() <= 1e-9
 
 
 def test_variational_zero_delta_stays_zero():
@@ -215,9 +230,9 @@ def test_variational_vs_two_trajectory_difference():
     d0 = np.array([0.2, -0.1, 0.3])
     scale = 1e-6
     vt = integrate_variational(sys_, x0, d0, (0, 5))
-    t1 = integrate(sys_, x0, (0, 5))
-    t2 = integrate(sys_, x0 + scale * d0, (0, 5))
-    fd = (t2.states - t1.states) / scale
+    _, states, _ = integrate(sys_, [x0, x0 + scale * d0], (0, 5),
+                             sample_times=vt.base.times[1:])
+    fd = (states[:, 1] - states[:, 0]) / scale
     rel = np.abs(vt.delta_states - fd).max() / np.abs(fd).max()
     assert rel <= 1e-3
 
@@ -225,9 +240,10 @@ def test_variational_vs_two_trajectory_difference():
 def test_batch_matches_single():
     sys_ = nonlinear_spring_system()
     x0s = np.array(SPRING_INITIAL_CONDITIONS[:2])
-    times, states = integrate_batch(sys_, x0s, (0, 1))
-    single = integrate(sys_, x0s[0], (0, 1))
-    assert np.allclose(states[:, 0, :], single.states)
+    rhs, h = make_rhs(sys_), default_step(sys_)
+    _, states = rk4_run(rhs, x0s, (0, 1), h)
+    _, single = rk4_run(rhs, x0s[0], (0, 1), h)
+    assert np.allclose(states[:, 0, :], single)
 
 
 def test_find_equilibria_scalar_decay():
@@ -265,13 +281,13 @@ def test_find_equilibria_skips_failed_seeds():
 
 
 def test_detect_convergence_scalar():
-    traj = integrate(decay_system(), [1.0], (0, 20), 1e-2)
+    traj = trajectory(decay_system(), [1.0], (0, 20))
     match = detect_convergence(traj, [np.zeros(1)], tol=1e-3)
     assert match is not None and match[0] == 0.0
 
 
 def test_detect_convergence_oscillator_none():
-    traj = integrate(oscillator(), [1.0, 0.0], (0, 10), 1e-2)
+    traj = trajectory(oscillator(), [1.0, 0.0], (0, 10))
     assert detect_convergence(traj, [np.zeros(2)], tol=1e-3) is None
 
 
@@ -290,19 +306,19 @@ def test_detect_convergence_final_quarter_by_time(grid, t_final, converges):
                                                  endpoint=False),
                                      np.linspace(t_final - split, t_final, 900)]),
     }[grid]
-    traj = Trajectory(times, np.exp(-times)[:, None], 1.0)
+    traj = Trajectory(times, np.exp(-times)[:, None])
     match = detect_convergence(traj, [np.zeros(1)], tol=1e-3)
     assert (match is not None) == converges
 
 
 def test_trajectory_validation():
     with pytest.raises(ValueError):
-        Trajectory(np.array([0.0, 0.0, 1.0]), np.zeros((3, 2)), 1.0)
+        Trajectory(np.array([0.0, 0.0, 1.0]), np.zeros((3, 2)))
 
 
 def test_csv_output(tmp_path):
     sys_ = nonlinear_spring_system()
-    traj = integrate(sys_, [1.0, 1.0, 1.0], (0, 0.1))
+    traj = trajectory(sys_, [1.0, 1.0, 1.0], (0, 0.1))
     path = tmp_path / "traj.csv"
     write_trajectory_csv(traj, path, n_r=2)
     lines = path.read_text().splitlines()
@@ -315,7 +331,7 @@ def test_csv_output(tmp_path):
 
 def test_csv_decimation(tmp_path):
     times = np.linspace(0, 1, 250_000)
-    traj = Trajectory(times, np.zeros((250_000, 1)), 1.0)
+    traj = Trajectory(times, np.zeros((250_000, 1)))
     path = tmp_path / "big.csv"
     write_trajectory_csv(traj, path)
     assert len(path.read_text().splitlines()) - 1 <= 100_001
@@ -335,7 +351,7 @@ def reference_csv(traj, path, n_r):
 def test_csv_matches_per_value_format(tmp_path):
     values = [-0.0, 5e-324, 1e300, 1 / 3, -2.5e-8, 123456789.0]
     states = np.array([values[k:] + values[:k] for k in range(len(values))])[:, :3]
-    traj = Trajectory(np.array([0.0, 1 / 3, 0.5, 1.0, 1e300, 2e300]), states, 1.0)
+    traj = Trajectory(np.array([0.0, 1 / 3, 0.5, 1.0, 1e300, 2e300]), states)
     write_trajectory_csv(traj, tmp_path / "new.csv", n_r=2)
     reference_csv(traj, tmp_path / "ref.csv", n_r=2)
     assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()

@@ -2,15 +2,13 @@ import numpy as np
 import pytest
 
 from spdominance.cli import slow_fast_polytopes
-from spdominance.errors import (NewtonFailure, NonpositiveEps,
-                                NotScalarParameterized, SingularDz)
+from spdominance.decouple import reduced_model
+from spdominance.errors import NewtonFailure, NonpositiveEps, NotScalarParameterized
 from spdominance.expressions import evaluate
 from spdominance.systems import (LinearSPSystem, NonlinearSPSystem,
                                  SPRING_SLOPE_BOUNDS, a_block_hull,
                                  damped_newton, jacobians,
-                                 nonlinear_spring_system,
-                                 reduced_manifold_slope, sample_entry_range,
-                                 solve_manifold)
+                                 nonlinear_spring_system, sample_entry_range)
 
 BOX3 = {"x1": (-3.0, 3.0), "x2": (-3.0, 3.0), "z1": (-3.0, 3.0)}
 
@@ -95,44 +93,6 @@ def test_sampled_bounds_warn():
         a_block_hull(nonlinear_spring_system())
 
 
-def test_manifold_slope_spring():
-    # eps * z' = x2 - z1 puts the slow manifold at z1 = x2
-    sys_ = nonlinear_spring_system()
-    assert np.allclose(reduced_manifold_slope(sys_, [0.5, 0.7]), [[0.0, 1.0]])
-    assert solve_manifold(sys_, [0.5, 0.7])[0] == pytest.approx(0.7, abs=1e-10)
-
-
-def test_manifold_slope_pure_decay():
-    sys_ = NonlinearSPSystem(1, 1, ["-x1"], ["-z1"], 0.1,
-                             {"x1": (-3, 3), "z1": (-3, 3)})
-    assert np.allclose(reduced_manifold_slope(sys_, [1.0]), [[0.0]])
-
-
-def test_manifold_slope_cubic():
-    sys_ = NonlinearSPSystem(1, 1, ["-x1"], ["x1 - z1^3 - z1"], 0.1,
-                             {"x1": (-3, 3), "z1": (-3, 3)})
-    z = solve_manifold(sys_, [2.0])
-    assert z[0] == pytest.approx(1.0, abs=1e-10)  # root of z^3 + z = 2
-    slope = reduced_manifold_slope(sys_, [2.0])
-    assert slope[0, 0] == pytest.approx(0.25, abs=1e-8)  # 1 / (3 z^2 + 1)
-
-
-def test_solve_manifold_singular_dz():
-    # dg/dz = 3 z^2 vanishes at the starting point z = 0
-    sys_ = NonlinearSPSystem(1, 1, ["-x1"], ["z1^3 - x1"], 0.1,
-                             {"x1": (-3, 3), "z1": (-3, 3)})
-    with pytest.raises(SingularDz):
-        solve_manifold(sys_, [1.0], z0=[0.0])
-
-
-def test_solve_manifold_no_real_root():
-    # z^2 + 0.5 z + 1 has no real root: the residual bottoms out at 15/16
-    sys_ = NonlinearSPSystem(1, 1, ["-x1"], ["z1^2 + 0.5*z1 + x1"], 0.1,
-                             {"x1": (-3, 3), "z1": (-3, 3)})
-    with pytest.raises(NewtonFailure):
-        solve_manifold(sys_, [1.0], z0=[2.0])
-
-
 def test_damped_newton_contract():
     def fun(x):
         return np.array([x[0] ** 2 - 4.0])
@@ -148,19 +108,22 @@ def test_damped_newton_contract():
         damped_newton(fun, jac, [0.0], 1e-12, 50)
     with pytest.raises(NewtonFailure, match="tolerance"):
         damped_newton(fun, jac, [3.0], 1e-12, 1)
+    # x^2 + 0.5 x + 1 has no real root: the residual bottoms out at 15/16
+    with pytest.raises(NewtonFailure, match="no descent"):
+        damped_newton(lambda x: x ** 2 + 0.5 * x + 1.0,
+                      lambda x: np.array([[2.0 * x[0] + 0.5]]), [2.0], 1e-12, 100)
 
 
 def test_reduced_matrix_agrees_with_manifold_chain_rule():
-    # A - B D^{-1} C equals df/dx + df/dz * dh/dx at points on the manifold
+    # A - B D^{-1} C equals df/dx + df/dz * dh/dx at points on the manifold;
+    # eps * z' = x2 - z1 puts the spring's at z1 = h(x) = x2
     sys_ = nonlinear_spring_system()
     rng = np.random.default_rng(7)
     for _ in range(5):
         x = rng.uniform(-2, 2, 2)
-        z = solve_manifold(sys_, x)
-        A, B, C, D = jacobians(sys_, np.concatenate([x, z]))
-        A0 = A - B @ np.linalg.inv(D) @ C
-        chain = A + B @ reduced_manifold_slope(sys_, x)
-        assert np.allclose(A0, chain, atol=1e-8)
+        A, B, C, D = jacobians(sys_, np.array([x[0], x[1], x[1]]))
+        chain = A + B @ np.array([[0.0, 1.0]])
+        assert np.allclose(reduced_model(A, B, C, D)[2], chain, atol=1e-8)
 
 
 def test_a_block_hull_rejects_varying_fast_block():
