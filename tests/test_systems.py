@@ -108,10 +108,21 @@ def test_damped_newton_contract():
         damped_newton(fun, jac, [0.0], 1e-12, 50)
     with pytest.raises(NewtonFailure, match="tolerance"):
         damped_newton(fun, jac, [3.0], 1e-12, 1)
-    # x^2 + 0.5 x + 1 has no real root: the residual bottoms out at 15/16
+
+
+def test_solve_manifold_no_real_root():
+    # z^2 + 0.5 z + 1 has no real root: the residual bottoms out at 15/16
+    sys_ = NonlinearSPSystem(1, 1, ["-x1"], ["z1^2 + 0.5*z1 + x1"], 0.1,
+                             {"x1": (-3, 3), "z1": (-3, 3)})
+
+    def g(z):
+        return np.array([evaluate(sys_.g[0], {"x1": 1.0, "z1": z[0]})])
+
+    def dg_dz(z):
+        return jacobians(sys_, [1.0, z[0]])[3]
+
     with pytest.raises(NewtonFailure, match="no descent"):
-        damped_newton(lambda x: x ** 2 + 0.5 * x + 1.0,
-                      lambda x: np.array([[2.0 * x[0] + 0.5]]), [2.0], 1e-12, 100)
+        damped_newton(g, dg_dz, [2.0], 1e-12, 100)
 
 
 def test_reduced_matrix_agrees_with_manifold_chain_rule():
