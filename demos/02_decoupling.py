@@ -25,7 +25,7 @@ print("reduced-model gain L0:", L0)
 print("reduced slow matrix A0:\n", A0)
 
 for eps in (0.02, 0.01, 0.001):
-    L, H = solve_chang_lti(A, B, C, D, eps)
+    L = solve_chang_lti(A, B, C, D, eps)
     print(f"eps={eps:<6} ||L - L0|| = {np.linalg.norm(L - L0):.2e}"
           f"  (first order in eps)")
 

@@ -300,7 +300,7 @@ def cmd_simulate(args):
         state = "converged to " + str(v["matched_equilibrium"]) if v["converged"] \
             else "no convergence"
         print(f"from {v['initial_state']}: {state}")
-    return EXIT_OK
+    return EXIT_OK if converged else EXIT_CHECK_FAILED
 
 
 def cmd_monotone_probe(args):

@@ -1,9 +1,9 @@
 """Two-time-scale decoupling for linear singularly perturbed systems.
 
-Solves the algebraic coupling equations for L and H by fixed-point
-iteration (the time-invariant case), assembles the exact block-diagonalizing
-transformation T, and bisects for a certified upper bound on the
-perturbation parameter.
+Solves the coupling equation for L by fixed-point iteration (the
+time-invariant case), which is all the block conditions need; gets H from one
+linear solve; assembles the exact block-diagonalizing transformation T; and
+bisects for a certified upper bound on the perturbation parameter.
 """
 
 from __future__ import annotations
@@ -71,56 +71,56 @@ def chang_residuals(A, B, C, D, L, H, eps):
     return r_l, r_h
 
 
-def solve_chang_lti(A, B, C, D, eps, tol=1e-12, max_iter=200):
-    """Solve the time-invariant coupling equations for (L, H).
+def _check_residuals(B, C, *residuals):
+    limit = CHANG_RESIDUAL_TOL * max(1.0, np.linalg.norm(C), np.linalg.norm(B))
+    if not all(r <= limit for r in residuals):
+        raise NoConvergence(f"coupling residual {np.max(residuals):.2e} > {limit:.2e}")
 
-    Fixed-point iteration L <- D^{-1}(C + eps*L(A - B L)) from L = D^{-1}C,
-    then the analogous iteration for H from H = B D^{-1}. Divergence (update
-    norm growing for 5 consecutive iterations) signals that eps is too large
-    for the contraction.
+
+def solve_chang_lti(A, B, C, D, eps, tol=1e-12, max_iter=200):
+    """Solve the time-invariant coupling equation D L - C = eps L(A - B L) for L.
+
+    Fixed-point iteration L <- D^{-1}(C + eps*L(A - B L)) from L = D^{-1}C.
+    Divergence (update norm growing for 5 consecutive iterations) signals
+    that eps is too large for the contraction. The block conditions need L
+    alone; build_decoupling gets H from one linear solve.
     """
     if eps <= 0:
         raise NonpositiveEps(f"eps must be positive, got {eps}")
     A, B, C, D = _blocks(A, B, C, D)
     D_inv, _ = _inv_checked(D)
-
-    def iterate(x0, step, label):
-        x = x0
-        prev_update = np.inf
-        growth = 0
-        for _ in range(max_iter):
-            x_new = step(x)
-            update = np.linalg.norm(x_new - x)
-            if not np.isfinite(update):
-                raise NoConvergence(f"{label} iteration diverged (eps={eps})")
-            if update <= tol:
-                return x_new
-            growth = growth + 1 if update > prev_update else 0
-            if growth >= 5:
-                raise NoConvergence(
-                    f"{label} iteration diverging for 5 steps (eps={eps} too large)")
-            prev_update = update
-            x = x_new
-        raise NoConvergence(f"{label} iteration did not converge in {max_iter} steps")
-
-    L = iterate(D_inv @ C, lambda L: D_inv @ (C + eps * L @ (A - B @ L)), "L")
-    H = iterate(B @ D_inv,
-                lambda H: (B - eps * H @ L @ B + eps * (A - B @ L) @ H) @ D_inv, "H")
-
-    r_l, r_h = chang_residuals(A, B, C, D, L, H, eps)
-    scale = max(1.0, np.linalg.norm(C), np.linalg.norm(B))
-    if max(r_l, r_h) > CHANG_RESIDUAL_TOL * scale:
-        raise NoConvergence(
-            f"coupling-equation residuals too large: {r_l:.2e}, {r_h:.2e}")
-    return L, H
+    L = D_inv @ C
+    prev_update, growth = np.inf, 0
+    for _ in range(max_iter):
+        L, L_prev = D_inv @ (C + eps * L @ (A - B @ L)), L
+        update = np.linalg.norm(L - L_prev)
+        if not np.isfinite(update):
+            raise NoConvergence(f"L iteration diverged (eps={eps})")
+        if update <= tol:
+            break
+        growth = growth + 1 if update > prev_update else 0
+        if growth >= 5:
+            raise NoConvergence(f"L iteration diverging for 5 steps (eps={eps} too large)")
+        prev_update = update
+    else:
+        raise NoConvergence(f"L iteration did not converge in {max_iter} steps")
+    _check_residuals(B, C, np.linalg.norm(D @ L - C - eps * L @ (A - B @ L)))
+    return L
 
 
 def build_decoupling(A, B, C, D, eps):
-    """Assemble the block-diagonalizing transformation at the given eps."""
+    """Assemble the block-diagonalizing transformation at the given eps. H solves
+    H(D + eps L B) - eps(A - B L)H = B as one linear system in column-major vec(H)."""
     A, B, C, D = _blocks(A, B, C, D)
-    L, H = solve_chang_lti(A, B, C, D, eps)
+    L = solve_chang_lti(A, B, C, D, eps)
     n_r, n_f = A.shape[0], D.shape[0]
     I_r, I_f = np.eye(n_r), np.eye(n_f)
+    K = np.kron((D + eps * L @ B).T, I_r) - eps * np.kron(I_f, A - B @ L)
+    try:
+        H = np.linalg.solve(K, B.ravel(order="F")).reshape((n_r, n_f), order="F")
+    except np.linalg.LinAlgError as e:
+        raise NoConvergence(f"H equation singular at eps={eps}: {e}") from None
+    _check_residuals(B, C, *chang_residuals(A, B, C, D, L, H, eps))
     T = np.block([[I_r, eps * H], [-L, I_f - eps * L @ H]])
     # unit-determinant closed-form inverse
     T_inv = np.block([[I_r - eps * H @ L, -eps * H], [L, I_f]])
@@ -157,7 +157,7 @@ def epsilon_star(A_polytope, B, C, D_polytope, cert, eps_max=1.0,
         for A in A_polytope.vertices:
             for D in D_polytope.vertices:
                 try:
-                    L, _ = solve_chang_lti(A, B, C, D, eps)
+                    L = solve_chang_lti(A, B, C, D, eps)
                 except NoConvergence:
                     return False
                 slow, fast = block_conditions(cert, A, B, L, D, eps)

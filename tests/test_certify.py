@@ -109,7 +109,7 @@ def test_block_conditions_spring_small_eps():
     B = np.array([[0.0], [-5.0]])
     C = np.array([[0.0, 1.0]])
     D = np.array([[-1.0]])
-    L, _ = solve_chang_lti(A, B, C, D, 0.01)
+    L = solve_chang_lti(A, B, C, D, 0.01)
     slow, fast = block_conditions(spring_cert(), A, B, L, D, 0.01)
     assert slow.feasible and fast.feasible
 

@@ -180,8 +180,8 @@ def test_reproduce_paper_negative_eps_exits_1(tmp_path, capsys):
 
 def test_simulate_writes_csv_and_report(tmp_path):
     out = tmp_path / "out"
-    path = linear_cfg(tmp_path, A=[[-1.0]])
-    code = main(["simulate", path, "--t-final", "2.0", "--out", str(out)])
+    path = linear_cfg(tmp_path, A=[[-2.0]])
+    code = main(["simulate", path, "--t-final", "20", "--out", str(out)])
     assert code == 0
     rep = json.loads((out / "report.json").read_text())
     assert len(rep["trajectories"]) == 1
@@ -189,6 +189,17 @@ def test_simulate_writes_csv_and_report(tmp_path):
     assert csv[0] == "t,x1,z1"
     first = [float(v) for v in csv[1].split(",")]
     assert first == [0.0, 1.0, 0.0]
+
+
+def test_simulate_not_converged_exits_2(tmp_path, capsys):
+    # A - B D^{-1} C = 0: the reduced model does not decay to the origin
+    out = tmp_path / "out"
+    path = linear_cfg(tmp_path, A=[[-1.0]])
+    assert main(["simulate", path, "--t-final", "2.0", "--out", str(out)]) == 2
+    assert "no convergence" in capsys.readouterr().out
+    rep = json.loads((out / "report.json").read_text())
+    assert rep["trajectories"][0]["converged"] is False
+    assert (out / "trajectory_00.csv").read_text().startswith("t,x1,z1\n")
 
 
 def test_simulate_wrong_initial_condition_length_exits_1(tmp_path, capsys):

@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 
 from spdominance.certify import MatrixPolytope, SPDominanceCertificate
-from spdominance.decouple import (build_decoupling, chang_residuals,
-                                  epsilon_star, full_system_matrix,
-                                  reduced_model, solve_chang_lti)
+from spdominance.decouple import (CHANG_RESIDUAL_TOL, build_decoupling,
+                                  chang_residuals, epsilon_star,
+                                  full_system_matrix, reduced_model,
+                                  solve_chang_lti)
 from spdominance.errors import (InfeasibleAtFloor, NoConvergence,
                                 NonpositiveEps, SingularD)
 
@@ -54,14 +55,14 @@ def test_reduced_model_singular_d():
 
 def test_chang_scalar_quadratic_root():
     # fixed point of 0.1 L^2 - L - 1 = 0 nearest L0 = -1
-    L, H = solve_chang_lti([[0.0]], [[1.0]], [[1.0]], [[-1.0]], 0.1)
+    L = solve_chang_lti([[0.0]], [[1.0]], [[1.0]], [[-1.0]], 0.1)
     expect = (1.0 - np.sqrt(1.4)) / 0.2
     assert L[0, 0] == pytest.approx(expect, abs=1e-10)
 
 
 def test_chang_small_eps_approaches_limit():
     L0, _, _ = reduced_model(A_SPRING, B_SPRING, C_SPRING, D_SPRING)
-    L, _ = solve_chang_lti(A_SPRING, B_SPRING, C_SPRING, D_SPRING, 1e-8)
+    L = solve_chang_lti(A_SPRING, B_SPRING, C_SPRING, D_SPRING, 1e-8)
     assert np.abs(L - L0).max() < 1e-6
 
 
@@ -74,7 +75,7 @@ def test_chang_no_slow_feedback_matches_linear_solve():
     D = -(np.eye(2) * 2.0) + 0.1 * rng.standard_normal((2, 2))
     eps = 0.05
     B = np.zeros((3, 2))
-    L, _ = solve_chang_lti(A, B, C, D, eps)
+    L = solve_chang_lti(A, B, C, D, eps)
     K = np.kron(np.eye(3), D) - eps * np.kron(A.T, np.eye(2))
     L_direct = np.linalg.solve(K, C.flatten(order="F")).reshape((2, 3), order="F")
     assert np.allclose(L, L_direct, atol=1e-9)
@@ -124,6 +125,32 @@ def test_build_decoupling_random_systems():
         assert max(r_l, r_h) <= 1e-10 * max(1.0, np.linalg.norm(C), np.linalg.norm(B))
 
 
+def test_solve_chang_lti_returns_l_only():
+    A, B, C, D = random_stable_sp_system(np.random.default_rng(5), n_r=3, n_f=2)
+    L = solve_chang_lti(A, B, C, D, 0.01)
+    assert isinstance(L, np.ndarray) and L.shape == (2, 3)
+
+
+@pytest.mark.parametrize("seed, eps", [(23, 0.26), (32, 0.48), (8, 0.94)])
+def test_build_decoupling_where_h_fixed_point_stalls(seed, eps):
+    # L converges here, but a fixed-point iteration for H stalls or grows;
+    # the linear solve for H needs no contraction
+    A, B, C, D = random_stable_sp_system(np.random.default_rng(seed))
+    dec = build_decoupling(A, B, C, D, eps)
+    r_l, r_h = chang_residuals(A, B, C, D, dec.L, dec.H, eps)
+    assert max(r_l, r_h) <= CHANG_RESIDUAL_TOL * max(1.0, np.linalg.norm(C), np.linalg.norm(B))
+    Md = dec.T_inv @ full_system_matrix(A, B, C, D, eps) @ dec.T
+    assert max(np.linalg.norm(Md[:2, 2:]), np.linalg.norm(Md[2:, :2])) <= 1e-8
+
+
+def test_build_decoupling_overlapping_spectra_raises_no_convergence():
+    # slow block A - B L = diag(-1, -2) and fast block D/eps = diag(-1, -6)
+    # share the eigenvalue -1, so the H equation's matrix K is singular
+    with pytest.raises(NoConvergence, match="H equation singular"):
+        build_decoupling(np.diag([-1.0, -2.0]), np.zeros((2, 2)), np.zeros((2, 2)),
+                         np.diag([-0.5, -3.0]), 0.5)
+
+
 def test_eigenvalues_preserved_by_decoupling():
     rng = np.random.default_rng(8)
     A, B, C, D = random_stable_sp_system(rng)
@@ -139,7 +166,7 @@ def test_chang_first_order_in_eps():
     L0, _, _ = reduced_model(A_SPRING, B_SPRING, C_SPRING, D_SPRING)
     ratios = []
     for eps in (1e-2, 1e-3, 1e-4):
-        L, _ = solve_chang_lti(A_SPRING, B_SPRING, C_SPRING, D_SPRING, eps)
+        L = solve_chang_lti(A_SPRING, B_SPRING, C_SPRING, D_SPRING, eps)
         ratios.append(np.linalg.norm(L - L0) / eps)
     ratios = np.array(ratios)
     assert ratios.max() < 100.0
