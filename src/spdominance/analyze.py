@@ -5,13 +5,17 @@ from __future__ import annotations
 
 import numpy as np
 
-from .cone import make_cone
+from .cone import CONE_BOUNDARY_BAND, make_cone
 from .decouple import reduced_model
 from .errors import DimensionMismatch, NotScalarParameterized
-from .integrate import DP_TOL, detect_convergence, integrate
+from .integrate import CONVERGENCE_TOL, DP_TOL, detect_convergence, integrate
 from .linalg import SymMatrix
 from .sampling import SplitMix64, sample_cone_pairs
-from .systems import LinearSPSystem, _varying_entries, jacobians
+from .systems import SPRING_T_FINAL, LinearSPSystem, _varying_entries, jacobians
+
+PROBE_PAIRS = 100
+PROBE_SEED = 42
+PROBE_SAMPLES = 200
 
 
 def fast_coupling_gain(sys):
@@ -58,11 +62,11 @@ def certificate_cone(sys, cert):
     return make_cone(SymMatrix(T_inv.T @ P @ T_inv))
 
 
-def monotone_probe(sys, cert, n_pairs=100, t_final=9.0, seed=42,
-                   n_samples=200, tol=1e-9):
+def monotone_probe(sys, cert, n_pairs=PROBE_PAIRS, t_final=SPRING_T_FINAL,
+                   seed=PROBE_SEED):
     """Empirically check strong monotonicity: pairs with initial difference
     inside the certificate cone are integrated and their difference is
-    classified at n_samples times t > 0.
+    classified at PROBE_SAMPLES times t > 0 with boundary band CONE_BOUNDARY_BAND.
 
     Both the sampling of initial differences and their classification use
     the cone of certificate_cone, i.e. blkdiag(P_r, P_f) taken in the
@@ -79,11 +83,11 @@ def monotone_probe(sys, cert, n_pairs=100, t_final=9.0, seed=42,
     cone_spec = certificate_cone(sys, cert)
     box = [sys.omega[name] for name in sys.names]
     rng = SplitMix64(seed)
-    pairs = sample_cone_pairs(rng, box, cone_spec, n_pairs, strict_interior=False)
-    sample_times = [k * t_final / n_samples for k in range(1, n_samples + 1)]
+    pairs = sample_cone_pairs(rng, box, cone_spec, n_pairs)
+    sample_times = [k * t_final / PROBE_SAMPLES for k in range(1, PROBE_SAMPLES + 1)]
 
     x0s = np.array([p for pair in pairs for p in pair])
-    # end at the last sample, which k * t_final / n_samples may round off t_final
+    # end at the last sample, which k * t_final / PROBE_SAMPLES may round off t_final
     _, states, stats = integrate(sys, x0s, (0.0, sample_times[-1]), sample_times)
 
     P = cone_spec.P.a
@@ -94,20 +98,19 @@ def monotone_probe(sys, cert, n_pairs=100, t_final=9.0, seed=42,
         q = np.einsum("ij,jk,ik->i", d, P, d)
         nrm2 = np.einsum("ij,ij->i", d, d)
         ratio = np.where(nrm2 > 0, q / np.maximum(nrm2, 1e-300), 0.0)
-        band = tol
-        interior += int(np.sum(ratio < -band))
-        boundary += int(np.sum(np.abs(ratio) <= band))
-        outside += int(np.sum(ratio > band))
+        interior += int(np.sum(ratio < -CONE_BOUNDARY_BAND))
+        boundary += int(np.sum(np.abs(ratio) <= CONE_BOUNDARY_BAND))
+        outside += int(np.sum(ratio > CONE_BOUNDARY_BAND))
         worst_margin = max(worst_margin, float(ratio.max()))
 
     total = interior + boundary + outside
     return {
         "pairs": len(pairs),
-        "samples_per_pair": n_samples,
+        "samples_per_pair": PROBE_SAMPLES,
         "seed": seed,
         "t_final": t_final,
         "integrator": {"method": "dopri5", "tol": DP_TOL, **stats},
-        "classification_tol": tol,
+        "classification_tol": CONE_BOUNDARY_BAND,
         "cone": {
             "transform": "T0^-1 = [[I, 0], [L0, I]], L0 = D^-1 C (eps -> 0)",
             "L0": L0.tolist(),
@@ -125,7 +128,7 @@ def monotone_probe(sys, cert, n_pairs=100, t_final=9.0, seed=42,
     }
 
 
-def convergence_report(trajectories, equilibria, tol=1e-3):
+def convergence_report(trajectories, equilibria, tol=CONVERGENCE_TOL):
     """Per-trajectory convergence verdicts against a list of equilibria."""
     out = []
     for traj in trajectories:

@@ -15,8 +15,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionMismatch, NonpositiveEps
+from .errors import DimensionMismatch, check_eps
 from .linalg import SymMatrix, _as_sym, inertia, nsd_margin
+
+FEASIBILITY_MARGIN = 0.0
 
 
 @dataclass(frozen=True)
@@ -102,7 +104,7 @@ def certify_polytope(P, polytope, lam, sigma):
         raise DimensionMismatch(f"polytope dimension {polytope.n} vs P dimension {P.n}")
     margins = tuple(nsd_margin(lmi_residual(P, A, lam, sigma)) for A in polytope.vertices)
     worst = int(np.argmax(margins))
-    return CertResult(feasible=margins[worst] <= 0.0,
+    return CertResult(feasible=margins[worst] <= FEASIBILITY_MARGIN,
                       worst_margin=margins[worst],
                       worst_vertex=worst,
                       margins=margins)
@@ -127,8 +129,7 @@ def block_conditions(cert, A, B, L_eps, D, eps):
     Slow block: A - B*L_eps with P_r; fast block: D/eps + L_eps*B with P_f.
     Both use rate lambda_r and the common sigma = min(sigma_r, sigma_f)/2.
     """
-    if eps <= 0:
-        raise NonpositiveEps(f"eps must be positive, got {eps}")
+    check_eps(eps)
     A = np.atleast_2d(np.asarray(A, dtype=float))
     B = np.atleast_2d(np.asarray(B, dtype=float))
     D = np.atleast_2d(np.asarray(D, dtype=float))
@@ -142,5 +143,5 @@ def block_conditions(cert, A, B, L_eps, D, eps):
     fast = D / eps + L @ B
     m_slow = nsd_margin(lmi_residual(cert.P_r, slow, cert.lambda_r, sigma))
     m_fast = nsd_margin(lmi_residual(cert.P_f, fast, cert.lambda_r, sigma))
-    return (CertResult(m_slow <= 0.0, m_slow, 0, (m_slow,)),
-            CertResult(m_fast <= 0.0, m_fast, 0, (m_fast,)))
+    return (CertResult(m_slow <= FEASIBILITY_MARGIN, m_slow, 0, (m_slow,)),
+            CertResult(m_fast <= FEASIBILITY_MARGIN, m_fast, 0, (m_fast,)))

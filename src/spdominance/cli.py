@@ -19,22 +19,25 @@ import sys as _sys
 import numpy as np
 
 from . import __version__
-from .analyze import convergence_report, monotone_probe
-from .certify import MatrixPolytope, SPDominanceCertificate, certify_sp
-from .decouple import (InfeasibleAtFloor, build_decoupling, chang_residuals,
-                       epsilon_star, full_system_matrix, reduced_model)
-from .errors import (ConfigError, DimensionMismatch, NoConvergence, NonFinite,
-                     NonpositiveEps, NotScalarParameterized, SamplingExhausted,
-                     SingularD)
-from .integrate import Trajectory, find_equilibria, integrate, write_trajectory_csv
+from .analyze import PROBE_PAIRS, PROBE_SEED, convergence_report, monotone_probe
+from .certify import FEASIBILITY_MARGIN, MatrixPolytope, SPDominanceCertificate, certify_sp
+from .cone import CONE_BOUNDARY_BAND
+from .decouple import (BISECT_STEPS, EPS_FLOOR, InfeasibleAtFloor, build_decoupling,
+                       chang_residuals, coupling_residual_limit, epsilon_star,
+                       full_system_matrix, reduced_model)
+from .errors import (ConfigError, DimensionMismatch, EvalError, NoConvergence, NonFinite,
+                     NonpositiveEps, NotScalarParameterized, SamplingExhausted, SingularD)
+from .integrate import (CONVERGENCE_TOL, Trajectory, find_equilibria, integrate,
+                        write_trajectory_csv)
 from .systems import (LinearSPSystem, NonlinearSPSystem, a_block_hull,
                       jacobians, nonlinear_spring_certificate, state_names,
-                      SPRING_BOX, SPRING_F, SPRING_G,
-                      SPRING_INITIAL_CONDITIONS, SPRING_SLOPE_BOUNDS)
+                      SPRING_BOX, SPRING_F, SPRING_G, SPRING_INITIAL_CONDITIONS,
+                      SPRING_SLOPE_BOUNDS, SPRING_T_FINAL)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_CHECK_FAILED = 2
+BLOCK_DIAGONAL_TOL = 1e-8  # decouple's bound on the off-diagonal blocks of T^-1 M T
 
 
 # -- configuration ----------------------------------------------------------
@@ -213,7 +216,7 @@ def cmd_certify(args):
     system = build_system(cfg)
     cert = build_certificate(cfg)
     report = new_report("certify", args)
-    report["tolerances"] = {"feasibility_margin": 0.0, "boundary_slack_report": 1e-9}
+    report["tolerances"] = {"feasibility_margin": FEASIBILITY_MARGIN}
     report["certificate"] = certificate_report(cfg, system, cert)
     write_report(report, args.report)
     for block in ("slow", "fast"):
@@ -237,7 +240,8 @@ def cmd_decouple(args):
     A, B, C, D = _fixed_blocks(cfg, system)
     report = new_report("decouple", args)
     report["eps"] = eps
-    report["tolerances"] = {"coupling_residual": 1e-10, "block_diagonal_residual": 1e-8}
+    report["tolerances"] = {"coupling_residual": coupling_residual_limit(B, C),
+                            "block_diagonal_residual": BLOCK_DIAGONAL_TOL}
     try:
         dec = build_decoupling(A, B, C, D, eps)
     except NoConvergence as e:
@@ -264,7 +268,7 @@ def cmd_decouple(args):
     write_report(report, args.report)
     print(f"L = {dec.L.tolist()}")
     print(f"block-diagonalization residual: {offdiag:.3e}")
-    return EXIT_OK if offdiag <= 1e-8 else EXIT_CHECK_FAILED
+    return EXIT_OK if offdiag <= BLOCK_DIAGONAL_TOL else EXIT_CHECK_FAILED
 
 
 def cmd_epsilon_star(args):
@@ -272,7 +276,7 @@ def cmd_epsilon_star(args):
     system = build_system(cfg)
     cert = build_certificate(cfg)
     report = new_report("epsilon-star", args)
-    report["tolerances"] = {"eps_floor": 1e-12, "bisect_steps": 60}
+    report["tolerances"] = {"eps_floor": EPS_FLOOR, "bisect_steps": BISECT_STEPS}
     fragment, eps_hat = epsilon_star_stage(cfg, system, cert, args.eps_max)
     report.update(fragment)
     write_report(report, args.report)
@@ -320,7 +324,7 @@ def cmd_monotone_probe(args):
     return EXIT_OK if passed else EXIT_CHECK_FAILED
 
 
-def spring_config(eps=0.01, sigma_r=0.01, box=SPRING_BOX):
+def spring_config(eps=0.01, sigma_r=0.01):
     """Built-in demo configuration (nonlinear spring with fast filter)."""
     cert = nonlinear_spring_certificate()
     return {
@@ -330,7 +334,7 @@ def spring_config(eps=0.01, sigma_r=0.01, box=SPRING_BOX):
         "eps": eps,
         "f": list(SPRING_F),
         "g": list(SPRING_G),
-        "omega": {n: [-box, box] for n in state_names(2, 1)},
+        "omega": {n: [-SPRING_BOX, SPRING_BOX] for n in state_names(2, 1)},
         "certificate": {
             "P_r": cert.P_r.a.tolist(), "P_f": cert.P_f.a.tolist(),
             "lambda_r": cert.lambda_r, "lambda_f": cert.lambda_f,
@@ -369,15 +373,17 @@ def cmd_reproduce_paper(args):
         checks["eps_below_threshold"] = eps_hat is not None and args.eps < eps_hat
 
     converged = add("simulate", simulation_stage(system, cfg["initial_conditions"],
-                                                 9.0, 1e-3, args.out))
+                                                 SPRING_T_FINAL, CONVERGENCE_TOL, args.out))
     checks["three_equilibria"] = len(report["equilibria"]) == 3
     checks["all_converged"] = bool(converged)
     if cert is not None:
-        passed = add("monotone_probe", probe_stage(system, cert, 100, 9.0, 42))
+        passed = add("monotone_probe", probe_stage(system, cert, PROBE_PAIRS,
+                                                   SPRING_T_FINAL, PROBE_SEED))
         checks["monotone_probe"] = bool(passed)
 
-    report["tolerances"] = {"convergence": 1e-3, "probe_classification": 1e-9,
-                            "feasibility_margin": 0.0}
+    report["tolerances"] = {"convergence": CONVERGENCE_TOL,
+                            "probe_classification": CONE_BOUNDARY_BAND,
+                            "feasibility_margin": FEASIBILITY_MARGIN}
     report["checks"] = checks
     report["all_checks_passed"] = all(checks.values())
     write_report(report, os.path.join(args.out, "report.json"))
@@ -416,17 +422,17 @@ def build_parser():
 
     p = sub.add_parser("simulate", help="integrate trajectories and check convergence")
     p.add_argument("config")
-    p.add_argument("--t-final", type=float, default=9.0)
-    p.add_argument("--tol", type=float, default=1e-3)
+    p.add_argument("--t-final", type=float, default=SPRING_T_FINAL)
+    p.add_argument("--tol", type=float, default=CONVERGENCE_TOL)
     p.add_argument("--out", default="out")
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("monotone-probe",
                        help="sample trajectory pairs and classify their difference")
     p.add_argument("config")
-    p.add_argument("--pairs", type=int, default=100)
-    p.add_argument("--t-final", type=float, default=9.0)
-    p.add_argument("--seed", type=int, default=42)
+    p.add_argument("--pairs", type=int, default=PROBE_PAIRS)
+    p.add_argument("--t-final", type=float, default=SPRING_T_FINAL)
+    p.add_argument("--seed", type=int, default=PROBE_SEED)
     p.add_argument("--report", default=None)
     p.set_defaults(func=cmd_monotone_probe)
 
@@ -444,9 +450,14 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        # the numeric flags that must be positive and finite, where a command has them
+        for name in ("t_final", "tol", "pairs"):
+            if not 0 < vars(args).get(name, 1) < float("inf"):
+                raise ConfigError(f"--{name.replace('_', '-')} must be positive and "
+                                  f"finite, got {vars(args)[name]}")
         return args.func(args)
-    except (ConfigError, DimensionMismatch, NonpositiveEps, NotScalarParameterized,
-            SingularD) as e:
+    except (ConfigError, DimensionMismatch, EvalError, NonpositiveEps,
+            NotScalarParameterized, SingularD) as e:
         print(f"config error: {e}", file=_sys.stderr)
         return EXIT_USAGE
 

@@ -15,6 +15,8 @@ import numpy as np
 from .errors import DegenerateCone, DimensionMismatch, SingularP
 from .linalg import SymMatrix, _as_sym, inertia
 
+CONE_BOUNDARY_BAND = 1e-9
+
 
 class ConeLocation(enum.Enum):
     INTERIOR = "interior"
@@ -56,8 +58,8 @@ def quad_form(P, v):
     return float(v @ P.a @ v)
 
 
-def cone_locate(cone, v, tol=1e-9):
-    """Classify v against the cone with boundary band tol * ||v||^2.
+def cone_locate(cone, v):
+    """Classify v against the cone with boundary band CONE_BOUNDARY_BAND * ||v||^2.
 
     The zero vector is classified BOUNDARY: it belongs to the cone but the
     interior test is only meaningful on nonzero vectors.
@@ -65,10 +67,8 @@ def cone_locate(cone, v, tol=1e-9):
     v = np.asarray(v, dtype=float)
     if v.shape != (cone.n,):
         raise DimensionMismatch(f"vector of length {v.shape} vs cone in dimension {cone.n}")
-    if tol < 0:
-        raise ValueError("tol must be nonnegative")
     q = quad_form(cone.P, v)
-    band = tol * float(v @ v)
+    band = CONE_BOUNDARY_BAND * float(v @ v)
     if q < -band:
         return ConeLocation.INTERIOR
     if q <= band:

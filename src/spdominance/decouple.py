@@ -15,10 +15,15 @@ import numpy as np
 
 from .certify import MatrixPolytope, block_conditions
 from .errors import (DimensionMismatch, InfeasibleAtFloor, NoConvergence,
-                     NonpositiveEps, SingularD)
+                     SingularD, check_eps)
 
 CHANG_RESIDUAL_TOL = 1e-10
 RCOND_MIN = 1e-12
+CHANG_STEP_TOL = 1e-12
+CHANG_MAX_ITER = 200
+BISECT_STEPS = 60
+EPS_FLOOR = 1e-12
+MONOTONE_CHECK_POINTS = 16
 
 
 @dataclass(frozen=True)
@@ -64,20 +69,28 @@ def reduced_model(A, B, C, D):
     return L0, H0, A0
 
 
+def _l_residual(A, B, C, D, L, eps):
+    return np.linalg.norm(D @ L - C - eps * L @ (A - B @ L))
+
+
 def chang_residuals(A, B, C, D, L, H, eps):
     """Frobenius norms of the two algebraic coupling equations."""
-    r_l = np.linalg.norm(D @ L - C - eps * L @ (A - B @ L))
     r_h = np.linalg.norm(H @ D - B + eps * H @ L @ B - eps * (A - B @ L) @ H)
-    return r_l, r_h
+    return _l_residual(A, B, C, D, L, eps), r_h
+
+
+def coupling_residual_limit(B, C):
+    """The bound every coupling residual must meet."""
+    return CHANG_RESIDUAL_TOL * max(1.0, np.linalg.norm(C), np.linalg.norm(B))
 
 
 def _check_residuals(B, C, *residuals):
-    limit = CHANG_RESIDUAL_TOL * max(1.0, np.linalg.norm(C), np.linalg.norm(B))
+    limit = coupling_residual_limit(B, C)
     if not all(r <= limit for r in residuals):
         raise NoConvergence(f"coupling residual {np.max(residuals):.2e} > {limit:.2e}")
 
 
-def solve_chang_lti(A, B, C, D, eps, tol=1e-12, max_iter=200):
+def solve_chang_lti(A, B, C, D, eps):
     """Solve the time-invariant coupling equation D L - C = eps L(A - B L) for L.
 
     Fixed-point iteration L <- D^{-1}(C + eps*L(A - B L)) from L = D^{-1}C.
@@ -85,26 +98,25 @@ def solve_chang_lti(A, B, C, D, eps, tol=1e-12, max_iter=200):
     that eps is too large for the contraction. The block conditions need L
     alone; build_decoupling gets H from one linear solve.
     """
-    if eps <= 0:
-        raise NonpositiveEps(f"eps must be positive, got {eps}")
+    check_eps(eps)
     A, B, C, D = _blocks(A, B, C, D)
     D_inv, _ = _inv_checked(D)
     L = D_inv @ C
     prev_update, growth = np.inf, 0
-    for _ in range(max_iter):
+    for _ in range(CHANG_MAX_ITER):
         L, L_prev = D_inv @ (C + eps * L @ (A - B @ L)), L
         update = np.linalg.norm(L - L_prev)
         if not np.isfinite(update):
             raise NoConvergence(f"L iteration diverged (eps={eps})")
-        if update <= tol:
+        if update <= CHANG_STEP_TOL:
             break
         growth = growth + 1 if update > prev_update else 0
         if growth >= 5:
             raise NoConvergence(f"L iteration diverging for 5 steps (eps={eps} too large)")
         prev_update = update
     else:
-        raise NoConvergence(f"L iteration did not converge in {max_iter} steps")
-    _check_residuals(B, C, np.linalg.norm(D @ L - C - eps * L @ (A - B @ L)))
+        raise NoConvergence(f"L iteration did not converge in {CHANG_MAX_ITER} steps")
+    _check_residuals(B, C, _l_residual(A, B, C, D, L, eps))
     return L
 
 
@@ -135,17 +147,17 @@ def full_system_matrix(A, B, C, D, eps):
     return np.block([[A, B], [C / eps, D / eps]])
 
 
-def epsilon_star(A_polytope, B, C, D_polytope, cert, eps_max=1.0,
-                 bisect_steps=60, eps_floor=1e-12, check_points=16):
-    """Bisect for the largest eps at which the proof-level block conditions
-    are feasible at every (A, D) vertex pair.
+def epsilon_star(A_polytope, B, C, D_polytope, cert, eps_max=1.0):
+    """Bisect for the largest eps in [EPS_FLOOR, eps_max] at which the
+    proof-level block conditions are feasible at every (A, D) vertex pair.
 
     Bisection assumes feasibility is monotone below the first feasible
     point; since that is not guaranteed, feasibility is re-verified at
-    check_points log-spaced eps values below the result, with a warning on
-    any violation. The returned value is a certified lower bound on
-    feasibility at the tested points.
+    MONOTONE_CHECK_POINTS log-spaced eps values below the result, with a
+    warning on any violation. The returned value is a certified lower bound
+    on feasibility at the tested points.
     """
+    check_eps(eps_max)
     if not isinstance(A_polytope, MatrixPolytope):
         A_polytope = MatrixPolytope([A_polytope])
     if not isinstance(D_polytope, MatrixPolytope):
@@ -168,11 +180,11 @@ def epsilon_star(A_polytope, B, C, D_polytope, cert, eps_max=1.0,
     if feasible(eps_max):
         eps_hat = eps_max
     else:
-        if not feasible(eps_floor):
+        if not feasible(EPS_FLOOR):
             raise InfeasibleAtFloor(
-                f"block conditions infeasible even at eps={eps_floor}")
-        lo, hi = eps_floor, eps_max
-        for _ in range(bisect_steps):
+                f"block conditions infeasible even at eps={EPS_FLOOR}")
+        lo, hi = EPS_FLOOR, eps_max
+        for _ in range(BISECT_STEPS):
             mid = 0.5 * (lo + hi)
             if feasible(mid):
                 lo = mid
@@ -180,7 +192,7 @@ def epsilon_star(A_polytope, B, C, D_polytope, cert, eps_max=1.0,
                 hi = mid
         eps_hat = lo
 
-    for eps in np.geomspace(eps_floor, eps_hat, check_points):
+    for eps in np.geomspace(EPS_FLOOR, eps_hat, MONOTONE_CHECK_POINTS):
         if not feasible(eps):
             warnings.warn(f"feasibility not monotone: violation at eps={eps:.3e} "
                           f"below eps_hat={eps_hat:.3e}", stacklevel=2)

@@ -21,6 +21,11 @@ class NonpositiveEps(ValueError):
     pass
 
 
+def check_eps(eps):
+    if not 0 < eps < float("inf"):  # NaN fails too
+        raise NonpositiveEps(f"eps must be positive and finite, got {eps}")
+
+
 class NoConvergence(RuntimeError):
     """Fixed-point iteration diverged; the perturbation parameter is too large."""
 

@@ -231,35 +231,6 @@ def evaluate(ast, env):
     raise TypeError(f"not an AST node: {ast!r}")
 
 
-_PRECEDENCE = {"+": 1, "-": 1, "*": 2, "/": 2}
-
-
-def to_string(ast, parent_prec=0):
-    """Print to DSL source; parse(to_string(ast)) is equivalent to ast."""
-    if isinstance(ast, Const):
-        v = ast.value
-        s = repr(int(v)) if v == int(v) and abs(v) < 1e15 else repr(v)
-        return f"({s})" if v < 0 and parent_prec > 0 else s
-    if isinstance(ast, Var):
-        return ast.name
-    if isinstance(ast, Call):
-        return f"{ast.fn}({to_string(ast.arg)})"
-    if isinstance(ast, Neg):
-        return f"(-{to_string(ast.arg, 3)})"
-    if isinstance(ast, Pow):
-        base = to_string(ast.base, 4)
-        exp = ast.exponent if ast.exponent >= 0 else f"-{-ast.exponent}"
-        return f"{base}^{exp}"
-    if isinstance(ast, BinOp):
-        prec = _PRECEDENCE[ast.op]
-        left = to_string(ast.left, prec)
-        # subtraction and division are left-associative: tighten the right side
-        right = to_string(ast.right, prec + (1 if ast.op in ("-", "/") else 0))
-        s = f"{left} {ast.op} {right}"
-        return f"({s})" if prec < parent_prec else s
-    raise TypeError(f"not an AST node: {ast!r}")
-
-
 def _is_const(ast, value=None):
     return isinstance(ast, Const) and (value is None or ast.value == value)
 

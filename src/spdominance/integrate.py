@@ -19,6 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .decouple import full_system_matrix
 from .errors import ConfigError, DimensionMismatch, NewtonFailure, NonFinite
 from .expressions import BinOp, Const, Var, compile_field
 from .systems import LinearSPSystem, NonlinearSPSystem, damped_newton, jacobians
@@ -29,6 +30,11 @@ CSV_MAX_ROWS = 100_000
 DP_TOL = 1e-10
 # dopri_run stops when its step falls below DP_STEP_FLOOR * max(1, |t|)
 DP_STEP_FLOOR = 1e-12
+EQUILIBRIUM_GRID = 5
+EQUILIBRIUM_TOL = 1e-10
+NEWTON_MAX_ITER = 100
+EQUILIBRIUM_MERGE_RADIUS = 1e-6
+CONVERGENCE_TOL = 1e-3
 
 
 @dataclass
@@ -69,8 +75,7 @@ def make_rhs(sys):
     """Vectorized right-hand side: maps states of shape (..., dim) to
     derivatives of the same shape."""
     if isinstance(sys, LinearSPSystem):
-        A, B, C, D = sys.fixed_blocks()
-        M = np.block([[A, B], [C / sys.eps, D / sys.eps]])
+        M = full_system_matrix(*sys.fixed_blocks(), sys.eps)
 
         def rhs(s):
             return s @ M.T
@@ -269,13 +274,10 @@ def integrate_variational(sys, x0, delta0, t_span):
     return VariationalTrajectory(base=base, delta_states=states[:, sys.dim:])
 
 
-def find_equilibria(sys, search_box=None, grid_n=5, tol=1e-10,
-                    max_iter=100, merge_radius=1e-6):
-    """Damped Newton on (f, g) = 0 from a grid of seeds; the eps scaling does
-    not move zeros. Returns deduplicated equilibria with residual <= tol."""
-    if search_box is None:
-        search_box = [sys.omega[name] for name in sys.names]
-    axes = [np.linspace(lo, hi, max(2, grid_n)) for lo, hi in search_box]
+def find_equilibria(sys):
+    """Damped Newton on (f, g) = 0 from a grid of seeds on omega; the eps
+    scaling does not move zeros. Returns the distinct equilibria."""
+    axes = [np.linspace(*sys.omega[name], EQUILIBRIUM_GRID) for name in sys.names]
     field = compile_field(sys.f + sys.g, sys.names)
 
     def jac(point):
@@ -285,17 +287,17 @@ def find_equilibria(sys, search_box=None, grid_n=5, tol=1e-10,
     found = []
     for seed in itertools.product(*axes):
         try:
-            point = damped_newton(field, jac, seed, tol, max_iter)
+            point = damped_newton(field, jac, seed, EQUILIBRIUM_TOL, NEWTON_MAX_ITER)
         except NewtonFailure:
             continue
-        if any(np.linalg.norm(point - q) <= merge_radius for q in found):
+        if any(np.linalg.norm(point - q) <= EQUILIBRIUM_MERGE_RADIUS for q in found):
             continue
         found.append(point)
     found.sort(key=lambda p: tuple(p))
     return found
 
 
-def detect_convergence(traj, equilibria, tol=1e-3):
+def detect_convergence(traj, equilibria, tol=CONVERGENCE_TOL):
     """Match the trajectory's final state to an equilibrium: the final state
     must lie within tol of it and the samples of the final quarter of the
     time span must vary by less than tol. The quarter is taken by time, so

@@ -8,6 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 ASYMMETRY_WARN_THRESHOLD = 1e-8
+INERTIA_ZERO_TOL = 1e-9
 
 
 class SymMatrix:
@@ -17,7 +18,7 @@ class SymMatrix:
 
     __slots__ = ("a",)
 
-    def __init__(self, entries, asym_warn=ASYMMETRY_WARN_THRESHOLD):
+    def __init__(self, entries):
         m = np.asarray(entries, dtype=float)
         if m.ndim == 0:
             m = m.reshape(1, 1)
@@ -27,7 +28,7 @@ class SymMatrix:
             raise ValueError("matrix must be at least 1x1")
         scale = max(1.0, float(np.abs(m).max()))
         asym = float(np.abs(m - m.T).max()) / scale
-        if asym > asym_warn:
+        if asym > ASYMMETRY_WARN_THRESHOLD:
             warnings.warn(f"symmetrizing matrix with relative asymmetry {asym:.3e}",
                           stacklevel=2)
         self.a = 0.5 * (m + m.T)
@@ -68,17 +69,14 @@ def sym_eigvals(S):
     return np.linalg.eigvalsh(a)
 
 
-def inertia(S, zero_tol=None):
+def inertia(S):
     """Counts of negative / zero / positive eigenvalues.
 
-    zero_tol defaults to 1e-9 * max(1, spectral radius); the matrices handled
-    here span magnitudes from 1e-2 to 1e1, so the tolerance tracks scale.
+    Zero means within INERTIA_ZERO_TOL * max(1, spectral radius); the
+    matrices here span magnitudes from 1e-2 to 1e1, so it tracks scale.
     """
     vals = sym_eigvals(S)
-    if zero_tol is None:
-        zero_tol = 1e-9 * max(1.0, float(np.abs(vals).max()))
-    if zero_tol < 0:
-        raise ValueError("zero_tol must be nonnegative")
+    zero_tol = INERTIA_ZERO_TOL * max(1.0, float(np.abs(vals).max()))
     neg = int(np.sum(vals < -zero_tol))
     pos = int(np.sum(vals > zero_tol))
     return Inertia(neg=neg, zero=len(vals) - neg - pos, pos=pos)

@@ -13,6 +13,7 @@ from .cone import ConeLocation, cone_locate
 from .errors import SamplingExhausted
 
 _MASK = (1 << 64) - 1
+MAX_SAMPLING_ATTEMPTS = 100_000
 
 
 class SplitMix64:
@@ -38,16 +39,13 @@ class SplitMix64:
         return np.array([self.uniform(lo, hi) for lo, hi in box])
 
 
-def sample_cone_pairs(rng, box, cone_spec, n_pairs, max_attempts=100_000,
-                      strict_interior=True):
-    """Draw pairs of points in the box whose difference lies in the cone
-    (interior, or boundary when strict_interior is False), by rejection."""
+def sample_cone_pairs(rng, box, cone_spec, n_pairs):
+    """Draw pairs of points in the box whose difference lies in the cone (interior
+    or boundary) by rejection, in at most MAX_SAMPLING_ATTEMPTS draws."""
     pairs = []
     attempts = 0
-    accept = ({ConeLocation.INTERIOR} if strict_interior
-              else {ConeLocation.INTERIOR, ConeLocation.BOUNDARY})
     while len(pairs) < n_pairs:
-        if attempts >= max_attempts:
+        if attempts >= MAX_SAMPLING_ATTEMPTS:
             raise SamplingExhausted(
                 f"{attempts} rejections for {len(pairs)}/{n_pairs} pairs; "
                 "the cone is too thin in the sampling box")
@@ -57,6 +55,6 @@ def sample_cone_pairs(rng, box, cone_spec, n_pairs, max_attempts=100_000,
         d = a - b
         if not np.any(d):
             continue
-        if cone_locate(cone_spec, d) in accept:
+        if cone_locate(cone_spec, d) is not ConeLocation.OUTSIDE:
             pairs.append((a, b))
     return pairs

@@ -12,17 +12,14 @@ import numpy as np
 
 from .certify import MatrixPolytope
 from .errors import (ConfigError, DimensionMismatch, NewtonFailure,
-                     NonpositiveEps, NotScalarParameterized)
+                     NotScalarParameterized, check_eps)
 from .expressions import diff_expr, evaluate, free_vars, parse_expr
+
+HULL_GRID_POINTS = 1000
 
 
 def state_names(n_r, n_f):
     return [f"x{i + 1}" for i in range(n_r)] + [f"z{j + 1}" for j in range(n_f)]
-
-
-def _check_eps(eps):
-    if not eps > 0:
-        raise NonpositiveEps(f"eps must be positive, got {eps}")
 
 
 @dataclass
@@ -42,7 +39,7 @@ class NonlinearSPSystem:
     omega: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        _check_eps(self.eps)
+        check_eps(self.eps)
         names = set(state_names(self.n_r, self.n_f))
         self.f = [parse_expr(e) if isinstance(e, str) else e for e in self.f]
         self.g = [parse_expr(e) if isinstance(e, str) else e for e in self.g]
@@ -111,7 +108,7 @@ class LinearSPSystem:
     omega: dict = None
 
     def __post_init__(self):
-        _check_eps(self.eps)
+        check_eps(self.eps)
         if not isinstance(self.A, MatrixPolytope):
             self.A = MatrixPolytope([self.A])
         if not isinstance(self.D, MatrixPolytope):
@@ -174,19 +171,19 @@ def _varying_entries(sys):
     return out
 
 
-def sample_entry_range(sys, entry_ast, grid_n=1000):
-    """Min/max of a Jacobian entry over a grid on omega. A sampled range is
-    a heuristic, not a proven enclosure."""
+def sample_entry_range(sys, entry_ast):
+    """Min/max of a Jacobian entry over a grid of about HULL_GRID_POINTS
+    points on omega. A sampled range is a heuristic, not a proven enclosure."""
     vars_used = sorted(free_vars(entry_ast))
-    axes = [np.linspace(*sys.omega[v], max(2, int(round(grid_n ** (1 / len(vars_used))))))
-            for v in vars_used]
+    per_axis = max(2, int(round(HULL_GRID_POINTS ** (1 / len(vars_used)))))
+    axes = [np.linspace(*sys.omega[v], per_axis) for v in vars_used]
     grids = np.meshgrid(*axes) if len(axes) > 1 else [axes[0]]
     env = {v: g.ravel() for v, g in zip(vars_used, grids)}
     vals = evaluate(entry_ast, env)
     return float(np.min(vals)), float(np.max(vals))
 
 
-def a_block_hull(sys, bounds=None, nonlinearity_entry=None, grid_n=1000):
+def a_block_hull(sys, bounds=None, nonlinearity_entry=None):
     """Hull of the A blocks over omega when at most one Jacobian entry varies
     with the state and that entry sits in A: one vertex per bound of the
     entry (one vertex when nothing varies), with the constant B, C, D.
@@ -212,7 +209,7 @@ def a_block_hull(sys, bounds=None, nonlinearity_entry=None, grid_n=1000):
         raise NotScalarParameterized(
             f"declared entry {tuple(nonlinearity_entry)} but entry ({i}, {j}) varies")
     if bounds is None:
-        bounds = sample_entry_range(sys, entry_ast, grid_n)
+        bounds = sample_entry_range(sys, entry_ast)
         warnings.warn(f"entry bounds {bounds} obtained by grid sampling over "
                       "omega; sampled, not proven")
     lo, hi = bounds
@@ -257,7 +254,8 @@ def damped_newton(fun, jac, x, tol, max_iter):
 
 SPRING_F = ("x2", "7*tanh(x1) - 5*x1 - 5*z1")
 SPRING_G = ("x2 - z1",)
-SPRING_BOX = 3.0  # omega is [-box, box] in every state
+SPRING_BOX = 3.0  # omega is [-SPRING_BOX, SPRING_BOX] in every state
+SPRING_T_FINAL = 9.0  # the paper's horizon
 SPRING_SLOPE_BOUNDS = (-5.0, 2.0)  # range of d/dx1 [7 tanh(x1) - 5 x1]
 
 SPRING_INITIAL_CONDITIONS = (
@@ -269,7 +267,7 @@ SPRING_INITIAL_CONDITIONS = (
 )
 
 
-def nonlinear_spring_system(eps=0.01, box=SPRING_BOX):
+def nonlinear_spring_system(eps=0.01):
     """Mass with a saturating spring force and a fast first-order filter on
     the velocity feedback: x1' = x2, x2' = 7 tanh(x1) - 5 x1 - 5 z,
     eps z' = x2 - z."""
@@ -278,7 +276,7 @@ def nonlinear_spring_system(eps=0.01, box=SPRING_BOX):
         f=list(SPRING_F),
         g=list(SPRING_G),
         eps=eps,
-        omega={n: (-box, box) for n in state_names(2, 1)},
+        omega={n: (-SPRING_BOX, SPRING_BOX) for n in state_names(2, 1)},
     )
 
 

@@ -152,8 +152,7 @@ def test_criterion_6_monotonicity_probe():
     start = time.perf_counter()
     sys_ = nonlinear_spring_system(eps=0.01)
     cert = nonlinear_spring_certificate()
-    probe = monotone_probe(sys_, cert, n_pairs=100, t_final=9.0, seed=42,
-                           n_samples=200)
+    probe = monotone_probe(sys_, cert, n_pairs=100, t_final=9.0, seed=42)
     assert time.perf_counter() - start < 120.0
     total = probe["total_classifications"]
     assert probe["boundary_warnings"] <= 0.01 * total

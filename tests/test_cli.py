@@ -4,8 +4,14 @@ import numpy as np
 import pytest
 
 from spdominance import cli
+from spdominance.analyze import PROBE_SAMPLES
+from spdominance.certify import FEASIBILITY_MARGIN
 from spdominance.cli import main, spring_config
+from spdominance.cone import CONE_BOUNDARY_BAND
+from spdominance.decouple import BISECT_STEPS, EPS_FLOOR, coupling_residual_limit
 from spdominance.errors import NonFinite, SamplingExhausted
+from spdominance.integrate import CONVERGENCE_TOL, DP_TOL
+from spdominance.systems import jacobians, nonlinear_spring_system
 
 
 def write_cfg(tmp_path, cfg, name="config.json"):
@@ -342,3 +348,68 @@ def test_reproduce_paper_report_structure(tmp_path):
     assert len(rep["equilibria"]) == 3
     assert len(rep["csv_files"]) == 5
     assert rep["epsilon_star"] > 0.01
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+@pytest.mark.parametrize("command, flag", [("epsilon-star", "--eps-max"), ("decouple", "--eps")])
+def test_nonfinite_eps_exits_1(tmp_path, capsys, command, flag, value):
+    assert main([command, spring_cfg_path(tmp_path), flag, value]) == 1
+    assert capsys.readouterr().err == \
+        f"config error: eps must be positive and finite, got {value}\n"
+
+
+@pytest.mark.parametrize("command", ["certify", "epsilon-star", "simulate"])
+def test_singular_expression_exits_1(tmp_path, capsys, command):
+    cfg = {"spec_version": 1, "kind": "nonlinear", "n_r": 1, "n_f": 1, "eps": 0.1,
+           "f": ["1/x1 - z1"], "g": ["x1 - z1"], "initial_conditions": [[1, 0]]}
+    extra = ["--out", str(tmp_path / "out")] if command == "simulate" else []
+    assert main([command, write_cfg(tmp_path, cfg)] + extra) == 1
+    assert capsys.readouterr().err == "config error: division by zero\n"
+
+
+@pytest.mark.parametrize("command, flag, value", [("simulate", "--t-final", "0"),
+                                                  ("monotone-probe", "--t-final", "0"),
+                                                  ("simulate", "--tol", "0"),
+                                                  ("monotone-probe", "--pairs", "0"),
+                                                  ("simulate", "--t-final", "inf"),
+                                                  ("monotone-probe", "--t-final", "inf")])
+def test_nonpositive_flag_exits_1(tmp_path, capsys, command, flag, value):
+    extra = ["--out", str(tmp_path / "out")] if command == "simulate" else []
+    assert main([command, spring_cfg_path(tmp_path), flag, value] + extra) == 1
+    assert capsys.readouterr().err.startswith(f"config error: {flag} must be positive and finite")
+
+
+SPRING_B, SPRING_C = jacobians(nonlinear_spring_system(), np.zeros(3))[1:3]
+
+
+@pytest.mark.parametrize("command, tolerances", [
+    ("certify", {"feasibility_margin": FEASIBILITY_MARGIN}),
+    ("decouple", {"coupling_residual": coupling_residual_limit(SPRING_B, SPRING_C),
+                  "block_diagonal_residual": cli.BLOCK_DIAGONAL_TOL}),
+    ("epsilon-star", {"eps_floor": EPS_FLOOR, "bisect_steps": BISECT_STEPS}),
+    ("simulate", {"convergence": CONVERGENCE_TOL}),
+    ("reproduce-paper", {"convergence": CONVERGENCE_TOL,
+                         "probe_classification": CONE_BOUNDARY_BAND,
+                         "feasibility_margin": FEASIBILITY_MARGIN}),
+])
+def test_report_tolerances_are_the_checks_constants(tmp_path, command, tolerances):
+    out = tmp_path / "out"
+    if command == "reproduce-paper":
+        argv, report = ["--out", str(out)], out / "report.json"
+    elif command == "simulate":
+        argv, report = [spring_cfg_path(tmp_path), "--out", str(out)], out / "report.json"
+    else:
+        report = tmp_path / "rep.json"
+        argv = [spring_cfg_path(tmp_path), "--report", str(report)]
+    main([command] + argv)
+    assert json.loads(report.read_text())["tolerances"] == tolerances
+
+
+def test_probe_report_names_its_tolerances(tmp_path):
+    rep = tmp_path / "probe.json"
+    main(["monotone-probe", spring_cfg_path(tmp_path), "--pairs", "2",
+          "--t-final", "0.1", "--report", str(rep)])
+    probe = json.loads(rep.read_text())["monotone_probe"]
+    assert probe["classification_tol"] == CONE_BOUNDARY_BAND
+    assert probe["samples_per_pair"] == PROBE_SAMPLES
+    assert probe["integrator"]["tol"] == DP_TOL

@@ -3,7 +3,8 @@ import pytest
 
 from spdominance.analyze import certificate_cone, monotone_probe
 from spdominance.certify import SPDominanceCertificate
-from spdominance.cone import ConeLocation, cone_locate, make_cone, quad_form
+from spdominance.cone import (CONE_BOUNDARY_BAND, ConeLocation, cone_locate, make_cone,
+                             quad_form)
 from spdominance.errors import (DegenerateCone, DimensionMismatch,
                                 NotScalarParameterized, SingularP)
 from spdominance.linalg import SymMatrix, inertia
@@ -99,9 +100,13 @@ def test_quad_form_matches_eigenbasis_sum():
 
 def test_cone_locate_uses_relative_band():
     cone = make_cone(SymMatrix(np.diag([-1.0, 1.0])))
+    # v^T P v = -2e-12 lies inside the band, -4 * CONE_BOUNDARY_BAND outside it,
+    # whatever the scale of v
     v = np.array([1.0, 1.0 - 1e-12])
-    assert cone_locate(cone, v, tol=1e-9) is ConeLocation.BOUNDARY
-    assert cone_locate(cone, v, tol=0.0) is ConeLocation.INTERIOR
+    w = np.array([1.0, 1.0 - 2 * CONE_BOUNDARY_BAND])
+    for scale in (1.0, 1e6):
+        assert cone_locate(cone, scale * v) is ConeLocation.BOUNDARY
+        assert cone_locate(cone, scale * w) is ConeLocation.INTERIOR
 
 
 # -- the certificate cone in decoupled coordinates -----------------------------
@@ -149,7 +154,7 @@ def test_certificate_cone_rejects_varying_fast_block():
 def test_probe_stays_in_decoupled_cone(seed):
     probe = monotone_probe(nonlinear_spring_system(eps=0.01),
                            nonlinear_spring_certificate(), n_pairs=100,
-                           t_final=9.0, seed=seed, n_samples=200)
+                           t_final=9.0, seed=seed)
     assert probe["total_classifications"] == 20_000
     assert probe["outside"] == 0 and probe["boundary_warnings"] == 0
     run = probe["integrator"]
