@@ -10,7 +10,7 @@ from .certify import (CertResult, MatrixPolytope, SPDominanceCertificate,
                       lmi_residual)
 from .decouple import (ChangDecoupling, build_decoupling, epsilon_star,
                        full_system_matrix, reduced_model, solve_chang_lti)
-from .expressions import diff_expr, evaluate, parse_expr
+from .expressions import diff_expr, parse_expr
 from .systems import (SPRING_INITIAL_CONDITIONS, SPRING_SLOPE_BOUNDS,
                       LinearSPSystem, NonlinearSPSystem, a_block_hull, jacobians,
                       nonlinear_spring_certificate, nonlinear_spring_system)
@@ -26,7 +26,7 @@ __all__ = [
     "block_conditions", "certify_polytope", "certify_sp", "lmi_residual",
     "ChangDecoupling", "build_decoupling", "epsilon_star",
     "full_system_matrix", "reduced_model", "solve_chang_lti",
-    "diff_expr", "evaluate", "parse_expr",
+    "diff_expr", "parse_expr",
     "SPRING_INITIAL_CONDITIONS", "SPRING_SLOPE_BOUNDS",
     "LinearSPSystem", "NonlinearSPSystem", "a_block_hull", "jacobians",
     "nonlinear_spring_certificate", "nonlinear_spring_system",

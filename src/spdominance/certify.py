@@ -130,10 +130,7 @@ def block_conditions(cert, A, B, L_eps, D, eps):
     Both use rate lambda_r and the common sigma = min(sigma_r, sigma_f)/2.
     """
     check_eps(eps)
-    A = np.atleast_2d(np.asarray(A, dtype=float))
-    B = np.atleast_2d(np.asarray(B, dtype=float))
-    D = np.atleast_2d(np.asarray(D, dtype=float))
-    L = np.atleast_2d(np.asarray(L_eps, dtype=float))
+    A, B, D, L = (np.atleast_2d(np.asarray(m, dtype=float)) for m in (A, B, D, L_eps))
     n_r, n_f = cert.n_r, cert.n_f
     if A.shape != (n_r, n_r) or B.shape != (n_r, n_f) or D.shape != (n_f, n_f) \
             or L.shape != (n_f, n_r):

@@ -22,17 +22,17 @@ from . import __version__
 from .analyze import PROBE_PAIRS, PROBE_SEED, convergence_report, monotone_probe
 from .certify import FEASIBILITY_MARGIN, MatrixPolytope, SPDominanceCertificate, certify_sp
 from .cone import CONE_BOUNDARY_BAND
-from .decouple import (BISECT_STEPS, EPS_FLOOR, InfeasibleAtFloor, build_decoupling,
-                       chang_residuals, coupling_residual_limit, epsilon_star,
-                       full_system_matrix, reduced_model)
+from .decouple import (BISECT_STEPS, EPS_FLOOR, EPS_MAX, InfeasibleAtFloor,
+                       build_decoupling, chang_residuals, coupling_residual_limit,
+                       epsilon_star, full_system_matrix, reduced_model)
 from .errors import (ConfigError, DimensionMismatch, EvalError, NoConvergence, NonFinite,
                      NonpositiveEps, NotScalarParameterized, SamplingExhausted, SingularD)
 from .integrate import (CONVERGENCE_TOL, Trajectory, find_equilibria, integrate,
                         write_trajectory_csv)
-from .systems import (LinearSPSystem, NonlinearSPSystem, a_block_hull,
-                      jacobians, nonlinear_spring_certificate, state_names,
-                      SPRING_BOX, SPRING_F, SPRING_G, SPRING_INITIAL_CONDITIONS,
-                      SPRING_SLOPE_BOUNDS, SPRING_T_FINAL)
+from .systems import (SPRING_BOX, SPRING_EPS, SPRING_F, SPRING_G, SPRING_INITIAL_CONDITIONS,
+                      SPRING_SIGMA_R, SPRING_SLOPE_BOUNDS, SPRING_T_FINAL, LinearSPSystem,
+                      NonlinearSPSystem, a_block_hull, jacobians,
+                      nonlinear_spring_certificate, state_names)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -68,15 +68,13 @@ def _matrix_or_polytope(value, what):
 def build_system(cfg):
     try:
         if cfg["kind"] == "nonlinear":
-            omega = {k: tuple(v) for k, v in cfg.get("omega", {}).items()}
             return NonlinearSPSystem(n_r=int(cfg["n_r"]), n_f=int(cfg["n_f"]),
                                      f=cfg["f"], g=cfg["g"],
-                                     eps=float(cfg["eps"]), omega=omega)
-        omega = {k: tuple(v) for k, v in cfg["omega"].items()} if "omega" in cfg else None
+                                     eps=float(cfg["eps"]), omega=cfg.get("omega"))
         return LinearSPSystem(A=_matrix_or_polytope(cfg["A"], "A"),
                               B=cfg["B"], C=cfg["C"],
                               D=_matrix_or_polytope(cfg["D"], "D"),
-                              eps=float(cfg["eps"]), omega=omega)
+                              eps=float(cfg["eps"]), omega=cfg.get("omega"))
     except KeyError as e:
         raise ConfigError(f"config missing required field {e}")
     except (ValueError, TypeError) as e:
@@ -166,7 +164,7 @@ def _failed(label, error):
 # returns (fragment, verdict): its report entries, and its verdict, which is
 # None after a failure.
 
-def epsilon_star_stage(cfg, system, cert, eps_max=1.0):
+def epsilon_star_stage(cfg, system, cert, eps_max=EPS_MAX):
     """The certified eps threshold; the verdict is the threshold."""
     A_poly, B, C, D_poly = coupling_inputs(cfg, system)
     try:
@@ -324,7 +322,7 @@ def cmd_monotone_probe(args):
     return EXIT_OK if passed else EXIT_CHECK_FAILED
 
 
-def spring_config(eps=0.01, sigma_r=0.01):
+def spring_config(eps=SPRING_EPS, sigma_r=SPRING_SIGMA_R):
     """Built-in demo configuration (nonlinear spring with fast filter)."""
     cert = nonlinear_spring_certificate()
     return {
@@ -416,7 +414,7 @@ def build_parser():
 
     p = sub.add_parser("epsilon-star", help="bisect for the certified eps threshold")
     p.add_argument("config")
-    p.add_argument("--eps-max", type=float, default=1.0)
+    p.add_argument("--eps-max", type=float, default=EPS_MAX)
     p.add_argument("--report", default=None)
     p.set_defaults(func=cmd_epsilon_star)
 
@@ -439,8 +437,8 @@ def build_parser():
     p = sub.add_parser("reproduce-paper",
                        help="run the full built-in worked example end to end")
     p.add_argument("--out", default="out")
-    p.add_argument("--eps", type=float, default=0.01)
-    p.add_argument("--sigma-r", type=float, default=0.01, dest="sigma_r")
+    p.add_argument("--eps", type=float, default=SPRING_EPS)
+    p.add_argument("--sigma-r", type=float, default=SPRING_SIGMA_R, dest="sigma_r")
     p.set_defaults(func=cmd_reproduce_paper)
 
     return parser

@@ -21,8 +21,10 @@ CHANG_RESIDUAL_TOL = 1e-10
 RCOND_MIN = 1e-12
 CHANG_STEP_TOL = 1e-12
 CHANG_MAX_ITER = 200
+CHANG_GROWTH_LIMIT = 5  # consecutive growing updates that signal divergence
 BISECT_STEPS = 60
 EPS_FLOOR = 1e-12
+EPS_MAX = 1.0  # the default top of epsilon_star's search
 MONOTONE_CHECK_POINTS = 16
 
 
@@ -38,10 +40,7 @@ class ChangDecoupling:
 
 
 def _blocks(A, B, C, D):
-    A = np.atleast_2d(np.asarray(A, dtype=float))
-    B = np.atleast_2d(np.asarray(B, dtype=float))
-    C = np.atleast_2d(np.asarray(C, dtype=float))
-    D = np.atleast_2d(np.asarray(D, dtype=float))
+    A, B, C, D = (np.atleast_2d(np.asarray(m, dtype=float)) for m in (A, B, C, D))
     n_r = A.shape[0]
     n_f = D.shape[0]
     if A.shape != (n_r, n_r) or B.shape != (n_r, n_f) \
@@ -94,9 +93,9 @@ def solve_chang_lti(A, B, C, D, eps):
     """Solve the time-invariant coupling equation D L - C = eps L(A - B L) for L.
 
     Fixed-point iteration L <- D^{-1}(C + eps*L(A - B L)) from L = D^{-1}C.
-    Divergence (update norm growing for 5 consecutive iterations) signals
-    that eps is too large for the contraction. The block conditions need L
-    alone; build_decoupling gets H from one linear solve.
+    Divergence (update norm growing for CHANG_GROWTH_LIMIT consecutive
+    iterations) signals that eps is too large for the contraction. The block
+    conditions need L alone; build_decoupling gets H from one linear solve.
     """
     check_eps(eps)
     A, B, C, D = _blocks(A, B, C, D)
@@ -111,8 +110,9 @@ def solve_chang_lti(A, B, C, D, eps):
         if update <= CHANG_STEP_TOL:
             break
         growth = growth + 1 if update > prev_update else 0
-        if growth >= 5:
-            raise NoConvergence(f"L iteration diverging for 5 steps (eps={eps} too large)")
+        if growth >= CHANG_GROWTH_LIMIT:
+            raise NoConvergence(f"L iteration diverging for {CHANG_GROWTH_LIMIT} steps "
+                                f"(eps={eps} too large)")
         prev_update = update
     else:
         raise NoConvergence(f"L iteration did not converge in {CHANG_MAX_ITER} steps")
@@ -147,7 +147,7 @@ def full_system_matrix(A, B, C, D, eps):
     return np.block([[A, B], [C / eps, D / eps]])
 
 
-def epsilon_star(A_polytope, B, C, D_polytope, cert, eps_max=1.0):
+def epsilon_star(A_polytope, B, C, D_polytope, cert, eps_max=EPS_MAX):
     """Bisect for the largest eps in [EPS_FLOOR, eps_max] at which the
     proof-level block conditions are feasible at every (A, D) vertex pair.
 
@@ -162,8 +162,7 @@ def epsilon_star(A_polytope, B, C, D_polytope, cert, eps_max=1.0):
         A_polytope = MatrixPolytope([A_polytope])
     if not isinstance(D_polytope, MatrixPolytope):
         D_polytope = MatrixPolytope([D_polytope])
-    B = np.atleast_2d(np.asarray(B, dtype=float))
-    C = np.atleast_2d(np.asarray(C, dtype=float))
+    B, C = (np.atleast_2d(np.asarray(m, dtype=float)) for m in (B, C))
 
     def feasible(eps):
         for A in A_polytope.vertices:

@@ -8,8 +8,10 @@ Grammar (infix, standard precedence):
     base   := number | ident | ident '(' expr ')' | '(' expr ')' | '-' base
 
 Function names: tanh, sin, cos, exp. Exponents are integer literals only.
-ASTs are immutable; evaluation and differentiation are pure. Simplification
-is limited to constant folding and 0/1 identities.
+ASTs are immutable and differentiation is pure. Simplification is limited
+to constant folding and 0/1 identities. compile_field is the one evaluator:
+it turns a list of ASTs into a numpy kernel over states, and guarded
+makes such a kernel report a zero divisor as EvalError.
 """
 
 from __future__ import annotations
@@ -198,39 +200,6 @@ def free_vars(ast):
     raise TypeError(f"not an AST node: {ast!r}")
 
 
-def evaluate(ast, env):
-    """Evaluate with variable bindings from env (floats or numpy arrays)."""
-    if isinstance(ast, Const):
-        return ast.value
-    if isinstance(ast, Var):
-        try:
-            return env[ast.name]
-        except KeyError:
-            raise EvalError(f"unbound variable {ast.name!r}") from None
-    if isinstance(ast, Neg):
-        return -evaluate(ast.arg, env)
-    if isinstance(ast, Call):
-        return FUNCTIONS[ast.fn](evaluate(ast.arg, env))
-    if isinstance(ast, Pow):
-        base = evaluate(ast.base, env)
-        if ast.exponent < 0 and np.any(base == 0):
-            raise EvalError("zero base with negative exponent")
-        return base ** ast.exponent
-    if isinstance(ast, BinOp):
-        a = evaluate(ast.left, env)
-        b = evaluate(ast.right, env)
-        if ast.op == "+":
-            return a + b
-        if ast.op == "-":
-            return a - b
-        if ast.op == "*":
-            return a * b
-        if np.any(b == 0):
-            raise EvalError("division by zero")
-        return a / b
-    raise TypeError(f"not an AST node: {ast!r}")
-
-
 def _is_const(ast, value=None):
     return isinstance(ast, Const) and (value is None or ast.value == value)
 
@@ -336,29 +305,37 @@ def _diff(ast, var):
     raise TypeError(f"not an AST node: {ast!r}")
 
 
-def compile_expr(ast, var_names):
-    """Compile an AST to a fast python function of positional arguments
-    (one per name in var_names); works on floats and numpy arrays alike."""
-    src = _numpy_source(ast)
-    code = f"lambda {', '.join(var_names)}: ({src})"
-    return eval(code, {"np": np, "__builtins__": {}})  # source generated from our own AST
-
-
 def compile_field(asts, var_names):
-    """Compile one AST per variable into a single vector field
-    field(s) -> out: names bind to the columns s[..., i], component i is
-    written to out[..., i] (a constant component broadcasts). Works on a
+    """Compile ASTs into one numpy kernel field(s) -> out, the one evaluator
+    of ASTs at states: the names bind to the columns s[..., i], and
+    component k is written to out[..., k] (a constant component
+    broadcasts), so out has shape s.shape[:-1] + (len(asts),). s is one
     state of shape (dim,) or a batch of shape (..., dim)."""
-    if len(asts) != len(var_names):
-        raise ValueError(f"{len(asts)} components for {len(var_names)} variables")
     lines = ["def field(s):"]
     lines += [f"    {name} = s[..., {i}]" for i, name in enumerate(var_names)]
-    lines.append("    out = np.empty(s.shape)")
+    lines.append(f"    out = np.empty(s.shape[:-1] + ({len(asts)},))")
     lines += [f"    out[..., {i}] = {_numpy_source(a)}" for i, a in enumerate(asts)]
     lines.append("    return out")
     namespace = {"np": np, "__builtins__": {}}
     exec("\n".join(lines), namespace)  # source generated from our own AST
     return namespace["field"]
+
+
+def guarded(kernel):
+    """kernel for evaluation at configured points: a zero divisor raises
+    EvalError("division by zero"), whether Python floats divide (a literal
+    1/0) or numpy does (x/0, 0/0 or 0^-1); any other invalid operation
+    raises EvalError with numpy's message."""
+    def run(s):
+        try:
+            with np.errstate(divide="raise", invalid="raise"):
+                return kernel(s)
+        except ZeroDivisionError:
+            raise EvalError("division by zero") from None
+        except FloatingPointError as e:
+            divide = str(e).startswith("divide by zero") or str(e).endswith("divide")
+            raise EvalError("division by zero" if divide else str(e)) from None
+    return run
 
 
 def _numpy_source(ast):

@@ -22,7 +22,7 @@ import numpy as np
 from .decouple import full_system_matrix
 from .errors import ConfigError, DimensionMismatch, NewtonFailure, NonFinite
 from .expressions import BinOp, Const, Var, compile_field
-from .systems import LinearSPSystem, NonlinearSPSystem, damped_newton, jacobians
+from .systems import LinearSPSystem, NonlinearSPSystem, damped_newton, jacobian_kernel
 
 STATE_NORM_LIMIT = 1e12
 CSV_MAX_ROWS = 100_000
@@ -279,11 +279,7 @@ def find_equilibria(sys):
     scaling does not move zeros. Returns the distinct equilibria."""
     axes = [np.linspace(*sys.omega[name], EQUILIBRIUM_GRID) for name in sys.names]
     field = compile_field(sys.f + sys.g, sys.names)
-
-    def jac(point):
-        A, B, C, D = jacobians(sys, point)
-        return np.block([[A, B], [C, D]]) if sys.n_f else A
-
+    jac = jacobian_kernel(sys)
     found = []
     for seed in itertools.product(*axes):
         try:

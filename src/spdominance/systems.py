@@ -4,16 +4,15 @@ the built-in nonlinear-spring demo system."""
 
 from __future__ import annotations
 
-import itertools
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .certify import MatrixPolytope
 from .errors import (ConfigError, DimensionMismatch, NewtonFailure,
                      NotScalarParameterized, check_eps)
-from .expressions import diff_expr, evaluate, free_vars, parse_expr
+from .expressions import compile_field, diff_expr, free_vars, guarded, parse_expr
 
 HULL_GRID_POINTS = 1000
 
@@ -22,48 +21,9 @@ def state_names(n_r, n_f):
     return [f"x{i + 1}" for i in range(n_r)] + [f"z{j + 1}" for j in range(n_f)]
 
 
-@dataclass
-class NonlinearSPSystem:
-    """dx/dt = f(x, z), eps * dz/dt = g(x, z), on a box state-space omega.
-
-    f and g entries are DSL expressions (strings or ASTs) over the variables
-    x1..x{n_r}, z1..z{n_f}. omega maps each variable name to a finite
-    (lo, hi) interval; its invariance is the caller's responsibility.
-    """
-
-    n_r: int
-    n_f: int
-    f: list
-    g: list
-    eps: float = 1.0
-    omega: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        check_eps(self.eps)
-        names = set(state_names(self.n_r, self.n_f))
-        self.f = [parse_expr(e) if isinstance(e, str) else e for e in self.f]
-        self.g = [parse_expr(e) if isinstance(e, str) else e for e in self.g]
-        if len(self.f) != self.n_r or len(self.g) != self.n_f:
-            raise DimensionMismatch(
-                f"need {self.n_r} f entries and {self.n_f} g entries")
-        for e in itertools.chain(self.f, self.g):
-            unknown = free_vars(e) - names
-            if unknown:
-                raise ValueError(f"undeclared variable(s): {sorted(unknown)}")
-        if not self.omega:
-            self.omega = {name: (-1.0, 1.0) for name in names}
-        for name in state_names(self.n_r, self.n_f):
-            lo, hi = self.omega[name]
-            if not (np.isfinite(lo) and np.isfinite(hi) and lo < hi):
-                raise ValueError(f"omega interval for {name} must be finite and nonempty")
-        origin = {name: 0.0 for name in names}
-        rhs0 = [evaluate(e, origin) for e in itertools.chain(self.f, self.g)]
-        if max(abs(v) for v in rhs0) > 1e-12:
-            warnings.warn("system does not vanish at the origin; "
-                          "dominance theory assumes a shifted equilibrium there")
-        self._jac_asts = None
-
-    # -- symbolic machinery -------------------------------------------------
+class _StateSpace:
+    """What both system kinds share: the states x1..x{n_r}, z1..z{n_f} and
+    the box omega, which maps each state to a finite (lo, hi) interval."""
 
     @property
     def names(self):
@@ -72,6 +32,69 @@ class NonlinearSPSystem:
     @property
     def dim(self):
         return self.n_r + self.n_f
+
+    def _check_omega(self):
+        """Set omega to {name: (lo, hi)}, [-1, 1] in every state when omega is
+        empty or None. Raises ConfigError unless omega maps exactly the
+        state names, each to a finite pair lo < hi."""
+        if not self.omega:
+            self.omega = {name: (-1.0, 1.0) for name in self.names}
+        if not isinstance(self.omega, dict) or set(self.omega) != set(self.names):
+            raise ConfigError(f"omega must name exactly the states {self.names}, "
+                              f"got {list(self.omega)}")
+        omega = {}
+        for name in self.names:
+            try:
+                lo, hi = omega[name] = tuple(float(v) for v in self.omega[name])
+            except (TypeError, ValueError):
+                lo = hi = np.nan
+            if not -np.inf < lo < hi < np.inf:
+                raise ConfigError(f"omega interval for {name} must be a finite pair "
+                                  f"lo < hi, got {self.omega[name]!r}")
+        self.omega = omega
+
+    def in_omega(self, point):
+        point = np.asarray(point, dtype=float)
+        return all(self.omega[name][0] <= v <= self.omega[name][1]
+                   for name, v in zip(self.names, point))
+
+    def omega_center(self):
+        return np.array([(self.omega[n][0] + self.omega[n][1]) / 2 for n in self.names])
+
+
+@dataclass
+class NonlinearSPSystem(_StateSpace):
+    """dx/dt = f(x, z), eps * dz/dt = g(x, z), on a box state-space omega.
+
+    f and g entries are DSL expressions (strings or ASTs) over the variables
+    x1..x{n_r}, z1..z{n_f}. omega's invariance is the caller's responsibility.
+    """
+
+    n_r: int
+    n_f: int
+    f: list
+    g: list
+    eps: float = 1.0
+    omega: dict = None
+
+    def __post_init__(self):
+        check_eps(self.eps)
+        self.f = [parse_expr(e) if isinstance(e, str) else e for e in self.f]
+        self.g = [parse_expr(e) if isinstance(e, str) else e for e in self.g]
+        if len(self.f) != self.n_r or len(self.g) != self.n_f:
+            raise DimensionMismatch(
+                f"need {self.n_r} f entries and {self.n_f} g entries")
+        unknown = set().union(*map(free_vars, self.f + self.g)) - set(self.names)
+        if unknown:
+            raise ValueError(f"undeclared variable(s): {sorted(unknown)}")
+        self._check_omega()
+        rhs0 = guarded(compile_field(self.f + self.g, self.names))(np.zeros(self.dim))
+        if np.abs(rhs0).max() > 1e-12:
+            warnings.warn("system does not vanish at the origin; "
+                          "dominance theory assumes a shifted equilibrium there")
+        self._jac_asts = None
+
+    # -- symbolic machinery -------------------------------------------------
 
     def jacobian_asts(self):
         """Symbolic partials: dict of blocks 'A','B','C','D' -> 2-D lists."""
@@ -86,17 +109,9 @@ class NonlinearSPSystem:
             }
         return self._jac_asts
 
-    def in_omega(self, point):
-        point = np.asarray(point, dtype=float)
-        return all(self.omega[name][0] <= v <= self.omega[name][1]
-                   for name, v in zip(self.names, point))
-
-    def omega_center(self):
-        return np.array([(self.omega[n][0] + self.omega[n][1]) / 2 for n in self.names])
-
 
 @dataclass
-class LinearSPSystem:
+class LinearSPSystem(_StateSpace):
     """dx/dt = A x + B z, eps * dz/dt = C x + D z. A and D may be matrix
     polytopes (vertex lists); B and C are fixed."""
 
@@ -113,14 +128,13 @@ class LinearSPSystem:
             self.A = MatrixPolytope([self.A])
         if not isinstance(self.D, MatrixPolytope):
             self.D = MatrixPolytope([self.D])
-        self.B = np.atleast_2d(np.asarray(self.B, dtype=float))
-        self.C = np.atleast_2d(np.asarray(self.C, dtype=float))
+        self.B, self.C = (np.atleast_2d(np.asarray(m, dtype=float))
+                          for m in (self.B, self.C))
         n_r, n_f = self.A.n, self.D.n
         if self.B.shape != (n_r, n_f) or self.C.shape != (n_f, n_r):
             raise DimensionMismatch(
                 f"B{self.B.shape} / C{self.C.shape} inconsistent with n_r={n_r}, n_f={n_f}")
-        if self.omega is None:
-            self.omega = {name: (-1.0, 1.0) for name in self.names}
+        self._check_omega()
 
     @property
     def n_r(self):
@@ -130,18 +144,20 @@ class LinearSPSystem:
     def n_f(self):
         return self.D.n
 
-    @property
-    def dim(self):
-        return self.n_r + self.n_f
-
-    @property
-    def names(self):
-        return state_names(self.n_r, self.n_f)
-
     def fixed_blocks(self):
         if len(self.A.vertices) > 1 or len(self.D.vertices) > 1:
             raise ConfigError("system has polytopic blocks; pick a vertex explicitly")
         return self.A.vertices[0], self.B, self.C, self.D.vertices[0]
+
+
+def jacobian_kernel(sys):
+    """The full Jacobian [[A, B], [C, D]] of (f, g), compiled once:
+    point -> (dim, dim). A zero divisor raises EvalError."""
+    jac = sys.jacobian_asts()
+    rows = ([a + b for a, b in zip(jac["A"], jac["B"])]
+            + [c + d for c, d in zip(jac["C"], jac["D"])])
+    field = guarded(compile_field([e for row in rows for e in row], sys.names))
+    return lambda point: field(point).reshape(sys.dim, sys.dim)
 
 
 def jacobians(sys, point):
@@ -151,13 +167,8 @@ def jacobians(sys, point):
         raise DimensionMismatch(f"point of shape {point.shape}, expected ({sys.dim},)")
     if not sys.in_omega(point):
         warnings.warn("Jacobian requested outside the declared state-space box")
-    env = dict(zip(sys.names, point))
-    jac = sys.jacobian_asts()
-    n_r, n_f = sys.n_r, sys.n_f
-    shapes = {"A": (n_r, n_r), "B": (n_r, n_f), "C": (n_f, n_r), "D": (n_f, n_f)}
-    return tuple(np.array([[float(evaluate(e, env)) for e in row] for row in jac[key]],
-                          dtype=float).reshape(shape)
-                 for key, shape in shapes.items())
+    J, n_r = jacobian_kernel(sys)(point), sys.n_r
+    return J[:n_r, :n_r], J[:n_r, n_r:], J[n_r:, :n_r], J[n_r:, n_r:]
 
 
 def _varying_entries(sys):
@@ -177,9 +188,8 @@ def sample_entry_range(sys, entry_ast):
     vars_used = sorted(free_vars(entry_ast))
     per_axis = max(2, int(round(HULL_GRID_POINTS ** (1 / len(vars_used)))))
     axes = [np.linspace(*sys.omega[v], per_axis) for v in vars_used]
-    grids = np.meshgrid(*axes) if len(axes) > 1 else [axes[0]]
-    env = {v: g.ravel() for v, g in zip(vars_used, grids)}
-    vals = evaluate(entry_ast, env)
+    points = np.stack([g.ravel() for g in np.meshgrid(*axes)], axis=-1)
+    vals = guarded(compile_field([entry_ast], vars_used))(points)
     return float(np.min(vals)), float(np.max(vals))
 
 
@@ -257,6 +267,8 @@ SPRING_G = ("x2 - z1",)
 SPRING_BOX = 3.0  # omega is [-SPRING_BOX, SPRING_BOX] in every state
 SPRING_T_FINAL = 9.0  # the paper's horizon
 SPRING_SLOPE_BOUNDS = (-5.0, 2.0)  # range of d/dx1 [7 tanh(x1) - 5 x1]
+SPRING_EPS = 0.01  # the worked example's perturbation parameter
+SPRING_SIGMA_R = 0.01  # the slow certificate's margin sigma_r
 
 SPRING_INITIAL_CONDITIONS = (
     (1.0, 1.0, 1.0),
@@ -267,7 +279,7 @@ SPRING_INITIAL_CONDITIONS = (
 )
 
 
-def nonlinear_spring_system(eps=0.01):
+def nonlinear_spring_system(eps=SPRING_EPS):
     """Mass with a saturating spring force and a fast first-order filter on
     the velocity feedback: x1' = x2, x2' = 7 tanh(x1) - 5 x1 - 5 z,
     eps z' = x2 - z."""
@@ -287,6 +299,6 @@ def nonlinear_spring_certificate():
         P_r=[[-5.1987, 3.6260], [3.6260, 6.1987]],
         P_f=[[1.0]],
         lambda_r=2.0, lambda_f=0.5,
-        sigma_r=0.01, sigma_f=1.0,
+        sigma_r=SPRING_SIGMA_R, sigma_f=1.0,
         p=1,
     )

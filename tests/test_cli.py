@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from spdominance import cli
-from spdominance.analyze import PROBE_SAMPLES
+from spdominance.analyze import PROBE_BOUNDARY_ALLOWANCE, PROBE_SAMPLES
 from spdominance.certify import FEASIBILITY_MARGIN
 from spdominance.cli import main, spring_config
 from spdominance.cone import CONE_BOUNDARY_BAND
@@ -360,11 +360,40 @@ def test_nonfinite_eps_exits_1(tmp_path, capsys, command, flag, value):
 
 @pytest.mark.parametrize("command", ["certify", "epsilon-star", "simulate"])
 def test_singular_expression_exits_1(tmp_path, capsys, command):
-    cfg = {"spec_version": 1, "kind": "nonlinear", "n_r": 1, "n_f": 1, "eps": 0.1,
-           "f": ["1/x1 - z1"], "g": ["x1 - z1"], "initial_conditions": [[1, 0]]}
     extra = ["--out", str(tmp_path / "out")] if command == "simulate" else []
-    assert main([command, write_cfg(tmp_path, cfg)] + extra) == 1
+    # numpy's x/0, 0/0 and 0^-1, and Python's 1.0/0.0
+    for f in ["1/x1 - z1", "x1/x1", "x1^-1", "1/0 + x1", "tanh(1/x1)"]:
+        cfg = {"spec_version": 1, "kind": "nonlinear", "n_r": 1, "n_f": 1, "eps": 0.1,
+               "f": [f], "g": ["x1 - z1"], "initial_conditions": [[1, 0]]}
+        assert main([command, write_cfg(tmp_path, cfg)] + extra) == 1, f
+        assert capsys.readouterr().err == "config error: division by zero\n", f
+
+
+def test_newton_meets_zero_divisor_exits_1(tmp_path, capsys):
+    # the equilibrium grid seeds x1 = 1, where the Jacobian divides by zero
+    cfg = {"spec_version": 1, "kind": "nonlinear", "n_r": 1, "n_f": 1, "eps": 0.1,
+           "f": ["x1/(x1 - 1) - z1"], "g": ["x1 - z1"],
+           "omega": {"x1": [-1, 1], "z1": [-1, 1]}, "initial_conditions": [[0.5, 0]]}
+    with pytest.warns(RuntimeWarning, match="divide by zero"):
+        code = main(["simulate", write_cfg(tmp_path, cfg), "--out", str(tmp_path / "out")])
+    assert code == 1
     assert capsys.readouterr().err == "config error: division by zero\n"
+
+
+SPRING_OMEGA = {"x1": [-3, 3], "x2": [-3, 3], "z1": [-3, 3]}
+
+
+@pytest.mark.parametrize("kind, command, omega", [
+    ("nonlinear", "certify", {"x1": [-3, 3], "x2": [-3, 3]}),
+    ("linear", "monotone-probe", {"x1": [-1, 1]}),
+    ("nonlinear", "certify", {**SPRING_OMEGA, "z1": [-1]}),
+    ("nonlinear", "certify", {**SPRING_OMEGA, "q9": [-1, 1]}),
+], ids=["nonlinear-missing", "linear-missing", "one-bound", "unknown-name"])
+def test_bad_omega_exits_1(tmp_path, capsys, kind, command, omega):
+    path = (linear_cfg(tmp_path, omega=omega) if kind == "linear"
+            else write_cfg(tmp_path, {**spring_config(), "omega": omega}))
+    assert main([command, path]) == 1
+    assert capsys.readouterr().err.startswith("config error: omega ")
 
 
 @pytest.mark.parametrize("command, flag, value", [("simulate", "--t-final", "0"),
@@ -411,5 +440,6 @@ def test_probe_report_names_its_tolerances(tmp_path):
           "--t-final", "0.1", "--report", str(rep)])
     probe = json.loads(rep.read_text())["monotone_probe"]
     assert probe["classification_tol"] == CONE_BOUNDARY_BAND
+    assert probe["boundary_allowance"] == PROBE_BOUNDARY_ALLOWANCE
     assert probe["samples_per_pair"] == PROBE_SAMPLES
     assert probe["integrator"]["tol"] == DP_TOL

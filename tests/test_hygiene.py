@@ -1,0 +1,40 @@
+"""Source hygiene, checked with the standard library's ast module: every
+public name resolves, and no module imports a name it never uses."""
+
+import ast
+import pathlib
+
+import spdominance
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+SOURCES = sorted(p for d in ("src", "tests", "demos") for p in (ROOT / d).rglob("*.py"))
+
+
+def unused_imports(path):
+    """'file:line: name' for each imported name the module never reads. A
+    name listed in the module's __all__ counts as read."""
+    tree = ast.parse(path.read_text())
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            used |= {c.value for c in ast.walk(node.value) if isinstance(c, ast.Constant)}
+    return [f"{path.relative_to(ROOT)}:{line}: {name}"
+            for name, line in imported.items() if name not in used]
+
+
+def test_public_names_resolve():
+    assert [name for name in spdominance.__all__ if not hasattr(spdominance, name)] == []
+
+
+def test_no_unused_imports():
+    assert SOURCES
+    assert [hit for path in SOURCES for hit in unused_imports(path)] == []

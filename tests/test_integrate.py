@@ -5,7 +5,7 @@ import pytest
 
 from spdominance.analyze import certificate_cone
 from spdominance.errors import ConfigError, DimensionMismatch, NonFinite
-from spdominance.expressions import compile_expr
+from spdominance.expressions import compile_field
 from spdominance.integrate import (Trajectory, default_step, detect_convergence,
                                    dopri_run, find_equilibria, integrate,
                                    integrate_variational, make_rhs,
@@ -360,18 +360,13 @@ def test_csv_matches_per_value_format(tmp_path):
 # -- the compiled kernels against the per-component closures they replaced ----
 
 def reference_rhs(sys):
-    f_fns = [compile_expr(e, sys.names) for e in sys.f]
-    g_fns = [compile_expr(e, sys.names) for e in sys.g]
+    f_fns = [compile_field([e], sys.names) for e in sys.f]
+    g_fns = [compile_field([e], sys.names) for e in sys.g]
     inv_eps = 1.0 / sys.eps
-    dim = sys.dim
 
     def rhs(s):
-        cols = [s[..., i] for i in range(dim)]
-        shape = s.shape[:-1]
-        parts = [np.broadcast_to(np.asarray(fn(*cols), dtype=float), shape)
-                 for fn in f_fns]
-        parts += [np.broadcast_to(np.asarray(fn(*cols), dtype=float), shape) * inv_eps
-                  for fn in g_fns]
+        parts = [fn(s)[..., 0] for fn in f_fns]
+        parts += [fn(s)[..., 0] * inv_eps for fn in g_fns]
         return np.stack(parts, axis=-1)
 
     return rhs
@@ -381,7 +376,7 @@ def reference_variational_rhs(sys):
     base_rhs = reference_rhs(sys)
     dim = sys.dim
     jac = sys.jacobian_asts()
-    entry_fns = {key: [compile_expr(e, sys.names) for row in jac[key] for e in row]
+    entry_fns = {key: [compile_field([e], sys.names) for row in jac[key] for e in row]
                  for key in "ABCD"}
     n_r, n_f = sys.n_r, sys.n_f
     inv_eps = 1.0 / sys.eps
@@ -389,10 +384,7 @@ def reference_variational_rhs(sys):
     def rhs(s):
         base = s[..., :dim]
         delta = s[..., dim:]
-        cols = [base[..., i] for i in range(dim)]
-        shape = base.shape[:-1]
-        A, B, C, D = ([np.broadcast_to(np.asarray(fn(*cols), dtype=float), shape)
-                       for fn in entry_fns[key]] for key in "ABCD")
+        A, B, C, D = ([fn(base)[..., 0] for fn in entry_fns[key]] for key in "ABCD")
         dx = delta[..., :n_r]
         dz = delta[..., n_r:]
         out_x = [sum(A[i * n_r + j] * dx[..., j] for j in range(n_r))
