@@ -2,14 +2,31 @@ import numpy as np
 import pytest
 
 from spdominance.errors import EvalError, ParseError
-from spdominance.expressions import (BinOp, Call, Const, Var, compile_field,
-                                     diff_expr, free_vars, guarded, parse_expr,
-                                     simplify)
+from spdominance.expressions import (FUNCTIONS, BinOp, Call, Const, Neg, Pow, Var,
+                                     compile_field, diff_expr, free_vars, guarded,
+                                     parse_expr, simplify)
 
 
 def value(ast, point):
     """The AST at one point {name: value}, through the compiled kernel."""
     return compile_field([ast], list(point))(np.array(list(point.values())))[0]
+
+
+def interpret(ast, env):
+    """Reference oracle for compile_field: walk the AST with bindings from
+    env (floats or numpy arrays), without generating any source."""
+    if isinstance(ast, Const):
+        return ast.value
+    if isinstance(ast, Var):
+        return env[ast.name]
+    if isinstance(ast, Neg):
+        return -interpret(ast.arg, env)
+    if isinstance(ast, Call):
+        return FUNCTIONS[ast.fn](interpret(ast.arg, env))
+    if isinstance(ast, Pow):
+        return interpret(ast.base, env) ** ast.exponent
+    ops = {"+": np.add, "-": np.subtract, "*": np.multiply, "/": np.divide}
+    return ops[ast.op](interpret(ast.left, env), interpret(ast.right, env))
 
 
 def fd_oracle(ast, var, point, step=1e-6):
@@ -126,3 +143,32 @@ def test_compiled_field_matches_numpy():
     assert np.array_equal(field(states[1, 2]), by_hand(states[1, 2]))
     fewer = compile_field(asts[1:3], ["x1", "x2", "z1"])  # 2 components
     assert np.array_equal(fewer(states), by_hand(states)[..., 1:3])
+
+
+def test_compiled_matches_interpreter():
+    names = ["x1", "x2", "z1"]
+    rng = np.random.default_rng(41)
+    for src in ["7*tanh(x1) - 5*x1 - 5*z1", "-(x1 - x2)^3 / (2 + sin(x2))",
+                "exp(-x1^2) * cos(z1) + x2^-2"]:
+        ast = parse_expr(src)
+        field = compile_field([ast], names)
+        for _ in range(20):
+            x1, x2, z1 = rng.uniform(-2, 2, 3)
+            assert field(np.array([x1, x2, z1]))[0] == pytest.approx(
+                interpret(ast, {"x1": x1, "x2": x2, "z1": z1}), rel=1e-14)
+        xs = rng.uniform(-2, 2, (5, 3))
+        assert field(xs).shape == (5, 1)
+
+
+def test_compiled_field_matches_interpreter():
+    asts = [parse_expr("x2"), parse_expr("7*tanh(x1) - 5*x1 - 5*z1"), Const(2.5)]
+    field = compile_field(asts, ["x1", "x2", "z1"])
+    states = np.random.default_rng(43).uniform(-2, 2, (4, 5, 3))
+    out = field(states)
+    assert out.shape == states.shape
+    env = {"x1": states[..., 0], "x2": states[..., 1], "z1": states[..., 2]}
+    for i, ast in enumerate(asts):
+        assert np.array_equal(out[..., i], np.broadcast_to(interpret(ast, env), (4, 5)))
+    assert np.array_equal(field(states[1, 2]), out[1, 2])
+    # one component per AST, whatever the state dimension
+    assert compile_field(asts[:2], ["x1", "x2", "z1"])(states).shape == (4, 5, 2)
