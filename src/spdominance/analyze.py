@@ -5,12 +5,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from .cone import CONE_BOUNDARY_BAND, make_cone
+from .cone import CONE_BOUNDARY_BAND, cone_ratio, make_cone
 from .decouple import reduced_model
 from .errors import DimensionMismatch, NotScalarParameterized
 from .integrate import CONVERGENCE_TOL, DP_TOL, detect_convergence, integrate
 from .linalg import SymMatrix
-from .sampling import SplitMix64, sample_cone_pairs
+from .sampling import sample_cone_pairs
 from .systems import SPRING_T_FINAL, LinearSPSystem, _varying_entries, jacobians
 
 PROBE_PAIRS = 100
@@ -84,28 +84,19 @@ def monotone_probe(sys, cert, n_pairs=PROBE_PAIRS, t_final=SPRING_T_FINAL,
     L0 = fast_coupling_gain(sys)
     cone_spec = certificate_cone(sys, cert)
     box = [sys.omega[name] for name in sys.names]
-    rng = SplitMix64(seed)
-    pairs = sample_cone_pairs(rng, box, cone_spec, n_pairs)
+    pairs = sample_cone_pairs(np.random.default_rng(seed), box, cone_spec, n_pairs)
     sample_times = [k * t_final / PROBE_SAMPLES for k in range(1, PROBE_SAMPLES + 1)]
 
     x0s = np.array([p for pair in pairs for p in pair])
     # end at the last sample, which k * t_final / PROBE_SAMPLES may round off t_final
     _, states, stats = integrate(sys, x0s, (0.0, sample_times[-1]), sample_times)
 
-    P = cone_spec.P.a
-    interior = boundary = outside = 0
-    worst_margin = -np.inf
-    for k in range(len(pairs)):
-        d = states[1:, 2 * k, :] - states[1:, 2 * k + 1, :]  # t > 0 only
-        q = np.einsum("ij,jk,ik->i", d, P, d)
-        nrm2 = np.einsum("ij,ij->i", d, d)
-        ratio = np.where(nrm2 > 0, q / np.maximum(nrm2, 1e-300), 0.0)
-        interior += int(np.sum(ratio < -CONE_BOUNDARY_BAND))
-        boundary += int(np.sum(np.abs(ratio) <= CONE_BOUNDARY_BAND))
-        outside += int(np.sum(ratio > CONE_BOUNDARY_BAND))
-        worst_margin = max(worst_margin, float(ratio.max()))
-
-    total = interior + boundary + outside
+    # (sample, pair) ratios of each pair's difference at t > 0
+    ratio = cone_ratio(cone_spec, states[1:, 0::2] - states[1:, 1::2])
+    interior = int(np.sum(ratio < -CONE_BOUNDARY_BAND))
+    outside = int(np.sum(ratio > CONE_BOUNDARY_BAND))
+    total = ratio.size
+    boundary = total - interior - outside
     return {
         "pairs": len(pairs),
         "samples_per_pair": PROBE_SAMPLES,
@@ -125,7 +116,7 @@ def monotone_probe(sys, cert, n_pairs=PROBE_PAIRS, t_final=SPRING_T_FINAL,
         "boundary_warnings": boundary,
         "outside": outside,
         "total_classifications": total,
-        "worst_quadform_margin": worst_margin,
+        "worst_quadform_margin": float(ratio.max()),
         "all_interior": outside == 0 and boundary == 0,
         "passed": outside == 0 and boundary <= PROBE_BOUNDARY_ALLOWANCE * total,
     }

@@ -65,6 +65,19 @@ def _matrix_or_polytope(value, what):
     return MatrixPolytope([value])
 
 
+def numeric_field(value, field, shape=None):
+    """A config value as a float array, of the given shape when one is given;
+    ConfigError naming the field otherwise."""
+    try:
+        arr = np.asarray(value, dtype=float)
+        if shape in (None, arr.shape):
+            return arr
+    except (TypeError, ValueError):
+        pass
+    shape_text = "" if shape is None else f" of shape {shape}"
+    raise ConfigError(f"{field} must be numbers{shape_text}, got {value!r}")
+
+
 def build_system(cfg):
     try:
         if cfg["kind"] == "nonlinear":
@@ -101,7 +114,10 @@ def coupling_inputs(cfg, system):
     """(A polytope, B, C, D polytope) for the eps-threshold search."""
     if isinstance(system, NonlinearSPSystem):
         hull = cfg.get("hull", {})
-        A_poly, B, C, D = a_block_hull(system, bounds=hull.get("bounds"),
+        bounds = hull.get("bounds")
+        if bounds is not None:
+            bounds = numeric_field(bounds, "hull.bounds", (2,))
+        A_poly, B, C, D = a_block_hull(system, bounds=bounds,
                                        nonlinearity_entry=hull.get("entry"))
         return A_poly, B, C, MatrixPolytope([D])
     return system.A, system.B, system.C, system.D
@@ -227,7 +243,7 @@ def cmd_certify(args):
 def _fixed_blocks(cfg, system):
     if isinstance(system, NonlinearSPSystem):
         point = cfg.get("linearization_point") or [0.0] * system.dim
-        return jacobians(system, point)
+        return jacobians(system, numeric_field(point, "linearization_point"))
     return system.fixed_blocks()
 
 
@@ -290,6 +306,7 @@ def cmd_simulate(args):
     ics = cfg.get("initial_conditions")
     if not ics:
         raise ConfigError("config has no \"initial_conditions\" list")
+    ics = numeric_field(ics, "initial_conditions")
     report = new_report("simulate", args)
     report["t_final"] = args.t_final
     report["tolerances"] = {"convergence": args.tol}
@@ -453,6 +470,8 @@ def main(argv=None):
             if not 0 < vars(args).get(name, 1) < float("inf"):
                 raise ConfigError(f"--{name.replace('_', '-')} must be positive and "
                                   f"finite, got {vars(args)[name]}")
+        if vars(args).get("seed", 0) < 0:
+            raise ConfigError(f"--seed must be a non-negative integer, got {args.seed}")
         return args.func(args)
     except (ConfigError, DimensionMismatch, EvalError, NonpositiveEps,
             NotScalarParameterized, SingularD) as e:

@@ -1,8 +1,8 @@
 """Quadratic matrix cones of rank k and membership classification.
 
 The cone of a symmetric matrix P with k negative and n-k positive
-eigenvalues is {v : v^T P v <= 0}. Classification uses a boundary band
-relative to ||v||^2 so it is invariant under scaling of v.
+eigenvalues is {v : v^T P v <= 0}. Classification compares the ratio
+v^T P v / ||v||^2 with a boundary band, so it is invariant under scaling of v.
 """
 
 from __future__ import annotations
@@ -49,28 +49,27 @@ def make_cone(P):
     return MatrixConeSpec(P=P, rank_k=ine.neg)
 
 
-def quad_form(P, v):
-    """v^T P v as a plain bilinear sum."""
-    P = _as_sym(P)
+def cone_ratio(cone, v):
+    """v^T P v / ||v||^2 over the last axis of v, 0 for a zero vector."""
     v = np.asarray(v, dtype=float)
-    if v.shape != (P.n,):
-        raise DimensionMismatch(f"vector of length {v.shape} vs matrix of size {P.n}")
-    return float(v @ P.a @ v)
+    if v.shape[-1:] != (cone.n,):
+        raise DimensionMismatch(f"vectors of shape {v.shape} vs cone in dimension {cone.n}")
+    q = ((v @ cone.P.a) * v).sum(axis=-1)
+    nrm2 = (v * v).sum(axis=-1)
+    return q / np.where(nrm2 > 0, nrm2, 1.0)  # q is 0 for a zero v
 
 
 def cone_locate(cone, v):
-    """Classify v against the cone with boundary band CONE_BOUNDARY_BAND * ||v||^2.
+    """Classify v by its cone_ratio, with boundary band CONE_BOUNDARY_BAND.
 
     The zero vector is classified BOUNDARY: it belongs to the cone but the
     interior test is only meaningful on nonzero vectors.
     """
-    v = np.asarray(v, dtype=float)
-    if v.shape != (cone.n,):
-        raise DimensionMismatch(f"vector of length {v.shape} vs cone in dimension {cone.n}")
-    q = quad_form(cone.P, v)
-    band = CONE_BOUNDARY_BAND * float(v @ v)
-    if q < -band:
+    if np.shape(v) != (cone.n,):
+        raise DimensionMismatch(f"vector of shape {np.shape(v)} vs cone in dimension {cone.n}")
+    ratio = cone_ratio(cone, v)
+    if ratio < -CONE_BOUNDARY_BAND:
         return ConeLocation.INTERIOR
-    if q <= band:
+    if ratio <= CONE_BOUNDARY_BAND:
         return ConeLocation.BOUNDARY
     return ConeLocation.OUTSIDE

@@ -21,8 +21,9 @@ import numpy as np
 
 from .decouple import full_system_matrix
 from .errors import ConfigError, DimensionMismatch, NewtonFailure, NonFinite
-from .expressions import BinOp, Const, Var, compile_field
-from .systems import LinearSPSystem, NonlinearSPSystem, damped_newton, jacobian_kernel
+from .expressions import BinOp, Const, Var, compile_field, guarded
+from .systems import (LinearSPSystem, NonlinearSPSystem, damped_newton, jacobian_kernel,
+                      state_names)
 
 STATE_NORM_LIMIT = 1e12
 CSV_MAX_ROWS = 100_000
@@ -276,9 +277,10 @@ def integrate_variational(sys, x0, delta0, t_span):
 
 def find_equilibria(sys):
     """Damped Newton on (f, g) = 0 from a grid of seeds on omega; the eps
-    scaling does not move zeros. Returns the distinct equilibria."""
+    scaling does not move zeros. Returns the distinct equilibria. A zero
+    divisor in the residual or the Jacobian raises EvalError."""
     axes = [np.linspace(*sys.omega[name], EQUILIBRIUM_GRID) for name in sys.names]
-    field = compile_field(sys.f + sys.g, sys.names)
+    field = guarded(compile_field(sys.f + sys.g, sys.names))
     jac = jacobian_kernel(sys)
     found = []
     for seed in itertools.product(*axes):
@@ -316,15 +318,9 @@ def write_trajectory_csv(traj, path, n_r=None):
     """CSV with header t,x1,...,z...; decimated to at most 100k rows; values
     at full double precision."""
     m, dim = traj.states.shape
-    if n_r is None:
-        n_r = dim
-    names = [f"x{i + 1}" for i in range(n_r)] + [f"z{j + 1}" for j in range(dim - n_r)]
+    n_r = dim if n_r is None else n_r
     stride = max(1, int(np.ceil(m / CSV_MAX_ROWS)))
-    idx = list(range(0, m, stride))
-    if idx[-1] != m - 1:
-        idx.append(m - 1)
-    row_format = ",".join(["%.17g"] * (dim + 1)) + "\n"
-    rows = np.column_stack([traj.times, traj.states])[idx].tolist()
-    with open(path, "w") as fh:
-        fh.write("t," + ",".join(names) + "\n")
-        fh.writelines(row_format % tuple(row) for row in rows)
+    idx = np.unique(np.r_[0:m:stride, m - 1])  # every stride-th row and the last
+    np.savetxt(path, np.column_stack([traj.times, traj.states])[idx], fmt="%.17g",
+               delimiter=",", header=",".join(["t"] + state_names(n_r, dim - n_r)),
+               comments="")

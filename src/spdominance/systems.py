@@ -92,7 +92,7 @@ class NonlinearSPSystem(_StateSpace):
         if np.abs(rhs0).max() > 1e-12:
             warnings.warn("system does not vanish at the origin; "
                           "dominance theory assumes a shifted equilibrium there")
-        self._jac_asts = None
+        self._jac_asts = self._jac_kernel = None
 
     # -- symbolic machinery -------------------------------------------------
 
@@ -151,13 +151,15 @@ class LinearSPSystem(_StateSpace):
 
 
 def jacobian_kernel(sys):
-    """The full Jacobian [[A, B], [C, D]] of (f, g), compiled once:
+    """The full Jacobian [[A, B], [C, D]] of (f, g), compiled once per system:
     point -> (dim, dim). A zero divisor raises EvalError."""
-    jac = sys.jacobian_asts()
-    rows = ([a + b for a, b in zip(jac["A"], jac["B"])]
-            + [c + d for c, d in zip(jac["C"], jac["D"])])
-    field = guarded(compile_field([e for row in rows for e in row], sys.names))
-    return lambda point: field(point).reshape(sys.dim, sys.dim)
+    if sys._jac_kernel is None:
+        jac = sys.jacobian_asts()
+        rows = ([a + b for a, b in zip(jac["A"], jac["B"])]
+                + [c + d for c, d in zip(jac["C"], jac["D"])])
+        field = guarded(compile_field([e for row in rows for e in row], sys.names))
+        sys._jac_kernel = lambda point: field(point).reshape(sys.dim, sys.dim)
+    return sys._jac_kernel
 
 
 def jacobians(sys, point):

@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -374,10 +375,28 @@ def test_newton_meets_zero_divisor_exits_1(tmp_path, capsys):
     cfg = {"spec_version": 1, "kind": "nonlinear", "n_r": 1, "n_f": 1, "eps": 0.1,
            "f": ["x1/(x1 - 1) - z1"], "g": ["x1 - z1"],
            "omega": {"x1": [-1, 1], "z1": [-1, 1]}, "initial_conditions": [[0.5, 0]]}
-    with pytest.warns(RuntimeWarning, match="divide by zero"):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         code = main(["simulate", write_cfg(tmp_path, cfg), "--out", str(tmp_path / "out")])
     assert code == 1
     assert capsys.readouterr().err == "config error: division by zero\n"
+
+
+@pytest.mark.parametrize("command, field, value", [
+    ("decouple", "linearization_point", ["a", 0, 0]),
+    ("simulate", "initial_conditions", [["a", 0, 0]]),
+    ("certify", "hull.bounds", ["a", 2]),
+    ("certify", "hull.bounds", [2]),
+], ids=["linearization-point", "initial-conditions", "bounds-text", "bounds-one"])
+def test_malformed_numeric_field_exits_1(tmp_path, capsys, command, field, value):
+    cfg = spring_config()
+    if field == "hull.bounds":
+        cfg["hull"]["bounds"] = value
+    else:
+        cfg[field] = value
+    extra = ["--out", str(tmp_path / "out")] if command == "simulate" else []
+    assert main([command, write_cfg(tmp_path, cfg)] + extra) == 1
+    assert capsys.readouterr().err.startswith(f"config error: {field} must be numbers")
 
 
 SPRING_OMEGA = {"x1": [-3, 3], "x2": [-3, 3], "z1": [-3, 3]}
@@ -406,6 +425,12 @@ def test_nonpositive_flag_exits_1(tmp_path, capsys, command, flag, value):
     extra = ["--out", str(tmp_path / "out")] if command == "simulate" else []
     assert main([command, spring_cfg_path(tmp_path), flag, value] + extra) == 1
     assert capsys.readouterr().err.startswith(f"config error: {flag} must be positive and finite")
+
+
+def test_negative_seed_exits_1(tmp_path, capsys):
+    assert main(["monotone-probe", spring_cfg_path(tmp_path), "--seed", "-1"]) == 1
+    assert capsys.readouterr().err == \
+        "config error: --seed must be a non-negative integer, got -1\n"
 
 
 SPRING_B, SPRING_C = jacobians(nonlinear_spring_system(), np.zeros(3))[1:3]

@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
+from spdominance import analyze
 from spdominance.analyze import certificate_cone, monotone_probe
 from spdominance.certify import SPDominanceCertificate
-from spdominance.cone import (CONE_BOUNDARY_BAND, ConeLocation, cone_locate, make_cone,
-                             quad_form)
+from spdominance.cone import (CONE_BOUNDARY_BAND, ConeLocation, cone_locate, cone_ratio,
+                             make_cone)
 from spdominance.errors import (DegenerateCone, DimensionMismatch,
                                 NotScalarParameterized, SingularP)
 from spdominance.linalg import SymMatrix, inertia
@@ -41,14 +42,19 @@ def test_make_cone_negative_definite_rejected():
 
 
 def test_quad_form_examples():
-    assert quad_form(SymMatrix(np.eye(2)), [3.0, 4.0]) == pytest.approx(25.0)
-    assert quad_form(SymMatrix(np.diag([-1.0, 1.0])), [1.0, 1.0]) == pytest.approx(0.0)
-    assert quad_form(SymMatrix(P_R), [1.0, 0.0]) == pytest.approx(-5.1987)
+    # cone_ratio(v) * ||v||^2 is the quadratic form v^T P v
+    assert cone_ratio(make_cone(np.eye(2)), [3.0, 4.0]) * 25.0 == pytest.approx(25.0)
+    assert cone_ratio(make_cone(np.diag([-1.0, 1.0])), [1.0, 1.0]) * 2.0 == \
+        pytest.approx(0.0)
+    assert cone_ratio(make_cone(P_R), [1.0, 0.0]) == pytest.approx(-5.1987)
+    assert cone_ratio(make_cone(P_R), [0.0, 0.0]) == 0.0
 
 
 def test_quad_form_dimension_mismatch():
     with pytest.raises(DimensionMismatch):
-        quad_form(SymMatrix(np.eye(2)), [1.0, 2.0, 3.0])
+        cone_ratio(make_cone(np.eye(2)), [1.0, 2.0, 3.0])
+    with pytest.raises(DimensionMismatch):
+        cone_ratio(make_cone(np.eye(2)), np.zeros((4, 3)))
 
 
 def test_cone_locate_examples():
@@ -88,14 +94,14 @@ def test_negative_eigenspace_inside_cone():
 
 
 def test_quad_form_matches_eigenbasis_sum():
-    S = SymMatrix(P_R)
-    vals, vecs = np.linalg.eigh(S.a)
+    cone = make_cone(P_R)
+    vals, vecs = np.linalg.eigh(cone.P.a)
     rng = np.random.default_rng(13)
     for _ in range(20):
         v = rng.standard_normal(2)
         coeffs = vecs.T @ v
         expect = float(np.sum(vals * coeffs**2))
-        assert quad_form(S, v) == pytest.approx(expect, rel=1e-12, abs=1e-12)
+        assert cone_ratio(cone, v) * (v @ v) == pytest.approx(expect, rel=1e-12, abs=1e-12)
 
 
 def test_cone_locate_uses_relative_band():
@@ -127,8 +133,8 @@ def test_certificate_cone_spring_is_decoupled():
     for _ in range(20):
         dx = rng.standard_normal(2)
         on_manifold = np.array([dx[0], dx[1], dx[1]])  # no fast deviation
-        assert quad_form(cone.P, on_manifold) == pytest.approx(
-            quad_form(SymMatrix(P_R), dx), rel=1e-12, abs=1e-12)
+        assert on_manifold @ cone.P.a @ on_manifold == pytest.approx(
+            dx @ np.array(P_R) @ dx, rel=1e-12, abs=1e-12)
 
 
 def test_certificate_cone_linear_uses_fixed_blocks():
@@ -160,3 +166,44 @@ def test_probe_stays_in_decoupled_cone(seed):
     run = probe["integrator"]
     assert (run["method"], run["tol"]) == ("dopri5", 1e-10)
     assert run["rhs_evals"] == 1 + 6 * (run["steps"] + run["rejected"])
+
+
+def test_probe_counts_match_cone_locate(monkeypatch):
+    # the probe's one cone_ratio call over every stored difference counts as
+    # cone_locate does vector by vector; one zero, one nonzero boundary and
+    # one outside difference are planted in the integrated states
+    sys_, cert = nonlinear_spring_system(), nonlinear_spring_certificate()
+    cone = certificate_cone(sys_, cert)
+    vals, vecs = np.linalg.eigh(cone.P.a)
+    on_boundary = vecs[:, 0] / np.sqrt(-vals[0]) + vecs[:, 2] / np.sqrt(vals[2])
+    integrate = analyze.integrate
+    stored = {}
+
+    def integrate_and_plant(*args):
+        times, states, stats = integrate(*args)
+        states[3, 0] = states[3, 1]
+        states[4, 2] = states[4, 3] + 0.1 * on_boundary
+        states[5, 4] = states[5, 5] + 0.1 * vecs[:, 2]
+        stored["states"] = states
+        return times, states, stats
+
+    monkeypatch.setattr(analyze, "integrate", integrate_and_plant)
+    probe = monotone_probe(sys_, cert, n_pairs=5, t_final=1.0, seed=42)
+    diffs = stored["states"][1:, 0::2] - stored["states"][1:, 1::2]
+    locs = [cone_locate(cone, d) for d in diffs.reshape(-1, 3)]
+    counts = {loc: locs.count(loc) for loc in ConeLocation}
+    assert counts[ConeLocation.BOUNDARY] == 2 and counts[ConeLocation.OUTSIDE] == 1
+    assert (probe["interior"], probe["boundary_warnings"], probe["outside"]) == (
+        counts[ConeLocation.INTERIOR], counts[ConeLocation.BOUNDARY],
+        counts[ConeLocation.OUTSIDE])
+    assert probe["total_classifications"] == len(locs) == 200 * 5
+    assert probe["worst_quadform_margin"] == pytest.approx(vals[2])
+
+    batch = np.random.default_rng(3).standard_normal((4, 5, 3))
+    batch[2, 1] = 0.0
+    ratios = cone_ratio(cone, batch)
+    assert ratios.shape == (4, 5) and ratios[2, 1] == 0.0
+    for idx in np.ndindex(4, 5):
+        v = batch[idx]
+        expect = v @ cone.P.a @ v / (v @ v) if v.any() else 0.0
+        assert ratios[idx] == pytest.approx(expect, rel=1e-12, abs=1e-15)

@@ -11,7 +11,7 @@ from spdominance.integrate import (Trajectory, default_step, detect_convergence,
                                    integrate_variational, make_rhs,
                                    make_variational_rhs, rk4_run,
                                    write_trajectory_csv)
-from spdominance.sampling import SplitMix64, sample_cone_pairs
+from spdominance.sampling import sample_cone_pairs
 from spdominance.systems import (LinearSPSystem, NonlinearSPSystem,
                                  SPRING_INITIAL_CONDITIONS,
                                  nonlinear_spring_certificate,
@@ -191,7 +191,7 @@ def test_dopri_run_probe_pairs_match_radau():
     sys_ = nonlinear_spring_system(eps=0.01)
     cone = certificate_cone(sys_, nonlinear_spring_certificate())
     box = [sys_.omega[name] for name in sys_.names]
-    pairs = sample_cone_pairs(SplitMix64(42), box, cone, 10)
+    pairs = sample_cone_pairs(np.random.default_rng(42), box, cone, 10)
     x0s = np.array([p for pair in pairs for p in pair])
     sample_times = [k * 9.0 / 200 for k in range(1, 201)]
     _, states, _ = dopri_run(make_rhs(sys_), x0s, (0.0, 9.0), default_step(sys_),

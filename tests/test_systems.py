@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from spdominance import systems
 from spdominance.cli import slow_fast_polytopes
 from spdominance.decouple import reduced_model
 from spdominance.errors import NewtonFailure, NonpositiveEps, NotScalarParameterized
@@ -21,6 +22,25 @@ def test_spring_jacobians():
     assert np.allclose(B, [[0], [-5]])
     assert np.allclose(C, [[0, 1]])
     assert np.allclose(D, [[-1]])
+
+
+def test_jacobian_kernel_compiled_once_per_system(monkeypatch):
+    sys_, other = nonlinear_spring_system(), nonlinear_spring_system()
+    compiled = []
+
+    def counting_compile_field(*args):
+        compiled.append(args)
+        return compile_field(*args)
+
+    monkeypatch.setattr(systems, "compile_field", counting_compile_field)
+    first = jacobians(sys_, [0.7, -0.4, 0.2])
+    for _ in range(3):
+        again = jacobians(sys_, [0.7, -0.4, 0.2])
+    jacobians(sys_, np.zeros(3))
+    assert len(compiled) == 1
+    assert all(np.array_equal(a, b) for a, b in zip(first, again))
+    jacobians(other, np.zeros(3))  # another system compiles its own
+    assert len(compiled) == 2
 
 
 def test_linear_system_encoded_as_dsl_has_constant_jacobians():
