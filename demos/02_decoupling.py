@@ -2,8 +2,9 @@
 
 A two-time-scale linear system [x' = A x + B z, eps z' = C x + D z] can be
 block-diagonalized exactly by a transformation built from the solution L of
-a small fixed-point equation. As eps -> 0, L approaches the reduced-model
-gain D^{-1} C and the slow block approaches A - B D^{-1} C.
+a quadratic matrix equation; L comes from the slow eigenvectors of
+[[eps A, eps B], [C, D]]. As eps -> 0, L approaches the reduced-model gain
+D^{-1} C and the slow block approaches A - B D^{-1} C.
 
 The threshold search then bisects for the largest eps at which the
 dominance certificate still holds for both decoupled blocks.

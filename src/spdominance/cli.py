@@ -114,6 +114,8 @@ def coupling_inputs(cfg, system):
     """(A polytope, B, C, D polytope) for the eps-threshold search."""
     if isinstance(system, NonlinearSPSystem):
         hull = cfg.get("hull", {})
+        if not isinstance(hull, dict):
+            raise ConfigError(f"hull must be an object, got {hull!r}")
         bounds = hull.get("bounds")
         if bounds is not None:
             bounds = numeric_field(bounds, "hull.bounds", (2,))

@@ -1,9 +1,8 @@
 """Two-time-scale decoupling for linear singularly perturbed systems.
 
-Solves the coupling equation for L by fixed-point iteration (the
-time-invariant case), which is all the block conditions need; gets H from one
-linear solve; assembles the exact block-diagonalizing transformation T; and
-bisects for a certified upper bound on the perturbation parameter.
+Solves the time-invariant coupling equation for L from the slow eigenvectors
+(all the block conditions need), gets H from one linear solve, assembles the
+exact block-diagonalizing transformation T and bisects for a certified eps bound.
 """
 
 from __future__ import annotations
@@ -19,9 +18,6 @@ from .errors import (DimensionMismatch, InfeasibleAtFloor, NoConvergence,
 
 CHANG_RESIDUAL_TOL = 1e-10
 RCOND_MIN = 1e-12
-CHANG_STEP_TOL = 1e-12
-CHANG_MAX_ITER = 200
-CHANG_GROWTH_LIMIT = 5  # consecutive growing updates that signal divergence
 BISECT_STEPS = 60
 EPS_FLOOR = 1e-12
 EPS_MAX = 1.0  # the default top of epsilon_star's search
@@ -54,28 +50,28 @@ def _inv_checked(D):
     rcond = 1.0 / np.linalg.cond(D)
     if not np.isfinite(rcond) or rcond < RCOND_MIN:
         raise SingularD(f"fast block numerically singular (rcond={rcond:.2e})")
-    return np.linalg.inv(D), rcond
+    return np.linalg.inv(D)
 
 
 def reduced_model(A, B, C, D):
     """Zero-perturbation quantities: L0 = D^{-1} C, H0 = B D^{-1},
     A0 = A - B L0 (the slow/reduced system matrix)."""
     A, B, C, D = _blocks(A, B, C, D)
-    D_inv, _ = _inv_checked(D)
+    D_inv = _inv_checked(D)
     L0 = D_inv @ C
     H0 = B @ D_inv
     A0 = A - B @ L0
     return L0, H0, A0
 
 
-def _l_residual(A, B, C, D, L, eps):
-    return np.linalg.norm(D @ L - C - eps * L @ (A - B @ L))
+def _l_equation(A, B, C, D, L, eps):
+    return D @ L - C - eps * L @ (A - B @ L)
 
 
 def chang_residuals(A, B, C, D, L, H, eps):
     """Frobenius norms of the two algebraic coupling equations."""
     r_h = np.linalg.norm(H @ D - B + eps * H @ L @ B - eps * (A - B @ L) @ H)
-    return _l_residual(A, B, C, D, L, eps), r_h
+    return np.linalg.norm(_l_equation(A, B, C, D, L, eps)), r_h
 
 
 def coupling_residual_limit(B, C):
@@ -89,34 +85,39 @@ def _check_residuals(B, C, *residuals):
         raise NoConvergence(f"coupling residual {np.max(residuals):.2e} > {limit:.2e}")
 
 
+def _coupling_kron(A, B, D, L, eps):
+    """H equation's K on column-major vec(H); K.T is the L Jacobian on row-major vec(L)."""
+    return (np.kron((D + eps * L @ B).T, np.eye(len(A)))
+            - eps * np.kron(np.eye(len(D)), A - B @ L))
+
+
 def solve_chang_lti(A, B, C, D, eps):
     """Solve the time-invariant coupling equation D L - C = eps L(A - B L) for L.
 
-    Fixed-point iteration L <- D^{-1}(C + eps*L(A - B L)) from L = D^{-1}C.
-    Divergence (update norm growing for CHANG_GROWTH_LIMIT consecutive
-    iterations) signals that eps is too large for the contraction. The block
-    conditions need L alone; build_decoupling gets H from one linear solve.
+    L = -V2 V1^{-1} from the eigenvectors [V1; V2] of [[eps A, eps B], [C, D]]
+    for its n_r eigenvalues of smallest modulus (the slow manifold z = -L x),
+    real as a strict modulus gap keeps conjugate pairs together. NoConvergence
+    without that gap or with V1 singular; one Newton step polishes a loose L.
     """
     check_eps(eps)
     A, B, C, D = _blocks(A, B, C, D)
-    D_inv, _ = _inv_checked(D)
-    L = D_inv @ C
-    prev_update, growth = np.inf, 0
-    for _ in range(CHANG_MAX_ITER):
-        L, L_prev = D_inv @ (C + eps * L @ (A - B @ L)), L
-        update = np.linalg.norm(L - L_prev)
-        if not np.isfinite(update):
-            raise NoConvergence(f"L iteration diverged (eps={eps})")
-        if update <= CHANG_STEP_TOL:
-            break
-        growth = growth + 1 if update > prev_update else 0
-        if growth >= CHANG_GROWTH_LIMIT:
-            raise NoConvergence(f"L iteration diverging for {CHANG_GROWTH_LIMIT} steps "
-                                f"(eps={eps} too large)")
-        prev_update = update
-    else:
-        raise NoConvergence(f"L iteration did not converge in {CHANG_MAX_ITER} steps")
-    _check_residuals(B, C, _l_residual(A, B, C, D, L, eps))
+    _inv_checked(D)
+    n_r = A.shape[0]
+    try:
+        lam, V = np.linalg.eig(np.block([[eps * A, eps * B], [C, D]]))
+    except np.linalg.LinAlgError as e:  # a non-finite entry
+        raise NoConvergence(f"no slow/fast splitting at eps={eps}: {e}") from None
+    order = np.argsort(np.abs(lam))
+    V1, V2 = V[:n_r, order[:n_r]], V[n_r:, order[:n_r]]
+    gap = abs(lam[order[n_r - 1]]) < abs(lam[order[n_r]])
+    if not (gap and 1.0 / np.linalg.cond(V1) >= RCOND_MIN):
+        raise NoConvergence(f"no slow/fast splitting at eps={eps}: "
+                            + ("singular slow eigenvectors" if gap else "no strict modulus gap"))
+    L = -np.linalg.solve(V1.T, V2.T).T.real
+    F = _l_equation(A, B, C, D, L, eps)
+    if np.linalg.norm(F) > coupling_residual_limit(B, C):
+        L = L - np.linalg.solve(_coupling_kron(A, B, D, L, eps).T, F.ravel()).reshape(L.shape)
+    _check_residuals(B, C, np.linalg.norm(_l_equation(A, B, C, D, L, eps)))
     return L
 
 
@@ -125,11 +126,10 @@ def build_decoupling(A, B, C, D, eps):
     H(D + eps L B) - eps(A - B L)H = B as one linear system in column-major vec(H)."""
     A, B, C, D = _blocks(A, B, C, D)
     L = solve_chang_lti(A, B, C, D, eps)
-    n_r, n_f = A.shape[0], D.shape[0]
-    I_r, I_f = np.eye(n_r), np.eye(n_f)
-    K = np.kron((D + eps * L @ B).T, I_r) - eps * np.kron(I_f, A - B @ L)
+    I_r, I_f = np.eye(len(A)), np.eye(len(D))
     try:
-        H = np.linalg.solve(K, B.ravel(order="F")).reshape((n_r, n_f), order="F")
+        H = np.linalg.solve(_coupling_kron(A, B, D, L, eps),
+                            B.ravel(order="F")).reshape(B.shape, order="F")
     except np.linalg.LinAlgError as e:
         raise NoConvergence(f"H equation singular at eps={eps}: {e}") from None
     _check_residuals(B, C, *chang_residuals(A, B, C, D, L, H, eps))

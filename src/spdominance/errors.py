@@ -27,7 +27,8 @@ def check_eps(eps):
 
 
 class NoConvergence(RuntimeError):
-    """Fixed-point iteration diverged; the perturbation parameter is too large."""
+    """No slow/fast splitting at this perturbation parameter, or a coupling
+    equation missed its residual limit."""
 
 
 class InfeasibleAtFloor(RuntimeError):

@@ -144,6 +144,8 @@ _DP_E = np.array((71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200,
                   22 / 525, -1 / 40))
 
 
+# a state or error estimate that overflows is reported as NonFinite, not as a warning
+@np.errstate(invalid="ignore", over="ignore")
 def dopri_run(rhs, y0, t_span, h0, sample_times=None):
     """Dormand-Prince 5(4) stepping with error control; a batch of states
     (..., dim) steps in lockstep under one shared step size.

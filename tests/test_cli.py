@@ -97,15 +97,16 @@ def test_decouple_scalar(tmp_path):
 
 
 def test_decouple_no_convergence_exits_2(tmp_path, capsys):
-    # the linearized spring's Chang iteration diverges at eps = 50
+    # at eps = 50, 50 L^2 - L + 1 = 0 has no real root: the slow and fast
+    # eigenvalues form one complex pair, so there is no slow/fast splitting
     report = tmp_path / "rep.json"
-    code = main(["--no-timestamp", "decouple", spring_cfg_path(tmp_path),
+    code = main(["--no-timestamp", "decouple", linear_cfg(tmp_path, C=[[-1.0]]),
                  "--eps", "50", "--report", str(report)])
     assert code == 2
     assert capsys.readouterr().out.startswith("no convergence: ")
     rep = json.loads(report.read_text())
     assert rep["decoupling"] is None
-    assert "diverging" in rep["error"]
+    assert "no slow/fast splitting" in rep["error"]
 
 
 @pytest.mark.parametrize("command", ["simulate", "decouple", "monotone-probe"])
@@ -387,7 +388,8 @@ def test_newton_meets_zero_divisor_exits_1(tmp_path, capsys):
     ("simulate", "initial_conditions", [["a", 0, 0]]),
     ("certify", "hull.bounds", ["a", 2]),
     ("certify", "hull.bounds", [2]),
-], ids=["linearization-point", "initial-conditions", "bounds-text", "bounds-one"])
+    ("certify", "hull", [1, 2]),
+], ids=["linearization-point", "initial-conditions", "bounds-text", "bounds-one", "hull-list"])
 def test_malformed_numeric_field_exits_1(tmp_path, capsys, command, field, value):
     cfg = spring_config()
     if field == "hull.bounds":
@@ -396,7 +398,8 @@ def test_malformed_numeric_field_exits_1(tmp_path, capsys, command, field, value
         cfg[field] = value
     extra = ["--out", str(tmp_path / "out")] if command == "simulate" else []
     assert main([command, write_cfg(tmp_path, cfg)] + extra) == 1
-    assert capsys.readouterr().err.startswith(f"config error: {field} must be numbers")
+    what = "an object" if field == "hull" else "numbers"
+    assert capsys.readouterr().err.startswith(f"config error: {field} must be {what}")
 
 
 SPRING_OMEGA = {"x1": [-3, 3], "x2": [-3, 3], "z1": [-3, 3]}

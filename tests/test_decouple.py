@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from spdominance.certify import MatrixPolytope, SPDominanceCertificate
-from spdominance.decouple import (CHANG_RESIDUAL_TOL, build_decoupling,
-                                  chang_residuals, epsilon_star,
+from spdominance.decouple import (CHANG_RESIDUAL_TOL, EPS_FLOOR,
+                                  build_decoupling, chang_residuals,
+                                  coupling_residual_limit, epsilon_star,
                                   full_system_matrix, reduced_model,
                                   solve_chang_lti)
 from spdominance.errors import (InfeasibleAtFloor, NoConvergence,
@@ -54,7 +57,7 @@ def test_reduced_model_singular_d():
 
 
 def test_chang_scalar_quadratic_root():
-    # fixed point of 0.1 L^2 - L - 1 = 0 nearest L0 = -1
+    # the slow root of 0.1 L^2 - L - 1 = 0, the one nearest L0 = -1
     L = solve_chang_lti([[0.0]], [[1.0]], [[1.0]], [[-1.0]], 0.1)
     expect = (1.0 - np.sqrt(1.4)) / 0.2
     assert L[0, 0] == pytest.approx(expect, abs=1e-10)
@@ -82,8 +85,18 @@ def test_chang_no_slow_feedback_matches_linear_solve():
 
 
 def test_chang_diverges_for_large_eps():
-    with pytest.raises(NoConvergence):
-        solve_chang_lti([[0.0]], [[1.0]], [[1.0]], [[-1.0]], 50.0)
+    # 50 L^2 - L + 1 = 0 has no real root: [[0, 50], [-1, -1]] has a complex
+    # eigenvalue pair of equal modulus, so there is no slow/fast splitting
+    with pytest.raises(NoConvergence, match="no slow/fast splitting at eps=50.0: "
+                                            "no strict modulus gap"):
+        solve_chang_lti([[0.0]], [[1.0]], [[-1.0]], [[-1.0]], 50.0)
+
+
+def test_chang_slow_root_past_fixed_point_contraction():
+    # 0.74 L^2 - L - 1 = 0; a fixed-point iteration from L0 = -1 does not
+    # converge here, the slow invariant subspace gives the root directly
+    L = solve_chang_lti([[0.0]], [[1.0]], [[1.0]], [[-1.0]], 0.74)
+    assert L[0, 0] == pytest.approx((1.0 - np.sqrt(3.96)) / 1.48, abs=1e-12)
 
 
 def test_chang_rejects_nonpositive_eps():
@@ -125,6 +138,28 @@ def test_build_decoupling_random_systems():
         assert max(r_l, r_h) <= 1e-10 * max(1.0, np.linalg.norm(C), np.linalg.norm(B))
 
 
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1), n_r=st.integers(1, 4), n_f=st.integers(1, 3),
+       log_eps=st.floats(np.log10(EPS_FLOOR), -0.5))
+def test_decoupling_property_random_stable_systems(seed, n_r, n_f, log_eps):
+    A, B, C, D = random_stable_sp_system(np.random.default_rng(seed), n_r, n_f)
+    eps = 10.0 ** log_eps
+    # wherever the n_r slow eigenvalues of eps M are clearly apart from the
+    # fast ones, the decoupling exists and must be found
+    moduli = np.sort(np.abs(np.linalg.eigvals(eps * full_system_matrix(A, B, C, D, eps))))
+    assume(moduli[n_r - 1] < 0.9 * moduli[n_r])
+    dec = build_decoupling(A, B, C, D, eps)
+    n = n_r + n_f
+    assert np.linalg.norm(dec.T @ dec.T_inv - np.eye(n)) <= 1e-12
+    limit = coupling_residual_limit(B, C)
+    assert max(chang_residuals(A, B, C, D, dec.L, dec.H, eps)) <= limit
+    # the lower-left block of T^-1 M T is -(D L - C - eps L(A - B L))/eps; the
+    # upper-right one is of the H residual's size; twice the bound covers rounding
+    Md = dec.T_inv @ full_system_matrix(A, B, C, D, eps) @ dec.T
+    assert max(np.linalg.norm(Md[:n_r, n_r:]), np.linalg.norm(Md[n_r:, :n_r])) \
+        <= 2 * limit / eps
+
+
 def test_solve_chang_lti_returns_l_only():
     A, B, C, D = random_stable_sp_system(np.random.default_rng(5), n_r=3, n_f=2)
     L = solve_chang_lti(A, B, C, D, 0.01)
@@ -145,8 +180,11 @@ def test_build_decoupling_where_h_fixed_point_stalls(seed, eps):
 
 def test_build_decoupling_overlapping_spectra_raises_no_convergence():
     # slow block A - B L = diag(-1, -2) and fast block D/eps = diag(-1, -6)
-    # share the eigenvalue -1, so the H equation's matrix K is singular
-    with pytest.raises(NoConvergence, match="H equation singular"):
+    # share the eigenvalue -1: the eigenvectors of the n_r smallest moduli of
+    # [[eps A, eps B], [C, D]] are x1 and z1, singular on x, so L has no
+    # slow subspace to come from and the H equation is never reached
+    with pytest.raises(NoConvergence, match="no slow/fast splitting at eps=0.5: "
+                                            "singular slow eigenvectors"):
         build_decoupling(np.diag([-1.0, -2.0]), np.zeros((2, 2)), np.zeros((2, 2)),
                          np.diag([-0.5, -3.0]), 0.5)
 
