@@ -10,10 +10,10 @@ from .certify import (CertResult, MatrixPolytope, SPDominanceCertificate,
                       lmi_residual)
 from .decouple import (ChangDecoupling, build_decoupling, epsilon_star,
                        full_system_matrix, reduced_model, solve_chang_lti)
-from .expressions import diff_expr, parse_expr
-from .systems import (SPRING_INITIAL_CONDITIONS, SPRING_SLOPE_BOUNDS,
-                      LinearSPSystem, NonlinearSPSystem, a_block_hull, jacobians,
-                      nonlinear_spring_certificate, nonlinear_spring_system)
+from .expressions import diff_expr, interval, parse_expr
+from .systems import (SPRING_INITIAL_CONDITIONS, LinearSPSystem, NonlinearSPSystem,
+                      a_block_hull, jacobians, nonlinear_spring_certificate,
+                      nonlinear_spring_system)
 from .integrate import (Trajectory, VariationalTrajectory, detect_convergence,
                         find_equilibria, integrate, integrate_variational,
                         write_trajectory_csv)
@@ -26,9 +26,9 @@ __all__ = [
     "block_conditions", "certify_polytope", "certify_sp", "lmi_residual",
     "ChangDecoupling", "build_decoupling", "epsilon_star",
     "full_system_matrix", "reduced_model", "solve_chang_lti",
-    "diff_expr", "parse_expr",
-    "SPRING_INITIAL_CONDITIONS", "SPRING_SLOPE_BOUNDS",
-    "LinearSPSystem", "NonlinearSPSystem", "a_block_hull", "jacobians",
+    "diff_expr", "interval", "parse_expr",
+    "SPRING_INITIAL_CONDITIONS", "LinearSPSystem", "NonlinearSPSystem",
+    "a_block_hull", "jacobians",
     "nonlinear_spring_certificate", "nonlinear_spring_system",
     "Trajectory", "VariationalTrajectory", "detect_convergence",
     "find_equilibria", "integrate", "integrate_variational",

@@ -30,9 +30,8 @@ from .errors import (ConfigError, DimensionMismatch, EvalError, NoConvergence, N
 from .integrate import (CONVERGENCE_TOL, Trajectory, find_equilibria, integrate,
                         write_trajectory_csv)
 from .systems import (SPRING_BOX, SPRING_EPS, SPRING_F, SPRING_G, SPRING_INITIAL_CONDITIONS,
-                      SPRING_SIGMA_R, SPRING_SLOPE_BOUNDS, SPRING_T_FINAL, LinearSPSystem,
-                      NonlinearSPSystem, a_block_hull, jacobians,
-                      nonlinear_spring_certificate, state_names)
+                      SPRING_SIGMA_R, SPRING_T_FINAL, LinearSPSystem, NonlinearSPSystem,
+                      a_block_hull, jacobians, nonlinear_spring_certificate, state_names)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -50,10 +49,12 @@ def load_config(path):
         raise ConfigError(f"cannot read config: {e}")
     except json.JSONDecodeError as e:
         raise ConfigError(f"config is not valid JSON: {e}")
-    if cfg.get("spec_version") != 1:
-        raise ConfigError("config must declare \"spec_version\": 1")
+    if not isinstance(cfg, dict) or cfg.get("spec_version") != 1:
+        raise ConfigError("config must be an object declaring \"spec_version\": 1")
     if cfg.get("kind") not in ("linear", "nonlinear"):
         raise ConfigError("config \"kind\" must be \"linear\" or \"nonlinear\"")
+    if "hull" in cfg:
+        raise ConfigError("hull is not read: the Jacobian hull is enclosed from f, g and omega")
     return cfg
 
 
@@ -65,17 +66,12 @@ def _matrix_or_polytope(value, what):
     return MatrixPolytope([value])
 
 
-def numeric_field(value, field, shape=None):
-    """A config value as a float array, of the given shape when one is given;
-    ConfigError naming the field otherwise."""
+def numeric_field(value, field):
+    """A config value as a float array; ConfigError naming the field otherwise."""
     try:
-        arr = np.asarray(value, dtype=float)
-        if shape in (None, arr.shape):
-            return arr
+        return np.asarray(value, dtype=float)
     except (TypeError, ValueError):
-        pass
-    shape_text = "" if shape is None else f" of shape {shape}"
-    raise ConfigError(f"{field} must be numbers{shape_text}, got {value!r}")
+        raise ConfigError(f"{field} must be numbers, got {value!r}") from None
 
 
 def build_system(cfg):
@@ -96,8 +92,8 @@ def build_system(cfg):
 
 def build_certificate(cfg):
     block = cfg.get("certificate")
-    if block is None:
-        raise ConfigError("config has no \"certificate\" block")
+    if not isinstance(block, dict):
+        raise ConfigError("config needs a \"certificate\" object")
     try:
         return SPDominanceCertificate(
             P_r=block["P_r"], P_f=block["P_f"],
@@ -106,29 +102,22 @@ def build_certificate(cfg):
             p=int(block["p"]))
     except KeyError as e:
         raise ConfigError(f"certificate block missing field {e}")
-    except ValueError as e:
+    except (TypeError, ValueError) as e:
         raise ConfigError(f"invalid certificate: {e}")
 
 
-def coupling_inputs(cfg, system):
+def coupling_inputs(system):
     """(A polytope, B, C, D polytope) for the eps-threshold search."""
     if isinstance(system, NonlinearSPSystem):
-        hull = cfg.get("hull", {})
-        if not isinstance(hull, dict):
-            raise ConfigError(f"hull must be an object, got {hull!r}")
-        bounds = hull.get("bounds")
-        if bounds is not None:
-            bounds = numeric_field(bounds, "hull.bounds", (2,))
-        A_poly, B, C, D = a_block_hull(system, bounds=bounds,
-                                       nonlinearity_entry=hull.get("entry"))
+        A_poly, B, C, D = a_block_hull(system)
         return A_poly, B, C, MatrixPolytope([D])
     return system.A, system.B, system.C, system.D
 
 
-def slow_fast_polytopes(cfg, system):
+def slow_fast_polytopes(system):
     """Polytopes of reduced-model matrices and fast blocks for certification:
     one reduced matrix A - B D^{-1} C per (A, D) vertex pair."""
-    A_poly, B, C, D_poly = coupling_inputs(cfg, system)
+    A_poly, B, C, D_poly = coupling_inputs(system)
     verts = [reduced_model(A, B, C, D)[2]
              for A in A_poly.vertices for D in D_poly.vertices]
     return MatrixPolytope(verts), D_poly
@@ -152,9 +141,9 @@ def cert_result_dict(res):
     }
 
 
-def certificate_report(cfg, system, cert):
+def certificate_report(system, cert):
     """Slow and fast certificate verdicts over the system's polytopes."""
-    slow_res, fast_res = certify_sp(cert, *slow_fast_polytopes(cfg, system))
+    slow_res, fast_res = certify_sp(cert, *slow_fast_polytopes(system))
     return {
         "slow": cert_result_dict(slow_res),
         "fast": cert_result_dict(fast_res),
@@ -182,9 +171,9 @@ def _failed(label, error):
 # returns (fragment, verdict): its report entries, and its verdict, which is
 # None after a failure.
 
-def epsilon_star_stage(cfg, system, cert, eps_max=EPS_MAX):
+def epsilon_star_stage(system, cert, eps_max=EPS_MAX):
     """The certified eps threshold; the verdict is the threshold."""
-    A_poly, B, C, D_poly = coupling_inputs(cfg, system)
+    A_poly, B, C, D_poly = coupling_inputs(system)
     try:
         eps_hat = epsilon_star(A_poly, B, C, D_poly, cert, eps_max=eps_max)
     except InfeasibleAtFloor as e:
@@ -233,7 +222,7 @@ def cmd_certify(args):
     cert = build_certificate(cfg)
     report = new_report("certify", args)
     report["tolerances"] = {"feasibility_margin": FEASIBILITY_MARGIN}
-    report["certificate"] = certificate_report(cfg, system, cert)
+    report["certificate"] = certificate_report(system, cert)
     write_report(report, args.report)
     for block in ("slow", "fast"):
         res = report["certificate"][block]
@@ -293,7 +282,7 @@ def cmd_epsilon_star(args):
     cert = build_certificate(cfg)
     report = new_report("epsilon-star", args)
     report["tolerances"] = {"eps_floor": EPS_FLOOR, "bisect_steps": BISECT_STEPS}
-    fragment, eps_hat = epsilon_star_stage(cfg, system, cert, args.eps_max)
+    fragment, eps_hat = epsilon_star_stage(system, cert, args.eps_max)
     report.update(fragment)
     write_report(report, args.report)
     if eps_hat is None:
@@ -357,7 +346,6 @@ def spring_config(eps=SPRING_EPS, sigma_r=SPRING_SIGMA_R):
             "lambda_r": cert.lambda_r, "lambda_f": cert.lambda_f,
             "sigma_r": sigma_r, "sigma_f": cert.sigma_f, "p": cert.p,
         },
-        "hull": {"entry": [1, 0], "bounds": list(SPRING_SLOPE_BOUNDS)},
         "initial_conditions": [list(ic) for ic in SPRING_INITIAL_CONDITIONS],
     }
 
@@ -384,9 +372,9 @@ def cmd_reproduce_paper(args):
         report["certificate"] = {"error": str(e)}
         checks["certificate_feasible"] = False
     if cert is not None:
-        report["certificate"] = certificate_report(cfg, system, cert)
+        report["certificate"] = certificate_report(system, cert)
         checks["certificate_feasible"] = report["certificate"]["feasible"]
-        eps_hat = add("epsilon_star", epsilon_star_stage(cfg, system, cert))
+        eps_hat = add("epsilon_star", epsilon_star_stage(system, cert))
         checks["eps_below_threshold"] = eps_hat is not None and args.eps < eps_hat
 
     converged = add("simulate", simulation_stage(system, cfg["initial_conditions"],

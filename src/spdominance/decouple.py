@@ -46,18 +46,18 @@ def _blocks(A, B, C, D):
     return A, B, C, D
 
 
-def _inv_checked(D):
+def _check_nonsingular(D):
     rcond = 1.0 / np.linalg.cond(D)
     if not np.isfinite(rcond) or rcond < RCOND_MIN:
         raise SingularD(f"fast block numerically singular (rcond={rcond:.2e})")
-    return np.linalg.inv(D)
 
 
 def reduced_model(A, B, C, D):
     """Zero-perturbation quantities: L0 = D^{-1} C, H0 = B D^{-1},
     A0 = A - B L0 (the slow/reduced system matrix)."""
     A, B, C, D = _blocks(A, B, C, D)
-    D_inv = _inv_checked(D)
+    _check_nonsingular(D)
+    D_inv = np.linalg.inv(D)
     L0 = D_inv @ C
     H0 = B @ D_inv
     A0 = A - B @ L0
@@ -101,7 +101,7 @@ def solve_chang_lti(A, B, C, D, eps):
     """
     check_eps(eps)
     A, B, C, D = _blocks(A, B, C, D)
-    _inv_checked(D)
+    _check_nonsingular(D)
     n_r = A.shape[0]
     try:
         lam, V = np.linalg.eig(np.block([[eps * A, eps * B], [C, D]]))

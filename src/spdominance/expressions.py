@@ -11,7 +11,8 @@ Function names: tanh, sin, cos, exp. Exponents are integer literals only.
 ASTs are immutable and differentiation is pure. Simplification is limited
 to constant folding and 0/1 identities. compile_field is the one evaluator:
 it turns a list of ASTs into a numpy kernel over states, and guarded
-makes such a kernel report a zero divisor as EvalError.
+makes such a kernel report a zero divisor as EvalError. interval encloses
+an AST's values over a box of states.
 """
 
 from __future__ import annotations
@@ -336,6 +337,47 @@ def guarded(kernel):
             divide = str(e).startswith("divide by zero") or str(e).endswith("divide")
             raise EvalError("division by zero" if divide else str(e)) from None
     return run
+
+
+def interval(ast, box):
+    """Natural interval extension of ast over box {name: (lo, hi)}: a pair
+    (lo, hi) holding its value at every point of the box (Moore, Kearfott &
+    Cloud, Introduction to Interval Analysis, SIAM 2009, ch. 5-6), each node's
+    ends rounded outward by one ulp. EvalError when a divisor's enclosure holds
+    0 ("division by zero", as guarded says) or when the enclosure overflows."""
+    if isinstance(ast, Const):  # leaves are exact, so not widened
+        return ast.value, ast.value
+    if isinstance(ast, Var):
+        return tuple(box[ast.name])
+    if isinstance(ast, Neg):
+        ends = [-v for v in interval(ast.arg, box)]
+    elif isinstance(ast, Call):
+        a, b = interval(ast.arg, box)
+        fn = FUNCTIONS[ast.fn]
+        ends = [fn(a), fn(b)]  # tanh and exp increase
+        if ast.fn in ("sin", "cos"):  # extrema at c + k pi; two in a row give both
+            c = np.pi / 2 if ast.fn == "sin" else 0.0
+            k = np.ceil((a - c) / np.pi)
+            ends += [fn(c + j * np.pi) for j in (k, k + 1) if c + j * np.pi <= b]
+    elif isinstance(ast, Pow):
+        a, b = interval(ast.base, box)
+        if ast.exponent < 0 and a <= 0 <= b:
+            raise EvalError("division by zero")
+        ends = list(np.power([a, b], ast.exponent))
+        if ast.exponent % 2 == 0 and a < 0 < b:  # the even power's minimum
+            ends.append(0.0)
+    elif isinstance(ast, BinOp):
+        (a, b), (c, d) = interval(ast.left, box), interval(ast.right, box)
+        if ast.op == "/" and c <= 0 <= d:
+            raise EvalError("division by zero")
+        op = {"+": np.add, "-": np.subtract, "*": np.multiply, "/": np.divide}[ast.op]
+        ends = [op(u, v) for u in (a, b) for v in (c, d)]
+    else:
+        raise TypeError(f"not an AST node: {ast!r}")
+    lo, hi = np.nextafter(min(ends), -np.inf), np.nextafter(max(ends), np.inf)
+    if not -np.inf < lo <= hi < np.inf:
+        raise EvalError("enclosure overflows")
+    return float(lo), float(hi)
 
 
 def _numpy_source(ast):

@@ -1,6 +1,6 @@
 """System definitions: nonlinear two-time-scale systems over the expression
-DSL, symbolic Jacobians, scalar-parameter Jacobian hulls, damped Newton, and
-the built-in nonlinear-spring demo system."""
+DSL, symbolic Jacobians, scalar-parameter Jacobian hulls enclosed over omega,
+damped Newton, and the built-in nonlinear-spring demo system."""
 
 from __future__ import annotations
 
@@ -12,9 +12,7 @@ import numpy as np
 from .certify import MatrixPolytope
 from .errors import (ConfigError, DimensionMismatch, NewtonFailure,
                      NotScalarParameterized, check_eps)
-from .expressions import compile_field, diff_expr, free_vars, guarded, parse_expr
-
-HULL_GRID_POINTS = 1000
+from .expressions import compile_field, diff_expr, free_vars, guarded, interval, parse_expr
 
 
 def state_names(n_r, n_f):
@@ -184,27 +182,10 @@ def _varying_entries(sys):
     return out
 
 
-def sample_entry_range(sys, entry_ast):
-    """Min/max of a Jacobian entry over a grid of about HULL_GRID_POINTS
-    points on omega. A sampled range is a heuristic, not a proven enclosure."""
-    vars_used = sorted(free_vars(entry_ast))
-    per_axis = max(2, int(round(HULL_GRID_POINTS ** (1 / len(vars_used)))))
-    axes = [np.linspace(*sys.omega[v], per_axis) for v in vars_used]
-    points = np.stack([g.ravel() for g in np.meshgrid(*axes)], axis=-1)
-    vals = guarded(compile_field([entry_ast], vars_used))(points)
-    return float(np.min(vals)), float(np.max(vals))
-
-
-def a_block_hull(sys, bounds=None, nonlinearity_entry=None):
-    """Hull of the A blocks over omega when at most one Jacobian entry varies
-    with the state and that entry sits in A: one vertex per bound of the
-    entry (one vertex when nothing varies), with the constant B, C, D.
-    Returns (A polytope, B, C, D).
-
-    bounds is the [lo, hi] range of the varying entry; when omitted it is
-    estimated by grid sampling over omega (heuristic, reported as a warning).
-    nonlinearity_entry, when given, must name the (i, j) entry that varies.
-    """
+def a_block_hull(sys):
+    """Hull of the A blocks over omega when at most one Jacobian entry, in A,
+    varies with the state: a vertex at each end of its interval enclosure (one
+    vertex when nothing varies). Returns (A polytope, B, C, D), B, C, D constant."""
     varying = _varying_entries(sys)
     A, B, C, D = jacobians(sys, sys.omega_center())
     if not varying:
@@ -217,19 +198,9 @@ def a_block_hull(sys, bounds=None, nonlinearity_entry=None):
         raise NotScalarParameterized(
             f"varying entry sits in block {block}; the hull of A0 matrices "
             "is only affine in an entry of A")
-    if nonlinearity_entry is not None and tuple(nonlinearity_entry) != (i, j):
-        raise NotScalarParameterized(
-            f"declared entry {tuple(nonlinearity_entry)} but entry ({i}, {j}) varies")
-    if bounds is None:
-        bounds = sample_entry_range(sys, entry_ast)
-        warnings.warn(f"entry bounds {bounds} obtained by grid sampling over "
-                      "omega; sampled, not proven")
-    lo, hi = bounds
-    verts = []
-    for val in (lo, hi):
-        Av = A.copy()
+    verts = [A.copy(), A.copy()]
+    for Av, val in zip(verts, interval(entry_ast, sys.omega)):
         Av[i, j] = val
-        verts.append(Av)
     return MatrixPolytope(verts), B, C, D
 
 
@@ -268,7 +239,6 @@ SPRING_F = ("x2", "7*tanh(x1) - 5*x1 - 5*z1")
 SPRING_G = ("x2 - z1",)
 SPRING_BOX = 3.0  # omega is [-SPRING_BOX, SPRING_BOX] in every state
 SPRING_T_FINAL = 9.0  # the paper's horizon
-SPRING_SLOPE_BOUNDS = (-5.0, 2.0)  # range of d/dx1 [7 tanh(x1) - 5 x1]
 SPRING_EPS = 0.01  # the worked example's perturbation parameter
 SPRING_SIGMA_R = 0.01  # the slow certificate's margin sigma_r
 

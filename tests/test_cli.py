@@ -150,18 +150,15 @@ def test_hull_not_scalar_exits_1(tmp_path, capsys, command, field, value):
     assert capsys.readouterr().err.startswith("config error: ")
 
 
-def test_epsilon_star_checks_hull_entry(tmp_path, capsys):
-    cfg = spring_config()
-    cfg["hull"]["entry"] = [0, 1]
-    assert main(["epsilon-star", write_cfg(tmp_path, cfg)]) == 1
-    assert "declared entry (0, 1)" in capsys.readouterr().err
-
-
-def test_epsilon_star_warns_on_sampled_bounds(tmp_path):
-    cfg = spring_config()
-    del cfg["hull"]["bounds"]
-    with pytest.warns(UserWarning, match="sampled, not proven"):
-        assert main(["epsilon-star", write_cfg(tmp_path, cfg)]) == 0
+@pytest.mark.parametrize("command", ["certify", "epsilon-star", "simulate"])
+def test_declared_hull_exits_1(tmp_path, capsys, command):
+    # [-1, 1] is narrower than the slope's range over omega, about [-4.93, 2]:
+    # the hull is enclosed from f, g and omega, and no declared bound is read
+    cfg = {**spring_config(), "hull": {"entry": [1, 0], "bounds": [-1, 1]}}
+    extra = ["--out", str(tmp_path / "out")] if command == "simulate" else []
+    assert main([command, write_cfg(tmp_path, cfg)] + extra) == 1
+    assert capsys.readouterr().err == (
+        "config error: hull is not read: the Jacobian hull is enclosed from f, g and omega\n")
 
 
 def test_decouple_zero_eps_exits_1(tmp_path, capsys):
@@ -383,23 +380,22 @@ def test_newton_meets_zero_divisor_exits_1(tmp_path, capsys):
     assert capsys.readouterr().err == "config error: division by zero\n"
 
 
-@pytest.mark.parametrize("command, field, value", [
-    ("decouple", "linearization_point", ["a", 0, 0]),
-    ("simulate", "initial_conditions", [["a", 0, 0]]),
-    ("certify", "hull.bounds", ["a", 2]),
-    ("certify", "hull.bounds", [2]),
-    ("certify", "hull", [1, 2]),
-], ids=["linearization-point", "initial-conditions", "bounds-text", "bounds-one", "hull-list"])
-def test_malformed_numeric_field_exits_1(tmp_path, capsys, command, field, value):
-    cfg = spring_config()
-    if field == "hull.bounds":
-        cfg["hull"]["bounds"] = value
-    else:
-        cfg[field] = value
+@pytest.mark.parametrize("command, field, value, message", [
+    ("decouple", "linearization_point", ["a", 0, 0], "linearization_point must be numbers"),
+    ("simulate", "initial_conditions", [["a", 0, 0]], "initial_conditions must be numbers"),
+    ("certify", "hull", [1, 2], "hull is not read"),
+    ("certify", "certificate", [1, 2], "config needs a \"certificate\" object"),
+    ("certify", "certificate", {**spring_config()["certificate"], "lambda_r": [2]},
+     "invalid certificate: "),
+    ("certify", None, [1, 2], "config must be an object"),
+], ids=["linearization-point", "initial-conditions", "hull-list", "certificate-list",
+        "certificate-rate-list", "config-list"])
+def test_malformed_numeric_field_exits_1(tmp_path, capsys, command, field, value, message):
+    # field None: value is the whole config
+    cfg = value if field is None else {**spring_config(), field: value}
     extra = ["--out", str(tmp_path / "out")] if command == "simulate" else []
     assert main([command, write_cfg(tmp_path, cfg)] + extra) == 1
-    what = "an object" if field == "hull" else "numbers"
-    assert capsys.readouterr().err.startswith(f"config error: {field} must be {what}")
+    assert capsys.readouterr().err.startswith(f"config error: {message}")
 
 
 SPRING_OMEGA = {"x1": [-3, 3], "x2": [-3, 3], "z1": [-3, 3]}

@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from spdominance.errors import EvalError, ParseError
 from spdominance.expressions import (FUNCTIONS, BinOp, Call, Const, Neg, Pow, Var,
                                      compile_field, diff_expr, free_vars, guarded,
-                                     parse_expr, simplify)
+                                     interval, parse_expr, simplify)
 
 
 def value(ast, point):
@@ -172,3 +174,39 @@ def test_compiled_field_matches_interpreter():
     assert np.array_equal(field(states[1, 2]), out[1, 2])
     # one component per AST, whatever the state dimension
     assert compile_field(asts[:2], ["x1", "x2", "z1"])(states).shape == (4, 5, 2)
+
+
+# one expression per construct, each mapped to the variable whose box must
+# not hold 0 (its divisor), or None
+CONSTRUCTS = {"2.5": None, "x1": None, "-x2": None, "x1 + x2": None, "x1 - x2": None,
+              "x1 * x2": None, "x1 / x2": "x2", "x1^3": None, "x1^2": None,
+              "x1^-2": "x1", "x2^-3": "x2", "tanh(x1)": None, "exp(x2)": None,
+              "sin(x1)": None, "cos(x2)": None}
+# a sub-box of [-3, 3] on a 0.01 grid, so no divisor gets closer to 0 than 0.01
+SIDE = st.lists(st.integers(-300, 300), min_size=2, max_size=2, unique=True).map(
+    lambda ends: tuple(sorted(v / 100 for v in ends)))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(src=st.sampled_from(sorted(CONSTRUCTS)), box=st.tuples(SIDE, SIDE),
+       where=st.tuples(st.floats(0, 1), st.floats(0, 1)))
+# boxes holding an extremum, at the extremum: pi/2 for sin, pi for cos, 0 for x1^2
+@example(src="sin(x1)", box=((1.5, 1.6), (0.0, 1.0)), where=((np.pi / 2 - 1.5) / 0.1, 0.0))
+@example(src="cos(x2)", box=((0.0, 1.0), (3.0, 3.2)), where=(0.0, (np.pi - 3.0) / 0.2))
+@example(src="x1^2", box=((-1.0, 2.0), (0.0, 1.0)), where=(1 / 3, 0.0))
+@example(src="x1^-2", box=((-1.0, 2.0), (0.5, 1.0)), where=(0.5, 0.0))
+def test_interval_encloses_compiled_value(src, box, where):
+    ast, divisor = parse_expr(src), CONSTRUCTS[src]
+    box = dict(zip(["x1", "x2"], box))
+    if divisor is not None and box[divisor][0] <= 0 <= box[divisor][1]:
+        with pytest.raises(EvalError, match="^division by zero$"):
+            interval(ast, box)
+        return
+    point = np.array([min(hi, lo + u * (hi - lo)) for (lo, hi), u in zip(box.values(), where)])
+    lo, hi = interval(ast, box)
+    assert lo <= compile_field([ast], list(box))(point)[0] <= hi
+
+
+def test_interval_overflow_raises():
+    with np.errstate(over="ignore"), pytest.raises(EvalError, match="^enclosure overflows$"):
+        interval(parse_expr("3 * x1^2"), {"x1": (-1e200, 1e200)})

@@ -1,5 +1,6 @@
 """Source hygiene, checked with the standard library's ast module: every
-public name resolves, and no module imports a name it never uses."""
+public name resolves, no module imports a name it never uses, and no src
+function takes a parameter it never reads."""
 
 import ast
 import pathlib
@@ -31,6 +32,26 @@ def unused_imports(path):
             for name, line in imported.items() if name not in used]
 
 
+def unused_parameters(path):
+    """'file:line: function.parameter' for each parameter of a function or
+    lambda that its body never reads. Dunder methods are exempt: their
+    signatures are protocols (numpy passes __array__ a copy flag)."""
+    hits = []
+    for fn in ast.walk(ast.parse(path.read_text())):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        name = getattr(fn, "name", "<lambda>")
+        if name.startswith("__") and name.endswith("__"):
+            continue
+        a = fn.args
+        params = a.posonlyargs + a.args + a.kwonlyargs + [p for p in (a.vararg, a.kwarg) if p]
+        read = {n.id for n in ast.walk(fn) if isinstance(n, ast.Name)
+                and isinstance(n.ctx, ast.Load)}
+        hits += [f"{path.relative_to(ROOT)}:{fn.lineno}: {name}.{p.arg}"
+                 for p in params if p.arg not in read]
+    return hits
+
+
 def test_public_names_resolve():
     assert [name for name in spdominance.__all__ if not hasattr(spdominance, name)] == []
 
@@ -38,3 +59,9 @@ def test_public_names_resolve():
 def test_no_unused_imports():
     assert SOURCES
     assert [hit for path in SOURCES for hit in unused_imports(path)] == []
+
+
+def test_no_unused_parameters():
+    src = [path for path in SOURCES if path.is_relative_to(ROOT / "src")]
+    assert src
+    assert [hit for path in src for hit in unused_parameters(path)] == []

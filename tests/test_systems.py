@@ -5,13 +5,12 @@ from spdominance import systems
 from spdominance.cli import slow_fast_polytopes
 from spdominance.decouple import reduced_model
 from spdominance.errors import NewtonFailure, NonpositiveEps, NotScalarParameterized
-from spdominance.expressions import compile_field
-from spdominance.systems import (LinearSPSystem, NonlinearSPSystem,
-                                 SPRING_SLOPE_BOUNDS, a_block_hull,
-                                 damped_newton, jacobians,
-                                 nonlinear_spring_system, sample_entry_range)
+from spdominance.expressions import compile_field, interval
+from spdominance.systems import (LinearSPSystem, NonlinearSPSystem, a_block_hull,
+                                 damped_newton, jacobians, nonlinear_spring_system)
 
 BOX3 = {"x1": (-3.0, 3.0), "x2": (-3.0, 3.0), "z1": (-3.0, 3.0)}
+SLOPE_LO = 7 * (1 - np.tanh(3.0) ** 2) - 5  # d/dx1 [7 tanh(x1) - 5 x1] at x1 = +-3
 
 
 def test_spring_jacobians():
@@ -70,17 +69,10 @@ def test_jacobians_vs_finite_differences():
 
 
 def test_scalar_hull_spring_vertices():
-    hull, _ = slow_fast_polytopes({"hull": {"bounds": SPRING_SLOPE_BOUNDS}},
-                                  nonlinear_spring_system())
+    hull, _ = slow_fast_polytopes(nonlinear_spring_system())
     assert len(hull.vertices) == 2
-    assert np.allclose(hull.vertices[0], [[0, 1], [-5, -5]])
-    assert np.allclose(hull.vertices[1], [[0, 1], [2, -5]])
-
-
-def test_scalar_hull_declared_entry_checked():
-    with pytest.raises(NotScalarParameterized):
-        a_block_hull(nonlinear_spring_system(), nonlinearity_entry=(0, 1),
-                     bounds=SPRING_SLOPE_BOUNDS)
+    assert np.allclose(hull.vertices[0], [[0, 1], [SLOPE_LO, -5]], rtol=0, atol=1e-12)
+    assert np.allclose(hull.vertices[1], [[0, 1], [2, -5]], rtol=0, atol=1e-12)
 
 
 def test_scalar_hull_constant_system_single_vertex():
@@ -97,16 +89,12 @@ def test_scalar_hull_rejects_multiple_varying_entries():
 
 
 def test_sampled_bounds_within_analytic_range():
+    # the entry sampled over omega lies in its enclosure, inside the range (-5, 2]
     sys_ = nonlinear_spring_system()
     entry = sys_.jacobian_asts()["A"][1][0]
-    lo, hi = sample_entry_range(sys_, entry)
-    assert -5.0 <= lo <= hi <= 2.0
-    assert hi == pytest.approx(2.0, abs=1e-4)  # attained at the origin
-
-
-def test_sampled_bounds_warn():
-    with pytest.warns(UserWarning, match="sampled"):
-        a_block_hull(nonlinear_spring_system())
+    lo, hi = interval(entry, sys_.omega)
+    samples = compile_field([entry], ["x1"])(np.linspace(-3.0, 3.0, 1001)[:, None])
+    assert -5.0 < lo <= samples.min() and samples.max() <= hi < 2.0 + 1e-12
 
 
 def test_damped_newton_contract():
@@ -162,10 +150,9 @@ def test_a_block_hull_rejects_varying_fast_block():
 
 
 def test_a_block_hull_spring():
-    poly, B, C, D = a_block_hull(nonlinear_spring_system(),
-                                 bounds=SPRING_SLOPE_BOUNDS)
-    assert np.allclose(poly.vertices[0], [[0, 1], [-5, 0]])
-    assert np.allclose(poly.vertices[1], [[0, 1], [2, 0]])
+    poly, B, C, D = a_block_hull(nonlinear_spring_system())
+    assert np.allclose(poly.vertices[0], [[0, 1], [SLOPE_LO, 0]], rtol=0, atol=1e-12)
+    assert np.allclose(poly.vertices[1], [[0, 1], [2, 0]], rtol=0, atol=1e-12)
     assert np.allclose(B, [[0], [-5]])
 
 
