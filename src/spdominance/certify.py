@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionMismatch, check_eps
-from .linalg import SymMatrix, _as_sym, inertia, nsd_margin
+from .linalg import SymMatrix, _as_sym, eigvalsh_stack, inertia, nsd_margin
 
 FEASIBILITY_MARGIN = 0.0
 
@@ -123,22 +123,25 @@ def certify_sp(cert, slow, fast):
     return slow_res, fast_res
 
 
-def block_conditions(cert, A, B, L_eps, D, eps):
-    """Proof-level block residuals at a given eps.
+def block_margins(cert, A, B, L, D, eps):
+    """Largest eigenvalues of the proof-level block residuals over stacks of A,
+    L, D and eps: slow block A - B*L with P_r, fast block D/eps + L*B with P_f,
+    both at rate lambda_r and sigma = min(sigma_r, sigma_f)/2. A residual that
+    is not finite has a NaN margin, which is infeasible."""
+    sigma = 0.5 * min(cert.sigma_r, cert.sigma_f)
+    S = [P @ M + M.mT @ P + 2.0 * cert.lambda_r * P + sigma * np.eye(len(P))
+         for P, M in ((cert.P_r.a, A - B @ L), (cert.P_f.a, D / eps + L @ B))]
+    return [eigvalsh_stack(0.5 * (s + s.mT))[..., -1] for s in S]
 
-    Slow block: A - B*L_eps with P_r; fast block: D/eps + L_eps*B with P_f.
-    Both use rate lambda_r and the common sigma = min(sigma_r, sigma_f)/2.
-    """
+
+def block_conditions(cert, A, B, L_eps, D, eps):
+    """block_margins at a given eps, one (A, L_eps, D)."""
     check_eps(eps)
     A, B, D, L = (np.atleast_2d(np.asarray(m, dtype=float)) for m in (A, B, D, L_eps))
     n_r, n_f = cert.n_r, cert.n_f
     if A.shape != (n_r, n_r) or B.shape != (n_r, n_f) or D.shape != (n_f, n_f) \
             or L.shape != (n_f, n_r):
         raise DimensionMismatch("block shapes inconsistent with certificate dimensions")
-    sigma = 0.5 * min(cert.sigma_r, cert.sigma_f)
-    slow = A - B @ L
-    fast = D / eps + L @ B
-    m_slow = nsd_margin(lmi_residual(cert.P_r, slow, cert.lambda_r, sigma))
-    m_fast = nsd_margin(lmi_residual(cert.P_f, fast, cert.lambda_r, sigma))
+    m_slow, m_fast = (float(m) for m in block_margins(cert, A, B, L, D, eps))
     return (CertResult(m_slow <= FEASIBILITY_MARGIN, m_slow, 0, (m_slow,)),
             CertResult(m_fast <= FEASIBILITY_MARGIN, m_fast, 0, (m_fast,)))

@@ -37,6 +37,8 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_CHECK_FAILED = 2
 BLOCK_DIAGONAL_TOL = 1e-8  # decouple's bound on the off-diagonal blocks of T^-1 M T
+CONFIG_KEYS = {"spec_version", "kind", "n_r", "n_f", "eps", "f", "g", "omega", "A", "B", "C",
+               "D", "certificate", "initial_conditions", "linearization_point"}
 
 
 # -- configuration ----------------------------------------------------------
@@ -55,6 +57,8 @@ def load_config(path):
         raise ConfigError("config \"kind\" must be \"linear\" or \"nonlinear\"")
     if "hull" in cfg:
         raise ConfigError("hull is not read: the Jacobian hull is enclosed from f, g and omega")
+    if cfg.keys() - CONFIG_KEYS:
+        raise ConfigError(f"unknown config keys: {', '.join(sorted(cfg.keys() - CONFIG_KEYS))}")
     return cfg
 
 

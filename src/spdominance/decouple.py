@@ -1,8 +1,8 @@
 """Two-time-scale decoupling for linear singularly perturbed systems.
 
-Solves the time-invariant coupling equation for L from the slow eigenvectors
-(all the block conditions need), gets H from one linear solve, assembles the
-exact block-diagonalizing transformation T and bisects for a certified eps bound.
+L comes from the slow eigenvectors, H from one linear solve, and they assemble
+the exact block-diagonalizing T. The certified eps bound is bisected in rounds,
+each evaluating 7 bisection points over all vertex pairs in one stacked solve.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .certify import MatrixPolytope, block_conditions
+from .certify import FEASIBILITY_MARGIN, MatrixPolytope, block_margins
 from .errors import (DimensionMismatch, InfeasibleAtFloor, NoConvergence,
                      SingularD, check_eps)
 
@@ -47,7 +47,7 @@ def _blocks(A, B, C, D):
 
 
 def _check_nonsingular(D):
-    rcond = 1.0 / np.linalg.cond(D)
+    rcond = np.min(1.0 / np.linalg.cond(D))  # of the worst matrix in a stack
     if not np.isfinite(rcond) or rcond < RCOND_MIN:
         raise SingularD(f"fast block numerically singular (rcond={rcond:.2e})")
 
@@ -91,34 +91,51 @@ def _coupling_kron(A, B, D, L, eps):
             - eps * np.kron(np.eye(len(D)), A - B @ L))
 
 
-def solve_chang_lti(A, B, C, D, eps):
-    """Solve the time-invariant coupling equation D L - C = eps L(A - B L) for L.
+def chang_stack(A, B, C, D, eps):
+    """L solving D L - C = eps L(A - B L) in each slot of stacks A, D and eps
+    (eps shaped (K, 1, 1)): -V2 V1^{-1} from the eigenvectors [V1; V2] of
+    [[eps A, eps B], [C, D]] for its n_r eigenvalues of smallest modulus, real as
+    a strict modulus gap keeps conjugate pairs together; one Newton step polishes
+    a loose L. Returns (L, why, residual): why names a missing slow/fast splitting,
+    masked before eig and the solve so no slot raises for the stack; L is NaN
+    there or where the residual misses its limit."""
+    n_r, n = A.shape[-1], A.shape[-1] + D.shape[-1]
+    M = np.empty((len(eps), n, n))
+    M[:, :n_r, :n_r], M[:, :n_r, n_r:], M[:, n_r:, :n_r], M[:, n_r:, n_r:] = eps * A, eps * B, C, D
+    finite = np.isfinite(M).all(axis=(1, 2))
+    lam, V = np.linalg.eig(np.where(finite[:, None, None], M, np.eye(n)))
+    order = np.argsort(np.abs(lam), axis=1)
+    modulus = np.take_along_axis(np.abs(lam), order, axis=1)
+    V = np.take_along_axis(V, order[:, None, :n_r], axis=2)
+    gap = finite & (modulus[:, n_r - 1] < modulus[:, n_r])
+    V = V if lam.imag[gap].any() else V.real  # real unless a slot with a gap is complex
+    why = np.select([~finite, ~gap, 1.0 / np.linalg.cond(V[:, :n_r]) < RCOND_MIN],
+                    ["Array must not contain infs or NaNs", "no strict modulus gap",
+                     "singular slow eigenvectors"], "")
+    V1 = np.where((why == "")[:, None, None], V[:, :n_r], np.eye(n_r))
+    L = -np.linalg.solve(V1.mT, V[:, n_r:].mT).mT.real
+    r = np.linalg.norm(_l_equation(A, B, C, D, L, eps), axis=(1, 2))
+    limit = coupling_residual_limit(B, C)
+    for k in np.flatnonzero((why == "") & (r > limit)):
+        F = _l_equation(A[k], B, C, D[k], L[k], eps[k, 0, 0])
+        L[k] -= np.linalg.solve(_coupling_kron(A[k], B, D[k], L[k], eps[k, 0, 0]).T,
+                                F.ravel()).reshape(L[k].shape)
+        r[k] = np.linalg.norm(_l_equation(A[k], B, C, D[k], L[k], eps[k, 0, 0]))
+    L[(why != "") | ~(r <= limit)] = np.nan
+    return L, why, r
 
-    L = -V2 V1^{-1} from the eigenvectors [V1; V2] of [[eps A, eps B], [C, D]]
-    for its n_r eigenvalues of smallest modulus (the slow manifold z = -L x),
-    real as a strict modulus gap keeps conjugate pairs together. NoConvergence
-    without that gap or with V1 singular; one Newton step polishes a loose L.
-    """
+
+def solve_chang_lti(A, B, C, D, eps):
+    """Solve the time-invariant coupling equation D L - C = eps L(A - B L) for
+    L: chang_stack on a stack of one, with NoConvergence where it fails."""
     check_eps(eps)
     A, B, C, D = _blocks(A, B, C, D)
     _check_nonsingular(D)
-    n_r = A.shape[0]
-    try:
-        lam, V = np.linalg.eig(np.block([[eps * A, eps * B], [C, D]]))
-    except np.linalg.LinAlgError as e:  # a non-finite entry
-        raise NoConvergence(f"no slow/fast splitting at eps={eps}: {e}") from None
-    order = np.argsort(np.abs(lam))
-    V1, V2 = V[:n_r, order[:n_r]], V[n_r:, order[:n_r]]
-    gap = abs(lam[order[n_r - 1]]) < abs(lam[order[n_r]])
-    if not (gap and 1.0 / np.linalg.cond(V1) >= RCOND_MIN):
-        raise NoConvergence(f"no slow/fast splitting at eps={eps}: "
-                            + ("singular slow eigenvectors" if gap else "no strict modulus gap"))
-    L = -np.linalg.solve(V1.T, V2.T).T.real
-    F = _l_equation(A, B, C, D, L, eps)
-    if np.linalg.norm(F) > coupling_residual_limit(B, C):
-        L = L - np.linalg.solve(_coupling_kron(A, B, D, L, eps).T, F.ravel()).reshape(L.shape)
-    _check_residuals(B, C, np.linalg.norm(_l_equation(A, B, C, D, L, eps)))
-    return L
+    L, why, r = chang_stack(A[None], B, C, D[None], np.full((1, 1, 1), eps))
+    if why[0]:
+        raise NoConvergence(f"no slow/fast splitting at eps={eps}: {why[0]}")
+    _check_residuals(B, C, r[0])
+    return L[0]
 
 
 def build_decoupling(A, B, C, D, eps):
@@ -151,6 +168,11 @@ def epsilon_star(A_polytope, B, C, D_polytope, cert, eps_max=EPS_MAX):
     """Bisect for the largest eps in [EPS_FLOOR, eps_max] at which the
     proof-level block conditions are feasible at every (A, D) vertex pair.
 
+    Each round evaluates the next 3 levels of the bisection tree below
+    [lo, hi], 7 midpoints, over every vertex pair in one stacked solve, then
+    takes the 3 steps plain bisection would: BISECT_STEPS steps in
+    BISECT_STEPS / 3 rounds, at the same points with the same decisions.
+
     Bisection assumes feasibility is monotone below the first feasible
     point; since that is not guaranteed, feasibility is re-verified at
     MONOTONE_CHECK_POINTS log-spaced eps values below the result, with a
@@ -158,41 +180,37 @@ def epsilon_star(A_polytope, B, C, D_polytope, cert, eps_max=EPS_MAX):
     on feasibility at the tested points.
     """
     check_eps(eps_max)
-    if not isinstance(A_polytope, MatrixPolytope):
-        A_polytope = MatrixPolytope([A_polytope])
-    if not isinstance(D_polytope, MatrixPolytope):
-        D_polytope = MatrixPolytope([D_polytope])
-    B, C = (np.atleast_2d(np.asarray(m, dtype=float)) for m in (B, C))
+    A_polytope, D_polytope = (P if isinstance(P, MatrixPolytope) else MatrixPolytope([P])
+                              for P in (A_polytope, D_polytope))
+    A, B, C, D = zip(*(_blocks(A_v, B, C, D_v) for A_v in A_polytope.vertices
+                       for D_v in D_polytope.vertices))
+    _check_nonsingular(np.array(D_polytope.vertices))
+    A, B, C, D = np.array(A), B[0], C[0], np.array(D)
 
     def feasible(eps):
-        for A in A_polytope.vertices:
-            for D in D_polytope.vertices:
-                try:
-                    L = solve_chang_lti(A, B, C, D, eps)
-                except NoConvergence:
-                    return False
-                slow, fast = block_conditions(cert, A, B, L, D, eps)
-                if not (slow.feasible and fast.feasible):
-                    return False
-        return True
+        """Feasibility at each eps over every vertex pair; a failed L is NaN,
+        so its margins are NaN: infeasible."""
+        m, eps = len(eps), np.repeat(eps, len(A))[:, None, None]
+        As, Ds = np.tile(A, (m, 1, 1)), np.tile(D, (m, 1, 1))
+        slow, fast = block_margins(cert, As, B, chang_stack(As, B, C, Ds, eps)[0], Ds, eps)
+        return ((slow <= FEASIBILITY_MARGIN) & (fast <= FEASIBILITY_MARGIN)).reshape(m, -1).all(1)
 
-    if feasible(eps_max):
-        eps_hat = eps_max
-    else:
-        if not feasible(EPS_FLOOR):
-            raise InfeasibleAtFloor(
-                f"block conditions infeasible even at eps={EPS_FLOOR}")
-        lo, hi = EPS_FLOOR, eps_max
-        for _ in range(BISECT_STEPS):
+    top, floor = feasible(np.array([eps_max, EPS_FLOOR]))
+    if not (top or floor):
+        raise InfeasibleAtFloor(f"block conditions infeasible even at eps={EPS_FLOOR}")
+    lo, hi = EPS_FLOOR, eps_max
+    for _ in range(0 if top else BISECT_STEPS // 3):
+        ends = [lo, hi]
+        for _ in range(3):  # the next 3 levels of the bisection tree below [lo, hi]
+            ends = [x for a, b in zip(ends, ends[1:]) for x in (a, 0.5 * (a + b))] + [hi]
+        ok = dict(zip(ends[1:-1], feasible(np.array(ends[1:-1]))))
+        for _ in range(3):
             mid = 0.5 * (lo + hi)
-            if feasible(mid):
-                lo = mid
-            else:
-                hi = mid
-        eps_hat = lo
+            lo, hi = (mid, hi) if ok[mid] else (lo, mid)
+    eps_hat = eps_max if top else lo
 
-    for eps in np.geomspace(EPS_FLOOR, eps_hat, MONOTONE_CHECK_POINTS):
-        if not feasible(eps):
-            warnings.warn(f"feasibility not monotone: violation at eps={eps:.3e} "
-                          f"below eps_hat={eps_hat:.3e}", stacklevel=2)
+    points = np.geomspace(EPS_FLOOR, eps_hat, MONOTONE_CHECK_POINTS)
+    for eps in points[~feasible(points)]:
+        warnings.warn(f"feasibility not monotone: violation at eps={eps:.3e} "
+                      f"below eps_hat={eps_hat:.3e}", stacklevel=2)
     return float(eps_hat)

@@ -339,6 +339,7 @@ def guarded(kernel):
     return run
 
 
+@np.errstate(over="ignore")  # an overflowing end raises EvalError below
 def interval(ast, box):
     """Natural interval extension of ast over box {name: (lo, hi)}: a pair
     (lo, hi) holding its value at every point of the box (Moore, Kearfott &

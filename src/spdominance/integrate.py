@@ -6,9 +6,6 @@ batch of states in lockstep through one vectorized right-hand side.
 integrate runs a batch of trajectories of a system through it, and
 integrate_variational a trajectory jointly with its variation. Both start
 from default_step(sys) = min(1e-3, eps/20), which resolves the fast scale.
-
-rk4_run, classical 4th-order Runge-Kutta at a fixed step, is kept as the
-reference that tests pin; no library path calls it.
 """
 
 from __future__ import annotations
@@ -100,32 +97,6 @@ def _check_finite(y, t):
     # false for NaN too, so one reduction covers both checks
     if not np.abs(y).max() <= STATE_NORM_LIMIT:
         raise NonFinite(f"state escaped at t={t:.6g}")
-
-
-def rk4_run(rhs, y0, t_span, h):
-    """Fixed-step loop. Samples every step plus the endpoint. Returns
-    (times, states)."""
-    t0, t1 = float(t_span[0]), float(t_span[1])
-    if h <= 0 or t1 <= t0:
-        raise ValueError("need h > 0 and t1 > t0")
-    y = np.array(y0, dtype=float)
-    n_steps = int(np.ceil((t1 - t0) / h - 1e-12))
-
-    times = [t0]
-    samples = [y.copy()]
-    t = t0
-    for k in range(n_steps):
-        step = min(h, t1 - t)
-        k1 = rhs(y)
-        k2 = rhs(y + 0.5 * step * k1)
-        k3 = rhs(y + 0.5 * step * k2)
-        k4 = rhs(y + step * k3)
-        y = y + (step / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        t = t1 if k == n_steps - 1 else t0 + (k + 1) * h
-        _check_finite(y, t)
-        times.append(t)
-        samples.append(y.copy())
-    return np.array(times), np.array(samples)
 
 
 # Dormand & Prince (1980) 5(4) tableau for an autonomous right-hand side:

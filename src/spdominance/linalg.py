@@ -59,14 +59,17 @@ def _as_sym(s):
     return s if isinstance(s, SymMatrix) else SymMatrix(s)
 
 
-def sym_eigvals(S):
-    """Eigenvalues of a symmetric matrix, ascending. A matrix with a
-    non-finite entry has all-NaN eigenvalues: LAPACK may return finite
+def eigvalsh_stack(a):
+    """Eigenvalues of each symmetric matrix in a stack, ascending. A matrix
+    with a non-finite entry has all-NaN eigenvalues: LAPACK may return finite
     values for it, which would let a NaN matrix pass as semidefinite."""
-    a = _as_sym(S).a
-    if not np.isfinite(a).all():
-        return np.full(a.shape[0], np.nan)
-    return np.linalg.eigvalsh(a)
+    finite = np.isfinite(a).all(axis=(-2, -1))[..., None]
+    return np.where(finite, np.linalg.eigvalsh(np.where(finite[..., None], a, 0.0)), np.nan)
+
+
+def sym_eigvals(S):
+    """Eigenvalues of a symmetric matrix, ascending (NaN where eigvalsh_stack says)."""
+    return eigvalsh_stack(_as_sym(S).a)
 
 
 def inertia(S):

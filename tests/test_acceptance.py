@@ -20,13 +20,13 @@ from spdominance.errors import InfeasibleAtFloor
 from spdominance.expressions import compile_field
 from spdominance.integrate import (Trajectory, detect_convergence,
                                    find_equilibria, integrate,
-                                   integrate_variational, make_rhs, rk4_run)
+                                   integrate_variational, make_rhs)
 from spdominance.linalg import SymMatrix, inertia, nsd_margin
 from spdominance.systems import (NonlinearSPSystem, SPRING_INITIAL_CONDITIONS,
                                  jacobians, nonlinear_spring_certificate,
                                  nonlinear_spring_system)
 
-from test_integrate import bisection_root
+from test_integrate import bisection_root, rk4_run
 from test_linalg import quad_eig_oracle
 
 P_R = [[-5.1987, 3.6260], [3.6260, 6.1987]]

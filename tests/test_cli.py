@@ -388,8 +388,10 @@ def test_newton_meets_zero_divisor_exits_1(tmp_path, capsys):
     ("certify", "certificate", {**spring_config()["certificate"], "lambda_r": [2]},
      "invalid certificate: "),
     ("certify", None, [1, 2], "config must be an object"),
+    ("epsilon-star", "omgea", {"x1": [-3, 3], "x2": [-3, 3], "z1": [-3, 3]},
+     "unknown config keys: omgea\n"),
 ], ids=["linearization-point", "initial-conditions", "hull-list", "certificate-list",
-        "certificate-rate-list", "config-list"])
+        "certificate-rate-list", "config-list", "misspelled-omega"])
 def test_malformed_numeric_field_exits_1(tmp_path, capsys, command, field, value, message):
     # field None: value is the whole config
     cfg = value if field is None else {**spring_config(), field: value}
@@ -399,6 +401,16 @@ def test_malformed_numeric_field_exits_1(tmp_path, capsys, command, field, value
 
 
 SPRING_OMEGA = {"x1": [-3, 3], "x2": [-3, 3], "z1": [-3, 3]}
+
+
+def test_overflowing_enclosure_exits_1_without_a_warning(tmp_path, capsys):
+    # x1^3 over [-1e200, 1e200] overflows: one config error line, and no numpy
+    # overflow warning before it (a RuntimeWarning fails this suite)
+    cfg = spring_config()
+    cfg["f"] = ["x2", "-x1^3 - x2 - z1"]
+    cfg["omega"] = {**SPRING_OMEGA, "x1": [-1e200, 1e200]}
+    assert main(["certify", write_cfg(tmp_path, cfg)]) == 1
+    assert capsys.readouterr().err == "config error: enclosure overflows\n"
 
 
 @pytest.mark.parametrize("kind, command, omega", [

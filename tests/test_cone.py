@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spdominance import analyze
 from spdominance.analyze import certificate_cone, monotone_probe
@@ -78,6 +80,21 @@ def test_cone_locate_symmetry_and_scale_invariance():
         assert cone_locate(cone, -v) is loc
         for alpha in (0.01, 3.0, -7.5):
             assert cone_locate(cone, alpha * v) is loc
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 6),
+       c=st.floats(1e-100, 1e100), negative=st.booleans())
+def test_cone_ratio_invariant_under_scaling(seed, n, c, negative):
+    # a cone of rank 1..n-1 with |eigenvalues| in [0.1, 10]
+    rng = np.random.default_rng(seed)
+    d = 10.0 ** rng.uniform(-1, 1, n)
+    d[:rng.integers(1, n)] *= -1.0
+    Q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    cone = make_cone(Q @ np.diag(d) @ Q.T)
+    v = rng.standard_normal(n)
+    c = -c if negative else c
+    assert cone_ratio(cone, c * v) == pytest.approx(cone_ratio(cone, v), rel=0, abs=1e-12)
 
 
 def test_negative_eigenspace_inside_cone():

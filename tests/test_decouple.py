@@ -3,14 +3,18 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from spdominance.certify import MatrixPolytope, SPDominanceCertificate
-from spdominance.decouple import (CHANG_RESIDUAL_TOL, EPS_FLOOR,
-                                  build_decoupling, chang_residuals,
+from spdominance import decouple
+from spdominance.certify import (MatrixPolytope, SPDominanceCertificate,
+                                 block_conditions, block_margins)
+from spdominance.decouple import (BISECT_STEPS, CHANG_RESIDUAL_TOL, EPS_FLOOR, EPS_MAX,
+                                  build_decoupling, chang_residuals, chang_stack,
                                   coupling_residual_limit, epsilon_star,
                                   full_system_matrix, reduced_model,
                                   solve_chang_lti)
 from spdominance.errors import (InfeasibleAtFloor, NoConvergence,
                                 NonpositiveEps, SingularD)
+from spdominance.systems import (a_block_hull, nonlinear_spring_certificate,
+                                 nonlinear_spring_system)
 
 A_SPRING = np.array([[0.0, 1.0], [2.0, 0.0]])
 B_SPRING = np.array([[0.0], [-5.0]])
@@ -241,3 +245,162 @@ def test_epsilon_star_decreases_with_sigma():
     tight = epsilon_star(A_poly, B_SPRING, C_SPRING,
                          MatrixPolytope([D_SPRING]), spring_cert(sigma_f=1.9))
     assert tight <= loose + 1e-12
+
+
+def scalar_epsilon_star(A_poly, B, C, D_poly, cert, eps_max=EPS_MAX):
+    """Reference search: feasibility one eps and one vertex pair at a time
+    through solve_chang_lti and block_conditions, then BISECT_STEPS plain
+    bisection steps (the monotonicity re-check only warns, so it is left out)."""
+    def feasible(eps):
+        for A in A_poly.vertices:
+            for D in D_poly.vertices:
+                try:
+                    L = solve_chang_lti(A, B, C, D, eps)
+                except NoConvergence:
+                    return False
+                slow, fast = block_conditions(cert, A, B, L, D, eps)
+                if not (slow.feasible and fast.feasible):
+                    return False
+        return True
+
+    if feasible(eps_max):
+        return eps_max
+    if not feasible(EPS_FLOOR):
+        raise InfeasibleAtFloor(f"block conditions infeasible even at eps={EPS_FLOOR}")
+    lo, hi = EPS_FLOOR, eps_max
+    for _ in range(BISECT_STEPS):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if feasible(mid) else (lo, mid)
+    return lo
+
+
+def orthogonal(rng, n):
+    q, r = np.linalg.qr(rng.standard_normal((n, n)))
+    return q * np.sign(np.diag(r))
+
+
+def lmi_system(rng, n_r, n_f, n_a, n_d, feasible):
+    """A linear two-time-scale system built by congruence around a known
+    rank-1 certificate diag(-1, 1, ..., 1): each reduced-model vertex is nearly
+    diagonal, its first mode slower than -lambda_r (too fast in the first
+    vertex when not feasible) and the others faster; the fast blocks are
+    stable but slower than lambda_r, so the block conditions fail at eps = 1.
+    Random orthogonal Q and R then move every entry. Returns
+    (A polytope, B, C, D polytope, certificate)."""
+    lam = 1.5
+    P_hat = np.diag([-1.0] + [1.0] * (n_r - 1))
+    while True:
+        D_verts = []
+        for _ in range(n_d):
+            K = rng.standard_normal((n_f, n_f))
+            K *= 0.3 / max(1e-12, np.linalg.norm(K))
+            D_verts.append(-np.eye(n_f) + 0.5 * (K - K.T) + 0.1 * (K + K.T))
+        B = rng.standard_normal((n_r, n_f))
+        C = rng.standard_normal((n_f, n_r))
+        B *= 0.3 / np.linalg.norm(B)
+        C *= 0.3 / np.linalg.norm(C)
+        A_verts = []
+        for i in range(n_a):
+            diag = -lam - np.linspace(0.5, 1.0, n_r)
+            diag[0] = -lam + (0.6 if feasible or i > 0 else -0.6)
+            A0 = np.diag(diag + 0.1 * rng.uniform(-1.0, 1.0, n_r))
+            A0 += 0.03 * rng.standard_normal((n_r, n_r))
+            A_verts.append(A0 - B @ C)
+        worst = max(np.linalg.eigvalsh(P_hat @ A0 + A0.T @ P_hat + 2.0 * lam * P_hat).max()
+                    for A0 in (A - B @ np.linalg.solve(D, C) for A in A_verts for D in D_verts))
+        if feasible and worst < -0.05:
+            sigma_r = -0.5 * worst
+            break
+        if not feasible and worst > 0.05:
+            sigma_r = 0.1
+            break
+    Q, R = orthogonal(rng, n_r), orthogonal(rng, n_f)
+    cert = SPDominanceCertificate(P_r=Q @ P_hat @ Q.T, P_f=np.eye(n_f), lambda_r=lam,
+                                  lambda_f=0.25, sigma_r=sigma_r, sigma_f=0.25, p=1)
+    return (MatrixPolytope([Q @ A @ Q.T for A in A_verts]), Q @ B @ R.T, R @ C @ Q.T,
+            MatrixPolytope([R @ D @ R.T for D in D_verts]), cert)
+
+
+# where the modes swap roles (n_r = n_f = 1 with a fast slow block), eps_max can be
+# feasible above infeasible eps: both searches return it, and epsilon_star warns
+@pytest.mark.filterwarnings("ignore:feasibility not monotone")
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1), n_r=st.integers(1, 4), n_f=st.integers(1, 3),
+       n_a=st.integers(1, 3), n_d=st.integers(1, 3), feasible=st.booleans())
+def test_stacked_search_matches_scalar_bisection(seed, n_r, n_f, n_a, n_d, feasible):
+    system = lmi_system(np.random.default_rng(seed), n_r, n_f, n_a, n_d, feasible)
+    try:
+        want = scalar_epsilon_star(*system)
+    except InfeasibleAtFloor:
+        with pytest.raises(InfeasibleAtFloor):
+            epsilon_star(*system)
+        return
+    assert epsilon_star(*system) == pytest.approx(want, rel=1e-12, abs=0)
+
+
+def test_chang_stack_matches_solve_chang_lti_per_slot():
+    rng = np.random.default_rng(17)
+    A, B, C, D = random_stable_sp_system(rng, n_r=3, n_f=2)
+    As = A + 0.3 * rng.standard_normal((6, 3, 3))
+    Ds = D + 0.1 * rng.standard_normal((6, 2, 2))
+    eps = np.array([1e-6, 1e-3, 0.005, 0.01, 0.02, 0.05])
+    L, why, r = chang_stack(As, B, C, Ds, eps[:, None, None])
+    assert list(why) == [""] * 6
+    for k in range(6):
+        assert np.allclose(L[k], solve_chang_lti(As[k], B, C, Ds[k], eps[k]),
+                           rtol=1e-12, atol=1e-14)
+        assert r[k] <= coupling_residual_limit(B, C)
+
+
+def test_chang_stack_failed_slot_marks_only_itself():
+    # slot 1 has a NaN vertex and slot 2 no strict modulus gap (the spring's
+    # [[eps A, eps B], [C, D]] has a complex pair at eps = 0.1); neither
+    # raises, and only they get a NaN L and NaN, so infeasible, margins; the
+    # complex pair of slot 2 leaves the others' arithmetic, and their L, as it
+    # is for each slot alone
+    A = np.repeat(A_SPRING[None], 4, axis=0)
+    A[1, 1, 0] = np.nan
+    D = np.repeat(D_SPRING[None], 4, axis=0)
+    eps = np.array([0.01, 0.01, 0.1, 0.02])[:, None, None]
+    L, why, _ = chang_stack(A, B_SPRING, C_SPRING, D, eps)
+    assert list(why) == ["", "Array must not contain infs or NaNs", "no strict modulus gap", ""]
+    assert np.isnan(L[1:3]).all()
+    for k in (0, 3):
+        assert np.array_equal(L[k], solve_chang_lti(A[k], B_SPRING, C_SPRING, D[k], eps[k, 0, 0]))
+    for margins in block_margins(spring_cert(), A, B_SPRING, L, D, eps):
+        assert list(np.isnan(margins)) == [False, True, True, False]
+    with pytest.raises(NoConvergence, match="Array must not contain infs or NaNs"):
+        solve_chang_lti(A[1], B_SPRING, C_SPRING, D[1], 0.01)
+
+
+def test_chang_stack_singular_slot_marks_only_itself():
+    # decoupled blocks, so the slow eigenvectors are the eigenvalues' own axes:
+    # slot 0 takes x1 and z1 (modulus 0.5 each, V1 singular), slot 1 has
+    # moduli 1, 2, 2, 3 (no gap after the second), slot 2 splits cleanly
+    A = np.repeat(np.diag([-1.0, -2.0])[None], 3, axis=0)
+    D = np.array([np.diag([-0.5, -3.0]), np.diag([-2.0, -3.0]), np.diag([-4.0, -3.0])])
+    eps = np.array([0.5, 1.0, 0.1])[:, None, None]
+    L, why, _ = chang_stack(A, np.zeros((2, 2)), np.zeros((2, 2)), D, eps)
+    assert list(why) == ["singular slow eigenvectors", "no strict modulus gap", ""]
+    assert np.isnan(L[:2]).all() and np.array_equal(L[2], np.zeros((2, 2)))
+
+
+def test_epsilon_star_calls_eig_once_per_round(monkeypatch):
+    # one eig for eps_max with the floor, one per round of 3 bisection steps,
+    # one for the monotonicity re-check: a guard on the batching that counts
+    # calls rather than timing them (the scalar search made 151 on the spring)
+    calls = []
+    eig = np.linalg.eig
+
+    def counted(a):
+        calls.append(np.shape(a))
+        return eig(a)
+
+    monkeypatch.setattr(decouple.np.linalg, "eig", counted)
+    A_poly, B, C, D = a_block_hull(nonlinear_spring_system())
+    cert = nonlinear_spring_certificate()
+    eps_hat = epsilon_star(A_poly, B, C, MatrixPolytope([D]), cert)
+    assert len(calls) <= 1 + BISECT_STEPS // 3 + 1
+    monkeypatch.undo()
+    assert eps_hat == pytest.approx(
+        scalar_epsilon_star(A_poly, B, C, MatrixPolytope([D]), cert), rel=1e-12, abs=0)

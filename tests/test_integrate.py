@@ -6,11 +6,10 @@ import pytest
 from spdominance.analyze import certificate_cone
 from spdominance.errors import ConfigError, DimensionMismatch, NonFinite
 from spdominance.expressions import compile_field
-from spdominance.integrate import (Trajectory, default_step, detect_convergence,
-                                   dopri_run, find_equilibria, integrate,
-                                   integrate_variational, make_rhs,
-                                   make_variational_rhs, rk4_run,
-                                   write_trajectory_csv)
+from spdominance.integrate import (Trajectory, _check_finite, default_step,
+                                   detect_convergence, dopri_run, find_equilibria,
+                                   integrate, integrate_variational, make_rhs,
+                                   make_variational_rhs, write_trajectory_csv)
 from spdominance.sampling import sample_cone_pairs
 from spdominance.systems import (LinearSPSystem, NonlinearSPSystem,
                                  SPRING_INITIAL_CONDITIONS,
@@ -33,6 +32,33 @@ def trajectory(sys, x0, t_span):
     """One trajectory through integrate, as a batch of one."""
     times, states, _ = integrate(sys, [x0], t_span)
     return Trajectory(times, states[:, 0])
+
+
+def rk4_run(rhs, y0, t_span, h):
+    """Classical 4th-order Runge-Kutta at a fixed step, the reference the
+    RK4 tests here and the acceptance criteria pin. Samples every step plus
+    the endpoint. Returns (times, states)."""
+    t0, t1 = float(t_span[0]), float(t_span[1])
+    if h <= 0 or t1 <= t0:
+        raise ValueError("need h > 0 and t1 > t0")
+    y = np.array(y0, dtype=float)
+    n_steps = int(np.ceil((t1 - t0) / h - 1e-12))
+
+    times = [t0]
+    samples = [y.copy()]
+    t = t0
+    for k in range(n_steps):
+        step = min(h, t1 - t)
+        k1 = rhs(y)
+        k2 = rhs(y + 0.5 * step * k1)
+        k3 = rhs(y + 0.5 * step * k2)
+        k4 = rhs(y + step * k3)
+        y = y + (step / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        t = t1 if k == n_steps - 1 else t0 + (k + 1) * h
+        _check_finite(y, t)
+        times.append(t)
+        samples.append(y.copy())
+    return np.array(times), np.array(samples)
 
 
 def bisection_root(fn, lo, hi, tol=1e-10):

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spdominance.linalg import Inertia, SymMatrix, inertia, nsd_margin, sym_eigvals
 
@@ -64,6 +66,27 @@ def test_sylvester_law_of_inertia():
                 break
         assert inertia(SymMatrix(M.T @ S @ M)).as_tuple() == \
             inertia(SymMatrix(S)).as_tuple()
+
+
+def random_orthogonal(rng, n):
+    q, r = np.linalg.qr(rng.standard_normal((n, n)))
+    return q * np.sign(np.diag(r))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 6))
+def test_inertia_invariant_under_congruence(seed, n):
+    # Sylvester's law: T^T S T has the inertia of S for a nonsingular T. With
+    # |eigenvalues of S| in [0.1, 10] or exactly 0, and the singular values of
+    # T in [0.5, 2], each nonzero eigenvalue stays within a factor 4 of its
+    # size (Ostrowski), far outside the zero tolerance
+    rng = np.random.default_rng(seed)
+    d = rng.choice([-1.0, 0.0, 1.0], n) * 10.0 ** rng.uniform(-1, 1, n)
+    Q = random_orthogonal(rng, n)
+    S = Q @ np.diag(d) @ Q.T
+    T = random_orthogonal(rng, n) @ np.diag(rng.uniform(0.5, 2.0, n)) @ random_orthogonal(rng, n)
+    assert inertia(SymMatrix(T.T @ S @ T)) == inertia(SymMatrix(S))
+    assert inertia(SymMatrix(S)).as_tuple() == (np.sum(d < 0), np.sum(d == 0), np.sum(d > 0))
 
 
 def test_eigvals_sorted_and_trace():
