@@ -1,11 +1,12 @@
 """Command-line surface.
 
 Subcommands: certify, decouple, epsilon-star, simulate, monotone-probe,
-reproduce-paper. Configuration is a single JSON file; every command writes
-a machine-readable JSON report with a fixed key order.
+reproduce-paper. `main` runs each one: it loads the JSON config (reproduce-paper
+builds the spring's), builds the system, starts the report, writes it with a
+fixed key order to --report or <out>/report.json, and picks the exit code.
 
 Exit codes: 0 = all requested checks passed, 1 = usage or configuration
-error, 2 = a mathematical check failed.
+error (no report is written), 2 = a mathematical check failed.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import datetime
 import json
 import os
 import sys as _sys
+from functools import cache
 
 import numpy as np
 
@@ -129,9 +131,9 @@ def slow_fast_polytopes(system):
 
 # -- reports ----------------------------------------------------------------
 
-def new_report(command, args):
-    rep = {"tool": "spdominance", "version": __version__, "command": command}
-    if not getattr(args, "no_timestamp", False):
+def new_report(args):
+    rep = {"tool": "spdominance", "version": __version__, "command": args.command}
+    if not args.no_timestamp:
         rep["timestamp"] = datetime.datetime.now(datetime.timezone.utc).isoformat()
     return rep
 
@@ -170,10 +172,12 @@ def _failed(label, error):
 
 
 # -- stages ------------------------------------------------------------------
-# Each stage serves its subcommand and reproduce-paper: it does the work,
-# handles the failures its check can report, printing one line for each, and
-# returns (fragment, verdict): its report entries, and its verdict, which is
-# None after a failure.
+# A subcommand takes the parsed args, with main's cfg and system on them, and
+# the report main started; it fills the report, prints its lines and returns
+# its verdict, and a false or None verdict exits 2. Each stage serves its
+# subcommand and reproduce-paper: it does the work, handles the failures its
+# check can report, printing one line for each, and returns (fragment,
+# verdict): its report entries, and its verdict, which is None after a failure.
 
 def epsilon_star_stage(system, cert, eps_max=EPS_MAX):
     """The certified eps threshold; the verdict is the threshold."""
@@ -220,44 +224,32 @@ def probe_stage(system, cert, n_pairs, t_final, seed):
 
 # -- subcommands ------------------------------------------------------------
 
-def cmd_certify(args):
-    cfg = load_config(args.config)
-    system = build_system(cfg)
-    cert = build_certificate(cfg)
-    report = new_report("certify", args)
+def cmd_certify(args, report):
     report["tolerances"] = {"feasibility_margin": FEASIBILITY_MARGIN}
-    report["certificate"] = certificate_report(system, cert)
-    write_report(report, args.report)
+    report["certificate"] = certificate_report(args.system, build_certificate(args.cfg))
     for block in ("slow", "fast"):
         res = report["certificate"][block]
         print(f"{block} block: worst margin {res['worst_margin']:.6g} "
               f"({'feasible' if res['feasible'] else 'INFEASIBLE'})")
-    return EXIT_OK if report["certificate"]["feasible"] else EXIT_CHECK_FAILED
+    return report["certificate"]["feasible"]
 
 
-def _fixed_blocks(cfg, system):
+def cmd_decouple(args, report):
+    system = args.system
+    eps = args.eps if args.eps is not None else float(args.cfg["eps"])
     if isinstance(system, NonlinearSPSystem):
-        point = cfg.get("linearization_point") or [0.0] * system.dim
-        return jacobians(system, numeric_field(point, "linearization_point"))
-    return system.fixed_blocks()
-
-
-def cmd_decouple(args):
-    cfg = load_config(args.config)
-    system = build_system(cfg)
-    eps = args.eps if args.eps is not None else float(cfg["eps"])
-    A, B, C, D = _fixed_blocks(cfg, system)
-    report = new_report("decouple", args)
+        point = args.cfg.get("linearization_point") or [0.0] * system.dim
+        A, B, C, D = jacobians(system, numeric_field(point, "linearization_point"))
+    else:
+        A, B, C, D = system.fixed_blocks()
     report["eps"] = eps
     report["tolerances"] = {"coupling_residual": coupling_residual_limit(B, C),
                             "block_diagonal_residual": BLOCK_DIAGONAL_TOL}
     try:
         dec = build_decoupling(A, B, C, D, eps)
     except NoConvergence as e:
-        report["decoupling"] = None
-        report.update(_failed("no convergence", e))
-        write_report(report, args.report)
-        return EXIT_CHECK_FAILED
+        report.update(decoupling=None, **_failed("no convergence", e))
+        return None
     M = full_system_matrix(A, B, C, D, eps)
     Md = dec.T_inv @ M @ dec.T
     n_r = A.shape[0]
@@ -274,64 +266,47 @@ def cmd_decouple(args):
         "coupling_residuals": [float(r_l), float(r_h)],
         "block_diagonalization_residual": float(offdiag),
     }
-    write_report(report, args.report)
     print(f"L = {dec.L.tolist()}")
     print(f"block-diagonalization residual: {offdiag:.3e}")
-    return EXIT_OK if offdiag <= BLOCK_DIAGONAL_TOL else EXIT_CHECK_FAILED
+    return offdiag <= BLOCK_DIAGONAL_TOL
 
 
-def cmd_epsilon_star(args):
-    cfg = load_config(args.config)
-    system = build_system(cfg)
-    cert = build_certificate(cfg)
-    report = new_report("epsilon-star", args)
+def cmd_epsilon_star(args, report):
     report["tolerances"] = {"eps_floor": EPS_FLOOR, "bisect_steps": BISECT_STEPS}
-    fragment, eps_hat = epsilon_star_stage(system, cert, args.eps_max)
+    fragment, eps_hat = epsilon_star_stage(args.system, build_certificate(args.cfg),
+                                           args.eps_max)
     report.update(fragment)
-    write_report(report, args.report)
-    if eps_hat is None:
-        return EXIT_CHECK_FAILED
-    print(f"certified eps threshold: {eps_hat:.6g}")
-    return EXIT_OK
+    if eps_hat is not None:
+        print(f"certified eps threshold: {eps_hat:.6g}")
+    return eps_hat
 
 
-def cmd_simulate(args):
-    cfg = load_config(args.config)
-    system = build_system(cfg)
-    ics = cfg.get("initial_conditions")
+def cmd_simulate(args, report):
+    ics = args.cfg.get("initial_conditions")
     if not ics:
         raise ConfigError("config has no \"initial_conditions\" list")
     ics = numeric_field(ics, "initial_conditions")
-    report = new_report("simulate", args)
     report["t_final"] = args.t_final
     report["tolerances"] = {"convergence": args.tol}
-    fragment, converged = simulation_stage(system, ics, args.t_final, args.tol, args.out)
+    fragment, converged = simulation_stage(args.system, ics, args.t_final, args.tol, args.out)
     report.update(fragment)
-    write_report(report, os.path.join(args.out, "report.json"))
-    if converged is None:
-        return EXIT_CHECK_FAILED
-    for v in fragment["trajectories"]:
+    for v in fragment.get("trajectories", []):
         state = "converged to " + str(v["matched_equilibrium"]) if v["converged"] \
             else "no convergence"
         print(f"from {v['initial_state']}: {state}")
-    return EXIT_OK if converged else EXIT_CHECK_FAILED
+    return converged
 
 
-def cmd_monotone_probe(args):
-    cfg = load_config(args.config)
-    system = build_system(cfg)
-    cert = build_certificate(cfg)
-    report = new_report("monotone-probe", args)
-    fragment, passed = probe_stage(system, cert, args.pairs, args.t_final, args.seed)
+def cmd_monotone_probe(args, report):
+    cert = build_certificate(args.cfg)
+    fragment, passed = probe_stage(args.system, cert, args.pairs, args.t_final, args.seed)
     report.update(fragment)
-    write_report(report, args.report)
-    if passed is None:
-        return EXIT_CHECK_FAILED
-    probe = fragment["monotone_probe"]
-    print(f"{probe['interior']}/{probe['total_classifications']} interior, "
-          f"{probe['boundary_warnings']} boundary warnings, "
-          f"{probe['outside']} outside; worst margin {probe['worst_quadform_margin']:.3e}")
-    return EXIT_OK if passed else EXIT_CHECK_FAILED
+    if passed is not None:
+        probe = fragment["monotone_probe"]
+        print(f"{probe['interior']}/{probe['total_classifications']} interior, "
+              f"{probe['boundary_warnings']} boundary warnings, "
+              f"{probe['outside']} outside; worst margin {probe['worst_quadform_margin']:.3e}")
+    return passed
 
 
 def spring_config(eps=SPRING_EPS, sigma_r=SPRING_SIGMA_R):
@@ -354,10 +329,8 @@ def spring_config(eps=SPRING_EPS, sigma_r=SPRING_SIGMA_R):
     }
 
 
-def cmd_reproduce_paper(args):
-    cfg = spring_config(eps=args.eps, sigma_r=args.sigma_r)
-    system = build_system(cfg)
-    report = new_report("reproduce-paper", args)
+def cmd_reproduce_paper(args, report):
+    system = args.system
     report["eps"] = args.eps
     checks = {}
 
@@ -370,7 +343,7 @@ def cmd_reproduce_paper(args):
         return verdict
 
     try:
-        cert = build_certificate(cfg)
+        cert = build_certificate(args.cfg)
     except ConfigError as e:
         cert = None
         report["certificate"] = {"error": str(e)}
@@ -381,7 +354,7 @@ def cmd_reproduce_paper(args):
         eps_hat = add("epsilon_star", epsilon_star_stage(system, cert))
         checks["eps_below_threshold"] = eps_hat is not None and args.eps < eps_hat
 
-    converged = add("simulate", simulation_stage(system, cfg["initial_conditions"],
+    converged = add("simulate", simulation_stage(system, args.cfg["initial_conditions"],
                                                  SPRING_T_FINAL, CONVERGENCE_TOL, args.out))
     checks["three_equilibria"] = len(report["equilibria"]) == 3
     checks["all_converged"] = bool(converged)
@@ -395,14 +368,14 @@ def cmd_reproduce_paper(args):
                             "feasibility_margin": FEASIBILITY_MARGIN}
     report["checks"] = checks
     report["all_checks_passed"] = all(checks.values())
-    write_report(report, os.path.join(args.out, "report.json"))
     for name, ok in checks.items():
         print(f"{name}: {'PASS' if ok else 'FAIL'}")
-    return EXIT_OK if report["all_checks_passed"] else EXIT_CHECK_FAILED
+    return report["all_checks_passed"]
 
 
 # -- entry point ------------------------------------------------------------
 
+@cache  # parsing leaves a parser as it was, so the first call's serves every call
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="spdominance",
@@ -456,8 +429,10 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as e:  # argparse has printed its usage error or --help
+        return EXIT_USAGE if e.code else EXIT_OK
     try:
         # the numeric flags that must be positive and finite, where a command has them
         for name in ("t_final", "tol", "pairs"):
@@ -466,11 +441,18 @@ def main(argv=None):
                                   f"finite, got {vars(args)[name]}")
         if vars(args).get("seed", 0) < 0:
             raise ConfigError(f"--seed must be a non-negative integer, got {args.seed}")
-        return args.func(args)
+        args.cfg = (load_config(args.config) if "config" in args
+                    else spring_config(eps=args.eps, sigma_r=args.sigma_r))
+        args.system = build_system(args.cfg)
+        report = new_report(args)
+        verdict = args.func(args, report)
     except (ConfigError, DimensionMismatch, EvalError, NonpositiveEps,
             NotScalarParameterized, SingularD) as e:
         print(f"config error: {e}", file=_sys.stderr)
         return EXIT_USAGE
+    write_report(report, os.path.join(args.out, "report.json") if "out" in args
+                 else args.report)
+    return EXIT_OK if verdict else EXIT_CHECK_FAILED
 
 
 if __name__ == "__main__":

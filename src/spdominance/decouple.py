@@ -174,10 +174,12 @@ def epsilon_star(A_polytope, B, C, D_polytope, cert, eps_max=EPS_MAX):
     BISECT_STEPS / 3 rounds, at the same points with the same decisions.
 
     Bisection assumes feasibility is monotone below the first feasible
-    point; since that is not guaranteed, feasibility is re-verified at
-    MONOTONE_CHECK_POINTS log-spaced eps values below the result, with a
-    warning on any violation. The returned value is a certified lower bound
-    on feasibility at the tested points.
+    point, which fails where the slow and fast modes swap roles. So the
+    floor must pass, and feasibility is re-verified at MONOTONE_CHECK_POINTS
+    log-spaced eps values up to the result: each violation warns, and the
+    result drops to the largest point below the lowest violation. The
+    returned value is a certified lower bound on feasibility at the tested
+    points.
     """
     check_eps(eps_max)
     A_polytope, D_polytope = (P if isinstance(P, MatrixPolytope) else MatrixPolytope([P])
@@ -196,7 +198,7 @@ def epsilon_star(A_polytope, B, C, D_polytope, cert, eps_max=EPS_MAX):
         return ((slow <= FEASIBILITY_MARGIN) & (fast <= FEASIBILITY_MARGIN)).reshape(m, -1).all(1)
 
     top, floor = feasible(np.array([eps_max, EPS_FLOOR]))
-    if not (top or floor):
+    if not floor:
         raise InfeasibleAtFloor(f"block conditions infeasible even at eps={EPS_FLOOR}")
     lo, hi = EPS_FLOOR, eps_max
     for _ in range(0 if top else BISECT_STEPS // 3):
@@ -210,7 +212,9 @@ def epsilon_star(A_polytope, B, C, D_polytope, cert, eps_max=EPS_MAX):
     eps_hat = eps_max if top else lo
 
     points = np.geomspace(EPS_FLOOR, eps_hat, MONOTONE_CHECK_POINTS)
-    for eps in points[~feasible(points)]:
+    ok = feasible(points)
+    for eps in points[~ok]:
         warnings.warn(f"feasibility not monotone: violation at eps={eps:.3e} "
                       f"below eps_hat={eps_hat:.3e}", stacklevel=2)
-    return float(eps_hat)
+    # points[0] is the floor, which passed above (max guards a last-bit flip)
+    return float(eps_hat if ok.all() else points[max(np.argmin(ok), 1) - 1])

@@ -1,4 +1,8 @@
 import json
+import os
+import pathlib
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -479,3 +483,64 @@ def test_probe_report_names_its_tolerances(tmp_path):
     assert probe["boundary_allowance"] == PROBE_BOUNDARY_ALLOWANCE
     assert probe["samples_per_pair"] == PROBE_SAMPLES
     assert probe["integrator"]["tol"] == DP_TOL
+
+
+REPORT_HEAD = ["tool", "version", "command"]
+
+
+@pytest.mark.parametrize("argv, keys", [
+    (["certify", "{spring}", "--report", "{rep}"], ["tolerances", "certificate"]),
+    (["decouple", "{spring}", "--report", "{rep}"], ["eps", "tolerances", "decoupling"]),
+    (["decouple", "{spring}", "--eps", "0.5", "--report", "{rep}"],
+     ["eps", "tolerances", "decoupling", "error"]),
+    (["epsilon-star", "{spring}", "--report", "{rep}"], ["tolerances", "epsilon_star"]),
+    (["monotone-probe", "{spring}", "--pairs", "2", "--t-final", "0.1", "--report", "{rep}"],
+     ["monotone_probe"]),
+    (["simulate", "{spring}", "--t-final", "0.1", "--out", "{out}"],
+     ["t_final", "tolerances", "equilibria", "trajectories", "csv_files"]),
+    (["reproduce-paper", "--out", "{out}"],
+     ["eps", "certificate", "epsilon_star", "equilibria", "trajectories", "csv_files",
+      "monotone_probe", "tolerances", "checks", "all_checks_passed"]),
+])
+def test_report_key_order(tmp_path, argv, keys):
+    # the key order each subcommand's report keeps, whatever runs it
+    paths = {"spring": spring_cfg_path(tmp_path), "rep": str(tmp_path / "rep.json"),
+             "out": str(tmp_path / "out")}
+    main(["--no-timestamp"] + [a.format(**paths) for a in argv])
+    report = tmp_path / ("out/report.json" if "{out}" in argv else "rep.json")
+    assert list(json.loads(report.read_text())) == REPORT_HEAD + keys
+
+
+@pytest.mark.parametrize("argv", [["certify"], ["bogus"],
+                                  ["monotone-probe", "x", "--pairs", "abc"]])
+def test_usage_error_exits_1(capsys, argv):
+    assert main(argv) == 1
+    assert "error: " in capsys.readouterr().err  # argparse's own message
+
+
+def test_help_exits_0(capsys):
+    assert main(["--help"]) == 0
+    assert capsys.readouterr().out.startswith("usage: spdominance")
+
+
+def test_parser_is_built_once(tmp_path, monkeypatch):
+    def no_parser(*args, **kwargs):
+        raise AssertionError("main built a parser")
+
+    path = linear_cfg(tmp_path)
+    assert main(["decouple", path]) == 0  # the first call in the process builds it
+    monkeypatch.setattr(cli.argparse, "ArgumentParser", no_parser)
+    assert [main(["decouple", path]), main(["certify", path])] == [0, 2]
+
+
+@pytest.mark.parametrize("argv, code", [(["decouple", "config.json"], 0),
+                                        (["certify"], 1),
+                                        (["certify", "config.json"], 2)])
+def test_exit_code_reaches_the_shell(tmp_path, argv, code):
+    # python -m spdominance.cli, the path the console script takes through main
+    linear_cfg(tmp_path)
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    done = subprocess.run([sys.executable, "-m", "spdominance.cli"] + argv, cwd=tmp_path,
+                          env=env, capture_output=True, timeout=120)
+    assert done.returncode == code

@@ -7,8 +7,8 @@ from spdominance import decouple
 from spdominance.certify import (MatrixPolytope, SPDominanceCertificate,
                                  block_conditions, block_margins)
 from spdominance.decouple import (BISECT_STEPS, CHANG_RESIDUAL_TOL, EPS_FLOOR, EPS_MAX,
-                                  build_decoupling, chang_residuals, chang_stack,
-                                  coupling_residual_limit, epsilon_star,
+                                  MONOTONE_CHECK_POINTS, build_decoupling, chang_residuals,
+                                  chang_stack, coupling_residual_limit, epsilon_star,
                                   full_system_matrix, reduced_model,
                                   solve_chang_lti)
 from spdominance.errors import (InfeasibleAtFloor, NoConvergence,
@@ -249,8 +249,10 @@ def test_epsilon_star_decreases_with_sigma():
 
 def scalar_epsilon_star(A_poly, B, C, D_poly, cert, eps_max=EPS_MAX):
     """Reference search: feasibility one eps and one vertex pair at a time
-    through solve_chang_lti and block_conditions, then BISECT_STEPS plain
-    bisection steps (the monotonicity re-check only warns, so it is left out)."""
+    through solve_chang_lti and block_conditions; an infeasible floor raises,
+    then BISECT_STEPS plain bisection steps, unless eps_max is feasible; the
+    result drops to the largest of the MONOTONE_CHECK_POINTS log-spaced
+    re-check points below the lowest infeasible one."""
     def feasible(eps):
         for A in A_poly.vertices:
             for D in D_poly.vertices:
@@ -263,15 +265,17 @@ def scalar_epsilon_star(A_poly, B, C, D_poly, cert, eps_max=EPS_MAX):
                     return False
         return True
 
-    if feasible(eps_max):
-        return eps_max
     if not feasible(EPS_FLOOR):
         raise InfeasibleAtFloor(f"block conditions infeasible even at eps={EPS_FLOOR}")
+    top = feasible(eps_max)
     lo, hi = EPS_FLOOR, eps_max
-    for _ in range(BISECT_STEPS):
+    for _ in range(0 if top else BISECT_STEPS):
         mid = 0.5 * (lo + hi)
         lo, hi = (mid, hi) if feasible(mid) else (lo, mid)
-    return lo
+    eps_hat = eps_max if top else lo
+    points = np.geomspace(EPS_FLOOR, eps_hat, MONOTONE_CHECK_POINTS)
+    bad = [k for k, eps in enumerate(points) if not feasible(eps)]
+    return points[max(bad[0], 1) - 1] if bad else eps_hat
 
 
 def orthogonal(rng, n):
@@ -322,7 +326,8 @@ def lmi_system(rng, n_r, n_f, n_a, n_d, feasible):
 
 
 # where the modes swap roles (n_r = n_f = 1 with a fast slow block), eps_max can be
-# feasible above infeasible eps: both searches return it, and epsilon_star warns
+# feasible above infeasible eps: both searches drop below the re-check's lowest
+# violation, or raise where the floor fails, and epsilon_star warns
 @pytest.mark.filterwarnings("ignore:feasibility not monotone")
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(seed=st.integers(0, 2**32 - 1), n_r=st.integers(1, 4), n_f=st.integers(1, 3),
@@ -336,6 +341,36 @@ def test_stacked_search_matches_scalar_bisection(seed, n_r, n_f, n_a, n_d, feasi
             epsilon_star(*system)
         return
     assert epsilon_star(*system) == pytest.approx(want, rel=1e-12, abs=0)
+
+
+def test_epsilon_star_raises_where_only_eps_max_passes():
+    # A = -2.12, B = -0.3, C = 0.3, D = -0.94 with an infeasible certificate:
+    # at eps = 1 the smallest-modulus mode of [[eps A, eps B], [C, D]] is D's, so
+    # L is the other root and eps_max passes while the floor fails
+    system = lmi_system(np.random.default_rng(0), 1, 1, 1, 1, False)
+    assert np.allclose([m.item() for m in (system[0].vertices[0], system[1], system[2],
+                                           system[3].vertices[0])],
+                       [-2.12, -0.3, 0.3, -0.94], atol=0.005)
+    with pytest.raises(InfeasibleAtFloor):
+        epsilon_star(*system)
+
+
+def test_epsilon_star_drops_below_a_violation_of_its_recheck(monkeypatch):
+    # feasible but for eps in (1e-6, 1e-4): eps_max passes, and of the re-check
+    # points 1e-12, 10^-11.2, ..., 1 the two inside, 10^-5.6 and 10^-4.8, fail,
+    # so the bound drops to 10^-6.4 with a warning for each
+    def banded(cert, A, B, L, D, eps):
+        slow, fast = block_margins(cert, A, B, L, D, eps)
+        return np.where((1e-6 < eps[:, 0, 0]) & (eps[:, 0, 0] < 1e-4), 1.0, slow), fast
+
+    monkeypatch.setattr(decouple, "block_margins", banded)
+    cert = SPDominanceCertificate(P_r=np.eye(2), P_f=[[1.0]], lambda_r=0.0,
+                                  lambda_f=0.0, sigma_r=1.0, sigma_f=1.0, p=0)
+    with pytest.warns(UserWarning, match="feasibility not monotone") as record:
+        eps_hat = epsilon_star(MatrixPolytope([-np.eye(2)]), np.zeros((2, 1)),
+                               np.zeros((1, 2)), MatrixPolytope([[[-2.0]]]), cert)
+    assert len(record) == 2
+    assert eps_hat == np.geomspace(EPS_FLOOR, 1.0, MONOTONE_CHECK_POINTS)[7]
 
 
 def test_chang_stack_matches_solve_chang_lti_per_slot():
