@@ -16,6 +16,7 @@ import datetime
 import json
 import os
 import sys as _sys
+import warnings
 from functools import cache
 
 import numpy as np
@@ -180,13 +181,19 @@ def _failed(label, error):
 # verdict): its report entries, and its verdict, which is None after a failure.
 
 def epsilon_star_stage(system, cert, eps_max=EPS_MAX):
-    """The certified eps threshold; the verdict is the threshold."""
+    """The eps threshold and its re-check's violations; the verdict is the threshold."""
     A_poly, B, C, D_poly = coupling_inputs(system)
-    try:
-        eps_hat = epsilon_star(A_poly, B, C, D_poly, cert, eps_max=eps_max)
-    except InfeasibleAtFloor as e:
-        return {"epsilon_star": None, **_failed("infeasible", e)}, None
-    return {"epsilon_star": eps_hat}, eps_hat
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            eps_hat = epsilon_star(A_poly, B, C, D_poly, cert, eps_max=eps_max)
+            fragment = {"monotone_violations": [w.message.eps for w in caught
+                                                if hasattr(w.message, "eps")]}
+        except InfeasibleAtFloor as e:
+            eps_hat, fragment = None, _failed("infeasible", e)
+    for w in caught:  # recorded to be read, then shown or filtered as before
+        warnings.warn_explicit(w.message, w.category, w.filename, w.lineno)
+    return {"epsilon_star": eps_hat, **fragment}, eps_hat
 
 
 def simulation_stage(system, ics, t_final, tol, out):

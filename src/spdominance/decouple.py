@@ -176,10 +176,10 @@ def epsilon_star(A_polytope, B, C, D_polytope, cert, eps_max=EPS_MAX):
     Bisection assumes feasibility is monotone below the first feasible
     point, which fails where the slow and fast modes swap roles. So the
     floor must pass, and feasibility is re-verified at MONOTONE_CHECK_POINTS
-    log-spaced eps values up to the result: each violation warns, and the
-    result drops to the largest point below the lowest violation. The
-    returned value is a certified lower bound on feasibility at the tested
-    points.
+    log-spaced eps values up to the result: each violation warns, with its
+    eps as the warning's eps, and the result drops to the largest point
+    below the lowest violation. The returned value is a certified lower
+    bound on feasibility at the tested points.
     """
     check_eps(eps_max)
     A_polytope, D_polytope = (P if isinstance(P, MatrixPolytope) else MatrixPolytope([P])
@@ -214,7 +214,9 @@ def epsilon_star(A_polytope, B, C, D_polytope, cert, eps_max=EPS_MAX):
     points = np.geomspace(EPS_FLOOR, eps_hat, MONOTONE_CHECK_POINTS)
     ok = feasible(points)
     for eps in points[~ok]:
-        warnings.warn(f"feasibility not monotone: violation at eps={eps:.3e} "
-                      f"below eps_hat={eps_hat:.3e}", stacklevel=2)
+        warning = UserWarning(f"feasibility not monotone: violation at eps={eps:.3e} "
+                              f"below eps_hat={eps_hat:.3e}")
+        warning.eps = float(eps)  # the violation at full precision, for a report
+        warnings.warn(warning, stacklevel=2)
     # points[0] is the floor, which passed above (max guards a last-bit flip)
     return float(eps_hat if ok.all() else points[max(np.argmin(ok), 1) - 1])

@@ -308,14 +308,16 @@ def _diff(ast, var):
 
 def compile_field(asts, var_names):
     """Compile ASTs into one numpy kernel field(s) -> out, the one evaluator
-    of ASTs at states: the names bind to the columns s[..., i], and
-    component k is written to out[..., k] (a constant component
-    broadcasts), so out has shape s.shape[:-1] + (len(asts),). s is one
-    state of shape (dim,) or a batch of shape (..., dim)."""
-    lines = ["def field(s):"]
-    lines += [f"    {name} = s[..., {i}]" for i, name in enumerate(var_names)]
+    of ASTs at states: the names bind to s.T[i], and component k is written
+    to out.T[k] (a constant component broadcasts), so out has shape
+    s.shape[:-1] + (len(asts),). s.T[i] is the column s[..., i] of a batch
+    (..., dim), or a numpy scalar, cheaper than a 0-d array, for one state
+    (dim,); powers are ufunc calls, so a state and its batch row agree bitwise."""
+    lines = ["def field(s):", "    sT = s.T"]
+    lines += [f"    {name} = sT[{i}]" for i, name in enumerate(var_names)]
     lines.append(f"    out = np.empty(s.shape[:-1] + ({len(asts)},))")
-    lines += [f"    out[..., {i}] = {_numpy_source(a)}" for i, a in enumerate(asts)]
+    lines.append("    o = out.T")
+    lines += [f"    o[{i}] = {_numpy_source(a)}" for i, a in enumerate(asts)]
     lines.append("    return out")
     namespace = {"np": np, "__builtins__": {}}
     exec("\n".join(lines), namespace)  # source generated from our own AST
@@ -326,7 +328,7 @@ def guarded(kernel):
     """kernel for evaluation at configured points: a zero divisor raises
     EvalError("division by zero"), whether Python floats divide (a literal
     1/0) or numpy does (x/0, 0/0 or 0^-1); any other invalid operation
-    raises EvalError with numpy's message."""
+    raises EvalError with numpy's message for a batch, also for one state."""
     def run(s):
         try:
             with np.errstate(divide="raise", invalid="raise"):
@@ -334,8 +336,9 @@ def guarded(kernel):
         except ZeroDivisionError:
             raise EvalError("division by zero") from None
         except FloatingPointError as e:
-            divide = str(e).startswith("divide by zero") or str(e).endswith("divide")
-            raise EvalError("division by zero" if divide else str(e)) from None
+            msg = str(e).replace("scalar ", "")
+            divide = msg.startswith("divide by zero") or msg.endswith("divide")
+            raise EvalError("division by zero" if divide else msg) from None
     return run
 
 
@@ -390,8 +393,10 @@ def _numpy_source(ast):
         return f"(-{_numpy_source(ast.arg)})"
     if isinstance(ast, Call):
         return f"np.{ast.fn}({_numpy_source(ast.arg)})"
-    if isinstance(ast, Pow):
-        return f"({_numpy_source(ast.base)})**({ast.exponent})"
+    if isinstance(ast, Pow):  # the ufuncs an array's ** calls; a scalar's ** rounds apart
+        base, k = _numpy_source(ast.base), ast.exponent
+        return {2: f"np.square({base})", -1: f"np.reciprocal({base})"}.get(
+            k, f"np.power({base}, {k})")
     if isinstance(ast, BinOp):
         return f"({_numpy_source(ast.left)} {ast.op} {_numpy_source(ast.right)})"
     raise TypeError(f"not an AST node: {ast!r}")

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -151,6 +152,7 @@ def dopri_run(rhs, y0, t_span, h0, sample_times=None):
     K = np.empty((7,) + y.shape)
     K_flat = K.reshape(7, -1)
     K[0] = rhs(y)
+    abs_y = np.abs(y).ravel()  # |y| of the accepted state, carried into the next scale
     stats = {"steps": 0, "rejected": 0, "rhs_evals": 1}
     t, h = t0, float(h0)
     for stop in stops:
@@ -169,9 +171,10 @@ def dopri_run(rhs, y0, t_span, h0, sample_times=None):
             stats["rhs_evals"] += 6
             y_new = y_stage  # the last stage is taken at the 5th-order solution
             err_vec = step * (_DP_E @ K_flat)
-            scale = DP_TOL + DP_TOL * np.maximum(np.abs(y), np.abs(y_new)).ravel()
+            abs_new = np.abs(y_new).ravel()
+            scale = DP_TOL + DP_TOL * np.maximum(abs_y, abs_new)
             err = float(np.max(np.abs(err_vec) / scale))
-            if np.isnan(err):
+            if math.isnan(err):
                 raise NonFinite(f"state escaped at t={t:.6g}: non-finite error estimate")
             fac = 5.0 if err == 0.0 else min(5.0, max(0.2, 0.9 * err ** -0.2))
             if err > 1.0:
@@ -180,8 +183,9 @@ def dopri_run(rhs, y0, t_span, h0, sample_times=None):
                 continue
             stats["steps"] += 1
             t = stop if landing else t + step
-            _check_finite(y_new, t)
-            y = y_new
+            if not abs_new.max() <= STATE_NORM_LIMIT:  # as _check_finite, from abs_new
+                raise NonFinite(f"state escaped at t={t:.6g}")
+            y, abs_y = y_new, abs_new
             K[0] = K[6]
             # a step cut short to land on a stop does not shrink the next one
             h = max(step * fac, h) if landing else step * fac
@@ -217,22 +221,24 @@ def make_variational_rhs(sys):
 
     if not isinstance(sys, NonlinearSPSystem):
         raise TypeError(f"cannot integrate {type(sys).__name__}")
-    jac = sys.jacobian_asts()
-    deltas = ["d" + name for name in sys.names]
-    dx, dz = deltas[:sys.n_r], deltas[sys.n_r:]
-    inv_eps = Const(1.0 / sys.eps)
+    if sys._var_kernel is None:  # compiled once per system, as jacobian_kernel is
+        jac = sys.jacobian_asts()
+        deltas = ["d" + name for name in sys.names]
+        dx, dz = deltas[:sys.n_r], deltas[sys.n_r:]
+        inv_eps = Const(1.0 / sys.eps)
 
-    def dot(row, names):
-        # sum of entry * delta over the nonzero entries, starting from 0.0:
-        # a partial sum that starts at +0.0 is never -0.0, so leaving out the
-        # zero entries (each term +-0.0 for a finite delta) changes no result
-        terms = [BinOp("*", e, Var(d)) for e, d in zip(row, names) if e != Const(0.0)]
-        return functools.reduce(lambda a, b: BinOp("+", a, b), terms, Const(0.0))
+        def dot(row, names):
+            # sum of entry * delta over the nonzero entries, starting from 0.0:
+            # a partial sum that starts at +0.0 is never -0.0, so leaving out the
+            # zero entries (each term +-0.0 for a finite delta) changes no result
+            terms = [BinOp("*", e, Var(d)) for e, d in zip(row, names) if e != Const(0.0)]
+            return functools.reduce(lambda a, b: BinOp("+", a, b), terms, Const(0.0))
 
-    d_slow = [BinOp("+", dot(a, dx), dot(b, dz)) for a, b in zip(jac["A"], jac["B"])]
-    d_fast = [BinOp("*", BinOp("+", dot(c, dx), dot(d, dz)), inv_eps)
-              for c, d in zip(jac["C"], jac["D"])]
-    return compile_field(_derivative_asts(sys) + d_slow + d_fast, sys.names + deltas)
+        d_slow = [BinOp("+", dot(a, dx), dot(b, dz)) for a, b in zip(jac["A"], jac["B"])]
+        d_fast = [BinOp("*", BinOp("+", dot(c, dx), dot(d, dz)), inv_eps)
+                  for c, d in zip(jac["C"], jac["D"])]
+        sys._var_kernel = compile_field(_derivative_asts(sys) + d_slow + d_fast, sys.names + deltas)
+    return sys._var_kernel
 
 
 def integrate_variational(sys, x0, delta0, t_span):

@@ -90,7 +90,7 @@ class NonlinearSPSystem(_StateSpace):
         if np.abs(rhs0).max() > 1e-12:
             warnings.warn("system does not vanish at the origin; "
                           "dominance theory assumes a shifted equilibrium there")
-        self._jac_asts = self._jac_kernel = None
+        self._jac_asts = self._jac_kernel = self._var_kernel = None
 
     # -- symbolic machinery -------------------------------------------------
 

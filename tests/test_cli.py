@@ -493,14 +493,16 @@ REPORT_HEAD = ["tool", "version", "command"]
     (["decouple", "{spring}", "--report", "{rep}"], ["eps", "tolerances", "decoupling"]),
     (["decouple", "{spring}", "--eps", "0.5", "--report", "{rep}"],
      ["eps", "tolerances", "decoupling", "error"]),
-    (["epsilon-star", "{spring}", "--report", "{rep}"], ["tolerances", "epsilon_star"]),
+    (["epsilon-star", "{spring}", "--report", "{rep}"],
+     ["tolerances", "epsilon_star", "monotone_violations"]),
     (["monotone-probe", "{spring}", "--pairs", "2", "--t-final", "0.1", "--report", "{rep}"],
      ["monotone_probe"]),
     (["simulate", "{spring}", "--t-final", "0.1", "--out", "{out}"],
      ["t_final", "tolerances", "equilibria", "trajectories", "csv_files"]),
     (["reproduce-paper", "--out", "{out}"],
-     ["eps", "certificate", "epsilon_star", "equilibria", "trajectories", "csv_files",
-      "monotone_probe", "tolerances", "checks", "all_checks_passed"]),
+     ["eps", "certificate", "epsilon_star", "monotone_violations", "equilibria",
+      "trajectories", "csv_files", "monotone_probe", "tolerances", "checks",
+      "all_checks_passed"]),
 ])
 def test_report_key_order(tmp_path, argv, keys):
     # the key order each subcommand's report keeps, whatever runs it

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from spdominance import decouple
+from spdominance import cli, decouple
 from spdominance.certify import (MatrixPolytope, SPDominanceCertificate,
                                  block_conditions, block_margins)
 from spdominance.decouple import (BISECT_STEPS, CHANG_RESIDUAL_TOL, EPS_FLOOR, EPS_MAX,
@@ -13,7 +13,7 @@ from spdominance.decouple import (BISECT_STEPS, CHANG_RESIDUAL_TOL, EPS_FLOOR, E
                                   solve_chang_lti)
 from spdominance.errors import (InfeasibleAtFloor, NoConvergence,
                                 NonpositiveEps, SingularD)
-from spdominance.systems import (a_block_hull, nonlinear_spring_certificate,
+from spdominance.systems import (LinearSPSystem, a_block_hull, nonlinear_spring_certificate,
                                  nonlinear_spring_system)
 
 A_SPRING = np.array([[0.0, 1.0], [2.0, 0.0]])
@@ -355,10 +355,11 @@ def test_epsilon_star_raises_where_only_eps_max_passes():
         epsilon_star(*system)
 
 
-def test_epsilon_star_drops_below_a_violation_of_its_recheck(monkeypatch):
-    # feasible but for eps in (1e-6, 1e-4): eps_max passes, and of the re-check
-    # points 1e-12, 10^-11.2, ..., 1 the two inside, 10^-5.6 and 10^-4.8, fail,
-    # so the bound drops to 10^-6.4 with a warning for each
+def banded_case(monkeypatch):
+    """A diagonal system and a certificate, feasible but for eps in (1e-6,
+    1e-4), where block_margins is patched to fail: eps_max passes, and of the
+    re-check points 1e-12, 10^-11.2, ..., 1 the two inside, 10^-5.6 and
+    10^-4.8, fail, so the bound drops to 10^-6.4 with a warning for each."""
     def banded(cert, A, B, L, D, eps):
         slow, fast = block_margins(cert, A, B, L, D, eps)
         return np.where((1e-6 < eps[:, 0, 0]) & (eps[:, 0, 0] < 1e-4), 1.0, slow), fast
@@ -366,11 +367,28 @@ def test_epsilon_star_drops_below_a_violation_of_its_recheck(monkeypatch):
     monkeypatch.setattr(decouple, "block_margins", banded)
     cert = SPDominanceCertificate(P_r=np.eye(2), P_f=[[1.0]], lambda_r=0.0,
                                   lambda_f=0.0, sigma_r=1.0, sigma_f=1.0, p=0)
+    return LinearSPSystem(A=-np.eye(2), B=np.zeros((2, 1)), C=np.zeros((1, 2)),
+                          D=[[-2.0]]), cert
+
+
+def test_epsilon_star_drops_below_a_violation_of_its_recheck(monkeypatch):
+    system, cert = banded_case(monkeypatch)
     with pytest.warns(UserWarning, match="feasibility not monotone") as record:
-        eps_hat = epsilon_star(MatrixPolytope([-np.eye(2)]), np.zeros((2, 1)),
-                               np.zeros((1, 2)), MatrixPolytope([[[-2.0]]]), cert)
+        eps_hat = epsilon_star(system.A, system.B, system.C, system.D, cert)
     assert len(record) == 2
     assert eps_hat == np.geomspace(EPS_FLOOR, 1.0, MONOTONE_CHECK_POINTS)[7]
+
+
+def test_epsilon_star_report_lists_the_violations_of_its_recheck(monkeypatch):
+    # the case above through the stage that epsilon-star and reproduce-paper
+    # report from: it lists both violations, and both still warn from the stage
+    system, cert = banded_case(monkeypatch)
+    with pytest.warns(UserWarning, match="feasibility not monotone") as record:
+        fragment, eps_hat = cli.epsilon_star_stage(system, cert)
+    points = np.geomspace(EPS_FLOOR, 1.0, MONOTONE_CHECK_POINTS)
+    assert fragment == {"epsilon_star": points[7], "monotone_violations": list(points[8:10])}
+    assert eps_hat == points[7]
+    assert [w.filename for w in record] == [cli.__file__] * 2
 
 
 def test_chang_stack_matches_solve_chang_lti_per_slot():

@@ -210,3 +210,52 @@ def test_interval_encloses_compiled_value(src, box, where):
 def test_interval_overflow_raises():
     with np.errstate(over="ignore"), pytest.raises(EvalError, match="^enclosure overflows$"):
         interval(parse_expr("3 * x1^2"), {"x1": (-1e200, 1e200)})
+
+
+# random ASTs over every node kind, exponents -3..4, constants including 0
+LEAVES = st.one_of(st.sampled_from([Var("x1"), Var("x2"), Var("x3")]),
+                   st.sampled_from([0.0, -0.0, 1.0, 2.5, -3.0, 1e-3]).map(Const))
+ASTS = st.recursive(LEAVES, lambda sub: st.one_of(
+    st.builds(BinOp, st.sampled_from("+-*/"), sub, sub),
+    st.builds(Pow, sub, st.integers(-3, 4)),
+    st.builds(Neg, sub),
+    st.builds(Call, st.sampled_from(sorted(FUNCTIONS)), sub)), max_leaves=8)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(asts=st.lists(ASTS, min_size=1, max_size=3), dim=st.integers(2, 3),
+       seed=st.integers(0, 2**32 - 1))
+def test_state_matches_its_batch_row_bit_for_bit(asts, dim, seed):
+    # one state evaluates on numpy scalars, a batch on columns: the same bits,
+    # on 16 states whose entries are drawn from [-3, 3], a quarter of them +-0.0
+    names = ["x1", "x2", "x3"][:dim]
+    asts = [a for a in asts if free_vars(a) <= set(names)] or [Const(1.0)]
+    rng = np.random.default_rng(seed)
+    states = rng.uniform(-3, 3, (16, dim))
+    zeros = rng.random(states.shape) < 0.25
+    states[zeros] = rng.choice([0.0, -0.0], zeros.sum())
+    field = compile_field(asts, names)
+    with np.errstate(all="ignore"):
+        try:
+            batch = field(states)
+        except ZeroDivisionError:  # a constant over a constant 0: Python floats either way
+            for state in states:
+                with pytest.raises(ZeroDivisionError):
+                    field(state)
+            return
+        for state, row in zip(states, batch):
+            assert field(state).tobytes() == row.tobytes()
+
+
+@pytest.mark.parametrize("src, point, message", [
+    ("x1 / 0", (1.0, 0.0), "division by zero"),
+    ("x1 / x2", (0.0, 0.0), "division by zero"),
+    ("x1^-1", (0.0, 0.0), "division by zero"),
+    ("x1^-3 + x2", (0.0, 1.0), "division by zero"),
+    ("x1 - x2", (np.inf, np.inf), "invalid value encountered in subtract"),
+])
+def test_guarded_message_is_the_same_for_a_state_and_a_batch(src, point, message):
+    field = guarded(compile_field([parse_expr(src)], ["x1", "x2"]))
+    for s in (np.array(point), np.array([(0.5, 1.0), point])):
+        with pytest.raises(EvalError, match=f"^{message}$"):
+            field(s)

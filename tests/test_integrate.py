@@ -1,3 +1,4 @@
+import importlib
 import itertools
 
 import numpy as np
@@ -248,6 +249,23 @@ def test_variational_zero_delta_stays_zero():
     vt = integrate_variational(nonlinear_spring_system(), [1.0, 1.0, 1.0],
                                np.zeros(3), (0, 1))
     assert np.abs(vt.delta_states).max() == 0.0
+
+
+def test_variational_kernel_compiles_once_per_system(monkeypatch):
+    # the package exports the integrate function under the module's name
+    module = importlib.import_module("spdominance.integrate")
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return compile_field(*args)
+
+    sys_ = nonlinear_spring_system()
+    monkeypatch.setattr(module, "compile_field", counted)
+    first = integrate_variational(sys_, [1.0, 1.0, 1.0], [0.1, 0.0, 0.0], (0, 0.1))
+    second = integrate_variational(sys_, [1.0, 1.0, 1.0], [0.1, 0.0, 0.0], (0, 0.1))
+    assert len(calls) == 1
+    assert first.delta_states.tobytes() == second.delta_states.tobytes()
 
 
 def test_variational_vs_two_trajectory_difference():
