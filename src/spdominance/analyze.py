@@ -8,7 +8,7 @@ import numpy as np
 from .cone import CONE_BOUNDARY_BAND, cone_ratio, make_cone
 from .decouple import reduced_model
 from .errors import DimensionMismatch, NotScalarParameterized
-from .integrate import CONVERGENCE_TOL, DP_TOL, detect_convergence, integrate
+from .integrate import CONVERGENCE_TOL, detect_convergence, integrate
 from .linalg import SymMatrix
 from .sampling import sample_cone_pairs
 from .systems import SPRING_T_FINAL, LinearSPSystem, _varying_entries, jacobians
@@ -102,7 +102,7 @@ def monotone_probe(sys, cert, n_pairs=PROBE_PAIRS, t_final=SPRING_T_FINAL,
         "samples_per_pair": PROBE_SAMPLES,
         "seed": seed,
         "t_final": t_final,
-        "integrator": {"method": "dopri5", "tol": DP_TOL, **stats},
+        "integrator": stats,
         "classification_tol": CONE_BOUNDARY_BAND,
         "boundary_allowance": PROBE_BOUNDARY_ALLOWANCE,
         "cone": {

@@ -197,14 +197,14 @@ def epsilon_star_stage(system, cert, eps_max=EPS_MAX):
 
 
 def simulation_stage(system, ics, t_final, tol, out):
-    """The equilibria, then the trajectories from ics to t_final, each
-    matched to an equilibrium and written into out as trajectory_NN.csv;
-    the verdict is whether every trajectory converged."""
+    """The equilibria, then the trajectories from ics to t_final with the
+    integrator's stats, each matched to an equilibrium and written into out
+    as trajectory_NN.csv; the verdict is whether every trajectory converged."""
     equilibria = (find_equilibria(system) if isinstance(system, NonlinearSPSystem)
                   else [np.zeros(system.dim)])
     fragment = {"equilibria": [[float(v) for v in q] for q in equilibria]}
     try:
-        times, states, _ = integrate(system, ics, (0.0, t_final))
+        times, states, fragment["integrator"] = integrate(system, ics, (0.0, t_final))
     except NonFinite as e:
         return {**fragment, **_failed("diverged", e)}, None
     trajectories = [Trajectory(times, states[:, i]) for i in range(states.shape[1])]

@@ -2,10 +2,11 @@
 
 One integrator, dopri_run, the Dormand-Prince 5(4) embedded pair with its
 step controlled by the local error estimate (tolerance DP_TOL), steps a
-batch of states in lockstep through one vectorized right-hand side.
-integrate runs a batch of trajectories of a system through it, and
-integrate_variational a trajectory jointly with its variation. Both start
-from default_step(sys) = min(1e-3, eps/20), which resolves the fast scale.
+batch of states in lockstep through one vectorized right-hand side; each
+stage state is one product of step-scaled tableau weights with a buffer of
+the accepted state and its stage derivatives. integrate runs a batch of
+trajectories of a system through it, and integrate_variational a trajectory
+jointly with its variation, both from default_step(sys) = min(1e-3, eps/20).
 """
 
 from __future__ import annotations
@@ -94,26 +95,18 @@ def _derivative_asts(sys):
     return sys.f + [BinOp("*", e, inv_eps) for e in sys.g]
 
 
-def _check_finite(y, t):
-    # false for NaN too, so one reduction covers both checks
-    if not np.abs(y).max() <= STATE_NORM_LIMIT:
-        raise NonFinite(f"state escaped at t={t:.6g}")
-
-
-# Dormand & Prince (1980) 5(4) tableau for an autonomous right-hand side:
-# the stage weights, whose last row gives the 5th-order solution (so the
-# 7th stage is the next step's 1st), and the 5th- minus 4th-order weights
-# of the error estimate
-_DP_A = [np.array(row) for row in (
-    (1 / 5,),
-    (3 / 40, 9 / 40),
-    (44 / 45, -56 / 15, 32 / 9),
-    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
-    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
-    (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
-)]
-_DP_E = np.array((71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200,
-                  22 / 525, -1 / 40))
+# Dormand & Prince (1980) 5(4) weights of the 7 stage derivatives: rows 0-5
+# give the stage states, row 5 the 5th-order solution (so the 7th stage is the
+# next step's 1st), and row 6 the 5th- minus 4th-order error over DP_TOL
+_DP_TABLE = np.array((
+    (1 / 5, 0, 0, 0, 0, 0, 0),
+    (3 / 40, 9 / 40, 0, 0, 0, 0, 0),
+    (44 / 45, -56 / 15, 32 / 9, 0, 0, 0, 0),
+    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729, 0, 0, 0),
+    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656, 0, 0),
+    (35 / 384, 0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0),
+    (71 / 57600, 0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40),
+)) / np.array([1, 1, 1, 1, 1, 1, DP_TOL])[:, None]
 
 
 # a state or error estimate that overflows is reported as NonFinite, not as a warning
@@ -130,10 +123,10 @@ def dopri_run(rhs, y0, t_span, h0, sample_times=None):
     Returns (times, states, stats). times starts at t0; then it holds every
     accepted step up to t1, or, when sample_times is given, exactly those
     times (strictly increasing within (t0, t1]): steps are cut to land on
-    each. stats counts accepted and rejected steps and rhs evaluations.
-    Raises NonFinite when an accepted state leaves the finite range, the
-    error estimate is NaN or the step underflows below
-    DP_STEP_FLOOR * max(1, |t|).
+    each. stats names the method and its tolerance and counts accepted and
+    rejected steps and rhs evaluations. Raises NonFinite when an accepted
+    state leaves the finite range, the error estimate is NaN or the step
+    underflows below DP_STEP_FLOOR * max(1, |t|).
     """
     t0, t1 = float(t_span[0]), float(t_span[1])
     if h0 <= 0 or t1 <= t0:
@@ -145,35 +138,42 @@ def dopri_run(rhs, y0, t_span, h0, sample_times=None):
         if not stops or stops[0] <= t0 or stops[-1] > t1 or \
                 any(b <= a for a, b in zip(stops, stops[1:])):
             raise ValueError("sample times must increase strictly within (t0, t1]")
-    y = np.array(y0, dtype=float)
-    times = [t0]
-    samples = [y.copy()]
-    # stage derivatives; K_flat views them as rows for the weighted sums
-    K = np.empty((7,) + y.shape)
-    K_flat = K.reshape(7, -1)
-    K[0] = rhs(y)
-    abs_y = np.abs(y).ravel()  # |y| of the accepted state, carried into the next scale
-    stats = {"steps": 0, "rejected": 0, "rhs_evals": 1}
+    y0 = np.array(y0, dtype=float)
+    # G holds the accepted state, then its 7 stage derivatives; stage r's state
+    # is the one product coef[r, :r + 2] @ G[:r + 2], coef[r] = (1, step * row r)
+    G = np.empty((8,) + y0.shape)
+    G_flat = G.reshape(8, -1)
+    G[0], G[1] = y0, rhs(y0)
+    coef = np.ones((7, 8))  # column 0, the state's weight, stays 1
+    stages = [(coef[r, :r + 2], G_flat[:r + 2], 2 + r) for r in range(6)]
+    err_coef, K_flat = coef[6, 1:], G_flat[1:]
+    y_new = np.empty_like(y0)  # each stage state in turn; the last is the 5th-order solution
+    y_new_flat = y_new.reshape(-1)
+    abs_y = np.abs(G_flat[0])  # |y| of the accepted state, carried into the next scale
+    abs_new, scale, err_vec = (np.empty_like(abs_y) for _ in range(3))
+    times, samples = [t0], [y0]
+    stats = {"method": "dopri5", "tol": DP_TOL, "steps": 0, "rejected": 0, "rhs_evals": 1}
     t, h = t0, float(h0)
     for stop in stops:
         while t < stop:
             # the step of a smooth right-hand side shrinks this far where the
             # solution leaves every bounded set, e.g. x' = x^3 at t = 1/(2 x0^2)
             if h < DP_STEP_FLOOR * max(1.0, abs(t)):
-                raise NonFinite(f"state escaped at t={t:.6g}: step size underflow "
-                                f"(h={h:.3g})")
+                raise NonFinite(f"state escaped at t={t:.6g}: step size underflow (h={h:.3g})")
             # stretch by up to 1% rather than leave a sliver before the stop
             landing = t + 1.01 * h >= stop
             step = stop - t if landing else h
-            for i, a in enumerate(_DP_A, start=1):
-                y_stage = y + step * (a @ K_flat[:i]).reshape(y.shape)
-                K[i] = rhs(y_stage)
+            np.multiply(_DP_TABLE, step, out=coef[:, 1:])
+            for c, g, k in stages:
+                np.dot(c, g, out=y_new_flat)
+                G[k] = rhs(y_new)
             stats["rhs_evals"] += 6
-            y_new = y_stage  # the last stage is taken at the 5th-order solution
-            err_vec = step * (_DP_E @ K_flat)
-            abs_new = np.abs(y_new).ravel()
-            scale = DP_TOL + DP_TOL * np.maximum(abs_y, abs_new)
-            err = float(np.max(np.abs(err_vec) / scale))
+            np.dot(err_coef, K_flat, out=err_vec)  # err / DP_TOL, over 1 + max(|y|, |y_new|)
+            np.abs(y_new_flat, out=abs_new)
+            np.maximum(abs_y, abs_new, out=scale)
+            scale += 1.0
+            err_vec /= scale
+            err = float(np.abs(err_vec, out=err_vec).max())
             if math.isnan(err):
                 raise NonFinite(f"state escaped at t={t:.6g}: non-finite error estimate")
             fac = 5.0 if err == 0.0 else min(5.0, max(0.2, 0.9 * err ** -0.2))
@@ -183,15 +183,15 @@ def dopri_run(rhs, y0, t_span, h0, sample_times=None):
                 continue
             stats["steps"] += 1
             t = stop if landing else t + step
-            if not abs_new.max() <= STATE_NORM_LIMIT:  # as _check_finite, from abs_new
+            if not abs_new.max() <= STATE_NORM_LIMIT:  # false for NaN too
                 raise NonFinite(f"state escaped at t={t:.6g}")
-            y, abs_y = y_new, abs_new
-            K[0] = K[6]
+            G[0], G[1] = y_new, G[7]
+            abs_y, abs_new = abs_new, abs_y
             # a step cut short to land on a stop does not shrink the next one
             h = max(step * fac, h) if landing else step * fac
             if sample_times is None or landing:
                 times.append(t)
-                samples.append(y)
+                samples.append(y_new.copy())
     return np.array(times), np.array(samples), stats
 
 

@@ -200,6 +200,20 @@ def test_simulate_writes_csv_and_report(tmp_path):
     assert first == [0.0, 1.0, 0.0]
 
 
+def test_simulate_report_counts_its_integrator(tmp_path):
+    reports = []
+    for _ in range(2):
+        main(["--no-timestamp", "simulate", spring_cfg_path(tmp_path), "--t-final", "0.5",
+              "--out", str(tmp_path / "out")])
+        reports.append((tmp_path / "out" / "report.json").read_bytes())
+    assert reports[0] == reports[1]
+    run = json.loads(reports[0])["integrator"]
+    assert list(run) == ["method", "tol", "steps", "rejected", "rhs_evals"]
+    assert (run["method"], run["tol"]) == ("dopri5", DP_TOL)
+    assert run["steps"] > 0
+    assert run["rhs_evals"] == 1 + 6 * (run["steps"] + run["rejected"])
+
+
 def test_simulate_not_converged_exits_2(tmp_path, capsys):
     # A - B D^{-1} C = 0: the reduced model does not decay to the origin
     out = tmp_path / "out"
@@ -351,6 +365,9 @@ def test_reproduce_paper_report_structure(tmp_path):
     assert len(rep["equilibria"]) == 3
     assert len(rep["csv_files"]) == 5
     assert rep["epsilon_star"] > 0.01
+    for run in (rep["integrator"], rep["monotone_probe"]["integrator"]):
+        assert (run["method"], run["tol"]) == ("dopri5", DP_TOL)
+        assert run["rhs_evals"] == 1 + 6 * (run["steps"] + run["rejected"])
 
 
 @pytest.mark.parametrize("value", ["nan", "inf"])
@@ -498,10 +515,10 @@ REPORT_HEAD = ["tool", "version", "command"]
     (["monotone-probe", "{spring}", "--pairs", "2", "--t-final", "0.1", "--report", "{rep}"],
      ["monotone_probe"]),
     (["simulate", "{spring}", "--t-final", "0.1", "--out", "{out}"],
-     ["t_final", "tolerances", "equilibria", "trajectories", "csv_files"]),
+     ["t_final", "tolerances", "equilibria", "integrator", "trajectories", "csv_files"]),
     (["reproduce-paper", "--out", "{out}"],
      ["eps", "certificate", "epsilon_star", "monotone_violations", "equilibria",
-      "trajectories", "csv_files", "monotone_probe", "tolerances", "checks",
+      "integrator", "trajectories", "csv_files", "monotone_probe", "tolerances", "checks",
       "all_checks_passed"]),
 ])
 def test_report_key_order(tmp_path, argv, keys):

@@ -7,9 +7,10 @@ import pytest
 from spdominance.analyze import certificate_cone
 from spdominance.errors import ConfigError, DimensionMismatch, NonFinite
 from spdominance.expressions import compile_field
-from spdominance.integrate import (Trajectory, _check_finite, default_step,
-                                   detect_convergence, dopri_run, find_equilibria,
-                                   integrate, integrate_variational, make_rhs,
+from spdominance.integrate import (DP_STEP_FLOOR, DP_TOL, STATE_NORM_LIMIT, _DP_TABLE,
+                                   Trajectory, default_step, detect_convergence,
+                                   dopri_run, find_equilibria, integrate,
+                                   integrate_variational, make_rhs,
                                    make_variational_rhs, write_trajectory_csv)
 from spdominance.sampling import sample_cone_pairs
 from spdominance.systems import (LinearSPSystem, NonlinearSPSystem,
@@ -33,6 +34,12 @@ def trajectory(sys, x0, t_span):
     """One trajectory through integrate, as a batch of one."""
     times, states, _ = integrate(sys, [x0], t_span)
     return Trajectory(times, states[:, 0])
+
+
+def _check_finite(y, t):
+    # false for NaN too, so one reduction covers both checks
+    if not np.abs(y).max() <= STATE_NORM_LIMIT:
+        raise NonFinite(f"state escaped at t={t:.6g}")
 
 
 def rk4_run(rhs, y0, t_span, h):
@@ -60,6 +67,65 @@ def rk4_run(rhs, y0, t_span, h):
         times.append(t)
         samples.append(y.copy())
     return np.array(times), np.array(samples)
+
+
+# Dormand & Prince (1980) 5(4) stage weights and error weights, as written
+# out by hand in the stage sums of dopri_reference
+_DP_A = [np.array(row) for row in (
+    (1 / 5,),
+    (3 / 40, 9 / 40),
+    (44 / 45, -56 / 15, 32 / 9),
+    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
+    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
+    (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
+)]
+_DP_E = np.array((71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200,
+                  22 / 525, -1 / 40))
+
+
+@np.errstate(invalid="ignore", over="ignore")
+def dopri_reference(rhs, y0, t_span, h0):
+    """Dormand-Prince 5(4) with dopri_run's error control and step rule,
+    one stage sum y + step * (a @ K) at a time: the reference dopri_run's
+    one-product stages are held to. Samples every accepted step. Returns
+    (times, states, stats) as dopri_run does."""
+    t0, t1 = float(t_span[0]), float(t_span[1])
+    y = np.array(y0, dtype=float)
+    times = [t0]
+    samples = [y.copy()]
+    K = np.empty((7,) + y.shape)
+    K_flat = K.reshape(7, -1)
+    K[0] = rhs(y)
+    stats = {"steps": 0, "rejected": 0, "rhs_evals": 1}
+    t, h = t0, float(h0)
+    while t < t1:
+        if h < DP_STEP_FLOOR * max(1.0, abs(t)):
+            raise NonFinite(f"step size underflow at t={t:.6g}")
+        landing = t + 1.01 * h >= t1
+        step = t1 - t if landing else h
+        for i, a in enumerate(_DP_A, start=1):
+            y_stage = y + step * (a @ K_flat[:i]).reshape(y.shape)
+            K[i] = rhs(y_stage)
+        stats["rhs_evals"] += 6
+        y_new = y_stage
+        scale = DP_TOL + DP_TOL * np.maximum(np.abs(y), np.abs(y_new)).ravel()
+        err = float(np.max(np.abs(step * (_DP_E @ K_flat)) / scale))
+        if np.isnan(err):
+            raise NonFinite(f"non-finite error estimate at t={t:.6g}")
+        fac = 5.0 if err == 0.0 else min(5.0, max(0.2, 0.9 * err ** -0.2))
+        if err > 1.0:
+            stats["rejected"] += 1
+            h = step * fac
+            continue
+        stats["steps"] += 1
+        t = t1 if landing else t + step
+        _check_finite(y_new, t)
+        y = y_new
+        K[0] = K[6]
+        h = max(step * fac, h) if landing else step * fac
+        times.append(t)
+        samples.append(y)
+    return np.array(times), np.array(samples), stats
 
 
 def bisection_root(fn, lo, hi, tol=1e-10):
@@ -180,6 +246,38 @@ def test_dopri_run_short_landing_keeps_step():
     stops = sorted([float(k) for k in range(1, 11)] + [k + 1e-6 for k in range(1, 10)])
     cut = dopri_run(rhs, [1.0], (0.0, 10.0), 1e-3, sample_times=stops)[2]["steps"]
     assert cut <= free + len(stops)
+
+
+@pytest.mark.parametrize("case", ["spring", "variational"])
+def test_dopri_run_matches_dopri_reference(case):
+    # the one-product stages round apart from the reference's stage sums, but
+    # no step is decided differently on these runs
+    sys_ = nonlinear_spring_system()
+    if case == "spring":
+        runs = [(make_rhs(sys_), np.array(SPRING_INITIAL_CONDITIONS), 9.0)]
+    else:
+        rng = np.random.default_rng(141)
+        runs = [(make_variational_rhs(sys_), rng.uniform(-3.0, 3.0, 6), 0.15)
+                for _ in range(12)]
+    for rhs, y0, t_final in runs:
+        times, states, stats = dopri_run(rhs, y0, (0.0, t_final), default_step(sys_))
+        _, ref_states, ref_stats = dopri_reference(rhs, y0, (0.0, t_final),
+                                                   default_step(sys_))
+        assert stats == {"method": "dopri5", "tol": DP_TOL, **ref_stats}
+        assert times[-1] == t_final
+        assert np.abs(states[-1] - ref_states[-1]).max() <= 1e-12
+
+
+def test_dp_table_is_consistent():
+    a, e = _DP_TABLE[:6], _DP_TABLE[6] * DP_TOL
+    c = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])  # node of each stage
+    assert np.abs(a.sum(axis=1) - c[1:]).max() <= 1e-14
+    assert abs(e.sum()) <= 1e-16
+    b5, b4 = a[5], a[5] - e
+    for k in range(5):  # order conditions of the quadratures: 5th order, then 4th
+        assert b5 @ c ** k == pytest.approx(1 / (k + 1), abs=1e-14)
+        if k < 4:
+            assert b4 @ c ** k == pytest.approx(1 / (k + 1), abs=1e-14)
 
 
 def spring_radau(x0s, sample_times):
