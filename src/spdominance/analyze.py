@@ -7,7 +7,7 @@ import numpy as np
 
 from .cone import CONE_BOUNDARY_BAND, cone_ratio, make_cone
 from .decouple import reduced_model
-from .errors import DimensionMismatch, NotScalarParameterized
+from .errors import NotScalarParameterized
 from .integrate import CONVERGENCE_TOL, detect_convergence, integrate
 from .linalg import SymMatrix
 from .sampling import sample_cone_pairs
@@ -52,10 +52,8 @@ def certificate_cone(sys, cert):
     (see fast_coupling_gain). The eps -> 0 transform is used because it
     is constant, so one cone serves every Jacobian of the hull.
     """
+    cert.check_blocks(sys.n_r, sys.n_f)
     n_r, n_f = cert.n_r, cert.n_f
-    if (sys.n_r, sys.n_f) != (n_r, n_f):
-        raise DimensionMismatch(
-            f"certificate blocks {n_r}+{n_f} vs system {sys.n_r}+{sys.n_f}")
     T_inv = np.eye(n_r + n_f)
     T_inv[n_r:, :n_r] = fast_coupling_gain(sys)
     P = np.zeros((n_r + n_f, n_r + n_f))

@@ -3,7 +3,9 @@
 The central object is the residual S = P*A + A^T*P + 2*lam*P + sigma*I;
 the dominance condition holds iff S is negative semidefinite. The residual
 is affine in A, so checking it at polytope vertices certifies it on the
-whole convex hull.
+whole convex hull. lmi_residual is the one place S is formed: it takes a
+stack of A, so a polytope's vertex margins, and the block margins of the
+eps search, each come from one residual stack and one eigvalsh call.
 
 Certificates are verified, not synthesized: no SDP solver is involved,
 and a candidate certificate comes from the caller.
@@ -16,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionMismatch, check_eps
-from .linalg import SymMatrix, _as_sym, eigvalsh_stack, inertia, nsd_margin
+from .linalg import SymMatrix, _as_sym, eigvalsh_stack, inertia
 
 FEASIBILITY_MARGIN = 0.0
 
@@ -57,10 +59,10 @@ class SPDominanceCertificate:
     def __post_init__(self):
         object.__setattr__(self, "P_r", _as_sym(self.P_r))
         object.__setattr__(self, "P_f", _as_sym(self.P_f))
-        if self.sigma_r <= 0 or self.sigma_f <= 0:
-            raise ValueError("sigma_r and sigma_f must be strictly positive")
-        if self.lambda_r < 0 or self.lambda_f < 0:
-            raise ValueError("lambda_r and lambda_f must be nonnegative")
+        if not (0 < self.sigma_r < np.inf and 0 < self.sigma_f < np.inf):  # NaN fails too
+            raise ValueError("sigma_r and sigma_f must be positive and finite")
+        if not (0 <= self.lambda_r < np.inf and 0 <= self.lambda_f < np.inf):
+            raise ValueError("lambda_r and lambda_f must be nonnegative and finite")
         ir = inertia(self.P_r)
         if ir.as_tuple() != (self.p, 0, self.P_r.n - self.p):
             raise ValueError(f"inertia of P_r is {ir.as_tuple()}, expected "
@@ -77,6 +79,12 @@ class SPDominanceCertificate:
     def n_f(self):
         return self.P_f.n
 
+    def check_blocks(self, n_r, n_f):
+        """DimensionMismatch unless the blocks are n_r and n_f states wide."""
+        if (self.n_r, self.n_f) != (n_r, n_f):
+            raise DimensionMismatch(
+                f"certificate blocks {self.n_r}+{self.n_f} vs system {n_r}+{n_f}")
+
 
 @dataclass(frozen=True)
 class CertResult:
@@ -86,41 +94,38 @@ class CertResult:
     margins: tuple = field(default=())
 
 
+def _cert_result(margins):
+    """The verdict on a margin per vertex, in plain Python types; the first NaN is the worst."""
+    margins = tuple(float(m) for m in margins)
+    worst = int(np.argmax(margins))
+    return CertResult(margins[worst] <= FEASIBILITY_MARGIN, margins[worst], worst, margins)
+
+
 def lmi_residual(P, A, lam, sigma):
-    """S = P*A + A^T*P + 2*lam*P + sigma*I; the condition holds iff S <= 0."""
-    P = _as_sym(P)
+    """S = P*A + A^T*P + 2*lam*P + sigma*I, symmetrized, for each A of a stack
+    (..., n, n); the condition holds at an A iff its S <= 0."""
+    P = _as_sym(P).a
     A = np.atleast_2d(np.asarray(A, dtype=float))
-    if A.shape != (P.n, P.n):
-        raise DimensionMismatch(f"A has shape {A.shape}, expected ({P.n}, {P.n})")
-    S = P.a @ A + A.T @ P.a + 2.0 * lam * P.a + sigma * np.eye(P.n)
-    return SymMatrix(S)
+    if A.shape[-2:] != P.shape:
+        raise DimensionMismatch(f"A has shape {A.shape}, expected (..., {len(P)}, {len(P)})")
+    S = P @ A + A.mT @ P + 2.0 * lam * P + sigma * np.eye(len(P))
+    return 0.5 * (S + S.mT)
 
 
 def certify_polytope(P, polytope, lam, sigma):
     """Check the dominance residual at every vertex; all margins <= 0
     certifies the condition on the whole hull (the residual is affine in A)."""
-    P = _as_sym(P)
-    if polytope.n != P.n:
-        raise DimensionMismatch(f"polytope dimension {polytope.n} vs P dimension {P.n}")
-    margins = tuple(nsd_margin(lmi_residual(P, A, lam, sigma)) for A in polytope.vertices)
-    worst = int(np.argmax(margins))
-    return CertResult(feasible=margins[worst] <= FEASIBILITY_MARGIN,
-                      worst_margin=margins[worst],
-                      worst_vertex=worst,
-                      margins=margins)
+    S = lmi_residual(P, np.array(polytope.vertices), lam, sigma)
+    return _cert_result(eigvalsh_stack(S)[:, -1])
 
 
 def certify_sp(cert, slow, fast):
     """Verify the slow condition (P_r over the reduced-model polytope) and
     the fast condition (P_f over the fast-block polytope). Both feasible
     means the two-time-scale dominance hypotheses hold."""
-    if slow.n != cert.n_r:
-        raise DimensionMismatch(f"slow polytope dimension {slow.n} vs n_r {cert.n_r}")
-    if fast.n != cert.n_f:
-        raise DimensionMismatch(f"fast polytope dimension {fast.n} vs n_f {cert.n_f}")
-    slow_res = certify_polytope(cert.P_r, slow, cert.lambda_r, cert.sigma_r)
-    fast_res = certify_polytope(cert.P_f, fast, cert.lambda_f, cert.sigma_f)
-    return slow_res, fast_res
+    cert.check_blocks(slow.n, fast.n)
+    return (certify_polytope(cert.P_r, slow, cert.lambda_r, cert.sigma_r),
+            certify_polytope(cert.P_f, fast, cert.lambda_f, cert.sigma_f))
 
 
 def block_margins(cert, A, B, L, D, eps):
@@ -129,9 +134,8 @@ def block_margins(cert, A, B, L, D, eps):
     both at rate lambda_r and sigma = min(sigma_r, sigma_f)/2. A residual that
     is not finite has a NaN margin, which is infeasible."""
     sigma = 0.5 * min(cert.sigma_r, cert.sigma_f)
-    S = [P @ M + M.mT @ P + 2.0 * cert.lambda_r * P + sigma * np.eye(len(P))
-         for P, M in ((cert.P_r.a, A - B @ L), (cert.P_f.a, D / eps + L @ B))]
-    return [eigvalsh_stack(0.5 * (s + s.mT))[..., -1] for s in S]
+    return [eigvalsh_stack(lmi_residual(P, M, cert.lambda_r, sigma))[..., -1]
+            for P, M in ((cert.P_r, A - B @ L), (cert.P_f, D / eps + L @ B))]
 
 
 def block_conditions(cert, A, B, L_eps, D, eps):
@@ -142,6 +146,4 @@ def block_conditions(cert, A, B, L_eps, D, eps):
     if A.shape != (n_r, n_r) or B.shape != (n_r, n_f) or D.shape != (n_f, n_f) \
             or L.shape != (n_f, n_r):
         raise DimensionMismatch("block shapes inconsistent with certificate dimensions")
-    m_slow, m_fast = (float(m) for m in block_margins(cert, A, B, L, D, eps))
-    return (CertResult(m_slow <= FEASIBILITY_MARGIN, m_slow, 0, (m_slow,)),
-            CertResult(m_fast <= FEASIBILITY_MARGIN, m_fast, 0, (m_fast,)))
+    return tuple(_cert_result([m]) for m in block_margins(cert, A, B, L, D, eps))

@@ -1,8 +1,9 @@
 """Two-time-scale decoupling for linear singularly perturbed systems.
 
 L comes from the slow eigenvectors, H from one linear solve, and they assemble
-the exact block-diagonalizing T. The certified eps bound is bisected in rounds,
-each evaluating 7 bisection points over all vertex pairs in one stacked solve.
+the exact block-diagonalizing T. The eps threshold of the block conditions is
+bisected in rounds of 7 bisection points over all vertex pairs in one stacked
+solve. It is checked at every (A, D) vertex pair, not over the hull between.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import numpy as np
 
 from .certify import FEASIBILITY_MARGIN, MatrixPolytope, block_margins
 from .errors import (DimensionMismatch, InfeasibleAtFloor, NoConvergence,
-                     SingularD, check_eps)
+                     NonpositiveEps, SingularD, check_eps)
 
 CHANG_RESIDUAL_TOL = 1e-10
 RCOND_MIN = 1e-12
@@ -178,16 +179,19 @@ def epsilon_star(A_polytope, B, C, D_polytope, cert, eps_max=EPS_MAX):
     floor must pass, and feasibility is re-verified at MONOTONE_CHECK_POINTS
     log-spaced eps values up to the result: each violation warns, with its
     eps as the warning's eps, and the result drops to the largest point
-    below the lowest violation. The returned value is a certified lower
-    bound on feasibility at the tested points.
+    below the lowest violation. The returned value is a lower bound on
+    feasibility at the tested points, checked at every (A, D) vertex pair.
     """
     check_eps(eps_max)
+    if eps_max < EPS_FLOOR:
+        raise NonpositiveEps(f"eps_max {eps_max} is below the floor EPS_FLOOR = {EPS_FLOOR}")
     A_polytope, D_polytope = (P if isinstance(P, MatrixPolytope) else MatrixPolytope([P])
                               for P in (A_polytope, D_polytope))
     A, B, C, D = zip(*(_blocks(A_v, B, C, D_v) for A_v in A_polytope.vertices
                        for D_v in D_polytope.vertices))
     _check_nonsingular(np.array(D_polytope.vertices))
     A, B, C, D = np.array(A), B[0], C[0], np.array(D)
+    cert.check_blocks(A.shape[-1], D.shape[-1])
 
     def feasible(eps):
         """Feasibility at each eps over every vertex pair; a failed L is NaN,

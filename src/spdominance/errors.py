@@ -18,7 +18,7 @@ class SingularD(ValueError):
 
 
 class NonpositiveEps(ValueError):
-    pass
+    """eps not positive and finite, or an eps_max below the search's floor."""
 
 
 def check_eps(eps):

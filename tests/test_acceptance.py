@@ -41,7 +41,7 @@ def test_criterion_1_worked_example_certificate():
         S = lmi_residual(P, M, 2.0, 0.01)
         margin = nsd_margin(S)
         assert margin <= 1e-9
-        assert margin == pytest.approx(quad_eig_oracle(S.a)[-1], abs=1e-12)
+        assert margin == pytest.approx(quad_eig_oracle(S)[-1], abs=1e-12)
     fast = lmi_residual(SymMatrix([[1.0]]), [[-1.0]], 0.5, 1.0)
     assert nsd_margin(fast) == pytest.approx(0.0, abs=1e-12)
     assert time.perf_counter() - start < 1.0

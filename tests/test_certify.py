@@ -21,19 +21,19 @@ def spring_cert(sigma_r=0.01):
 
 def test_lmi_residual_scalar():
     S = lmi_residual(SymMatrix([[1.0]]), [[-1.0]], 0.0, 1.0)
-    assert S.a[0, 0] == pytest.approx(-1.0)
+    assert S[0, 0] == pytest.approx(-1.0)
 
 
 def test_lmi_residual_fast_block_boundary():
     S = lmi_residual(SymMatrix([[1.0]]), [[-1.0]], 0.5, 1.0)
-    assert S.a[0, 0] == pytest.approx(0.0, abs=1e-15)
+    assert S[0, 0] == pytest.approx(0.0, abs=1e-15)
 
 
 def test_lmi_residual_spring_slow_vs_oracle():
     S = lmi_residual(SymMatrix(P_R), M_HI, 2.0, 0.01)
     margin = nsd_margin(S)
     assert margin <= 0.0
-    assert margin == pytest.approx(quad_eig_oracle(S.a)[-1], rel=1e-12)
+    assert margin == pytest.approx(quad_eig_oracle(S)[-1], rel=1e-12)
 
 
 def test_certify_polytope_trivial():
@@ -150,9 +150,9 @@ def test_residual_affine_in_A():
     A2 = rng.standard_normal((2, 2))
     for alpha in rng.uniform(0, 1, 5):
         mixed = lmi_residual(P, alpha * A1 + (1 - alpha) * A2, 2.0, 0.01)
-        combo = alpha * lmi_residual(P, A1, 2.0, 0.01).a \
-            + (1 - alpha) * lmi_residual(P, A2, 2.0, 0.01).a
-        assert np.allclose(mixed.a, combo, atol=1e-12)
+        combo = alpha * lmi_residual(P, A1, 2.0, 0.01) \
+            + (1 - alpha) * lmi_residual(P, A2, 2.0, 0.01)
+        assert np.allclose(mixed, combo, atol=1e-12)
 
 
 def test_hull_points_feasible_when_vertices_feasible():
@@ -174,3 +174,61 @@ def test_dimension_mismatch():
         lmi_residual(SymMatrix(np.eye(2)), np.eye(3), 0.0, 1.0)
     with pytest.raises(DimensionMismatch):
         certify_polytope(SymMatrix(np.eye(3)), MatrixPolytope([np.eye(2)]), 0.0, 1.0)
+    with pytest.raises(DimensionMismatch, match=r"certificate blocks 2\+1 vs system 3\+1"):
+        certify_sp(spring_cert(), MatrixPolytope([np.eye(3)]), MatrixPolytope([[[-1.0]]]))
+
+
+def per_vertex_margin(P, A, lam, sigma):
+    """The residual's largest eigenvalue for one vertex, formed as a single
+    matrix and symmetrized through SymMatrix: the reference that the stacked
+    lmi_residual must reproduce bit for bit."""
+    return nsd_margin(SymMatrix(P @ A + A.T @ P + 2.0 * lam * P + sigma * np.eye(len(P))))
+
+
+def random_polytope_cases():
+    rng = np.random.default_rng(2019)
+    for n in range(1, 9):
+        for k in range(1, 5):
+            X = rng.standard_normal((n, n))
+            P = SymMatrix(X + X.T).a
+            yield P, rng.standard_normal((k, n, n)), rng.uniform(0.0, 2.0), rng.uniform(0.0, 1.0)
+    P, vertices = SymMatrix(P_R).a, np.array([M_LO, M_HI, M_HI])
+    vertices[1, 1, 0] = np.nan
+    yield P, vertices, 2.0, 0.01
+
+
+def test_certify_polytope_matches_per_vertex_reference():
+    for P, vertices, lam, sigma in random_polytope_cases():
+        res = certify_polytope(P, MatrixPolytope(vertices), lam, sigma)
+        expect = [per_vertex_margin(P, A, lam, sigma) for A in vertices]
+        assert np.array_equal(res.margins, expect, equal_nan=True)
+        assert all(type(m) is float for m in res.margins)
+        worst = int(np.argmax(expect))
+        assert (res.worst_vertex, res.feasible) == (worst, bool(expect[worst] <= 0.0))
+        assert np.array_equal(res.worst_margin, expect[worst], equal_nan=True)
+    assert np.isnan(res.worst_margin) and res.worst_vertex == 1  # the NaN vertex is the worst
+
+
+def test_lmi_residual_stack_is_the_residual_of_each_slice():
+    for P, vertices, lam, sigma in random_polytope_cases():
+        S = lmi_residual(P, vertices, lam, sigma)
+        assert S.shape == vertices.shape
+        for S_k, A in zip(S, vertices):
+            assert np.array_equal(S_k, lmi_residual(P, A, lam, sigma), equal_nan=True)
+            assert np.array_equal(S_k, S_k.T, equal_nan=True)
+
+
+def test_one_eigvalsh_call_per_polytope(monkeypatch):
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counted(a):
+        calls.append(a.shape)
+        return eigvalsh(a)
+
+    cert = spring_cert()
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    certify_polytope(P_R, MatrixPolytope([M_LO, M_HI, M_LO]), 2.0, 0.01)
+    assert calls == [(3, 2, 2)]
+    certify_sp(cert, MatrixPolytope([M_LO, M_HI]), MatrixPolytope([[[-1.0]]]))
+    assert calls[1:] == [(2, 2, 2), (1, 1, 1)]

@@ -411,14 +411,42 @@ def test_newton_meets_zero_divisor_exits_1(tmp_path, capsys):
     ("certify", None, [1, 2], "config must be an object"),
     ("epsilon-star", "omgea", {"x1": [-3, 3], "x2": [-3, 3], "z1": [-3, 3]},
      "unknown config keys: omgea\n"),
+    ("certify", "certificate", {**spring_config()["certificate"], "sigma_r": float("nan")},
+     "invalid certificate: sigma_r and sigma_f must be positive and finite\n"),
+    ("epsilon-star", "certificate", {**spring_config()["certificate"], "sigma_f": float("inf")},
+     "invalid certificate: sigma_r and sigma_f must be positive and finite\n"),
+    ("certify", "certificate", {**spring_config()["certificate"], "lambda_f": float("nan")},
+     "invalid certificate: lambda_r and lambda_f must be nonnegative and finite\n"),
+    ("epsilon-star", "certificate", {**spring_config()["certificate"], "lambda_r": float("inf")},
+     "invalid certificate: lambda_r and lambda_f must be nonnegative and finite\n"),
 ], ids=["linearization-point", "initial-conditions", "hull-list", "certificate-list",
-        "certificate-rate-list", "config-list", "misspelled-omega"])
+        "certificate-rate-list", "config-list", "misspelled-omega", "sigma-nan",
+        "sigma-infinity", "lambda-nan", "lambda-infinity"])
 def test_malformed_numeric_field_exits_1(tmp_path, capsys, command, field, value, message):
     # field None: value is the whole config
     cfg = value if field is None else {**spring_config(), field: value}
     extra = ["--out", str(tmp_path / "out")] if command == "simulate" else []
     assert main([command, write_cfg(tmp_path, cfg)] + extra) == 1
     assert capsys.readouterr().err.startswith(f"config error: {message}")
+
+
+@pytest.mark.parametrize("command", ["certify", "epsilon-star", "monotone-probe"])
+def test_certificate_blocks_of_the_wrong_size_exit_1(tmp_path, capsys, command):
+    # a 1x1 P_r on the spring's 2 slow states: each command says so in one line
+    cfg = spring_config()
+    cfg["certificate"].update(P_r=[[1.0]], p=0)
+    assert main([command, write_cfg(tmp_path, cfg)]) == 1
+    assert capsys.readouterr().err == "config error: certificate blocks 1+1 vs system 2+1\n"
+
+
+def test_eps_max_below_the_floor_exits_1(tmp_path, capsys):
+    report = tmp_path / "rep.json"
+    assert main(["epsilon-star", spring_cfg_path(tmp_path), "--eps-max", "1e-13",
+                 "--report", str(report)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"config error: eps_max 1e-13 is below the floor " \
+                           f"EPS_FLOOR = {EPS_FLOOR}\n"
+    assert captured.out == "" and not report.exists()
 
 
 SPRING_OMEGA = {"x1": [-3, 3], "x2": [-3, 3], "z1": [-3, 3]}
@@ -472,7 +500,8 @@ SPRING_B, SPRING_C = jacobians(nonlinear_spring_system(), np.zeros(3))[1:3]
     ("certify", {"feasibility_margin": FEASIBILITY_MARGIN}),
     ("decouple", {"coupling_residual": coupling_residual_limit(SPRING_B, SPRING_C),
                   "block_diagonal_residual": cli.BLOCK_DIAGONAL_TOL}),
-    ("epsilon-star", {"eps_floor": EPS_FLOOR, "bisect_steps": BISECT_STEPS}),
+    ("epsilon-star", {"eps_floor": EPS_FLOOR, "bisect_steps": BISECT_STEPS,
+                      "checked_at": "vertex_pairs"}),
     ("simulate", {"convergence": CONVERGENCE_TOL}),
     ("reproduce-paper", {"convergence": CONVERGENCE_TOL,
                          "probe_classification": CONE_BOUNDARY_BAND,

@@ -1,9 +1,11 @@
 """Source hygiene, checked with the standard library's ast module: every
-public name resolves, no module imports a name it never uses, and no src
-function takes a parameter it never reads."""
+public name resolves, no module imports a name it never uses, no src
+function takes a parameter it never reads, and every top-level function and
+class of src is referenced outside its own definition."""
 
 import ast
 import pathlib
+from collections import Counter
 
 import spdominance
 
@@ -52,6 +54,28 @@ def unused_parameters(path):
     return hits
 
 
+def references(tree):
+    """Each name a tree refers to: names it reads, attributes and imported names."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.ImportFrom):
+            yield from (alias.name for alias in node.names)
+
+
+def unreferenced_definitions(sources):
+    """'file:line: name' for each top-level function or class of src that no
+    file of sources refers to, apart from its own body (recursion)."""
+    trees = {path: ast.parse(path.read_text()) for path in sources}
+    refs = Counter(name for tree in trees.values() for name in references(tree))
+    return [f"{path.relative_to(ROOT)}:{node.lineno}: {node.name}"
+            for path, tree in trees.items() if path.is_relative_to(ROOT / "src")
+            for node in tree.body if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+            and refs[node.name] == Counter(references(node))[node.name]]
+
+
 def test_public_names_resolve():
     assert [name for name in spdominance.__all__ if not hasattr(spdominance, name)] == []
 
@@ -65,3 +89,7 @@ def test_no_unused_parameters():
     src = [path for path in SOURCES if path.is_relative_to(ROOT / "src")]
     assert src
     assert [hit for path in src for hit in unused_parameters(path)] == []
+
+
+def test_every_src_definition_is_referenced():
+    assert unreferenced_definitions(SOURCES) == []
