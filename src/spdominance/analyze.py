@@ -63,7 +63,7 @@ def certificate_cone(sys, cert):
 
 
 def monotone_probe(sys, cert, n_pairs=PROBE_PAIRS, t_final=SPRING_T_FINAL,
-                   seed=PROBE_SEED):
+                   seed=PROBE_SEED, riders=None):
     """Empirically check strong monotonicity: pairs with initial difference
     inside the certificate cone are integrated and their difference is
     classified at PROBE_SAMPLES times t > 0 with boundary band CONE_BOUNDARY_BAND.
@@ -78,6 +78,11 @@ def monotone_probe(sys, cert, n_pairs=PROBE_PAIRS, t_final=SPRING_T_FINAL,
 
     All 2 * n_pairs states go through integrate as one batch, which lands
     on each sample time; the report's "integrator" entry counts its steps.
+    "worst_margin_at" gives the worst margin's pair, time and initial states.
+
+    riders, initial states of other trajectories, ride unclassified after the
+    pairs in the same batch (one that escapes fails the probe); their run is
+    returned as "riders": (times, states, stats), on t = 0 and the sample times.
     """
     L0 = fast_coupling_gain(sys)
     cone_spec = certificate_cone(sys, cert)
@@ -86,16 +91,20 @@ def monotone_probe(sys, cert, n_pairs=PROBE_PAIRS, t_final=SPRING_T_FINAL,
     sample_times = [k * t_final / PROBE_SAMPLES for k in range(1, PROBE_SAMPLES + 1)]
 
     x0s = np.array([p for pair in pairs for p in pair])
+    n_rows = len(x0s)
+    if riders is not None:
+        x0s = np.vstack([x0s, riders])
     # end at the last sample, which k * t_final / PROBE_SAMPLES may round off t_final
-    _, states, stats = integrate(sys, x0s, (0.0, sample_times[-1]), sample_times)
+    times, states, stats = integrate(sys, x0s, (0.0, sample_times[-1]), sample_times)
 
     # (sample, pair) ratios of each pair's difference at t > 0
-    ratio = cone_ratio(cone_spec, states[1:, 0::2] - states[1:, 1::2])
+    ratio = cone_ratio(cone_spec, states[1:, :n_rows:2] - states[1:, 1:n_rows:2])
+    sample, worst = np.unravel_index(np.argmax(ratio), ratio.shape)
     interior = int(np.sum(ratio < -CONE_BOUNDARY_BAND))
     outside = int(np.sum(ratio > CONE_BOUNDARY_BAND))
     total = ratio.size
     boundary = total - interior - outside
-    return {
+    report = {
         "pairs": len(pairs),
         "samples_per_pair": PROBE_SAMPLES,
         "seed": seed,
@@ -114,10 +123,15 @@ def monotone_probe(sys, cert, n_pairs=PROBE_PAIRS, t_final=SPRING_T_FINAL,
         "boundary_warnings": boundary,
         "outside": outside,
         "total_classifications": total,
-        "worst_quadform_margin": float(ratio.max()),
+        "worst_quadform_margin": float(ratio[sample, worst]),
+        "worst_margin_at": {"pair": int(worst), "t": sample_times[sample],
+                            "initial_states": [p.tolist() for p in pairs[worst]]},
         "all_interior": outside == 0 and boundary == 0,
         "passed": outside == 0 and boundary <= PROBE_BOUNDARY_ALLOWANCE * total,
     }
+    if riders is not None:
+        report["riders"] = (times, states[:, n_rows:], stats)
+    return report
 
 
 def convergence_report(trajectories, equilibria, tol=CONVERGENCE_TOL):

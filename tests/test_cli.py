@@ -1,3 +1,4 @@
+import importlib
 import json
 import os
 import pathlib
@@ -9,14 +10,14 @@ import numpy as np
 import pytest
 
 from spdominance import cli
-from spdominance.analyze import PROBE_BOUNDARY_ALLOWANCE, PROBE_SAMPLES
+from spdominance.analyze import PROBE_BOUNDARY_ALLOWANCE, PROBE_SAMPLES, convergence_report
 from spdominance.certify import FEASIBILITY_MARGIN
 from spdominance.cli import main, spring_config
 from spdominance.cone import CONE_BOUNDARY_BAND
 from spdominance.decouple import BISECT_STEPS, EPS_FLOOR, coupling_residual_limit
 from spdominance.errors import NonFinite, SamplingExhausted
-from spdominance.integrate import CONVERGENCE_TOL, DP_TOL
-from spdominance.systems import jacobians, nonlinear_spring_system
+from spdominance.integrate import CONVERGENCE_TOL, DP_TOL, Trajectory, integrate
+from spdominance.systems import SPRING_INITIAL_CONDITIONS, jacobians, nonlinear_spring_system
 
 
 def write_cfg(tmp_path, cfg, name="config.json"):
@@ -312,6 +313,67 @@ def test_reproduce_paper_reports_probe_failure(tmp_path, capsys, monkeypatch, er
     assert rep["monotone_probe_error"] == str(error)
     assert rep["checks"]["monotone_probe"] is False
     assert len(rep["csv_files"]) == 5
+
+
+def test_reproduce_paper_without_certificate_simulates_alone(tmp_path, capsys):
+    # no certificate, so no probe: the trajectories are integrated as simulate does
+    out = tmp_path / "out"
+    assert main(["--no-timestamp", "reproduce-paper", "--sigma-r", "nan",
+                 "--out", str(out)]) == 2
+    assert "certificate_feasible: FAIL" in capsys.readouterr().out
+    rep = json.loads((out / "report.json").read_text())
+    assert "error" in rep["certificate"]
+    assert "monotone_probe" not in rep and "monotone_probe" not in rep["checks"]
+    assert len(rep["csv_files"]) == 5 and len(rep["trajectories"]) == 5
+    sim = tmp_path / "sim"
+    main(["--no-timestamp", "simulate", spring_cfg_path(tmp_path), "--out", str(sim)])
+    alone = json.loads((sim / "report.json").read_text())
+    assert rep["integrator"] == alone["integrator"]
+    assert rep["trajectories"] == alone["trajectories"]
+
+
+def test_reproduce_paper_integrates_once(tmp_path, monkeypatch):
+    batches = []
+    integrate_module = importlib.import_module("spdominance.integrate")
+    dopri_run = integrate_module.dopri_run
+
+    def counted(*args, **kwargs):
+        batches.append(args[1].shape)
+        return dopri_run(*args, **kwargs)
+
+    monkeypatch.setattr(integrate_module, "dopri_run", counted)
+    out = tmp_path / "out"
+    assert main(["--no-timestamp", "reproduce-paper", "--out", str(out)]) == 2
+    assert batches == [(205, 3)]  # the probe's 200 pair states, then the 5 riders
+    rep = json.loads((out / "report.json").read_text())
+    assert rep["integrator"] == rep["monotone_probe"]["integrator"]
+    assert [rep["integrator"][k] for k in ("steps", "rejected", "rhs_evals")] == [1398, 1, 8395]
+    # the riders leave the probe's entry as monotone-probe reports it
+    probe = tmp_path / "probe.json"
+    main(["--no-timestamp", "monotone-probe", spring_cfg_path(tmp_path), "--pairs", "100",
+          "--seed", "42", "--report", str(probe)])
+    assert rep["monotone_probe"] == json.loads(probe.read_text())["monotone_probe"]
+
+
+def test_reproduce_paper_csvs_on_probe_grid(tmp_path):
+    out = tmp_path / "out"
+    main(["--no-timestamp", "reproduce-paper", "--out", str(out)])
+    rep = json.loads((out / "report.json").read_text())
+    ics = np.array(SPRING_INITIAL_CONDITIONS)
+    times, states, _ = integrate(cli.build_system(spring_config()), ics, (0.0, 9.0))
+    alone = convergence_report([Trajectory(times, states[:, i]) for i in range(len(ics))],
+                               rep["equilibria"])
+    grid = [k * 9.0 / PROBE_SAMPLES for k in range(PROBE_SAMPLES + 1)]
+    assert grid[-1] == 9.0
+    for i, path in enumerate(rep["csv_files"]):
+        rows = np.loadtxt(path, delimiter=",", skiprows=1)
+        assert rows.shape == (PROBE_SAMPLES + 1, 4)
+        assert rows[:, 0].tolist() == grid
+        assert rows[0, 1:].tolist() == ics[i].tolist()
+        assert np.abs(rows[-1, 1:] - states[-1, i]).max() <= 1e-9
+    for ours, theirs in zip(rep["trajectories"], alone):
+        assert ours["converged"] == theirs["converged"]
+        assert ours["matched_equilibrium"] == theirs["matched_equilibrium"]
 
 
 def test_probe_report_reproducible(tmp_path):

@@ -185,6 +185,39 @@ def test_probe_stays_in_decoupled_cone(seed):
     assert run["rhs_evals"] == 1 + 6 * (run["steps"] + run["rejected"])
 
 
+def test_probe_locates_worst_margin(monkeypatch):
+    # one difference planted along the cone's positive direction is the worst
+    sys_, cert = nonlinear_spring_system(), nonlinear_spring_certificate()
+    outward = np.linalg.eigh(certificate_cone(sys_, cert).P.a)[1][:, 2]
+    integrate = analyze.integrate
+    stored = {}
+
+    def integrate_and_plant(*args):
+        times, states, stats = integrate(*args)
+        states[7, 6] = states[7, 7] + 0.1 * outward
+        stored["states"] = states
+        return times, states, stats
+
+    monkeypatch.setattr(analyze, "integrate", integrate_and_plant)
+    probe = monotone_probe(sys_, cert, n_pairs=5, t_final=1.0, seed=42)
+    assert probe["worst_margin_at"] == {
+        "pair": 3, "t": 7 * 1.0 / 200,
+        "initial_states": stored["states"][0, 6:8].tolist()}
+
+
+def test_probe_riders_share_its_run():
+    # riders step in the probe's batch, unclassified, on its sample grid
+    sys_, cert = nonlinear_spring_system(), nonlinear_spring_certificate()
+    alone = monotone_probe(sys_, cert, n_pairs=5, t_final=1.0, seed=42)
+    riders = [[1.0, 1.0, 1.0], [0.25, 0.5, -1.0]]
+    probe = monotone_probe(sys_, cert, n_pairs=5, t_final=1.0, seed=42, riders=riders)
+    times, states, stats = probe.pop("riders")
+    assert probe == alone
+    assert stats is probe["integrator"]
+    assert times.tolist() == [k * 1.0 / 200 for k in range(201)]
+    assert states.shape == (201, 2, 3) and states[0].tolist() == riders
+
+
 def test_probe_counts_match_cone_locate(monkeypatch):
     # the probe's one cone_ratio call over every stored difference counts as
     # cone_locate does vector by vector; one zero, one nonzero boundary and
