@@ -3,7 +3,9 @@
 L comes from the slow eigenvectors, H from one linear solve, and they assemble
 the exact block-diagonalizing T. The eps threshold of the block conditions is
 bisected in rounds of 7 bisection points over all vertex pairs in one stacked
-solve. It is checked at every (A, D) vertex pair, not over the hull between.
+solve; the first round shares the call that tests the search's two ends, and
+the search stops once its bracket is one ulp wide. It is checked at every
+(A, D) vertex pair, not over the hull between.
 """
 
 from __future__ import annotations
@@ -23,6 +25,9 @@ BISECT_STEPS = 60
 EPS_FLOOR = 1e-12
 EPS_MAX = 1.0  # the default top of epsilon_star's search
 MONOTONE_CHECK_POINTS = 16
+# chang_stack's why, by failure code: 0 is a clean splitting
+WHY = np.array(["", "Array must not contain infs or NaNs", "no strict modulus gap",
+                "singular slow eigenvectors"])
 
 
 @dataclass(frozen=True)
@@ -95,35 +100,37 @@ def _coupling_kron(A, B, D, L, eps):
 def chang_stack(A, B, C, D, eps):
     """L solving D L - C = eps L(A - B L) in each slot of stacks A, D and eps
     (eps shaped (K, 1, 1)): -V2 V1^{-1} from the eigenvectors [V1; V2] of
-    [[eps A, eps B], [C, D]] for its n_r eigenvalues of smallest modulus, real as
-    a strict modulus gap keeps conjugate pairs together; one Newton step polishes
-    a loose L. Returns (L, why, residual): why names a missing slow/fast splitting,
-    masked before eig and the solve so no slot raises for the stack; L is NaN
-    there or where the residual misses its limit."""
+    [[eps A, eps B], [C, D]] for its n_r eigenvalues of smallest modulus. A
+    strict modulus gap keeps conjugate pairs together, so each pair (v, conj v)
+    is replaced by (Re v, Im conj v), a real basis of the same subspace: every
+    slot is solved in real arithmetic, and its L does not depend on its stack
+    mates. One Newton step polishes a loose L. Returns (L, why, residual): why
+    names a missing slow/fast splitting, masked before eig and the solve so no
+    slot raises for the stack; L is NaN there or where the residual misses its
+    limit."""
     n_r, n = A.shape[-1], A.shape[-1] + D.shape[-1]
     M = np.empty((len(eps), n, n))
     M[:, :n_r, :n_r], M[:, :n_r, n_r:], M[:, n_r:, :n_r], M[:, n_r:, n_r:] = eps * A, eps * B, C, D
     finite = np.isfinite(M).all(axis=(1, 2))
     lam, V = np.linalg.eig(np.where(finite[:, None, None], M, np.eye(n)))
-    order = np.argsort(np.abs(lam), axis=1)
-    modulus = np.take_along_axis(np.abs(lam), order, axis=1)
-    V = np.take_along_axis(V, order[:, None, :n_r], axis=2)
-    gap = finite & (modulus[:, n_r - 1] < modulus[:, n_r])
-    V = V if lam.imag[gap].any() else V.real  # real unless a slot with a gap is complex
-    why = np.select([~finite, ~gap, 1.0 / np.linalg.cond(V[:, :n_r]) < RCOND_MIN],
-                    ["Array must not contain infs or NaNs", "no strict modulus gap",
-                     "singular slow eigenvectors"], "")
-    V1 = np.where((why == "")[:, None, None], V[:, :n_r], np.eye(n_r))
-    L = -np.linalg.solve(V1.mT, V[:, n_r:].mT).mT.real
+    rows, slow = np.arange(len(eps))[:, None], np.argsort(np.abs(lam), axis=1)[:, :n_r + 1]
+    lam, V = lam[rows, slow], V[rows, :, slow[:, :n_r]].mT  # n_r + 1 smallest, n_r vectors
+    V = np.where(lam[:, None, :n_r].imag < 0, V.imag, V.real)  # (v, conj v) -> (Re v, Im conj v)
+    gap = np.abs(lam[:, n_r - 1]) < np.abs(lam[:, n_r])
+    singular = 1.0 / np.linalg.cond(V[:, :n_r]) < RCOND_MIN
+    code = np.where(~finite, 1, np.where(~gap, 2, np.where(singular, 3, 0)))  # WHY's index
+    ok = code == 0
+    V1 = np.where(ok[:, None, None], V[:, :n_r], np.eye(n_r))
+    L = -np.linalg.solve(V1.mT, V[:, n_r:].mT).mT
     r = np.linalg.norm(_l_equation(A, B, C, D, L, eps), axis=(1, 2))
     limit = coupling_residual_limit(B, C)
-    for k in np.flatnonzero((why == "") & (r > limit)):
+    for k in np.flatnonzero(ok & (r > limit)):
         F = _l_equation(A[k], B, C, D[k], L[k], eps[k, 0, 0])
         L[k] -= np.linalg.solve(_coupling_kron(A[k], B, D[k], L[k], eps[k, 0, 0]).T,
                                 F.ravel()).reshape(L[k].shape)
         r[k] = np.linalg.norm(_l_equation(A[k], B, C, D[k], L[k], eps[k, 0, 0]))
-    L[(why != "") | ~(r <= limit)] = np.nan
-    return L, why, r
+    L[~ok | ~(r <= limit)] = np.nan
+    return L, WHY[code], r
 
 
 def solve_chang_lti(A, B, C, D, eps):
@@ -171,8 +178,11 @@ def epsilon_star(A_polytope, B, C, D_polytope, cert, eps_max=EPS_MAX):
 
     Each round evaluates the next 3 levels of the bisection tree below
     [lo, hi], 7 midpoints, over every vertex pair in one stacked solve, then
-    takes the 3 steps plain bisection would: BISECT_STEPS steps in
-    BISECT_STEPS / 3 rounds, at the same points with the same decisions.
+    takes the 3 steps plain bisection would, at the same points with the same
+    decisions. The first round's points depend only on [EPS_FLOOR, eps_max],
+    so they share one solve with eps_max and the floor. BISECT_STEPS caps the
+    steps: the search stops early once lo and hi are adjacent floats, where
+    every further midpoint is lo or hi and would re-decide an end.
 
     Bisection assumes feasibility is monotone below the first feasible
     point, which fails where the slow and fast modes swap roles. So the
@@ -201,18 +211,27 @@ def epsilon_star(A_polytope, B, C, D_polytope, cert, eps_max=EPS_MAX):
         slow, fast = block_margins(cert, As, B, chang_stack(As, B, C, Ds, eps)[0], Ds, eps)
         return ((slow <= FEASIBILITY_MARGIN) & (fast <= FEASIBILITY_MARGIN)).reshape(m, -1).all(1)
 
-    top, floor = feasible(np.array([eps_max, EPS_FLOOR]))
+    def tree(lo, hi):
+        """The 7 midpoints of the next 3 levels of the bisection tree below [lo, hi]."""
+        ends = [lo, hi]
+        for _ in range(3):
+            ends = [x for a, b in zip(ends, ends[1:]) for x in (a, 0.5 * (a + b))] + [hi]
+        return ends[1:-1]
+
+    lo, hi = EPS_FLOOR, eps_max
+    mids = tree(lo, hi)
+    top, floor, *decided = feasible(np.array([eps_max, EPS_FLOOR, *mids]))
     if not floor:
         raise InfeasibleAtFloor(f"block conditions infeasible even at eps={EPS_FLOOR}")
-    lo, hi = EPS_FLOOR, eps_max
-    for _ in range(0 if top else BISECT_STEPS // 3):
-        ends = [lo, hi]
-        for _ in range(3):  # the next 3 levels of the bisection tree below [lo, hi]
-            ends = [x for a, b in zip(ends, ends[1:]) for x in (a, 0.5 * (a + b))] + [hi]
-        ok = dict(zip(ends[1:-1], feasible(np.array(ends[1:-1]))))
-        for _ in range(3):
-            mid = 0.5 * (lo + hi)
-            lo, hi = (mid, hi) if ok[mid] else (lo, mid)
+    ok = dict(zip(mids, decided))
+    for step in range(0 if top else BISECT_STEPS):
+        mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):  # one ulp wide: each later step would re-decide an end
+            break
+        if step and step % 3 == 0:  # the next round; the first came with the ends
+            mids = tree(lo, hi)
+            ok = dict(zip(mids, feasible(np.array(mids))))
+        lo, hi = (mid, hi) if ok[mid] else (lo, mid)
     eps_hat = eps_max if top else lo
 
     points = np.geomspace(EPS_FLOOR, eps_hat, MONOTONE_CHECK_POINTS)

@@ -283,13 +283,15 @@ def orthogonal(rng, n):
     return q * np.sign(np.diag(r))
 
 
-def lmi_system(rng, n_r, n_f, n_a, n_d, feasible):
+def lmi_system(rng, n_r, n_f, n_a, n_d, feasible, fast_scale=1.0):
     """A linear two-time-scale system built by congruence around a known
     rank-1 certificate diag(-1, 1, ..., 1): each reduced-model vertex is nearly
     diagonal, its first mode slower than -lambda_r (too fast in the first
     vertex when not feasible) and the others faster; the fast blocks are
     stable but slower than lambda_r, so the block conditions fail at eps = 1.
-    Random orthogonal Q and R then move every entry. Returns
+    Random orthogonal Q and R then move every entry. fast_scale multiplies C
+    and D, which leaves D^{-1} C alone and maps the feasibility at eps to that
+    at eps / fast_scale: a small one moves the threshold down with it. Returns
     (A polytope, B, C, D polytope, certificate)."""
     lam = 1.5
     P_hat = np.diag([-1.0] + [1.0] * (n_r - 1))
@@ -321,19 +323,26 @@ def lmi_system(rng, n_r, n_f, n_a, n_d, feasible):
     Q, R = orthogonal(rng, n_r), orthogonal(rng, n_f)
     cert = SPDominanceCertificate(P_r=Q @ P_hat @ Q.T, P_f=np.eye(n_f), lambda_r=lam,
                                   lambda_f=0.25, sigma_r=sigma_r, sigma_f=0.25, p=1)
-    return (MatrixPolytope([Q @ A @ Q.T for A in A_verts]), Q @ B @ R.T, R @ C @ Q.T,
-            MatrixPolytope([R @ D @ R.T for D in D_verts]), cert)
+    return (MatrixPolytope([Q @ A @ Q.T for A in A_verts]), Q @ B @ R.T,
+            fast_scale * R @ C @ Q.T,
+            MatrixPolytope([fast_scale * R @ D @ R.T for D in D_verts]), cert)
 
 
 # where the modes swap roles (n_r = n_f = 1 with a fast slow block), eps_max can be
 # feasible above infeasible eps: both searches drop below the re-check's lowest
-# violation, or raise where the floor fails, and epsilon_star warns
+# violation, or raise where the floor fails, and epsilon_star warns; with
+# fast_scale 1 the threshold is high enough that the stacked search's bracket
+# is one ulp wide before BISECT_STEPS steps, with 2^-10 it is below 2^-8 and
+# the search takes all of them
 @pytest.mark.filterwarnings("ignore:feasibility not monotone")
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(seed=st.integers(0, 2**32 - 1), n_r=st.integers(1, 4), n_f=st.integers(1, 3),
-       n_a=st.integers(1, 3), n_d=st.integers(1, 3), feasible=st.booleans())
-def test_stacked_search_matches_scalar_bisection(seed, n_r, n_f, n_a, n_d, feasible):
-    system = lmi_system(np.random.default_rng(seed), n_r, n_f, n_a, n_d, feasible)
+       n_a=st.integers(1, 3), n_d=st.integers(1, 3), feasible=st.booleans(),
+       fast_scale=st.sampled_from([1.0, 2.0**-10]))
+def test_stacked_search_matches_scalar_bisection(seed, n_r, n_f, n_a, n_d, feasible,
+                                                 fast_scale):
+    system = lmi_system(np.random.default_rng(seed), n_r, n_f, n_a, n_d, feasible,
+                        fast_scale)
     try:
         want = scalar_epsilon_star(*system)
     except InfeasibleAtFloor:
@@ -438,10 +447,28 @@ def test_chang_stack_singular_slot_marks_only_itself():
     assert np.isnan(L[:2]).all() and np.array_equal(L[2], np.zeros((2, 2)))
 
 
+def test_chang_stack_slot_is_independent_of_its_stack_mates():
+    # slot 2's slow eigenvalues are a complex pair (its reduced model
+    # [[0, 1], [-5, 0]] has eigenvalues +-i sqrt(5)), the spring vertices'
+    # are real: each vertex's L has the same bits alone and beside slot 2
+    A = np.array([A_SPRING, [[0.0, 1.0], [-5.0, 0.0]], [[0.0, 1.0], [-5.0, 5.0]]])
+    D = np.repeat(D_SPRING[None], 3, axis=0)
+    for e in (0.01, 0.02, 0.03, 0.04):
+        eps = np.array([e, e, 0.02])[:, None, None]
+        L, why, r = chang_stack(A, B_SPRING, C_SPRING, D, eps)
+        assert list(why) == [""] * 3 and (r <= coupling_residual_limit(B_SPRING, C_SPRING)).all()
+        for k in range(2):
+            alone = chang_stack(A[k:k + 1], B_SPRING, C_SPRING, D[k:k + 1], eps[k:k + 1])[0]
+            assert np.array_equal(L[k], alone[0])
+    M = np.block([[0.02 * A[2], 0.02 * B_SPRING], [C_SPRING, D_SPRING]])
+    assert np.iscomplex(np.linalg.eigvals(M)).sum() == 2
+
+
 def test_epsilon_star_calls_eig_once_per_round(monkeypatch):
-    # one eig for eps_max with the floor, one per round of 3 bisection steps,
-    # one for the monotonicity re-check: a guard on the batching that counts
-    # calls rather than timing them (the scalar search made 151 on the spring)
+    # one eig for eps_max, the floor and the first round, one per later round
+    # of 3 bisection steps, one for the monotonicity re-check: a guard on the
+    # batching that counts calls rather than timing them (the scalar search
+    # made 151 on the spring)
     calls = []
     eig = np.linalg.eig
 
@@ -453,7 +480,43 @@ def test_epsilon_star_calls_eig_once_per_round(monkeypatch):
     A_poly, B, C, D = a_block_hull(nonlinear_spring_system())
     cert = nonlinear_spring_certificate()
     eps_hat = epsilon_star(A_poly, B, C, MatrixPolytope([D]), cert)
-    assert len(calls) <= 1 + BISECT_STEPS // 3 + 1
+    assert len(calls) <= 1 + (BISECT_STEPS // 3 - 1) + 1
     monkeypatch.undo()
     assert eps_hat == pytest.approx(
         scalar_epsilon_star(A_poly, B, C, MatrixPolytope([D]), cert), rel=1e-12, abs=0)
+
+
+def count_stacked_solves(monkeypatch):
+    """Patch decouple.chang_stack to record each call's stack length."""
+    calls = []
+    chang_stack = decouple.chang_stack
+
+    def counted(A, B, C, D, eps):
+        calls.append(len(eps))
+        return chang_stack(A, B, C, D, eps)
+
+    monkeypatch.setattr(decouple, "chang_stack", counted)
+    return calls
+
+
+def test_spring_search_makes_20_stacked_solves(monkeypatch):
+    # eps_max, the floor and the first round's 7 points share one call; the
+    # bracket is one ulp wide after 57 steps, so 18 more rounds and the
+    # re-check make 20 calls of 9 + 18 * 7 + 16 = 151 points, each at the
+    # hull's 2 vertex pairs (1 + 20 + 1 calls without either saving)
+    calls = count_stacked_solves(monkeypatch)
+    cfg = cli.spring_config()
+    _, eps_hat = cli.epsilon_star_stage(cli.build_system(cfg), cli.build_certificate(cfg))
+    assert eps_hat == 0.04184602135303708
+    assert len(calls) == 20 and sum(calls) == 302
+
+
+def test_search_below_2_to_the_minus_8_takes_every_step(monkeypatch):
+    # the bracket of a threshold below 2^-8 is still wider than one ulp after
+    # BISECT_STEPS steps: the first call, the 19 rounds after it, the re-check
+    system = lmi_system(np.random.default_rng(3), 2, 2, 2, 1, True, 2.0**-10)
+    calls = count_stacked_solves(monkeypatch)
+    eps_hat = epsilon_star(*system)
+    assert eps_hat < 2.0**-8 and len(calls) == 1 + (BISECT_STEPS // 3 - 1) + 1
+    monkeypatch.undo()
+    assert eps_hat == pytest.approx(scalar_epsilon_star(*system), rel=1e-12, abs=0)
