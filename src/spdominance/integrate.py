@@ -1,10 +1,11 @@
 """Integration of stiff two-time-scale ODEs.
 
-One integrator, dopri_run, the Dormand-Prince 5(4) embedded pair with its
-step controlled by the local error estimate (tolerance DP_TOL), steps a
-batch of states in lockstep through one vectorized right-hand side; each
-stage state is one product of step-scaled tableau weights with a buffer of
-the accepted state and its stage derivatives. integrate runs a batch of
+One integrator, dopri_run, Hairer's 8th-order DOP853 pair with its step
+controlled by the combined 5th- and 3rd-order local error estimates
+(tolerance DP_TOL), steps a batch of states in lockstep through one
+vectorized right-hand side; each stage state is one product of step-scaled
+tableau weights with a buffer of the accepted state and its 13 stage
+derivatives, 12 RHS calls per step. integrate runs a batch of
 trajectories of a system through it, and integrate_variational a trajectory
 jointly with its variation, both from default_step(sys) = min(1e-3, eps/20).
 """
@@ -19,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .decouple import full_system_matrix
-from .errors import ConfigError, DimensionMismatch, NewtonFailure, NonFinite
+from .errors import ConfigError, DimensionMismatch, NonFinite
 from .expressions import BinOp, Const, Var, compile_field, guarded
 from .systems import (LinearSPSystem, NonlinearSPSystem, damped_newton, jacobian_kernel,
                       state_names)
@@ -66,7 +67,7 @@ def default_step(sys):
     h = min(1e-3, sys.eps / 20.0)
     if h <= DP_STEP_FLOOR:
         raise ConfigError(f"eps = {sys.eps:.3g} is too stiff for the explicit "
-                          f"Dormand-Prince pair: the first step eps/20 = {h:.3g} "
+                          f"DOP853 pair: the first step eps/20 = {h:.3g} "
                           f"is at or below its step floor {DP_STEP_FLOOR:.3g}")
     return h
 
@@ -95,30 +96,83 @@ def _derivative_asts(sys):
     return sys.f + [BinOp("*", e, inv_eps) for e in sys.g]
 
 
-# Dormand & Prince (1980) 5(4) weights of the 7 stage derivatives: rows 0-5
-# give the stage states, row 5 the 5th-order solution (so the 7th stage is the
-# next step's 1st), and row 6 the 5th- minus 4th-order error over DP_TOL
-_DP_TABLE = np.array((
-    (1 / 5, 0, 0, 0, 0, 0, 0),
-    (3 / 40, 9 / 40, 0, 0, 0, 0, 0),
-    (44 / 45, -56 / 15, 32 / 9, 0, 0, 0, 0),
-    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729, 0, 0, 0),
-    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656, 0, 0),
-    (35 / 384, 0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0),
-    (71 / 57600, 0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40),
-)) / np.array([1, 1, 1, 1, 1, 1, DP_TOL])[:, None]
+# Hairer's DOP853 (Hairer, Norsett & Wanner, Solving Ordinary Differential
+# Equations I, 2nd ed., sections II.5 and II.10; Prince & Dormand, J. Comput.
+# Appl. Math. 7, 1981), its coefficients as scipy gives them in
+# scipy/integrate/_ivp/dop853_coefficients.py: the stage weights A[1:12, :11],
+# the 8th-order weights B, the error weights E5, and E3 as B less the weights
+# BHH. Each row maps a derivative's index to its weight; zeros are left out.
+_DOP853_A = (
+    {0: 5.26001519587677318785587544488e-2},
+    {0: 1.97250569845378994544595329183e-2, 1: 5.91751709536136983633785987549e-2},
+    {0: 2.95875854768068491816892993775e-2, 2: 8.87627564304205475450678981324e-2},
+    {0: 2.41365134159266685502369798665e-1, 2: -8.84549479328286085344864962717e-1,
+     3: 9.24834003261792003115737966543e-1},
+    {0: 3.7037037037037037037037037037e-2, 3: 1.70828608729473871279604482173e-1,
+     4: 1.25467687566822425016691814123e-1},
+    {0: 3.7109375e-2, 3: 1.70252211019544039314978060272e-1,
+     4: 6.02165389804559606850219397283e-2, 5: -1.7578125e-2},
+    {0: 3.70920001185047927108779319836e-2, 3: 1.70383925712239993810214054705e-1,
+     4: 1.07262030446373284651809199168e-1, 5: -1.53194377486244017527936158236e-2,
+     6: 8.27378916381402288758473766002e-3},
+    {0: 6.24110958716075717114429577812e-1, 3: -3.36089262944694129406857109825,
+     4: -8.68219346841726006818189891453e-1, 5: 2.75920996994467083049415600797e1,
+     6: 2.01540675504778934086186788979e1, 7: -4.34898841810699588477366255144e1},
+    {0: 4.77662536438264365890433908527e-1, 3: -2.48811461997166764192642586468,
+     4: -5.90290826836842996371446475743e-1, 5: 2.12300514481811942347288949897e1,
+     6: 1.52792336328824235832596922938e1, 7: -3.32882109689848629194453265587e1,
+     8: -2.03312017085086261358222928593e-2},
+    {0: -9.3714243008598732571704021658e-1, 3: 5.18637242884406370830023853209,
+     4: 1.09143734899672957818500254654, 5: -8.14978701074692612513997267357,
+     6: -1.85200656599969598641566180701e1, 7: 2.27394870993505042818970056734e1,
+     8: 2.49360555267965238987089396762, 9: -3.0467644718982195003823669022},
+    {0: 2.27331014751653820792359768449, 3: -1.05344954667372501984066689879e1,
+     4: -2.00087205822486249909675718444, 5: -1.79589318631187989172765950534e1,
+     6: 2.79488845294199600508499808837e1, 7: -2.85899827713502369474065508674,
+     8: -8.87285693353062954433549289258, 9: 1.23605671757943030647266201528e1,
+     10: 6.43392746015763530355970484046e-1},
+)
+_DOP853_B = {
+    0: 5.42937341165687622380535766363e-2, 5: 4.45031289275240888144113950566,
+    6: 1.89151789931450038304281599044, 7: -5.8012039600105847814672114227,
+    8: 3.1116436695781989440891606237e-1, 9: -1.52160949662516078556178806805e-1,
+    10: 2.01365400804030348374776537501e-1, 11: 4.47106157277725905176885569043e-2}
+_DOP853_E5 = {
+    0: 0.1312004499419488073250102996e-1, 5: -0.1225156446376204440720569753e+1,
+    6: -0.4957589496572501915214079952, 7: 0.1664377182454986536961530415e+1,
+    8: -0.3503288487499736816886487290, 9: 0.3341791187130174790297318841,
+    10: 0.8192320648511571246570742613e-1, 11: -0.2235530786388629525884427845e-1}
+_DOP853_BHH = {0: 0.244094488188976377952755905512, 8: 0.733846688281611857341361741547,
+               11: 0.220588235294117647058823529412e-1}
+
+
+def _dop853_table():
+    """DOP853's weights of the 13 stage derivatives: rows 0-10 give the stage
+    states, row 11 the 8th-order solution (so the 13th derivative is the next
+    step's 1st), and rows 12 and 13 the error estimates E5 and E3 over DP_TOL."""
+    table = np.zeros((14, 13))
+    for r, row in enumerate(_DOP853_A + (_DOP853_B, _DOP853_E5, _DOP853_B)):
+        table[r, list(row)] = list(row.values())
+    table[13, list(_DOP853_BHH)] -= list(_DOP853_BHH.values())
+    table[12:] /= DP_TOL
+    return table
+
+
+_DP_TABLE = _dop853_table()
 
 
 # a state or error estimate that overflows is reported as NonFinite, not as a warning
 @np.errstate(invalid="ignore", over="ignore")
 def dopri_run(rhs, y0, t_span, h0, sample_times=None):
-    """Dormand-Prince 5(4) stepping with error control; a batch of states
-    (..., dim) steps in lockstep under one shared step size.
+    """DOP853 stepping with error control: each step takes the 8th-order
+    solution from 12 RHS calls; a batch of states (..., dim) steps in
+    lockstep under one shared step size.
 
-    The error of a step is the max over every row and component of
-    |err| / (DP_TOL + DP_TOL * max(|y|, |y_new|)); a step is accepted when
-    it is at most 1, and the next step is scaled by
-    clip(0.9 * err^(-1/5), 0.2, 5). The first step is h0.
+    e5 and e3 are the max over every row and component of |E5 err| and
+    |E3 err|, each over DP_TOL + DP_TOL * max(|y|, |y_new|); the error of a
+    step is Hairer's combined estimate e5^2 / sqrt(e5^2 + 0.01 e3^2). A step
+    is accepted when it is at most 1, and the next step is scaled by
+    clip(0.9 * err^(-1/8), 0.2, 5). The first step is h0.
 
     Returns (times, states, stats). times starts at t0; then it holds every
     accepted step up to t1, or, when sample_times is given, exactly those
@@ -139,20 +193,21 @@ def dopri_run(rhs, y0, t_span, h0, sample_times=None):
                 any(b <= a for a, b in zip(stops, stops[1:])):
             raise ValueError("sample times must increase strictly within (t0, t1]")
     y0 = np.array(y0, dtype=float)
-    # G holds the accepted state, then its 7 stage derivatives; stage r's state
+    # G holds the accepted state, then its 13 stage derivatives; stage r's state
     # is the one product coef[r, :r + 2] @ G[:r + 2], coef[r] = (1, step * row r)
-    G = np.empty((8,) + y0.shape)
-    G_flat = G.reshape(8, -1)
+    G = np.empty((14,) + y0.shape)
+    G_flat = G.reshape(14, -1)
     G[0], G[1] = y0, rhs(y0)
-    coef = np.ones((7, 8))  # column 0, the state's weight, stays 1
-    stages = [(coef[r, :r + 2], G_flat[:r + 2], 2 + r) for r in range(6)]
-    err_coef, K_flat = coef[6, 1:], G_flat[1:]
-    y_new = np.empty_like(y0)  # each stage state in turn; the last is the 5th-order solution
+    coef = np.ones((14, 14))  # column 0, the state's weight, stays 1
+    stages = [(coef[r, :r + 2], G_flat[:r + 2], 2 + r) for r in range(12)]
+    err_coef, K_flat = coef[12:, 1:], G_flat[1:]
+    y_new = np.empty_like(y0)  # each stage state in turn; the last is the 8th-order solution
     y_new_flat = y_new.reshape(-1)
     abs_y = np.abs(G_flat[0])  # |y| of the accepted state, carried into the next scale
-    abs_new, scale, err_vec = (np.empty_like(abs_y) for _ in range(3))
+    abs_new, scale = np.empty_like(abs_y), np.empty_like(abs_y)
+    err_vec = np.empty((2,) + abs_y.shape)
     times, samples = [t0], [y0]
-    stats = {"method": "dopri5", "tol": DP_TOL, "steps": 0, "rejected": 0, "rhs_evals": 1}
+    stats = {"method": "dop853", "tol": DP_TOL, "steps": 0, "rejected": 0, "rhs_evals": 1}
     t, h = t0, float(h0)
     for stop in stops:
         while t < stop:
@@ -167,16 +222,21 @@ def dopri_run(rhs, y0, t_span, h0, sample_times=None):
             for c, g, k in stages:
                 np.dot(c, g, out=y_new_flat)
                 G[k] = rhs(y_new)
-            stats["rhs_evals"] += 6
-            np.dot(err_coef, K_flat, out=err_vec)  # err / DP_TOL, over 1 + max(|y|, |y_new|)
+            stats["rhs_evals"] += 12
+            # the E5 and E3 errors / DP_TOL, over 1 + max(|y|, |y_new|)
+            np.dot(err_coef, K_flat, out=err_vec)
             np.abs(y_new_flat, out=abs_new)
             np.maximum(abs_y, abs_new, out=scale)
             scale += 1.0
             err_vec /= scale
-            err = float(np.abs(err_vec, out=err_vec).max())
+            e5, e3 = np.abs(err_vec, out=err_vec).max(axis=1).tolist()
+            if math.isfinite(e5 + e3):  # e5^2 / sqrt(e5^2 + 0.01 e3^2), no square to overflow
+                err = e5 / math.hypot(1.0, 0.1 * e3 / e5) if e5 else 0.0
+            else:  # NaN, or infinite after a stage overflowed: the step is rejected
+                err = e5 + e3
             if math.isnan(err):
                 raise NonFinite(f"state escaped at t={t:.6g}: non-finite error estimate")
-            fac = 5.0 if err == 0.0 else min(5.0, max(0.2, 0.9 * err ** -0.2))
+            fac = 5.0 if err == 0.0 else min(5.0, max(0.2, 0.9 * err ** -0.125))
             if err > 1.0:
                 stats["rejected"] += 1
                 h = step * fac
@@ -185,7 +245,7 @@ def dopri_run(rhs, y0, t_span, h0, sample_times=None):
             t = stop if landing else t + step
             if not abs_new.max() <= STATE_NORM_LIMIT:  # false for NaN too
                 raise NonFinite(f"state escaped at t={t:.6g}")
-            G[0], G[1] = y_new, G[7]
+            G[0], G[1] = y_new, G[13]
             abs_y, abs_new = abs_new, abs_y
             # a step cut short to land on a stop does not shrink the next one
             h = max(step * fac, h) if landing else step * fac
@@ -255,18 +315,16 @@ def integrate_variational(sys, x0, delta0, t_span):
 
 
 def find_equilibria(sys):
-    """Damped Newton on (f, g) = 0 from a grid of seeds on omega; the eps
-    scaling does not move zeros. Returns the distinct equilibria. A zero
-    divisor in the residual or the Jacobian raises EvalError."""
+    """Damped Newton on (f, g) = 0 from a grid of seeds on omega, all seeds
+    in one batch; the eps scaling does not move zeros. Returns the distinct
+    equilibria. A zero divisor in the residual or the Jacobian raises
+    EvalError."""
     axes = [np.linspace(*sys.omega[name], EQUILIBRIUM_GRID) for name in sys.names]
     field = guarded(compile_field(sys.f + sys.g, sys.names))
-    jac = jacobian_kernel(sys)
+    roots = damped_newton(field, jacobian_kernel(sys), list(itertools.product(*axes)),
+                          EQUILIBRIUM_TOL, NEWTON_MAX_ITER)
     found = []
-    for seed in itertools.product(*axes):
-        try:
-            point = damped_newton(field, jac, seed, EQUILIBRIUM_TOL, NEWTON_MAX_ITER)
-        except NewtonFailure:
-            continue
+    for point in roots[~np.isnan(roots).any(axis=1)]:  # NaN rows failed
         if any(np.linalg.norm(point - q) <= EQUILIBRIUM_MERGE_RADIUS for q in found):
             continue
         found.append(point)

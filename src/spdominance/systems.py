@@ -150,13 +150,14 @@ class LinearSPSystem(_StateSpace):
 
 def jacobian_kernel(sys):
     """The full Jacobian [[A, B], [C, D]] of (f, g), compiled once per system:
-    point -> (dim, dim). A zero divisor raises EvalError."""
+    points (..., dim) -> (..., dim, dim). A zero divisor raises EvalError."""
     if sys._jac_kernel is None:
         jac = sys.jacobian_asts()
         rows = ([a + b for a, b in zip(jac["A"], jac["B"])]
                 + [c + d for c, d in zip(jac["C"], jac["D"])])
         field = guarded(compile_field([e for row in rows for e in row], sys.names))
-        sys._jac_kernel = lambda point: field(point).reshape(sys.dim, sys.dim)
+        sys._jac_kernel = lambda point: field(point).reshape(
+            np.shape(point)[:-1] + (sys.dim, sys.dim))
     return sys._jac_kernel
 
 
@@ -205,32 +206,76 @@ def a_block_hull(sys):
 
 
 def damped_newton(fun, jac, x, tol, max_iter):
-    """Solve fun(x) = 0 by Newton steps, halving each step (up to 30 times)
-    until the residual norm decreases. Returns x once ||fun(x)|| <= tol;
-    raises NewtonFailure on no descent, a singular jac(x), or when max_iter
-    steps do not reach tol."""
+    """Solve fun(x) = 0 by Newton steps from each row of x, halving a row's
+    step (up to 30 times) until its residual norm decreases; fun and jac map
+    a batch of rows to their residuals and Jacobians. A 1-D x is a batch of
+    one, and fun and jac then take the state itself. Each row takes the
+    steps it would take alone. A row is done once ||fun(x)|| <= tol; it
+    fails on no descent, a singular jac(x), or when max_iter steps do not
+    reach tol. Returns the roots with NaN in each failed row; a 1-D x raises
+    NewtonFailure instead."""
     x = np.array(x, dtype=float)
-    res = fun(x)
+    xs = x.reshape(-1, x.shape[-1])  # a view: updating a row of xs updates x
+    if x.ndim == 1:
+        fun, jac = _one_row(fun), _one_row(jac)
+    failures = {}  # row -> why it failed
+    live, res = np.arange(len(xs)), fun(xs)  # the rows still stepping
     for k in range(max_iter + 1):
-        nrm = np.linalg.norm(res)
-        if nrm <= tol:
-            return x
+        nrm = _row_norms(res)
+        keep = ~(nrm <= tol)
+        live, res, nrm = live[keep], res[keep], nrm[keep]
+        if not live.size:
+            break
         if k == max_iter:
-            raise NewtonFailure(f"Newton did not reach tolerance; residual {nrm:.2e}")
-        try:
-            step = np.linalg.solve(jac(x), res)
-        except np.linalg.LinAlgError as e:
-            raise NewtonFailure(f"singular Jacobian at {x}") from e
-        alpha = 1.0
+            failures.update((i, f"Newton did not reach tolerance; residual {n:.2e}")
+                            for i, n in zip(live, nrm))
+            break
+        step, solved = _solve_rows(jac(xs[live]), res)
+        failures.update((i, f"singular Jacobian at {xs[i]}") for i in live[~solved])
+        live, res, nrm, step = live[solved], res[solved], nrm[solved], step[solved]
+        alpha = np.ones(len(live))
+        search = np.arange(len(live))  # rows whose residual has not decreased yet
         for _ in range(30):
-            cand = x - alpha * step
-            res_new = fun(cand)
-            if np.linalg.norm(res_new) < nrm:
+            if not search.size:
                 break
-            alpha *= 0.5
-        else:
-            raise NewtonFailure(f"no descent from {x} (residual {nrm:.2e})")
-        x, res = cand, res_new
+            cand = xs[live[search]] - alpha[search, None] * step[search]
+            res_new = fun(cand)
+            down = _row_norms(res_new) < nrm[search]
+            xs[live[search[down]]], res[search[down]] = cand[down], res_new[down]
+            search = search[~down]
+            alpha[search] *= 0.5
+        failures.update((live[j], f"no descent from {xs[live[j]]} (residual {nrm[j]:.2e})")
+                        for j in search)
+        live, res = np.delete(live, search), np.delete(res, search, axis=0)
+    xs[list(failures)] = np.nan
+    if x.ndim == 1 and failures:
+        raise NewtonFailure(failures[0])
+    return x
+
+
+def _one_row(f):
+    """f of one state as a function of a batch of one row."""
+    return lambda rows: f(rows[0])[None]
+
+
+def _row_norms(r):
+    """np.linalg.norm of each row, rounded as it rounds one vector."""
+    return np.sqrt(np.vecdot(r, r))
+
+
+def _solve_rows(J, r):
+    """np.linalg.solve of each row's system; returns the steps and whether
+    each system was solved (False where J is singular)."""
+    try:
+        return np.linalg.solve(J, r[..., None])[..., 0], np.ones(len(r), bool)
+    except np.linalg.LinAlgError:  # some row is singular: find which, one at a time
+        out, solved = np.zeros_like(r), np.ones(len(r), bool)
+        for i, (Ji, ri) in enumerate(zip(J, r)):
+            try:
+                out[i] = np.linalg.solve(Ji, ri)
+            except np.linalg.LinAlgError:
+                solved[i] = False
+        return out, solved
 
 
 # -- built-in demo system ---------------------------------------------------

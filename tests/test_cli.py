@@ -210,9 +210,9 @@ def test_simulate_report_counts_its_integrator(tmp_path):
     assert reports[0] == reports[1]
     run = json.loads(reports[0])["integrator"]
     assert list(run) == ["method", "tol", "steps", "rejected", "rhs_evals"]
-    assert (run["method"], run["tol"]) == ("dopri5", DP_TOL)
+    assert (run["method"], run["tol"]) == ("dop853", DP_TOL)
     assert run["steps"] > 0
-    assert run["rhs_evals"] == 1 + 6 * (run["steps"] + run["rejected"])
+    assert run["rhs_evals"] == 1 + 12 * (run["steps"] + run["rejected"])
 
 
 def test_simulate_not_converged_exits_2(tmp_path, capsys):
@@ -347,7 +347,7 @@ def test_reproduce_paper_integrates_once(tmp_path, monkeypatch):
     assert batches == [(205, 3)]  # the probe's 200 pair states, then the 5 riders
     rep = json.loads((out / "report.json").read_text())
     assert rep["integrator"] == rep["monotone_probe"]["integrator"]
-    assert [rep["integrator"][k] for k in ("steps", "rejected", "rhs_evals")] == [1398, 1, 8395]
+    assert [rep["integrator"][k] for k in ("steps", "rejected", "rhs_evals")] == [604, 0, 7249]
     # the riders leave the probe's entry as monotone-probe reports it
     probe = tmp_path / "probe.json"
     main(["--no-timestamp", "monotone-probe", spring_cfg_path(tmp_path), "--pairs", "100",
@@ -428,8 +428,8 @@ def test_reproduce_paper_report_structure(tmp_path):
     assert len(rep["csv_files"]) == 5
     assert rep["epsilon_star"] > 0.01
     for run in (rep["integrator"], rep["monotone_probe"]["integrator"]):
-        assert (run["method"], run["tol"]) == ("dopri5", DP_TOL)
-        assert run["rhs_evals"] == 1 + 6 * (run["steps"] + run["rejected"])
+        assert (run["method"], run["tol"]) == ("dop853", DP_TOL)
+        assert run["rhs_evals"] == 1 + 12 * (run["steps"] + run["rejected"])
 
 
 @pytest.mark.parametrize("value", ["nan", "inf"])

@@ -181,8 +181,8 @@ def test_probe_stays_in_decoupled_cone(seed):
     assert probe["total_classifications"] == 20_000
     assert probe["outside"] == 0 and probe["boundary_warnings"] == 0
     run = probe["integrator"]
-    assert (run["method"], run["tol"]) == ("dopri5", 1e-10)
-    assert run["rhs_evals"] == 1 + 6 * (run["steps"] + run["rejected"])
+    assert (run["method"], run["tol"]) == ("dop853", 1e-10)
+    assert run["rhs_evals"] == 1 + 12 * (run["steps"] + run["rejected"])
 
 
 def test_probe_locates_worst_margin(monkeypatch):

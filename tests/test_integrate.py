@@ -69,32 +69,21 @@ def rk4_run(rhs, y0, t_span, h):
     return np.array(times), np.array(samples)
 
 
-# Dormand & Prince (1980) 5(4) stage weights and error weights, as written
-# out by hand in the stage sums of dopri_reference
-_DP_A = [np.array(row) for row in (
-    (1 / 5,),
-    (3 / 40, 9 / 40),
-    (44 / 45, -56 / 15, 32 / 9),
-    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
-    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
-    (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
-)]
-_DP_E = np.array((71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200,
-                  22 / 525, -1 / 40))
-
-
 @np.errstate(invalid="ignore", over="ignore")
 def dopri_reference(rhs, y0, t_span, h0):
-    """Dormand-Prince 5(4) with dopri_run's error control and step rule,
-    one stage sum y + step * (a @ K) at a time: the reference dopri_run's
-    one-product stages are held to. Samples every accepted step. Returns
-    (times, states, stats) as dopri_run does."""
+    """DOP853 with dopri_run's error control and step rule, one stage sum
+    y + step * (a @ K) at a time, from scipy's copy of Hairer's coefficients:
+    the reference dopri_run's table and one-product stages are held to.
+    Samples every accepted step. Returns (times, states, stats) as dopri_run
+    does."""
+    dop853 = pytest.importorskip("scipy.integrate._ivp.dop853_coefficients")
+    A, B, E5, E3 = dop853.A, dop853.B, dop853.E5, dop853.E3
     t0, t1 = float(t_span[0]), float(t_span[1])
     y = np.array(y0, dtype=float)
     times = [t0]
     samples = [y.copy()]
-    K = np.empty((7,) + y.shape)
-    K_flat = K.reshape(7, -1)
+    K = np.empty((13,) + y.shape)
+    K_flat = K.reshape(13, -1)
     K[0] = rhs(y)
     stats = {"steps": 0, "rejected": 0, "rhs_evals": 1}
     t, h = t0, float(h0)
@@ -103,16 +92,18 @@ def dopri_reference(rhs, y0, t_span, h0):
             raise NonFinite(f"step size underflow at t={t:.6g}")
         landing = t + 1.01 * h >= t1
         step = t1 - t if landing else h
-        for i, a in enumerate(_DP_A, start=1):
-            y_stage = y + step * (a @ K_flat[:i]).reshape(y.shape)
-            K[i] = rhs(y_stage)
-        stats["rhs_evals"] += 6
-        y_new = y_stage
+        for i in range(1, 12):
+            K[i] = rhs(y + step * (A[i, :i] @ K_flat[:i]).reshape(y.shape))
+        y_new = y + step * (B @ K_flat[:12]).reshape(y.shape)
+        K[12] = rhs(y_new)
+        stats["rhs_evals"] += 12
         scale = DP_TOL + DP_TOL * np.maximum(np.abs(y), np.abs(y_new)).ravel()
-        err = float(np.max(np.abs(step * (_DP_E @ K_flat)) / scale))
+        e5 = float(np.max(np.abs(step * (E5 @ K_flat)) / scale))
+        e3 = float(np.max(np.abs(step * (E3 @ K_flat)) / scale))
+        err = 0.0 if e5 == 0.0 else e5 ** 2 / np.sqrt(e5 ** 2 + 0.01 * e3 ** 2)
         if np.isnan(err):
             raise NonFinite(f"non-finite error estimate at t={t:.6g}")
-        fac = 5.0 if err == 0.0 else min(5.0, max(0.2, 0.9 * err ** -0.2))
+        fac = 5.0 if err == 0.0 else min(5.0, max(0.2, 0.9 * err ** -0.125))
         if err > 1.0:
             stats["rejected"] += 1
             h = step * fac
@@ -121,7 +112,7 @@ def dopri_reference(rhs, y0, t_span, h0):
         t = t1 if landing else t + step
         _check_finite(y_new, t)
         y = y_new
-        K[0] = K[6]
+        K[0] = K[12]
         h = max(step * fac, h) if landing else step * fac
         times.append(t)
         samples.append(y)
@@ -231,7 +222,7 @@ def test_dopri_run_lands_on_sample_times():
     assert times[0] == 0.0
     assert times[1:].tolist() == sample_times
     assert states.shape == (13, 1, 3)
-    assert stats["rhs_evals"] == 1 + 6 * (stats["steps"] + stats["rejected"])
+    assert stats["rhs_evals"] == 1 + 12 * (stats["steps"] + stats["rejected"])
 
     times, _, _ = dopri_run(make_rhs(sys_), [1.0, 1.0, 1.0], (0.0, 0.7 / 3), 5e-4)
     assert times[-1] == 0.7 / 3
@@ -263,21 +254,23 @@ def test_dopri_run_matches_dopri_reference(case):
         times, states, stats = dopri_run(rhs, y0, (0.0, t_final), default_step(sys_))
         _, ref_states, ref_stats = dopri_reference(rhs, y0, (0.0, t_final),
                                                    default_step(sys_))
-        assert stats == {"method": "dopri5", "tol": DP_TOL, **ref_stats}
+        assert stats == {"method": "dop853", "tol": DP_TOL, **ref_stats}
         assert times[-1] == t_final
         assert np.abs(states[-1] - ref_states[-1]).max() <= 1e-12
 
 
 def test_dp_table_is_consistent():
-    a, e = _DP_TABLE[:6], _DP_TABLE[6] * DP_TOL
-    c = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])  # node of each stage
-    assert np.abs(a.sum(axis=1) - c[1:]).max() <= 1e-14
-    assert abs(e.sum()) <= 1e-16
-    b5, b4 = a[5], a[5] - e
-    for k in range(5):  # order conditions of the quadratures: 5th order, then 4th
-        assert b5 @ c ** k == pytest.approx(1 / (k + 1), abs=1e-14)
-        if k < 4:
-            assert b4 @ c ** k == pytest.approx(1 / (k + 1), abs=1e-14)
+    a, e5, e3 = _DP_TABLE[:12, :12], _DP_TABLE[12] * DP_TOL, _DP_TABLE[13] * DP_TOL
+    r6 = np.sqrt(6.0)
+    c = np.array([0.0, (6 - r6) / 30 * 4 / 9, (6 - r6) / 30 * 2 / 3, (6 - r6) / 30,
+                  (6 + r6) / 30, 1 / 3, 1 / 4, 4 / 13, 127 / 195, 3 / 5, 6 / 7, 1.0, 1.0])
+    assert not np.triu(_DP_TABLE[:12], 1).any()  # explicit: row r weighs derivatives 0..r
+    assert np.abs(a.sum(axis=1) - c[1:]).max() <= 1e-14  # node of each stage
+    for e in (e5, e3):  # each error row sums to 0 within the rounding of its terms
+        assert abs(e.sum()) <= np.finfo(float).eps * np.abs(e).sum()
+    b = a[11]
+    for k in range(8):  # order conditions of the 8th-order quadrature
+        assert b @ c[:12] ** k == pytest.approx(1 / (k + 1), abs=1e-14)
 
 
 def spring_radau(x0s, sample_times):
@@ -323,6 +316,53 @@ def test_dopri_run_probe_pairs_match_radau():
                              sample_times=sample_times)
     ref = spring_radau(x0s, sample_times)
     assert np.abs(states[1:] - ref).max() <= 1e-9
+
+
+def spring_variational_radau(y0s, t_final):
+    """The spring and its variation from each row (x0, delta0) of y0s, from
+    one Radau solve of the stacked system (rtol 1e-12). Returns a function of
+    sample times to states of shape (n_samples, n, 6)."""
+    solve_ivp = pytest.importorskip("scipy.integrate").solve_ivp
+    n = len(y0s)
+
+    def fun(t, s):
+        x1, x2, z, d1, d2, d3 = s.reshape(n, 6).T
+        slope = 7 / np.cosh(x1) ** 2 - 5
+        return np.column_stack([x2, 7 * np.tanh(x1) - 5 * x1 - 5 * z, (x2 - z) / 0.01,
+                                d2, slope * d1 - 5 * d3, (d2 - d3) / 0.01]).ravel()
+
+    def jac(t, s):
+        J = np.zeros((6 * n, 6 * n))
+        for i, (x1, d1) in enumerate(s.reshape(n, 6)[:, [0, 3]]):
+            slope = 7 / np.cosh(x1) ** 2 - 5
+            J[6 * i:6 * i + 6, 6 * i:6 * i + 6] = [
+                [0.0, 1.0, 0.0, 0.0, 0.0, 0.0], [slope, 0.0, -5.0, 0.0, 0.0, 0.0],
+                [0.0, 100.0, -100.0, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 0.0, 1.0, 0.0],
+                [-14 * np.tanh(x1) / np.cosh(x1) ** 2 * d1, 0.0, 0.0, slope, 0.0, -5.0],
+                [0.0, 0.0, 0.0, 0.0, 100.0, -100.0]]
+        return J
+
+    sol = solve_ivp(fun, (0.0, t_final), np.ravel(y0s), method="Radau",
+                    rtol=1e-12, atol=1e-14, jac=jac, dense_output=True)
+    assert sol.success
+    return lambda times: sol.sol(times).T.reshape(len(times), n, 6)
+
+
+def test_variational_draws_step_count():
+    # twelve seeded draws of (x0, delta0) over the spring's box, as the
+    # variational benchmark integrates them: DOP853 takes 322 accepted steps
+    # in all, where the Dormand-Prince 5(4) pair took 1,755
+    sys_ = nonlinear_spring_system(eps=0.01)
+    x0s, delta0s = np.random.default_rng(5).uniform(-3.0, 3.0, (2, 12, 3))
+    ref = spring_variational_radau(np.hstack([x0s, delta0s]), 0.15)
+    steps = 0
+    for i, (x0, delta0) in enumerate(zip(x0s, delta0s)):
+        vt = integrate_variational(sys_, x0, delta0, (0.0, 0.15))
+        assert vt.base.times[-1] == 0.15
+        steps += len(vt.base.times) - 1
+        got = np.hstack([vt.base.states, vt.delta_states])
+        assert np.abs(got - ref(vt.base.times)[:, i]).max() <= 1e-9
+    assert steps <= 400
 
 
 def test_linear_system_integration():

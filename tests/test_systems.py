@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -5,7 +7,7 @@ from spdominance import systems
 from spdominance.cli import slow_fast_polytopes
 from spdominance.decouple import reduced_model
 from spdominance.errors import NewtonFailure, NonpositiveEps, NotScalarParameterized
-from spdominance.expressions import compile_field, interval
+from spdominance.expressions import compile_field, guarded, interval
 from spdominance.systems import (LinearSPSystem, NonlinearSPSystem, a_block_hull,
                                  damped_newton, jacobians, nonlinear_spring_system)
 
@@ -112,6 +114,68 @@ def test_damped_newton_contract():
         damped_newton(fun, jac, [0.0], 1e-12, 50)
     with pytest.raises(NewtonFailure, match="tolerance"):
         damped_newton(fun, jac, [3.0], 1e-12, 1)
+
+
+def scalar_damped_newton(fun, jac, x, tol, max_iter):
+    """The one-seed damped Newton loop that the batched damped_newton
+    replaced, the reference its rows are held to bit for bit."""
+    x = np.array(x, dtype=float)
+    res = fun(x)
+    for k in range(max_iter + 1):
+        nrm = np.linalg.norm(res)
+        if nrm <= tol:
+            return x
+        if k == max_iter:
+            raise NewtonFailure(f"Newton did not reach tolerance; residual {nrm:.2e}")
+        try:
+            step = np.linalg.solve(jac(x), res)
+        except np.linalg.LinAlgError as e:
+            raise NewtonFailure(f"singular Jacobian at {x}") from e
+        alpha = 1.0
+        for _ in range(30):
+            cand = x - alpha * step
+            res_new = fun(cand)
+            if np.linalg.norm(res_new) < nrm:
+                break
+            alpha *= 0.5
+        else:
+            raise NewtonFailure(f"no descent from {x} (residual {nrm:.2e})")
+        x, res = cand, res_new
+
+
+NEWTON_SYSTEMS = {
+    "spring": nonlinear_spring_system,
+    # f' = 3 x^2 - 3 vanishes at the seeds x = +-1: singular Jacobians
+    "cubic": lambda: NonlinearSPSystem(1, 0, ["x1^3 - 3*x1"], [], 1.0, {"x1": (-1, 1)}),
+    # 54 of its 125 seeds find no descent
+    "coupled": lambda: NonlinearSPSystem(
+        2, 1, ["x2", "sin(x1) - x2 + z1"], ["x1 - z1^3 + 0.5*z1"], 0.1,
+        {"x1": (-3, 3), "x2": (-3, 3), "z1": (-2, 2)}),
+}
+
+
+@pytest.mark.parametrize("name, max_iter", [("spring", 100), ("spring", 3),
+                                            ("cubic", 100), ("coupled", 100)])
+def test_damped_newton_batch_matches_scalar_loop(name, max_iter):
+    # find_equilibria's seed grid as one batch: each row ends bit for bit where
+    # the scalar loop ends from its seed, and a seed it fails on comes back NaN;
+    # a 1-D seed fails with the scalar loop's message
+    sys_ = NEWTON_SYSTEMS[name]()
+    axes = [np.linspace(*sys_.omega[n], 5) for n in sys_.names]
+    seeds = np.array(list(itertools.product(*axes)))
+    field = guarded(compile_field(sys_.f + sys_.g, sys_.names))
+    jac = systems.jacobian_kernel(sys_)
+    roots = damped_newton(field, jac, seeds, 1e-10, max_iter)
+    assert roots.shape == seeds.shape
+    for seed, root in zip(seeds, roots):
+        try:
+            ref = scalar_damped_newton(field, jac, seed, 1e-10, max_iter)
+        except NewtonFailure as e:
+            with pytest.raises(NewtonFailure) as alone:
+                damped_newton(field, jac, seed, 1e-10, max_iter)
+            assert str(alone.value) == str(e)
+            ref = np.full(len(seed), np.nan)
+        assert root.tobytes() == ref.tobytes()
 
 
 def test_solve_manifold_no_real_root():
