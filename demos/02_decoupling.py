@@ -45,6 +45,7 @@ print("det T_inv:", np.linalg.det(dec.T_inv))  # always exactly 1
 cert = nonlinear_spring_certificate()
 A_poly = a_block_hull(nonlinear_spring_system())[0]
 print("stiffness enclosure:", [float(A[1, 0]) for A in A_poly.vertices])
-eps_hat = epsilon_star(A_poly, B, C, MatrixPolytope([D]), cert)
+eps_hat, violations = epsilon_star(A_poly, B, C, MatrixPolytope([D]), cert)
 print(f"eps threshold, checked at every (A, D) vertex pair: {eps_hat:.4f}  "
       "(the example runs at 0.01)")
+print("re-check points below it that failed:", violations)

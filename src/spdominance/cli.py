@@ -17,7 +17,6 @@ import datetime
 import json
 import os
 import sys as _sys
-import warnings
 from functools import cache
 
 import numpy as np
@@ -82,10 +81,18 @@ def numeric_field(value, field):
         raise ConfigError(f"{field} must be numbers, got {value!r}") from None
 
 
+def integer_field(value, field):
+    """A config value that must be a JSON integer, not a bool; ConfigError otherwise."""
+    if type(value) is not int:
+        raise ConfigError(f"{field} must be an integer, got {value!r}")
+    return value
+
+
 def build_system(cfg):
     try:
         if cfg["kind"] == "nonlinear":
-            return NonlinearSPSystem(n_r=int(cfg["n_r"]), n_f=int(cfg["n_f"]),
+            return NonlinearSPSystem(n_r=integer_field(cfg["n_r"], "n_r"),
+                                     n_f=integer_field(cfg["n_f"], "n_f"),
                                      f=cfg["f"], g=cfg["g"],
                                      eps=float(cfg["eps"]), omega=cfg.get("omega"))
         return LinearSPSystem(A=_matrix_or_polytope(cfg["A"], "A"),
@@ -107,7 +114,7 @@ def build_certificate(cfg):
             P_r=block["P_r"], P_f=block["P_f"],
             lambda_r=float(block["lambda_r"]), lambda_f=float(block["lambda_f"]),
             sigma_r=float(block["sigma_r"]), sigma_f=float(block["sigma_f"]),
-            p=int(block["p"]))
+            p=integer_field(block["p"], "p"))
     except KeyError as e:
         raise ConfigError(f"certificate block missing field {e}")
     except (TypeError, ValueError) as e:
@@ -174,18 +181,11 @@ def _failed(label, error):
 
 def epsilon_star_stage(system, cert, eps_max=EPS_MAX):
     """The eps threshold and its re-check's violations; the verdict is the threshold."""
-    A_poly, B, C, D_poly = coupling_inputs(system)
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        try:
-            eps_hat = epsilon_star(A_poly, B, C, D_poly, cert, eps_max=eps_max)
-            fragment = {"monotone_violations": [w.message.eps for w in caught
-                                                if hasattr(w.message, "eps")]}
-        except InfeasibleAtFloor as e:
-            eps_hat, fragment = None, _failed("infeasible", e)
-    for w in caught:  # recorded to be read, then shown or filtered as before
-        warnings.warn_explicit(w.message, w.category, w.filename, w.lineno)
-    return {"epsilon_star": eps_hat, **fragment}, eps_hat
+    try:
+        eps_hat, violations = epsilon_star(*coupling_inputs(system), cert, eps_max=eps_max)
+    except InfeasibleAtFloor as e:
+        return {"epsilon_star": None, **_failed("infeasible", e)}, None
+    return {"epsilon_star": eps_hat, "monotone_violations": violations}, eps_hat
 
 
 def simulation_stage(system, ics, t_final, tol, out, run=None):

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .certify import FEASIBILITY_MARGIN, MatrixPolytope, block_margins
+from .certify import FEASIBILITY_MARGIN, block_margins
 from .errors import (DimensionMismatch, InfeasibleAtFloor, NoConvergence,
                      NonpositiveEps, SingularD, check_eps)
 
@@ -187,16 +187,14 @@ def epsilon_star(A_polytope, B, C, D_polytope, cert, eps_max=EPS_MAX):
     Bisection assumes feasibility is monotone below the first feasible
     point, which fails where the slow and fast modes swap roles. So the
     floor must pass, and feasibility is re-verified at MONOTONE_CHECK_POINTS
-    log-spaced eps values up to the result: each violation warns, with its
-    eps as the warning's eps, and the result drops to the largest point
-    below the lowest violation. The returned value is a lower bound on
+    log-spaced eps values up to the result: each violation warns, and the
+    result drops to the largest point below the lowest violation. Returns
+    (eps_hat, the violations as floats): eps_hat is a lower bound on
     feasibility at the tested points, checked at every (A, D) vertex pair.
     """
     check_eps(eps_max)
     if eps_max < EPS_FLOOR:
         raise NonpositiveEps(f"eps_max {eps_max} is below the floor EPS_FLOOR = {EPS_FLOOR}")
-    A_polytope, D_polytope = (P if isinstance(P, MatrixPolytope) else MatrixPolytope([P])
-                              for P in (A_polytope, D_polytope))
     A, B, C, D = zip(*(_blocks(A_v, B, C, D_v) for A_v in A_polytope.vertices
                        for D_v in D_polytope.vertices))
     _check_nonsingular(np.array(D_polytope.vertices))
@@ -236,10 +234,9 @@ def epsilon_star(A_polytope, B, C, D_polytope, cert, eps_max=EPS_MAX):
 
     points = np.geomspace(EPS_FLOOR, eps_hat, MONOTONE_CHECK_POINTS)
     ok = feasible(points)
-    for eps in points[~ok]:
-        warning = UserWarning(f"feasibility not monotone: violation at eps={eps:.3e} "
-                              f"below eps_hat={eps_hat:.3e}")
-        warning.eps = float(eps)  # the violation at full precision, for a report
-        warnings.warn(warning, stacklevel=2)
+    violations = [float(eps) for eps in points[~ok]]
+    for eps in violations:
+        warnings.warn(f"feasibility not monotone: violation at eps={eps:.3e} "
+                      f"below eps_hat={eps_hat:.3e}", stacklevel=2)
     # points[0] is the floor, which passed above (max guards a last-bit flip)
-    return float(eps_hat if ok.all() else points[max(np.argmin(ok), 1) - 1])
+    return float(eps_hat if ok.all() else points[max(np.argmin(ok), 1) - 1]), violations

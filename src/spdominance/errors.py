@@ -51,10 +51,6 @@ class NotScalarParameterized(ValueError):
     """Jacobian varies in more than one entry; two-vertex hull not applicable."""
 
 
-class NewtonFailure(RuntimeError):
-    pass
-
-
 class NonFinite(FloatingPointError):
     """State escaped to non-finite values during integration."""
 

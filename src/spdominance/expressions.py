@@ -17,6 +17,7 @@ an AST's values over a box of states.
 
 from __future__ import annotations
 
+import operator
 import re
 from dataclasses import dataclass
 
@@ -24,6 +25,7 @@ import numpy as np
 
 from .errors import EvalError, ParseError
 
+OPERATORS = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
 FUNCTIONS = {
     "tanh": np.tanh,
     "sin": np.sin,
@@ -98,7 +100,6 @@ def _tokenize(text):
 
 class _Parser:
     def __init__(self, text):
-        self.text = text
         self.tokens = _tokenize(text)
         self.i = 0
 
@@ -236,9 +237,7 @@ def simplify(ast):
     if _is_const(a) and _is_const(b):
         if op == "/" and b.value == 0:
             return BinOp(op, a, b)  # leave the error for evaluation time
-        return Const({"+": a.value + b.value, "-": a.value - b.value,
-                      "*": a.value * b.value,
-                      "/": a.value / b.value if b.value != 0 else 0.0}[op])
+        return Const(OPERATORS[op](a.value, b.value))
     if op == "+":
         if _is_const(a, 0):
             return b
@@ -374,8 +373,7 @@ def interval(ast, box):
         (a, b), (c, d) = interval(ast.left, box), interval(ast.right, box)
         if ast.op == "/" and c <= 0 <= d:
             raise EvalError("division by zero")
-        op = {"+": np.add, "-": np.subtract, "*": np.multiply, "/": np.divide}[ast.op]
-        ends = [op(u, v) for u in (a, b) for v in (c, d)]
+        ends = [OPERATORS[ast.op](u, v) for u in (a, b) for v in (c, d)]
     else:
         raise TypeError(f"not an AST node: {ast!r}")
     lo, hi = np.nextafter(min(ends), -np.inf), np.nextafter(max(ends), np.inf)

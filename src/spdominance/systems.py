@@ -10,8 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .certify import MatrixPolytope
-from .errors import (ConfigError, DimensionMismatch, NewtonFailure,
-                     NotScalarParameterized, check_eps)
+from .errors import ConfigError, DimensionMismatch, NotScalarParameterized, check_eps
 from .expressions import compile_field, diff_expr, free_vars, guarded, interval, parse_expr
 
 
@@ -206,56 +205,38 @@ def a_block_hull(sys):
 
 
 def damped_newton(fun, jac, x, tol, max_iter):
-    """Solve fun(x) = 0 by Newton steps from each row of x, halving a row's
-    step (up to 30 times) until its residual norm decreases; fun and jac map
-    a batch of rows to their residuals and Jacobians. A 1-D x is a batch of
-    one, and fun and jac then take the state itself. Each row takes the
-    steps it would take alone. A row is done once ||fun(x)|| <= tol; it
-    fails on no descent, a singular jac(x), or when max_iter steps do not
-    reach tol. Returns the roots with NaN in each failed row; a 1-D x raises
-    NewtonFailure instead."""
+    """Solve fun(x) = 0 by Newton steps from each row of x, shape (n, dim),
+    halving a row's step (up to 30 times) until its residual norm decreases;
+    fun and jac map a batch of rows to their residuals and Jacobians. Each row
+    takes the steps it would take alone. A row is done once ||fun(x)|| <= tol;
+    it fails on no descent, a singular jac(x), or when max_iter steps do not
+    reach tol. Returns the roots, NaN in each failed row."""
     x = np.array(x, dtype=float)
-    xs = x.reshape(-1, x.shape[-1])  # a view: updating a row of xs updates x
-    if x.ndim == 1:
-        fun, jac = _one_row(fun), _one_row(jac)
-    failures = {}  # row -> why it failed
-    live, res = np.arange(len(xs)), fun(xs)  # the rows still stepping
+    live, res = np.arange(len(x)), fun(x)  # the rows still stepping
     for k in range(max_iter + 1):
         nrm = _row_norms(res)
         keep = ~(nrm <= tol)
         live, res, nrm = live[keep], res[keep], nrm[keep]
-        if not live.size:
+        if k == max_iter or not live.size:  # at max_iter the live rows missed tol
+            x[live] = np.nan
             break
-        if k == max_iter:
-            failures.update((i, f"Newton did not reach tolerance; residual {n:.2e}")
-                            for i, n in zip(live, nrm))
-            break
-        step, solved = _solve_rows(jac(xs[live]), res)
-        failures.update((i, f"singular Jacobian at {xs[i]}") for i in live[~solved])
+        step, solved = _solve_rows(jac(x[live]), res)
+        x[live[~solved]] = np.nan
         live, res, nrm, step = live[solved], res[solved], nrm[solved], step[solved]
         alpha = np.ones(len(live))
         search = np.arange(len(live))  # rows whose residual has not decreased yet
         for _ in range(30):
             if not search.size:
                 break
-            cand = xs[live[search]] - alpha[search, None] * step[search]
+            cand = x[live[search]] - alpha[search, None] * step[search]
             res_new = fun(cand)
             down = _row_norms(res_new) < nrm[search]
-            xs[live[search[down]]], res[search[down]] = cand[down], res_new[down]
+            x[live[search[down]]], res[search[down]] = cand[down], res_new[down]
             search = search[~down]
             alpha[search] *= 0.5
-        failures.update((live[j], f"no descent from {xs[live[j]]} (residual {nrm[j]:.2e})")
-                        for j in search)
+        x[live[search]] = np.nan
         live, res = np.delete(live, search), np.delete(res, search, axis=0)
-    xs[list(failures)] = np.nan
-    if x.ndim == 1 and failures:
-        raise NewtonFailure(failures[0])
     return x
-
-
-def _one_row(f):
-    """f of one state as a function of a batch of one row."""
-    return lambda rows: f(rows[0])[None]
 
 
 def _row_norms(r):

@@ -10,9 +10,10 @@ import time
 import numpy as np
 import pytest
 
-from spdominance.analyze import monotone_probe
+from spdominance.analyze import certificate_cone, monotone_probe
 from spdominance.certify import (MatrixPolytope, SPDominanceCertificate,
-                                 certify_polytope, lmi_residual)
+                                 certify_polytope, certify_sp, lmi_residual)
+from spdominance.cli import coupling_inputs, slow_fast_polytopes
 from spdominance.decouple import (build_decoupling, epsilon_star,
                                   full_system_matrix, reduced_model,
                                   solve_chang_lti)
@@ -22,10 +23,11 @@ from spdominance.integrate import (Trajectory, detect_convergence,
                                    find_equilibria, integrate,
                                    integrate_variational, make_rhs)
 from spdominance.linalg import SymMatrix, inertia, nsd_margin
-from spdominance.systems import (NonlinearSPSystem, SPRING_INITIAL_CONDITIONS,
-                                 jacobians, nonlinear_spring_certificate,
-                                 nonlinear_spring_system)
+from spdominance.systems import (LinearSPSystem, NonlinearSPSystem,
+                                 SPRING_INITIAL_CONDITIONS, jacobians,
+                                 nonlinear_spring_certificate, nonlinear_spring_system)
 
+from test_decouple import scalar_epsilon_star
 from test_integrate import bisection_root, rk4_run
 from test_linalg import quad_eig_oracle
 
@@ -88,15 +90,15 @@ def test_criterion_4_eps_threshold_search():
     start = time.perf_counter()
     cert = nonlinear_spring_certificate()
     A_poly = MatrixPolytope([[[0.0, 1.0], [-5.0, 0.0]], [[0.0, 1.0], [2.0, 0.0]]])
-    eps_hat = epsilon_star(A_poly, [[0.0], [-5.0]], [[0.0, 1.0]],
-                           MatrixPolytope([[[-1.0]]]), cert)
+    eps_hat, _ = epsilon_star(A_poly, [[0.0], [-5.0]], [[0.0, 1.0]],
+                              MatrixPolytope([[[-1.0]]]), cert)
     assert eps_hat >= 0.01
 
     flat = SPDominanceCertificate(P_r=np.eye(2), P_f=[[1.0]], lambda_r=0.0,
                                   lambda_f=0.0, sigma_r=1.0, sigma_f=1.0, p=0)
     assert epsilon_star(MatrixPolytope([-np.eye(2)]), np.zeros((2, 1)),
                         np.zeros((1, 2)), MatrixPolytope([[[-2.0]]]),
-                        flat) == pytest.approx(1.0)
+                        flat)[0] == pytest.approx(1.0)
     with pytest.raises(InfeasibleAtFloor):
         epsilon_star(MatrixPolytope([-np.eye(2)]), np.zeros((2, 1)),
                      np.zeros((1, 2)), MatrixPolytope([[[1.0]]]), flat)
@@ -158,6 +160,31 @@ def test_criterion_6_monotonicity_probe():
     assert probe["boundary_warnings"] <= 0.01 * total
     assert probe["outside"] == 0, \
         f"{probe['outside']} of {total} classifications left the cone"
+
+
+def test_rank_2_cone_end_to_end():
+    # the paper's k = 2 case: a slow oscillator 0.5 +- i beside a slow mode -3,
+    # one fast mode, and a certificate of inertia (2, 0, 2) over all four states
+    start = time.perf_counter()
+    sys_ = LinearSPSystem(A=[[0.5, -1.0, 0.0], [1.0, 0.5, 0.0], [0.0, 0.0, -3.0]],
+                          B=[[0.0], [0.0], [2.0]], C=[[0.0, 0.0, -2.0]], D=[[-5.0]],
+                          eps=0.05)
+    block = dict(P_r=np.diag([-1.0, -1.0, 1.0]), P_f=[[1.0]], lambda_r=1.0, lambda_f=1.0,
+                 sigma_r=0.5, sigma_f=1.0)
+    with pytest.raises(ValueError, match="inertia"):
+        SPDominanceCertificate(**block, p=1)
+    cert = SPDominanceCertificate(**block, p=2)
+    slow, fast = certify_sp(cert, *slow_fast_polytopes(sys_))
+    assert (slow.worst_margin, fast.worst_margin) == pytest.approx((-2.5, -7.0), abs=1e-12)
+    eps_hat, violations = epsilon_star(*coupling_inputs(sys_), cert)
+    assert 0.05 < eps_hat < 1.0 and violations == []  # below eps_max: the search bisects
+    assert eps_hat == pytest.approx(0.618267136204145, rel=1e-12, abs=0)
+    assert eps_hat == pytest.approx(scalar_epsilon_star(*coupling_inputs(sys_), cert),
+                                    rel=1e-12, abs=0)
+    assert certificate_cone(sys_, cert).rank_k == 2
+    probe = monotone_probe(sys_, cert, n_pairs=20)
+    assert probe["interior"] == probe["total_classifications"] == 4000 and probe["passed"]
+    assert time.perf_counter() - start < 10.0
 
 
 def test_criterion_7_lyapunov_decrease():

@@ -481,9 +481,14 @@ def test_newton_meets_zero_divisor_exits_1(tmp_path, capsys):
      "invalid certificate: lambda_r and lambda_f must be nonnegative and finite\n"),
     ("epsilon-star", "certificate", {**spring_config()["certificate"], "lambda_r": float("inf")},
      "invalid certificate: lambda_r and lambda_f must be nonnegative and finite\n"),
+    ("certify", "certificate", {**spring_config()["certificate"], "p": 1.5},
+     "invalid certificate: p must be an integer, got 1.5\n"),
+    ("certify", "n_r", 2.5, "n_r must be an integer, got 2.5\n"),
+    ("simulate", "n_f", True, "n_f must be an integer, got True\n"),
 ], ids=["linearization-point", "initial-conditions", "hull-list", "certificate-list",
         "certificate-rate-list", "config-list", "misspelled-omega", "sigma-nan",
-        "sigma-infinity", "lambda-nan", "lambda-infinity"])
+        "sigma-infinity", "lambda-nan", "lambda-infinity", "p-fraction", "n_r-fraction",
+        "n_f-bool"])
 def test_malformed_numeric_field_exits_1(tmp_path, capsys, command, field, value, message):
     # field None: value is the whole config
     cfg = value if field is None else {**spring_config(), field: value}

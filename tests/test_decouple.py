@@ -217,17 +217,17 @@ def test_chang_first_order_in_eps():
 
 def test_epsilon_star_spring():
     A_poly = MatrixPolytope([[[0.0, 1.0], [-5.0, 0.0]], [[0.0, 1.0], [2.0, 0.0]]])
-    eps_hat = epsilon_star(A_poly, B_SPRING, C_SPRING,
-                           MatrixPolytope([D_SPRING]), spring_cert())
-    assert eps_hat >= 0.01
+    eps_hat, violations = epsilon_star(A_poly, B_SPRING, C_SPRING,
+                                       MatrixPolytope([D_SPRING]), spring_cert())
+    assert eps_hat >= 0.01 and violations == []
 
 
 def test_epsilon_star_decoupled_hits_eps_max():
     cert = SPDominanceCertificate(P_r=np.eye(2), P_f=[[1.0]], lambda_r=0.0,
                                   lambda_f=0.0, sigma_r=1.0, sigma_f=1.0, p=0)
-    eps_hat = epsilon_star(MatrixPolytope([-np.eye(2)]), np.zeros((2, 1)),
-                           np.zeros((1, 2)), MatrixPolytope([[[-2.0]]]), cert)
-    assert eps_hat == pytest.approx(1.0)
+    eps_hat, violations = epsilon_star(MatrixPolytope([-np.eye(2)]), np.zeros((2, 1)),
+                                       np.zeros((1, 2)), MatrixPolytope([[[-2.0]]]), cert)
+    assert eps_hat == pytest.approx(1.0) and violations == []
 
 
 def test_epsilon_star_unstable_fast_block():
@@ -240,10 +240,10 @@ def test_epsilon_star_unstable_fast_block():
 
 def test_epsilon_star_decreases_with_sigma():
     A_poly = MatrixPolytope([[[0.0, 1.0], [-5.0, 0.0]], [[0.0, 1.0], [2.0, 0.0]]])
-    loose = epsilon_star(A_poly, B_SPRING, C_SPRING,
-                         MatrixPolytope([D_SPRING]), spring_cert(sigma_f=1.0))
-    tight = epsilon_star(A_poly, B_SPRING, C_SPRING,
-                         MatrixPolytope([D_SPRING]), spring_cert(sigma_f=1.9))
+    loose, _ = epsilon_star(A_poly, B_SPRING, C_SPRING,
+                            MatrixPolytope([D_SPRING]), spring_cert(sigma_f=1.0))
+    tight, _ = epsilon_star(A_poly, B_SPRING, C_SPRING,
+                            MatrixPolytope([D_SPRING]), spring_cert(sigma_f=1.9))
     assert tight <= loose + 1e-12
 
 
@@ -349,7 +349,7 @@ def test_stacked_search_matches_scalar_bisection(seed, n_r, n_f, n_a, n_d, feasi
         with pytest.raises(InfeasibleAtFloor):
             epsilon_star(*system)
         return
-    assert epsilon_star(*system) == pytest.approx(want, rel=1e-12, abs=0)
+    assert epsilon_star(*system)[0] == pytest.approx(want, rel=1e-12, abs=0)
 
 
 def test_epsilon_star_raises_where_only_eps_max_passes():
@@ -383,9 +383,10 @@ def banded_case(monkeypatch):
 def test_epsilon_star_drops_below_a_violation_of_its_recheck(monkeypatch):
     system, cert = banded_case(monkeypatch)
     with pytest.warns(UserWarning, match="feasibility not monotone") as record:
-        eps_hat = epsilon_star(system.A, system.B, system.C, system.D, cert)
+        eps_hat, violations = epsilon_star(system.A, system.B, system.C, system.D, cert)
     assert len(record) == 2
-    assert eps_hat == np.geomspace(EPS_FLOOR, 1.0, MONOTONE_CHECK_POINTS)[7]
+    points = np.geomspace(EPS_FLOOR, 1.0, MONOTONE_CHECK_POINTS)
+    assert eps_hat == points[7] and violations == list(points[8:10])
 
 
 def test_epsilon_star_report_lists_the_violations_of_its_recheck(monkeypatch):
@@ -479,7 +480,7 @@ def test_epsilon_star_calls_eig_once_per_round(monkeypatch):
     monkeypatch.setattr(decouple.np.linalg, "eig", counted)
     A_poly, B, C, D = a_block_hull(nonlinear_spring_system())
     cert = nonlinear_spring_certificate()
-    eps_hat = epsilon_star(A_poly, B, C, MatrixPolytope([D]), cert)
+    eps_hat, _ = epsilon_star(A_poly, B, C, MatrixPolytope([D]), cert)
     assert len(calls) <= 1 + (BISECT_STEPS // 3 - 1) + 1
     monkeypatch.undo()
     assert eps_hat == pytest.approx(
@@ -516,7 +517,7 @@ def test_search_below_2_to_the_minus_8_takes_every_step(monkeypatch):
     # BISECT_STEPS steps: the first call, the 19 rounds after it, the re-check
     system = lmi_system(np.random.default_rng(3), 2, 2, 2, 1, True, 2.0**-10)
     calls = count_stacked_solves(monkeypatch)
-    eps_hat = epsilon_star(*system)
+    eps_hat, _ = epsilon_star(*system)
     assert eps_hat < 2.0**-8 and len(calls) == 1 + (BISECT_STEPS // 3 - 1) + 1
     monkeypatch.undo()
     assert eps_hat == pytest.approx(scalar_epsilon_star(*system), rel=1e-12, abs=0)

@@ -1,7 +1,8 @@
 """Source hygiene, checked with the standard library's ast module: every
 public name resolves, no module imports a name it never uses, no src
-function takes a parameter it never reads, and every top-level function and
-class of src is referenced outside its own definition."""
+function takes a parameter it never reads, every top-level function and
+class of src is referenced outside its own definition, and every attribute
+src stores on self is read somewhere."""
 
 import ast
 import pathlib
@@ -76,6 +77,26 @@ def unreferenced_definitions(sources):
             and refs[node.name] == Counter(references(node))[node.name]]
 
 
+def self_attribute_stores(path):
+    """(name, 'file:line: name') for each self.<name> = ... store in a file."""
+    return [(node.attr, f"{path.relative_to(ROOT)}:{node.lineno}: {node.attr}")
+            for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)
+            and isinstance(node.value, ast.Name) and node.value.id == "self"]
+
+
+def attribute_reads(tree):
+    """Each attribute name a tree reads: as .name, or through getattr or
+    hasattr with a literal name."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            yield node.attr
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+              and node.func.id in ("getattr", "hasattr") and len(node.args) > 1
+              and isinstance(node.args[1], ast.Constant)):
+            yield node.args[1].value
+
+
 def test_public_names_resolve():
     assert [name for name in spdominance.__all__ if not hasattr(spdominance, name)] == []
 
@@ -93,3 +114,11 @@ def test_no_unused_parameters():
 
 def test_every_src_definition_is_referenced():
     assert unreferenced_definitions(SOURCES) == []
+
+
+def test_every_src_attribute_is_read():
+    read = {name for path in SOURCES for name in attribute_reads(ast.parse(path.read_text()))}
+    src = [path for path in SOURCES if path.is_relative_to(ROOT / "src")]
+    assert src
+    assert [hit for path in src for name, hit in self_attribute_stores(path)
+            if name not in read] == []

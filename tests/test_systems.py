@@ -6,7 +6,7 @@ import pytest
 from spdominance import systems
 from spdominance.cli import slow_fast_polytopes
 from spdominance.decouple import reduced_model
-from spdominance.errors import NewtonFailure, NonpositiveEps, NotScalarParameterized
+from spdominance.errors import NonpositiveEps, NotScalarParameterized
 from spdominance.expressions import compile_field, guarded, interval
 from spdominance.systems import (LinearSPSystem, NonlinearSPSystem, a_block_hull,
                                  damped_newton, jacobians, nonlinear_spring_system)
@@ -100,20 +100,28 @@ def test_sampled_bounds_within_analytic_range():
 
 
 def test_damped_newton_contract():
+    # rows of x^2 = 4: the seed 3 converges, the seed 0 has a singular
+    # Jacobian and, in one step, the seed 3 misses tol; a failed row is NaN.
+    # fun and jac take a state or a batch, for the reference loop and the batch
     def fun(x):
-        return np.array([x[0] ** 2 - 4.0])
+        return x ** 2 - 4.0
 
     def jac(x):
-        return np.array([[2.0 * x[0]]])
+        return 2.0 * x[..., None]
 
-    x0 = np.array([3.0])
+    x0 = np.array([[3.0], [0.0]])
     root = damped_newton(fun, jac, x0, 1e-12, 50)
-    assert root[0] == pytest.approx(2.0, abs=1e-12)
-    assert x0[0] == 3.0
+    assert root[0, 0] == pytest.approx(2.0, abs=1e-12) and np.isnan(root[1, 0])
+    assert x0.tolist() == [[3.0], [0.0]]
+    assert np.isnan(damped_newton(fun, jac, [[3.0]], 1e-12, 1)).all()
     with pytest.raises(NewtonFailure, match="singular"):
-        damped_newton(fun, jac, [0.0], 1e-12, 50)
+        scalar_damped_newton(fun, jac, x0[1], 1e-12, 50)
     with pytest.raises(NewtonFailure, match="tolerance"):
-        damped_newton(fun, jac, [3.0], 1e-12, 1)
+        scalar_damped_newton(fun, jac, x0[0], 1e-12, 1)
+
+
+class NewtonFailure(RuntimeError):
+    """The reference loop's failure, with why it failed."""
 
 
 def scalar_damped_newton(fun, jac, x, tol, max_iter):
@@ -158,8 +166,8 @@ NEWTON_SYSTEMS = {
                                             ("cubic", 100), ("coupled", 100)])
 def test_damped_newton_batch_matches_scalar_loop(name, max_iter):
     # find_equilibria's seed grid as one batch: each row ends bit for bit where
-    # the scalar loop ends from its seed, and a seed it fails on comes back NaN;
-    # a 1-D seed fails with the scalar loop's message
+    # the scalar loop ends from its seed, and a seed it fails on comes back NaN,
+    # in the batch and in a batch of one
     sys_ = NEWTON_SYSTEMS[name]()
     axes = [np.linspace(*sys_.omega[n], 5) for n in sys_.names]
     seeds = np.array(list(itertools.product(*axes)))
@@ -170,12 +178,10 @@ def test_damped_newton_batch_matches_scalar_loop(name, max_iter):
     for seed, root in zip(seeds, roots):
         try:
             ref = scalar_damped_newton(field, jac, seed, 1e-10, max_iter)
-        except NewtonFailure as e:
-            with pytest.raises(NewtonFailure) as alone:
-                damped_newton(field, jac, seed, 1e-10, max_iter)
-            assert str(alone.value) == str(e)
+        except NewtonFailure:
             ref = np.full(len(seed), np.nan)
-        assert root.tobytes() == ref.tobytes()
+        alone = damped_newton(field, jac, seed[None], 1e-10, max_iter)[0]
+        assert root.tobytes() == alone.tobytes() == ref.tobytes()
 
 
 def test_solve_manifold_no_real_root():
@@ -185,14 +191,15 @@ def test_solve_manifold_no_real_root():
 
     g_field = compile_field(sys_.g, sys_.names)
 
-    def g(z):
-        return g_field(np.array([1.0, z[0]]))
+    def g(z):  # z1 at x1 = 1, a state or a batch
+        return g_field(np.insert(z, 0, 1.0, axis=-1))
 
     def dg_dz(z):
-        return jacobians(sys_, [1.0, z[0]])[3]
+        return systems.jacobian_kernel(sys_)(np.insert(z, 0, 1.0, axis=-1))[..., 1:, 1:]
 
+    assert np.isnan(damped_newton(g, dg_dz, [[2.0]], 1e-12, 100)).all()
     with pytest.raises(NewtonFailure, match="no descent"):
-        damped_newton(g, dg_dz, [2.0], 1e-12, 100)
+        scalar_damped_newton(g, dg_dz, [2.0], 1e-12, 100)
 
 
 def test_reduced_matrix_agrees_with_manifold_chain_rule():
