@@ -7,8 +7,8 @@ inequality at the two extreme stiffness matrices certifies it for every
 system in between, because the residual is affine in the system matrix.
 """
 
-from spdominance import (MatrixPolytope, SymMatrix, certify_polytope,
-                         cone_locate, inertia, make_cone)
+from spdominance import (CONE_BOUNDARY_BAND, MatrixPolytope, SymMatrix,
+                         certify_polytope, cone_ratio, inertia, make_cone)
 
 P_r = SymMatrix([[-5.1987, 3.6260], [3.6260, 6.1987]])
 print("inertia of P_r:", inertia(P_r).as_tuple())   # one negative direction
@@ -24,10 +24,15 @@ for i, m in enumerate(result.margins):
     print(f"  vertex {i}: margin {m:+.4f}")
 
 # the same P defines a quadratic cone; trajectory differences of a
-# 1-dominant system are eventually ordered by it
+# 1-dominant system are eventually ordered by it. v lies in the cone's
+# interior, on its boundary or outside it as v^T P v / ||v||^2 lies below,
+# within or above a small band around zero
 cone = make_cone(P_r)
-for v in ([1.0, 0.0], [1.0, 1.0], [0.0, 1.0]):
-    print(f"  {v} is {cone_locate(cone, v).value}")
+vectors = [[1.0, 0.0], [1.0, 1.0], [0.0, 1.0]]
+for v, ratio in zip(vectors, cone_ratio(cone, vectors)):
+    where = ("interior" if ratio < -CONE_BOUNDARY_BAND else
+             "outside" if ratio > CONE_BOUNDARY_BAND else "boundary")
+    print(f"  {v} is {where}")
 
 # margins shift linearly with sigma, so the worst margin tells how much
 # decay-rate slack the certificate has

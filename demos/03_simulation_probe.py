@@ -9,10 +9,10 @@ by the certificate cone.
 
 import numpy as np
 
-from spdominance import (SPRING_INITIAL_CONDITIONS, certificate_cone,
-                         cone_locate, find_equilibria, integrate,
-                         monotone_probe, nonlinear_spring_certificate,
-                         nonlinear_spring_system)
+from spdominance import (CONE_BOUNDARY_BAND, SPRING_INITIAL_CONDITIONS,
+                         certificate_cone, cone_ratio, find_equilibria,
+                         integrate, monotone_probe,
+                         nonlinear_spring_certificate, nonlinear_spring_system)
 
 sys_ = nonlinear_spring_system(eps=0.01)
 cert = nonlinear_spring_certificate()
@@ -32,13 +32,17 @@ print(f"  ({stats['steps']} steps, {stats['rejected']} rejected)")
 # few times. The certificate holds in the decoupled coordinates (x, z - x2),
 # so the cone is blkdiag(P_r, P_f) taken there; the probe below samples and
 # classifies in this same cone. Both runs go in one batch, so they land on
-# the same sample times.
+# the same sample times. One cone_ratio call takes the differences at every
+# time: a ratio below -CONE_BOUNDARY_BAND is interior, one above
+# +CONE_BOUNDARY_BAND outside, and one in between on the boundary.
 cone = certificate_cone(sys_, cert)
 times, states, _ = integrate(sys_, [[1.0, 1.0, 1.0], [0.5, 0.8, 1.0]], (0, 8.0),
                              sample_times=[0.5, 2.0, 8.0])
 print("\ndifference of two trajectories vs the cone:")
-for t, (a, b) in zip(times, states):
-    print(f"  t={t:<4} {cone_locate(cone, a - b).value}")
+for t, ratio in zip(times, cone_ratio(cone, states[:, 0] - states[:, 1])):
+    where = ("interior" if ratio < -CONE_BOUNDARY_BAND else
+             "outside" if ratio > CONE_BOUNDARY_BAND else "boundary")
+    print(f"  t={t:<4} {where}")
 
 # the seeded probe does this at scale: 20 pairs x 200 sample times
 probe = monotone_probe(sys_, cert, n_pairs=20, t_final=9.0, seed=42)

@@ -4,7 +4,7 @@ for singularly perturbed systems."""
 __version__ = "0.1.0"
 
 from .linalg import Inertia, SymMatrix, inertia, nsd_margin, sym_eigvals
-from .cone import ConeLocation, MatrixConeSpec, cone_locate, cone_ratio, make_cone
+from .cone import CONE_BOUNDARY_BAND, MatrixConeSpec, cone_ratio, make_cone
 from .certify import (CertResult, MatrixPolytope, SPDominanceCertificate,
                       block_conditions, certify_polytope, certify_sp,
                       lmi_residual)
@@ -21,7 +21,7 @@ from .analyze import certificate_cone, monotone_probe
 
 __all__ = [
     "Inertia", "SymMatrix", "inertia", "nsd_margin", "sym_eigvals",
-    "ConeLocation", "MatrixConeSpec", "cone_locate", "cone_ratio", "make_cone",
+    "CONE_BOUNDARY_BAND", "MatrixConeSpec", "cone_ratio", "make_cone",
     "CertResult", "MatrixPolytope", "SPDominanceCertificate",
     "block_conditions", "certify_polytope", "certify_sp", "lmi_residual",
     "ChangDecoupling", "build_decoupling", "epsilon_star",

@@ -6,7 +6,8 @@ builds the spring's), builds the system, starts the report, writes it with a
 fixed key order to --report or <out>/report.json, and picks the exit code.
 
 Exit codes: 0 = all requested checks passed, 1 = usage or configuration
-error (no report is written), 2 = a mathematical check failed.
+error, or an output that cannot be written (no report is written), 2 = a
+mathematical check failed.
 """
 
 from __future__ import annotations
@@ -54,7 +55,8 @@ def load_config(path):
         raise ConfigError(f"cannot read config: {e}")
     except json.JSONDecodeError as e:
         raise ConfigError(f"config is not valid JSON: {e}")
-    if not isinstance(cfg, dict) or cfg.get("spec_version") != 1:
+    if not isinstance(cfg, dict) or type(cfg.get("spec_version")) is not int \
+            or cfg["spec_version"] != 1:
         raise ConfigError("config must be an object declaring \"spec_version\": 1")
     if cfg.get("kind") not in ("linear", "nonlinear"):
         raise ConfigError("config \"kind\" must be \"linear\" or \"nonlinear\"")
@@ -88,17 +90,26 @@ def integer_field(value, field):
     return value
 
 
+def number_field(value, field):
+    """A config value that must be a JSON number, not a bool or a string, as a
+    float; ConfigError otherwise."""
+    if type(value) not in (int, float):
+        raise ConfigError(f"{field} must be a number, got {value!r}")
+    return float(value)
+
+
 def build_system(cfg):
     try:
         if cfg["kind"] == "nonlinear":
             return NonlinearSPSystem(n_r=integer_field(cfg["n_r"], "n_r"),
                                      n_f=integer_field(cfg["n_f"], "n_f"),
                                      f=cfg["f"], g=cfg["g"],
-                                     eps=float(cfg["eps"]), omega=cfg.get("omega"))
+                                     eps=number_field(cfg["eps"], "eps"),
+                                     omega=cfg.get("omega"))
         return LinearSPSystem(A=_matrix_or_polytope(cfg["A"], "A"),
                               B=cfg["B"], C=cfg["C"],
                               D=_matrix_or_polytope(cfg["D"], "D"),
-                              eps=float(cfg["eps"]), omega=cfg.get("omega"))
+                              eps=number_field(cfg["eps"], "eps"), omega=cfg.get("omega"))
     except KeyError as e:
         raise ConfigError(f"config missing required field {e}")
     except (ValueError, TypeError) as e:
@@ -110,11 +121,10 @@ def build_certificate(cfg):
     if not isinstance(block, dict):
         raise ConfigError("config needs a \"certificate\" object")
     try:
-        return SPDominanceCertificate(
-            P_r=block["P_r"], P_f=block["P_f"],
-            lambda_r=float(block["lambda_r"]), lambda_f=float(block["lambda_f"]),
-            sigma_r=float(block["sigma_r"]), sigma_f=float(block["sigma_f"]),
-            p=integer_field(block["p"], "p"))
+        rates = {k: number_field(block[k], k)
+                 for k in ("lambda_r", "lambda_f", "sigma_r", "sigma_f")}
+        return SPDominanceCertificate(P_r=block["P_r"], P_f=block["P_f"],
+                                      p=integer_field(block["p"], "p"), **rates)
     except KeyError as e:
         raise ConfigError(f"certificate block missing field {e}")
     except (TypeError, ValueError) as e:
@@ -457,12 +467,15 @@ def main(argv=None):
         args.system = build_system(args.cfg)
         report = new_report(args)
         verdict = args.func(args, report)
+        write_report(report, os.path.join(args.out, "report.json") if "out" in args
+                     else args.report)
     except (ConfigError, DimensionMismatch, EvalError, NonpositiveEps,
             NotScalarParameterized, SingularD) as e:
         print(f"config error: {e}", file=_sys.stderr)
         return EXIT_USAGE
-    write_report(report, os.path.join(args.out, "report.json") if "out" in args
-                 else args.report)
+    except OSError as e:  # an output path that cannot be written
+        print(f"cannot write output: {e}", file=_sys.stderr)
+        return EXIT_USAGE
     return EXIT_OK if verdict else EXIT_CHECK_FAILED
 
 

@@ -1,13 +1,13 @@
 """Quadratic matrix cones of rank k and membership classification.
 
 The cone of a symmetric matrix P with k negative and n-k positive
-eigenvalues is {v : v^T P v <= 0}. Classification compares the ratio
-v^T P v / ||v||^2 with a boundary band, so it is invariant under scaling of v.
+eigenvalues is {v : v^T P v <= 0}. v is interior, boundary or outside as
+its cone_ratio v^T P v / ||v||^2 is below, within or above the band
++-CONE_BOUNDARY_BAND, so classes are invariant under scaling of v.
 """
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,12 +16,6 @@ from .errors import DegenerateCone, DimensionMismatch, SingularP
 from .linalg import SymMatrix, _as_sym, inertia
 
 CONE_BOUNDARY_BAND = 1e-9
-
-
-class ConeLocation(enum.Enum):
-    INTERIOR = "interior"
-    BOUNDARY = "boundary"
-    OUTSIDE = "outside"
 
 
 @dataclass(frozen=True)
@@ -57,19 +51,3 @@ def cone_ratio(cone, v):
     q = ((v @ cone.P.a) * v).sum(axis=-1)
     nrm2 = (v * v).sum(axis=-1)
     return q / np.where(nrm2 > 0, nrm2, 1.0)  # q is 0 for a zero v
-
-
-def cone_locate(cone, v):
-    """Classify v by its cone_ratio, with boundary band CONE_BOUNDARY_BAND.
-
-    The zero vector is classified BOUNDARY: it belongs to the cone but the
-    interior test is only meaningful on nonzero vectors.
-    """
-    if np.shape(v) != (cone.n,):
-        raise DimensionMismatch(f"vector of shape {np.shape(v)} vs cone in dimension {cone.n}")
-    ratio = cone_ratio(cone, v)
-    if ratio < -CONE_BOUNDARY_BAND:
-        return ConeLocation.INTERIOR
-    if ratio <= CONE_BOUNDARY_BAND:
-        return ConeLocation.BOUNDARY
-    return ConeLocation.OUTSIDE

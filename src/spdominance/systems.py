@@ -33,7 +33,7 @@ class _StateSpace:
     def _check_omega(self):
         """Set omega to {name: (lo, hi)}, [-1, 1] in every state when omega is
         empty or None. Raises ConfigError unless omega maps exactly the
-        state names, each to a finite pair lo < hi."""
+        state names, each to a finite pair lo < hi of numbers (no bool or str)."""
         if not self.omega:
             self.omega = {name: (-1.0, 1.0) for name in self.names}
         if not isinstance(self.omega, dict) or set(self.omega) != set(self.names):
@@ -42,7 +42,8 @@ class _StateSpace:
         omega = {}
         for name in self.names:
             try:
-                lo, hi = omega[name] = tuple(float(v) for v in self.omega[name])
+                lo, hi = omega[name] = tuple(np.nan if isinstance(v, (bool, str)) else float(v)
+                                             for v in self.omega[name])
             except (TypeError, ValueError):
                 lo = hi = np.nan
             if not -np.inf < lo < hi < np.inf:

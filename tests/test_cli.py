@@ -485,16 +485,47 @@ def test_newton_meets_zero_divisor_exits_1(tmp_path, capsys):
      "invalid certificate: p must be an integer, got 1.5\n"),
     ("certify", "n_r", 2.5, "n_r must be an integer, got 2.5\n"),
     ("simulate", "n_f", True, "n_f must be an integer, got True\n"),
+    ("certify", "spec_version", True, "config must be an object declaring \"spec_version\": 1\n"),
+    ("certify", "spec_version", 1.0, "config must be an object declaring \"spec_version\": 1\n"),
+    ("simulate", "eps", True, "eps must be a number, got True\n"),
+    ("certify", "eps", "0.01", "eps must be a number, got '0.01'\n"),
+    ("certify", "certificate", {**spring_config()["certificate"], "sigma_r": "0.01"},
+     "invalid certificate: sigma_r must be a number, got '0.01'\n"),
+    ("certify", "certificate", {**spring_config()["certificate"], "lambda_r": True},
+     "invalid certificate: lambda_r must be a number, got True\n"),
+    ("epsilon-star", "certificate", {**spring_config()["certificate"], "sigma_f": False},
+     "invalid certificate: sigma_f must be a number, got False\n"),
+    ("certify", "certificate", {**spring_config()["certificate"], "lambda_f": "0"},
+     "invalid certificate: lambda_f must be a number, got '0'\n"),
+    ("certify", "omega", {"x1": [False, True], "x2": [-3, 3], "z1": [-3, 3]},
+     "omega interval for x1 must be a finite pair lo < hi, got [False, True]\n"),
+    ("monotone-probe", "omega", {"x1": [-3, 3], "x2": ["-3", 3], "z1": [-3, 3]},
+     "omega interval for x2 must be a finite pair lo < hi, got ['-3', 3]\n"),
 ], ids=["linearization-point", "initial-conditions", "hull-list", "certificate-list",
         "certificate-rate-list", "config-list", "misspelled-omega", "sigma-nan",
         "sigma-infinity", "lambda-nan", "lambda-infinity", "p-fraction", "n_r-fraction",
-        "n_f-bool"])
+        "n_f-bool", "spec-version-bool", "spec-version-float", "eps-bool", "eps-string",
+        "sigma-string", "lambda-bool", "sigma-bool", "lambda-string", "omega-bool",
+        "omega-string"])
 def test_malformed_numeric_field_exits_1(tmp_path, capsys, command, field, value, message):
     # field None: value is the whole config
     cfg = value if field is None else {**spring_config(), field: value}
     extra = ["--out", str(tmp_path / "out")] if command == "simulate" else []
     assert main([command, write_cfg(tmp_path, cfg)] + extra) == 1
     assert capsys.readouterr().err.startswith(f"config error: {message}")
+
+
+@pytest.mark.parametrize("command, flag", [("certify", "--report"), ("simulate", "--out"),
+                                           ("reproduce-paper", "--out")])
+def test_unwritable_output_exits_1(tmp_path, capsys, command, flag):
+    # an output path under a regular file can be neither made nor written
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    config = [] if command == "reproduce-paper" else [spring_cfg_path(tmp_path)]
+    assert main([command] + config + [flag, str(blocker / "sub")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("cannot write output: ") and err.count("\n") == 1
+    assert blocker.read_text() == ""
 
 
 @pytest.mark.parametrize("command", ["certify", "epsilon-star", "monotone-probe"])

@@ -1,4 +1,5 @@
-"""Each narrative script in demos/ runs to completion against src/."""
+"""Each narrative script in demos/ runs to completion against src/, silently
+on stderr under the suite's RuntimeWarning-as-error policy."""
 
 import os
 import pathlib
@@ -16,6 +17,7 @@ def test_demo_runs(demo):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
-    result = subprocess.run([sys.executable, str(demo)], env=env, cwd=ROOT,
-                            capture_output=True, text=True, timeout=120)
+    result = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", str(demo)],
+                            env=env, cwd=ROOT, capture_output=True, text=True, timeout=120)
     assert result.returncode == 0, result.stderr
+    assert result.stderr == ""
