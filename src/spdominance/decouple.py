@@ -2,10 +2,10 @@
 
 L comes from the slow eigenvectors, H from one linear solve, and they assemble
 the exact block-diagonalizing T. The eps threshold of the block conditions is
-bisected in rounds of 7 bisection points over all vertex pairs in one stacked
-solve; the first round shares the call that tests the search's two ends, and
-the search stops once its bracket is one ulp wide. It is checked at every
-(A, D) vertex pair, not over the hull between.
+bisected in rounds, each one stacked solve over all vertex pairs of the next 3
+tree levels and a predicted path below; the first round shares the call that
+tests the search's two ends, and the search stops once its bracket is one ulp
+wide. It is checked at every (A, D) vertex pair, not over the hull between.
 """
 
 from __future__ import annotations
@@ -104,10 +104,12 @@ def chang_stack(A, B, C, D, eps):
     strict modulus gap keeps conjugate pairs together, so each pair (v, conj v)
     is replaced by (Re v, Im conj v), a real basis of the same subspace: every
     slot is solved in real arithmetic, and its L does not depend on its stack
-    mates. One Newton step polishes a loose L. Returns (L, why, residual): why
-    names a missing slow/fast splitting, masked before eig and the solve so no
-    slot raises for the stack; L is NaN there or where the residual misses its
-    limit."""
+    mates. One Newton step polishes a loose L. Returns (L, why, residual,
+    closing): why names a missing slow/fast splitting, masked before eig and the
+    solve so no slot raises for the stack; L is NaN there or where the residual
+    misses its limit. closing is the relative gap 1 - |lam_n_r| / |lam_n_r+1|,
+    0 without one, squared where both are real of one sign: such a pair meets
+    and turns complex, so its gap closes like a square root."""
     n_r, n = A.shape[-1], A.shape[-1] + D.shape[-1]
     M = np.empty((len(eps), n, n))
     M[:, :n_r, :n_r], M[:, :n_r, n_r:], M[:, n_r:, :n_r], M[:, n_r:, n_r:] = eps * A, eps * B, C, D
@@ -116,7 +118,10 @@ def chang_stack(A, B, C, D, eps):
     rows, slow = np.arange(len(eps))[:, None], np.argsort(np.abs(lam), axis=1)[:, :n_r + 1]
     lam, V = lam[rows, slow], V[rows, :, slow[:, :n_r]].mT  # n_r + 1 smallest, n_r vectors
     V = np.where(lam[:, None, :n_r].imag < 0, V.imag, V.real)  # (v, conj v) -> (Re v, Im conj v)
-    gap = np.abs(lam[:, n_r - 1]) < np.abs(lam[:, n_r])
+    mod = np.abs(lam[:, n_r - 1:])  # the n_r-th and (n_r + 1)-th smallest moduli
+    gap = mod[:, 0] < mod[:, 1]
+    closing = 1.0 - np.divide(mod[:, 0], mod[:, 1], out=np.ones(len(eps)), where=gap)
+    pair = (lam[:, n_r - 1:].imag == 0).all(1) & (lam[:, n_r - 1].real * lam[:, n_r].real > 0)
     singular = 1.0 / np.linalg.cond(V[:, :n_r]) < RCOND_MIN
     code = np.where(~finite, 1, np.where(~gap, 2, np.where(singular, 3, 0)))  # WHY's index
     ok = code == 0
@@ -130,7 +135,7 @@ def chang_stack(A, B, C, D, eps):
                                 F.ravel()).reshape(L[k].shape)
         r[k] = np.linalg.norm(_l_equation(A[k], B, C, D[k], L[k], eps[k, 0, 0]))
     L[~ok | ~(r <= limit)] = np.nan
-    return L, WHY[code], r
+    return L, WHY[code], r, np.where(pair, closing * closing, closing)
 
 
 def solve_chang_lti(A, B, C, D, eps):
@@ -139,7 +144,7 @@ def solve_chang_lti(A, B, C, D, eps):
     check_eps(eps)
     A, B, C, D = _blocks(A, B, C, D)
     _check_nonsingular(D)
-    L, why, r = chang_stack(A[None], B, C, D[None], np.full((1, 1, 1), eps))
+    L, why, r, _ = chang_stack(A[None], B, C, D[None], np.full((1, 1, 1), eps))
     if why[0]:
         raise NoConvergence(f"no slow/fast splitting at eps={eps}: {why[0]}")
     _check_residuals(B, C, r[0])
@@ -176,11 +181,19 @@ def epsilon_star(A_polytope, B, C, D_polytope, cert, eps_max=EPS_MAX):
     """Bisect for the largest eps in [EPS_FLOOR, eps_max] at which the
     proof-level block conditions are feasible at every (A, D) vertex pair.
 
-    Each round evaluates the next 3 levels of the bisection tree below
-    [lo, hi], 7 midpoints, over every vertex pair in one stacked solve, then
-    takes the 3 steps plain bisection would, at the same points with the same
-    decisions. The first round's points depend only on [EPS_FLOOR, eps_max],
-    so they share one solve with eps_max and the floor. BISECT_STEPS caps the
+    Each round evaluates, over every vertex pair in one stacked solve, the
+    next 3 levels of the bisection tree below [lo, hi], 7 midpoints, and below
+    them the path bisection takes if feasibility flips at a predicted eps.
+    Plain bisection then replays over the evaluated points, at its own
+    midpoints with its own decisions, until it reaches one not evaluated: so a
+    round decides at least 3 steps, and all the path's where the prediction
+    holds. The prediction is the secant root of the worst margin if hi has
+    one, else where the splitting's closing measure (chang_stack) reaches 0
+    on the line through the two highest feasible points. The path stops where
+    [lo, hi] gets narrower than the prediction's expected error, the square of
+    its change since the last round over itself; an unchanged prediction takes
+    no path. The first round's points depend only on [EPS_FLOOR, eps_max], so
+    they share one solve with eps_max and the floor. BISECT_STEPS caps the
     steps: the search stops early once lo and hi are adjacent floats, where
     every further midpoint is lo or hi and would re-decide an end.
 
@@ -200,36 +213,57 @@ def epsilon_star(A_polytope, B, C, D_polytope, cert, eps_max=EPS_MAX):
     _check_nonsingular(np.array(D_polytope.vertices))
     A, B, C, D = np.array(A), B[0], C[0], np.array(D)
     cert.check_blocks(A.shape[-1], D.shape[-1])
+    seen = {}  # eps -> (worst margin, least closing measure) over every vertex pair
 
-    def feasible(eps):
+    def feasible(points):
         """Feasibility at each eps over every vertex pair; a failed L is NaN,
         so its margins are NaN: infeasible."""
-        m, eps = len(eps), np.repeat(eps, len(A))[:, None, None]
+        m, eps = len(points), np.repeat(points, len(A))[:, None, None]
         As, Ds = np.tile(A, (m, 1, 1)), np.tile(D, (m, 1, 1))
-        slow, fast = block_margins(cert, As, B, chang_stack(As, B, C, Ds, eps)[0], Ds, eps)
-        return ((slow <= FEASIBILITY_MARGIN) & (fast <= FEASIBILITY_MARGIN)).reshape(m, -1).all(1)
+        L, _, _, closing = chang_stack(As, B, C, Ds, eps)
+        worst = np.max(block_margins(cert, As, B, L, Ds, eps), axis=0).reshape(m, -1).max(1)
+        seen.update(zip(points, zip(worst, closing.reshape(m, -1).min(1))))
+        return worst <= FEASIBILITY_MARGIN
 
-    def tree(lo, hi):
-        """The 7 midpoints of the next 3 levels of the bisection tree below [lo, hi]."""
+    def predict(lo, hi):
+        """Where feasibility flips in (lo, hi), or NaN."""
+        (m_lo, g_lo), (m_hi, _) = seen[lo], seen[hi]
+        if np.isfinite(m_hi):  # the secant root of the worst margin
+            c = lo + (FEASIBILITY_MARGIN - m_lo) * (hi - lo) / (m_hi - m_lo)
+        else:  # the closing measure's, through the two highest feasible points
+            x = max((e for e, (m, _) in seen.items() if e < lo and m <= FEASIBILITY_MARGIN),
+                    default=lo)
+            c = lo + g_lo * (lo - x) / (seen[x][1] - g_lo) if seen[x][1] > g_lo else np.nan
+        return c if lo < c < hi else np.nan
+
+    def round_points(lo, hi, c, err, left):
+        """The next 3 levels of the bisection tree below [lo, hi], then the path to
+        a threshold at c while [lo, hi] is at least err wide, within left steps."""
         ends = [lo, hi]
-        for _ in range(3):
+        for _ in range(min(3, left)):
             ends = [x for a, b in zip(ends, ends[1:]) for x in (a, 0.5 * (a + b))] + [hi]
-        return ends[1:-1]
+        points = ends[1:-1]
+        for _ in range(left):
+            mid = 0.5 * (lo + hi)
+            if mid in (lo, hi) or not hi - lo >= err:  # a NaN err takes no path
+                break
+            points.append(mid)
+            lo, hi = (mid, hi) if mid < c else (lo, mid)
+        return list(dict.fromkeys(points))
 
-    lo, hi = EPS_FLOOR, eps_max
-    mids = tree(lo, hi)
-    top, floor, *decided = feasible(np.array([eps_max, EPS_FLOOR, *mids]))
+    lo, hi, c = EPS_FLOOR, eps_max, np.nan
+    top, floor = feasible([eps_max, EPS_FLOOR, *round_points(lo, hi, c, c, BISECT_STEPS)])[:2]
     if not floor:
         raise InfeasibleAtFloor(f"block conditions infeasible even at eps={EPS_FLOOR}")
-    ok = dict(zip(mids, decided))
     for step in range(0 if top else BISECT_STEPS):
         mid = 0.5 * (lo + hi)
         if mid in (lo, hi):  # one ulp wide: each later step would re-decide an end
             break
-        if step and step % 3 == 0:  # the next round; the first came with the ends
-            mids = tree(lo, hi)
-            ok = dict(zip(mids, feasible(np.array(mids))))
-        lo, hi = (mid, hi) if ok[mid] else (lo, mid)
+        if mid not in seen:  # the next round; the first came with the ends
+            c, c_last = predict(lo, hi), c
+            err = np.maximum((c - c_last) ** 2 / c, 1e-17 * c) if c != c_last else np.nan
+            feasible(round_points(lo, hi, c, err, BISECT_STEPS - step))
+        lo, hi = (mid, hi) if seen[mid][0] <= FEASIBILITY_MARGIN else (lo, mid)
     eps_hat = eps_max if top else lo
 
     points = np.geomspace(EPS_FLOOR, eps_hat, MONOTONE_CHECK_POINTS)

@@ -5,8 +5,8 @@ controlled by the combined 5th- and 3rd-order local error estimates
 (tolerance DP_TOL), steps a batch of states in lockstep through one
 vectorized right-hand side; each stage state is one product of step-scaled
 tableau weights with a buffer of the accepted state and its 13 stage
-derivatives, 12 RHS calls per step. integrate runs a batch of
-trajectories of a system through it, and integrate_variational a trajectory
+derivatives, 12 RHS calls per step, 11 if rejected. integrate runs a batch
+of trajectories of a system through it, and integrate_variational a trajectory
 jointly with its variation, both from default_step(sys) = min(1e-3, eps/20).
 """
 
@@ -165,8 +165,8 @@ _DP_TABLE = _dop853_table()
 @np.errstate(invalid="ignore", over="ignore")
 def dopri_run(rhs, y0, t_span, h0, sample_times=None):
     """DOP853 stepping with error control: each step takes the 8th-order
-    solution from 12 RHS calls; a batch of states (..., dim) steps in
-    lockstep under one shared step size.
+    solution from 12 RHS calls, 11 if rejected; a batch of states (..., dim)
+    steps in lockstep under one shared step size.
 
     e5 and e3 are the max over every row and component of |E5 err| and
     |E3 err|, each over DP_TOL + DP_TOL * max(|y|, |y_new|); the error of a
@@ -194,12 +194,14 @@ def dopri_run(rhs, y0, t_span, h0, sample_times=None):
             raise ValueError("sample times must increase strictly within (t0, t1]")
     y0 = np.array(y0, dtype=float)
     # G holds the accepted state, then its 13 stage derivatives; stage r's state
-    # is the one product coef[r, :r + 2] @ G[:r + 2], coef[r] = (1, step * row r)
+    # is the one product coef[r, :r + 2] @ G[:r + 2], coef[r] = (1, step * row r);
+    # the 13th, the solution's, waits for acceptance: E5 and E3 weight it 0
     G = np.empty((14,) + y0.shape)
     G_flat = G.reshape(14, -1)
     G[0], G[1] = y0, rhs(y0)
+    G[13] = G[1]  # so until the first step is accepted it is finite
     coef = np.ones((14, 14))  # column 0, the state's weight, stays 1
-    stages = [(coef[r, :r + 2], G_flat[:r + 2], 2 + r) for r in range(12)]
+    stages = [(coef[r, :r + 2], G_flat[:r + 2], 2 + r) for r in range(11)]
     err_coef, K_flat = coef[12:, 1:], G_flat[1:]
     y_new = np.empty_like(y0)  # each stage state in turn; the last is the 8th-order solution
     y_new_flat = y_new.reshape(-1)
@@ -222,7 +224,8 @@ def dopri_run(rhs, y0, t_span, h0, sample_times=None):
             for c, g, k in stages:
                 np.dot(c, g, out=y_new_flat)
                 G[k] = rhs(y_new)
-            stats["rhs_evals"] += 12
+            np.dot(coef[11, :13], G_flat[:13], out=y_new_flat)
+            stats["rhs_evals"] += 11
             # the E5 and E3 errors / DP_TOL, over 1 + max(|y|, |y_new|)
             np.dot(err_coef, K_flat, out=err_vec)
             np.abs(y_new_flat, out=abs_new)
@@ -245,6 +248,8 @@ def dopri_run(rhs, y0, t_span, h0, sample_times=None):
             t = stop if landing else t + step
             if not abs_new.max() <= STATE_NORM_LIMIT:  # false for NaN too
                 raise NonFinite(f"state escaped at t={t:.6g}")
+            G[13] = rhs(y_new)
+            stats["rhs_evals"] += 1
             G[0], G[1] = y_new, G[13]
             abs_y, abs_new = abs_new, abs_y
             # a step cut short to land on a stop does not shrink the next one

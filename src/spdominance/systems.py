@@ -132,6 +132,9 @@ class LinearSPSystem(_StateSpace):
         if self.B.shape != (n_r, n_f) or self.C.shape != (n_f, n_r):
             raise DimensionMismatch(
                 f"B{self.B.shape} / C{self.C.shape} inconsistent with n_r={n_r}, n_f={n_f}")
+        for name, blocks in zip("ABCD", (self.A.vertices, [self.B], [self.C], self.D.vertices)):
+            if not np.isfinite(blocks).all():
+                raise ValueError(f"{name} must be finite, got a NaN or infinite entry")
         self._check_omega()
 
     @property

@@ -212,7 +212,7 @@ def test_simulate_report_counts_its_integrator(tmp_path):
     assert list(run) == ["method", "tol", "steps", "rejected", "rhs_evals"]
     assert (run["method"], run["tol"]) == ("dop853", DP_TOL)
     assert run["steps"] > 0
-    assert run["rhs_evals"] == 1 + 12 * (run["steps"] + run["rejected"])
+    assert run["rhs_evals"] == 1 + 12 * run["steps"] + 11 * run["rejected"]
 
 
 def test_simulate_not_converged_exits_2(tmp_path, capsys):
@@ -429,7 +429,7 @@ def test_reproduce_paper_report_structure(tmp_path):
     assert rep["epsilon_star"] > 0.01
     for run in (rep["integrator"], rep["monotone_probe"]["integrator"]):
         assert (run["method"], run["tol"]) == ("dop853", DP_TOL)
-        assert run["rhs_evals"] == 1 + 12 * (run["steps"] + run["rejected"])
+        assert run["rhs_evals"] == 1 + 12 * run["steps"] + 11 * run["rejected"]
 
 
 @pytest.mark.parametrize("value", ["nan", "inf"])
@@ -513,6 +513,19 @@ def test_malformed_numeric_field_exits_1(tmp_path, capsys, command, field, value
     extra = ["--out", str(tmp_path / "out")] if command == "simulate" else []
     assert main([command, write_cfg(tmp_path, cfg)] + extra) == 1
     assert capsys.readouterr().err.startswith(f"config error: {message}")
+
+
+@pytest.mark.parametrize("command", ["certify", "epsilon-star", "decouple", "monotone-probe"])
+@pytest.mark.parametrize("block, value", [("D", {"vertices": [[[float("nan")]]]}),
+                                          ("A", {"vertices": [[[float("nan")]]]}),
+                                          ("B", [[float("inf")]])],
+                         ids=["D-vertex-nan", "A-vertex-nan", "B-infinity"])
+def test_non_finite_linear_block_exits_1(tmp_path, capsys, command, block, value):
+    # JSON NaN and Infinity in a linear config: each used to crash with an SVD
+    # traceback (D) or get an exit-2 verdict such as "infeasible" (A, B)
+    assert main([command, linear_cfg(tmp_path, **{block: value})]) == 1
+    assert capsys.readouterr().err == (f"config error: {block} must be finite, "
+                                       "got a NaN or infinite entry\n")
 
 
 @pytest.mark.parametrize("command, flag", [("certify", "--report"), ("simulate", "--out"),

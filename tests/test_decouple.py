@@ -1,10 +1,12 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from spdominance import cli, decouple
-from spdominance.certify import (MatrixPolytope, SPDominanceCertificate,
+from spdominance.certify import (FEASIBILITY_MARGIN, MatrixPolytope, SPDominanceCertificate,
                                  block_conditions, block_margins)
 from spdominance.decouple import (BISECT_STEPS, CHANG_RESIDUAL_TOL, EPS_FLOOR, EPS_MAX,
                                   MONOTONE_CHECK_POINTS, build_decoupling, chang_residuals,
@@ -407,7 +409,7 @@ def test_chang_stack_matches_solve_chang_lti_per_slot():
     As = A + 0.3 * rng.standard_normal((6, 3, 3))
     Ds = D + 0.1 * rng.standard_normal((6, 2, 2))
     eps = np.array([1e-6, 1e-3, 0.005, 0.01, 0.02, 0.05])
-    L, why, r = chang_stack(As, B, C, Ds, eps[:, None, None])
+    L, why, r, _ = chang_stack(As, B, C, Ds, eps[:, None, None])
     assert list(why) == [""] * 6
     for k in range(6):
         assert np.allclose(L[k], solve_chang_lti(As[k], B, C, Ds[k], eps[k]),
@@ -425,7 +427,7 @@ def test_chang_stack_failed_slot_marks_only_itself():
     A[1, 1, 0] = np.nan
     D = np.repeat(D_SPRING[None], 4, axis=0)
     eps = np.array([0.01, 0.01, 0.1, 0.02])[:, None, None]
-    L, why, _ = chang_stack(A, B_SPRING, C_SPRING, D, eps)
+    L, why, *_ = chang_stack(A, B_SPRING, C_SPRING, D, eps)
     assert list(why) == ["", "Array must not contain infs or NaNs", "no strict modulus gap", ""]
     assert np.isnan(L[1:3]).all()
     for k in (0, 3):
@@ -443,7 +445,7 @@ def test_chang_stack_singular_slot_marks_only_itself():
     A = np.repeat(np.diag([-1.0, -2.0])[None], 3, axis=0)
     D = np.array([np.diag([-0.5, -3.0]), np.diag([-2.0, -3.0]), np.diag([-4.0, -3.0])])
     eps = np.array([0.5, 1.0, 0.1])[:, None, None]
-    L, why, _ = chang_stack(A, np.zeros((2, 2)), np.zeros((2, 2)), D, eps)
+    L, why, *_ = chang_stack(A, np.zeros((2, 2)), np.zeros((2, 2)), D, eps)
     assert list(why) == ["singular slow eigenvectors", "no strict modulus gap", ""]
     assert np.isnan(L[:2]).all() and np.array_equal(L[2], np.zeros((2, 2)))
 
@@ -456,7 +458,7 @@ def test_chang_stack_slot_is_independent_of_its_stack_mates():
     D = np.repeat(D_SPRING[None], 3, axis=0)
     for e in (0.01, 0.02, 0.03, 0.04):
         eps = np.array([e, e, 0.02])[:, None, None]
-        L, why, r = chang_stack(A, B_SPRING, C_SPRING, D, eps)
+        L, why, r, _ = chang_stack(A, B_SPRING, C_SPRING, D, eps)
         assert list(why) == [""] * 3 and (r <= coupling_residual_limit(B_SPRING, C_SPRING)).all()
         for k in range(2):
             alone = chang_stack(A[k:k + 1], B_SPRING, C_SPRING, D[k:k + 1], eps[k:k + 1])[0]
@@ -500,24 +502,169 @@ def count_stacked_solves(monkeypatch):
     return calls
 
 
-def test_spring_search_makes_20_stacked_solves(monkeypatch):
+def test_spring_search_makes_9_stacked_solves(monkeypatch):
     # eps_max, the floor and the first round's 7 points share one call; the
-    # bracket is one ulp wide after 57 steps, so 18 more rounds and the
-    # re-check make 20 calls of 9 + 18 * 7 + 16 = 151 points, each at the
-    # hull's 2 vertex pairs (1 + 20 + 1 calls without either saving)
+    # bracket is one ulp wide after 57 steps, which 7 more rounds of 7 to 23
+    # points decide, and the re-check makes 9 calls of 218 points in all at
+    # the hull's 2 vertex pairs (20 calls of 302 with rounds of the tree alone)
     calls = count_stacked_solves(monkeypatch)
     cfg = cli.spring_config()
     _, eps_hat = cli.epsilon_star_stage(cli.build_system(cfg), cli.build_certificate(cfg))
     assert eps_hat == 0.04184602135303708
-    assert len(calls) == 20 and sum(calls) == 302
+    assert len(calls) == 9 and sum(calls) == 218
 
 
 def test_search_below_2_to_the_minus_8_takes_every_step(monkeypatch):
     # the bracket of a threshold below 2^-8 is still wider than one ulp after
-    # BISECT_STEPS steps: the first call, the 19 rounds after it, the re-check
+    # BISECT_STEPS steps: the tree search makes the first call, the 19 rounds
+    # after it and the re-check; the predicted paths decide the steps in 9 rounds
     system = lmi_system(np.random.default_rng(3), 2, 2, 2, 1, True, 2.0**-10)
     calls = count_stacked_solves(monkeypatch)
     eps_hat, _ = epsilon_star(*system)
-    assert eps_hat < 2.0**-8 and len(calls) == 1 + (BISECT_STEPS // 3 - 1) + 1
+    assert eps_hat < 2.0**-8 and len(calls) == 11
+    calls.clear()
+    assert tree_epsilon_star(*system)[0] == eps_hat
+    assert len(calls) == 1 + (BISECT_STEPS // 3 - 1) + 1
     monkeypatch.undo()
     assert eps_hat == pytest.approx(scalar_epsilon_star(*system), rel=1e-12, abs=0)
+
+
+def tree_epsilon_star(A_poly, B, C, D_poly, cert, eps_max=EPS_MAX):
+    """Reference search: epsilon_star with rounds of the next 3 levels of the
+    bisection tree alone, 7 midpoints in one stacked solve through
+    decouple.chang_stack, and no prediction; the same first call, stop once
+    one ulp wide, and re-check. Returns (eps_hat, violations), without
+    warnings."""
+    A = np.array([a for a in A_poly.vertices for _ in D_poly.vertices])
+    D = np.array([d for _ in A_poly.vertices for d in D_poly.vertices])
+
+    def feasible(eps):
+        m, eps = len(eps), np.repeat(eps, len(A))[:, None, None]
+        As, Ds = np.tile(A, (m, 1, 1)), np.tile(D, (m, 1, 1))
+        slow, fast = block_margins(cert, As, B, decouple.chang_stack(As, B, C, Ds, eps)[0],
+                                   Ds, eps)
+        return ((slow <= FEASIBILITY_MARGIN) & (fast <= FEASIBILITY_MARGIN)).reshape(m, -1).all(1)
+
+    def tree(lo, hi):
+        ends = [lo, hi]
+        for _ in range(3):
+            ends = [x for a, b in zip(ends, ends[1:]) for x in (a, 0.5 * (a + b))] + [hi]
+        return ends[1:-1]
+
+    lo, hi = EPS_FLOOR, eps_max
+    mids = tree(lo, hi)
+    top, floor, *decided = feasible(np.array([eps_max, EPS_FLOOR, *mids]))
+    if not floor:
+        raise InfeasibleAtFloor(f"block conditions infeasible even at eps={EPS_FLOOR}")
+    ok = dict(zip(mids, decided))
+    for step in range(0 if top else BISECT_STEPS):
+        mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            break
+        if step and step % 3 == 0:
+            mids = tree(lo, hi)
+            ok = dict(zip(mids, feasible(np.array(mids))))
+        lo, hi = (mid, hi) if ok[mid] else (lo, mid)
+    eps_hat = eps_max if top else lo
+    points = np.geomspace(EPS_FLOOR, eps_hat, MONOTONE_CHECK_POINTS)
+    ok = feasible(points)
+    return (float(eps_hat if ok.all() else points[max(np.argmin(ok), 1) - 1]),
+            [float(eps) for eps in points[~ok]])
+
+
+def searched(search, system):
+    """search(*system) as a value, its result or the type and text of what it
+    raised, and how many stacked solves it made."""
+    calls, chang_stack = [], decouple.chang_stack
+
+    def counted(A, B, C, D, eps):
+        calls.append(len(eps))
+        return chang_stack(A, B, C, D, eps)
+
+    decouple.chang_stack = counted
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            return search(*system), len(calls)
+    except Exception as e:
+        return (type(e), str(e)), len(calls)
+    finally:
+        decouple.chang_stack = chang_stack
+
+
+# the predicted paths change which points a round evaluates, never a decision:
+# eps_hat, the violations and any exception are the tree search's, bit for bit
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1), n_r=st.integers(1, 4), n_f=st.integers(1, 3),
+       n_a=st.integers(1, 3), n_d=st.integers(1, 3), feasible=st.booleans(),
+       fast_scale=st.sampled_from([1.0, 2.0**-10]))
+def test_search_matches_tree_search(seed, n_r, n_f, n_a, n_d, feasible, fast_scale):
+    system = lmi_system(np.random.default_rng(seed), n_r, n_f, n_a, n_d, feasible,
+                        fast_scale)
+    got, calls = searched(epsilon_star, system)
+    want, tree_calls = searched(tree_epsilon_star, system)
+    assert got == want and calls <= tree_calls
+
+
+def margin_threshold_system():
+    """An lmi_system whose threshold is a block margin crossing 0: at eps_hat
+    the splitting is far from lost, and one ulp above a margin is positive."""
+    return lmi_system(np.random.default_rng(1), 2, 1, 1, 1, True)
+
+
+def splitting_threshold_system():
+    """An lmi_system whose threshold is a lost slow/fast splitting: at eps_hat
+    the margins are well inside, and one ulp above chang_stack finds no
+    strict modulus gap."""
+    return lmi_system(np.random.default_rng(0), 2, 1, 1, 1, True)
+
+
+def splitting_and_margin(system, eps):
+    """chang_stack's why and closing measure, and the worst block margin, at eps."""
+    A_poly, B, C, D_poly, cert = system
+    A, D = A_poly.vertices[0][None], D_poly.vertices[0][None]
+    eps = np.full((1, 1, 1), eps)
+    L, why, _, closing = chang_stack(A, B, C, D, eps)
+    return why[0], closing[0], max(m[0] for m in block_margins(cert, A, B, L, D, eps))
+
+
+def test_search_matches_tree_search_at_a_margin_crossing():
+    system = margin_threshold_system()
+    got, calls = searched(epsilon_star, system)
+    want, tree_calls = searched(tree_epsilon_star, system)
+    assert got == want and (calls, tree_calls) == (8, 19)
+    assert splitting_and_margin(system, got[0])[1] > 0.01
+    why, _, worst = splitting_and_margin(system, np.nextafter(got[0], np.inf))
+    assert why == "" and worst > FEASIBILITY_MARGIN
+
+
+def test_search_matches_tree_search_where_the_splitting_is_lost():
+    system = splitting_threshold_system()
+    got, calls = searched(epsilon_star, system)
+    want, tree_calls = searched(tree_epsilon_star, system)
+    assert got == want and (calls, tree_calls) == (10, 19)
+    _, closing, worst = splitting_and_margin(system, got[0])
+    assert closing < 1e-12 and worst < -1.0
+    why, _, worst = splitting_and_margin(system, np.nextafter(got[0], np.inf))
+    assert why == "no strict modulus gap" and np.isnan(worst)
+
+
+def test_chang_stack_closing_measure():
+    # decoupled blocks, so the eigenvalues are eps A's and D's diagonals: the
+    # 2nd and 3rd smallest in modulus are -0.2 and -3 in slot 0, real and of
+    # one sign, so the relative gap is squared; 0.2 and -3 in slot 1, as is;
+    # slot 2 has moduli 1, 2, 2, 3 and no gap
+    A = np.array([np.diag([-1.0, -2.0]), np.diag([-1.0, 2.0]), np.diag([-1.0, -2.0])])
+    D = np.array([np.diag([-4.0, -3.0]), np.diag([-4.0, -3.0]), np.diag([-2.0, -3.0])])
+    eps = np.array([0.1, 0.1, 1.0])[:, None, None]
+    *_, closing = chang_stack(A, np.zeros((2, 2)), np.zeros((2, 2)), D, eps)
+    gap = 1.0 - 0.2 / 3.0
+    assert closing == pytest.approx([gap ** 2, gap, 0.0], rel=1e-14, abs=0)
+    # a complex pair of slow eigenvalues below the real fast one: as is
+    A = np.array([[0.0, 1.0], [-5.0, 5.0]])
+    *_, closing = chang_stack(A[None], B_SPRING, C_SPRING, D_SPRING[None],
+                              np.full((1, 1, 1), 0.02))
+    lam = sorted(np.linalg.eigvals(np.block([[0.02 * A, 0.02 * B_SPRING],
+                                             [C_SPRING, D_SPRING]])), key=abs)
+    assert np.iscomplex(lam[1]) and not np.iscomplex(lam[2])
+    assert closing[0] == pytest.approx(1.0 - abs(lam[1]) / abs(lam[2]), rel=1e-12)
