@@ -76,11 +76,14 @@ def _matrix_or_polytope(value, what):
 
 
 def numeric_field(value, field):
-    """A config value as a float array; ConfigError naming the field otherwise."""
+    """A config value as a finite float array; ConfigError naming the field otherwise."""
     try:
-        return np.asarray(value, dtype=float)
+        array = np.asarray(value, dtype=float)
     except (TypeError, ValueError):
         raise ConfigError(f"{field} must be numbers, got {value!r}") from None
+    if not np.isfinite(array).all():
+        raise ConfigError(f"{field} must be finite, got {value!r}")
+    return array
 
 
 def integer_field(value, field):
@@ -171,8 +174,7 @@ def write_report(report, path):
     if path:
         os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
         with open(path, "w") as fh:
-            json.dump(report, fh, indent=2)
-            fh.write("\n")
+            fh.write(json.dumps(report, indent=2) + "\n")
 
 
 def _failed(label, error):

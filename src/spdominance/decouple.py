@@ -92,9 +92,11 @@ def _check_residuals(B, C, *residuals):
 
 
 def _coupling_kron(A, B, D, L, eps):
-    """H equation's K on column-major vec(H); K.T is the L Jacobian on row-major vec(L)."""
-    return (np.kron((D + eps * L @ B).T, np.eye(len(A)))
-            - eps * np.kron(np.eye(len(D)), A - B @ L))
+    """H equation's K on column-major vec(H) per slot, np.kron's products broadcast."""
+    X, Y, (n_f, n_r) = (D + eps * L @ B).mT, A - B @ L, L.shape[-2:]
+    K = (X[..., :, None, :, None] * np.eye(n_r)[:, None] - np.asarray(eps)[..., None, None]
+         * (np.eye(n_f)[:, None, :, None] * Y[..., None, :, None, :]))
+    return K.reshape(K.shape[:-4] + (n_f * n_r,) * 2)  # K.mT: the L Jacobian on row-major vec(L)
 
 
 def chang_stack(A, B, C, D, eps):
@@ -127,13 +129,14 @@ def chang_stack(A, B, C, D, eps):
     ok = code == 0
     V1 = np.where(ok[:, None, None], V[:, :n_r], np.eye(n_r))
     L = -np.linalg.solve(V1.mT, V[:, n_r:].mT).mT
-    r = np.linalg.norm(_l_equation(A, B, C, D, L, eps), axis=(1, 2))
-    limit = coupling_residual_limit(B, C)
-    for k in np.flatnonzero(ok & (r > limit)):
-        F = _l_equation(A[k], B, C, D[k], L[k], eps[k, 0, 0])
-        L[k] -= np.linalg.solve(_coupling_kron(A[k], B, D[k], L[k], eps[k, 0, 0]).T,
-                                F.ravel()).reshape(L[k].shape)
-        r[k] = np.linalg.norm(_l_equation(A[k], B, C, D[k], L[k], eps[k, 0, 0]))
+    F = _l_equation(A, B, C, D, L, eps)
+    r, limit = np.linalg.norm(F, axis=(1, 2)), coupling_residual_limit(B, C)
+    k = np.flatnonzero(ok & (r > limit))
+    if k.size:  # one Newton step on every loose slot, in one solve
+        K = _coupling_kron(A[k], B, D[k], L[k], eps[k]).mT
+        L[k] -= np.linalg.solve(K, F[k].reshape(len(k), -1, 1)).reshape(F[k].shape)
+        F = _l_equation(A[k], B, C, D[k], L[k], eps[k]).reshape(len(k), -1)
+        r[k] = np.sqrt(np.vecdot(F, F))  # np.linalg.norm of each, rounded as for one
     L[~ok | ~(r <= limit)] = np.nan
     return L, WHY[code], r, np.where(pair, closing * closing, closing)
 

@@ -249,18 +249,12 @@ def _row_norms(r):
 
 
 def _solve_rows(J, r):
-    """np.linalg.solve of each row's system; returns the steps and whether
-    each system was solved (False where J is singular)."""
-    try:
-        return np.linalg.solve(J, r[..., None])[..., 0], np.ones(len(r), bool)
-    except np.linalg.LinAlgError:  # some row is singular: find which, one at a time
-        out, solved = np.zeros_like(r), np.ones(len(r), bool)
-        for i, (Ji, ri) in enumerate(zip(J, r)):
-            try:
-                out[i] = np.linalg.solve(Ji, ri)
-            except np.linalg.LinAlgError:
-                solved[i] = False
-        return out, solved
+    """np.linalg.solve of each row's system in one call, and whether each was solved:
+    not where LU meets an exact zero pivot (slogdet's sign 0), which solves the identity."""
+    with np.errstate(invalid="ignore"):  # slogdet warns on a NaN row, which solves to NaN
+        solved = np.linalg.slogdet(J)[0] != 0
+    return np.linalg.solve(np.where(solved[:, None, None], J, np.eye(J.shape[-1])),
+                           r[..., None])[..., 0], solved
 
 
 # -- built-in demo system ---------------------------------------------------

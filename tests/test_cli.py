@@ -466,6 +466,14 @@ def test_newton_meets_zero_divisor_exits_1(tmp_path, capsys):
 @pytest.mark.parametrize("command, field, value, message", [
     ("decouple", "linearization_point", ["a", 0, 0], "linearization_point must be numbers"),
     ("simulate", "initial_conditions", [["a", 0, 0]], "initial_conditions must be numbers"),
+    ("decouple", "linearization_point", [float("nan"), 0, 0],
+     "linearization_point must be finite, got [nan, 0, 0]\n"),
+    ("decouple", "linearization_point", [0, float("-inf"), 0],
+     "linearization_point must be finite, got [0, -inf, 0]\n"),
+    ("simulate", "initial_conditions", [[1, 1, 1], [float("nan"), 0, 0]],
+     "initial_conditions must be finite, got [[1, 1, 1], [nan, 0, 0]]\n"),
+    ("simulate", "initial_conditions", [[float("inf"), 0, 0]],
+     "initial_conditions must be finite, got [[inf, 0, 0]]\n"),
     ("certify", "hull", [1, 2], "hull is not read"),
     ("certify", "certificate", [1, 2], "config needs a \"certificate\" object"),
     ("certify", "certificate", {**spring_config()["certificate"], "lambda_r": [2]},
@@ -501,12 +509,13 @@ def test_newton_meets_zero_divisor_exits_1(tmp_path, capsys):
      "omega interval for x1 must be a finite pair lo < hi, got [False, True]\n"),
     ("monotone-probe", "omega", {"x1": [-3, 3], "x2": ["-3", 3], "z1": [-3, 3]},
      "omega interval for x2 must be a finite pair lo < hi, got ['-3', 3]\n"),
-], ids=["linearization-point", "initial-conditions", "hull-list", "certificate-list",
-        "certificate-rate-list", "config-list", "misspelled-omega", "sigma-nan",
-        "sigma-infinity", "lambda-nan", "lambda-infinity", "p-fraction", "n_r-fraction",
-        "n_f-bool", "spec-version-bool", "spec-version-float", "eps-bool", "eps-string",
-        "sigma-string", "lambda-bool", "sigma-bool", "lambda-string", "omega-bool",
-        "omega-string"])
+], ids=["linearization-point", "initial-conditions", "linearization-point-nan",
+        "linearization-point-infinity", "initial-conditions-nan", "initial-conditions-infinity",
+        "hull-list", "certificate-list", "certificate-rate-list", "config-list",
+        "misspelled-omega", "sigma-nan", "sigma-infinity", "lambda-nan", "lambda-infinity",
+        "p-fraction", "n_r-fraction", "n_f-bool", "spec-version-bool", "spec-version-float",
+        "eps-bool", "eps-string", "sigma-string", "lambda-bool", "sigma-bool", "lambda-string",
+        "omega-bool", "omega-string"])
 def test_malformed_numeric_field_exits_1(tmp_path, capsys, command, field, value, message):
     # field None: value is the whole config
     cfg = value if field is None else {**spring_config(), field: value}

@@ -467,6 +467,76 @@ def test_chang_stack_slot_is_independent_of_its_stack_mates():
     assert np.iscomplex(np.linalg.eigvals(M)).sum() == 2
 
 
+def kron_form(A, B, D, L, eps):
+    """The H equation's K of one slot, as np.kron forms it."""
+    return (np.kron((D + eps * L @ B).T, np.eye(len(A)))
+            - eps * np.kron(np.eye(len(D)), A - B @ L))
+
+
+def per_slot_chang_stack(monkeypatch, A, B, C, D, eps):
+    """chang_stack with the polish it had, one loose slot at a time, the
+    reference its stacked polish is held to bit for bit: chang_stack with no
+    slot loose, then one Newton step on each loose slot alone, on the 2-D
+    np.kron form with 2-D np.linalg.norm. Returns chang_stack's four values
+    and the number of loose slots."""
+    limit = coupling_residual_limit(B, C)
+    with monkeypatch.context() as m:
+        m.setattr(decouple, "coupling_residual_limit", lambda B, C: np.inf)
+        L, why, r, closing = chang_stack(A, B, C, D, eps)
+    loose = np.flatnonzero((why == "") & (r > limit))
+    for k in loose:
+        F = decouple._l_equation(A[k], B, C, D[k], L[k], eps[k, 0, 0])
+        L[k] -= np.linalg.solve(kron_form(A[k], B, D[k], L[k], eps[k, 0, 0]).T,
+                                F.ravel()).reshape(L[k].shape)
+        r[k] = np.linalg.norm(decouple._l_equation(A[k], B, C, D[k], L[k], eps[k, 0, 0]))
+    L[(why != "") | ~(r <= limit)] = np.nan
+    return L, why, r, closing, len(loose)
+
+
+@pytest.mark.filterwarnings("ignore:feasibility not monotone")
+@pytest.mark.parametrize("seed, shape", [(0, (3, 1, 2, 2, True)), (1, (8, 1, 1, 4, True)),
+                                         (0, (3, 2, 2, 2, True)), (0, (2, 2, 1, 2, True)),
+                                         (0, (4, 3, 2, 1, False))])
+def test_stacked_polish_matches_per_slot_polish(monkeypatch, seed, shape):
+    # every stack a search solves: L, why, r and closing have the bits of the
+    # per-slot polish, and the search's stacks hold loose slots
+    stacks, stack = [], decouple.chang_stack
+
+    def recorded(A, B, C, D, eps):
+        stacks.append((A, B, C, D, eps))
+        return stack(A, B, C, D, eps)
+
+    monkeypatch.setattr(decouple, "chang_stack", recorded)
+    try:
+        epsilon_star(*lmi_system(np.random.default_rng(seed), *shape))
+    except InfeasibleAtFloor:
+        pass
+    monkeypatch.undo()
+    loose = 0
+    for A, B, C, D, eps in stacks:
+        *want, n = per_slot_chang_stack(monkeypatch, A, B, C, D, eps)
+        got = chang_stack(A, B, C, D, eps)
+        assert [x.tobytes() for x in got] == [x.tobytes() for x in want]
+        loose += n
+    assert loose > 0
+
+
+@pytest.mark.parametrize("n_r, n_f", [(1, 1), (3, 1), (2, 3)])
+def test_coupling_kron_matches_np_kron_per_slot(n_r, n_f):
+    # the broadcast K of a stack, and of 2-D blocks with a float eps, has the
+    # bits of np.kron's in every slot
+    rng = np.random.default_rng(10 * n_r + n_f)
+    A, D = rng.standard_normal((6, n_r, n_r)), rng.standard_normal((6, n_f, n_f))
+    B, L = rng.standard_normal((n_r, n_f)), rng.standard_normal((6, n_f, n_r))
+    eps = rng.uniform(0.01, 1.0, (6, 1, 1))
+    K = decouple._coupling_kron(A, B, D, L, eps)
+    assert K.shape == (6, n_r * n_f, n_r * n_f)
+    for k in range(6):
+        want = kron_form(A[k], B, D[k], L[k], eps[k, 0, 0]).tobytes()
+        assert K[k].tobytes() == want
+        assert decouple._coupling_kron(A[k], B, D[k], L[k], eps[k, 0, 0]).tobytes() == want
+
+
 def test_epsilon_star_calls_eig_once_per_round(monkeypatch):
     # one eig for eps_max, the floor and the first round, one per later round
     # of 3 bisection steps, one for the monotonicity re-check: a guard on the

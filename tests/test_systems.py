@@ -1,4 +1,5 @@
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -182,6 +183,27 @@ def test_damped_newton_batch_matches_scalar_loop(name, max_iter):
             ref = np.full(len(seed), np.nan)
         alone = damped_newton(field, jac, seed[None], 1e-10, max_iter)[0]
         assert root.tobytes() == alone.tobytes() == ref.tobytes()
+
+
+def test_damped_newton_masks_singular_and_nan_rows():
+    # x^2 = 4 in each component, in one batch: the seed (0, 1) has an exactly
+    # singular Jacobian and (nan, 1) a NaN one; both come back NaN, without a
+    # warning, and the other rows end bit for bit where the scalar loop does
+    def fun(x):
+        return x ** 2 - 4.0
+
+    def jac(x):
+        return 2.0 * x[..., None] * np.eye(x.shape[-1])
+
+    seeds = np.array([[3.0, 1.0], [0.0, 1.0], [np.nan, 1.0], [-1.0, 5.0], [0.5, -0.25]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        roots = damped_newton(fun, jac, seeds, 1e-12, 50)
+    for k in (0, 3, 4):
+        assert roots[k].tobytes() == scalar_damped_newton(fun, jac, seeds[k], 1e-12, 50).tobytes()
+    assert np.isnan(roots[1:3]).all()
+    with pytest.raises(NewtonFailure, match="singular"):
+        scalar_damped_newton(fun, jac, seeds[1], 1e-12, 50)
 
 
 def test_solve_manifold_no_real_root():
