@@ -134,16 +134,16 @@ def monotone_probe(sys, cert, n_pairs=PROBE_PAIRS, t_final=SPRING_T_FINAL,
     return report
 
 
-def convergence_report(trajectories, equilibria, tol=CONVERGENCE_TOL):
+def convergence_report(trajectories, equilibria):
     """Per-trajectory convergence verdicts against a list of equilibria."""
     out = []
     for traj in trajectories:
-        match = detect_convergence(traj, equilibria, tol)
+        match = detect_convergence(traj, equilibria)
         out.append({
             "initial_state": [float(v) for v in traj.states[0]],
             "final_state": [float(v) for v in traj.final_state],
             "converged": match is not None,
             "matched_equilibrium": None if match is None else [float(v) for v in match],
-            "tol": tol,
+            "tol": CONVERGENCE_TOL,
         })
     return out

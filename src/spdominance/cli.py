@@ -34,8 +34,8 @@ from .errors import (ConfigError, DimensionMismatch, EvalError, NoConvergence, N
 from .integrate import (CONVERGENCE_TOL, Trajectory, find_equilibria, integrate,
                         write_trajectory_csv)
 from .systems import (SPRING_BOX, SPRING_EPS, SPRING_F, SPRING_G, SPRING_INITIAL_CONDITIONS,
-                      SPRING_SIGMA_R, SPRING_T_FINAL, LinearSPSystem, NonlinearSPSystem,
-                      a_block_hull, jacobians, nonlinear_spring_certificate, state_names)
+                      SPRING_T_FINAL, LinearSPSystem, NonlinearSPSystem, a_block_hull,
+                      jacobians, nonlinear_spring_certificate, state_names)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -68,19 +68,25 @@ def load_config(path):
 
 
 def _matrix_or_polytope(value, what):
-    if isinstance(value, dict):
-        if "vertices" not in value:
-            raise ConfigError(f"{what}: polytope object needs a \"vertices\" list")
-        return MatrixPolytope(value["vertices"])
-    return MatrixPolytope([value])
+    if not isinstance(value, dict):
+        return numbers(value, what)
+    if "vertices" not in value:
+        raise ConfigError(f"{what}: polytope object needs a \"vertices\" list")
+    return MatrixPolytope([numbers(v, what) for v in value["vertices"]])
+
+
+def numbers(value, field):
+    """A config value, a number or nested lists, as given once each entry is a
+    JSON number, not a bool, a string, null or a ragged row; ConfigError
+    naming the field otherwise."""
+    if not all(type(v) in (int, float) for v in np.asarray(value, dtype=object).flat):
+        raise ConfigError(f"{field} must be numbers, got {value!r}")
+    return value
 
 
 def numeric_field(value, field):
     """A config value as a finite float array; ConfigError naming the field otherwise."""
-    try:
-        array = np.asarray(value, dtype=float)
-    except (TypeError, ValueError):
-        raise ConfigError(f"{field} must be numbers, got {value!r}") from None
+    array = np.asarray(numbers(value, field), dtype=float)
     if not np.isfinite(array).all():
         raise ConfigError(f"{field} must be finite, got {value!r}")
     return array
@@ -110,7 +116,7 @@ def build_system(cfg):
                                      eps=number_field(cfg["eps"], "eps"),
                                      omega=cfg.get("omega"))
         return LinearSPSystem(A=_matrix_or_polytope(cfg["A"], "A"),
-                              B=cfg["B"], C=cfg["C"],
+                              B=numbers(cfg["B"], "B"), C=numbers(cfg["C"], "C"),
                               D=_matrix_or_polytope(cfg["D"], "D"),
                               eps=number_field(cfg["eps"], "eps"), omega=cfg.get("omega"))
     except KeyError as e:
@@ -126,7 +132,8 @@ def build_certificate(cfg):
     try:
         rates = {k: number_field(block[k], k)
                  for k in ("lambda_r", "lambda_f", "sigma_r", "sigma_f")}
-        return SPDominanceCertificate(P_r=block["P_r"], P_f=block["P_f"],
+        return SPDominanceCertificate(P_r=numbers(block["P_r"], "P_r"),
+                                      P_f=numbers(block["P_f"], "P_f"),
                                       p=integer_field(block["p"], "p"), **rates)
     except KeyError as e:
         raise ConfigError(f"certificate block missing field {e}")
@@ -200,7 +207,7 @@ def epsilon_star_stage(system, cert, eps_max=EPS_MAX):
     return {"epsilon_star": eps_hat, "monotone_violations": violations}, eps_hat
 
 
-def simulation_stage(system, ics, t_final, tol, out, run=None):
+def simulation_stage(system, ics, t_final, out, run=None):
     """The equilibria, then the trajectories from ics to t_final with the
     integrator's stats, each matched to an equilibrium and written into out
     as trajectory_NN.csv; the verdict is whether every trajectory converged.
@@ -216,7 +223,7 @@ def simulation_stage(system, ics, t_final, tol, out, run=None):
     except NonFinite as e:
         return {**fragment, **_failed("diverged", e)}, None
     trajectories = [Trajectory(times, states[:, i]) for i in range(states.shape[1])]
-    verdicts = convergence_report(trajectories, equilibria, tol=tol)
+    verdicts = convergence_report(trajectories, equilibria)
     fragment["trajectories"] = verdicts
     os.makedirs(out, exist_ok=True)
     fragment["csv_files"] = [os.path.join(out, f"trajectory_{i:02d}.csv")
@@ -253,7 +260,7 @@ def cmd_certify(args, report):
 
 def cmd_decouple(args, report):
     system = args.system
-    eps = args.eps if args.eps is not None else float(args.cfg["eps"])
+    eps = args.eps if args.eps is not None else system.eps
     if isinstance(system, NonlinearSPSystem):
         point = args.cfg.get("linearization_point") or [0.0] * system.dim
         A, B, C, D = jacobians(system, numeric_field(point, "linearization_point"))
@@ -305,8 +312,8 @@ def cmd_simulate(args, report):
         raise ConfigError("config has no \"initial_conditions\" list")
     ics = numeric_field(ics, "initial_conditions")
     report["t_final"] = args.t_final
-    report["tolerances"] = {"convergence": args.tol}
-    fragment, converged = simulation_stage(args.system, ics, args.t_final, args.tol, args.out)
+    report["tolerances"] = {"convergence": CONVERGENCE_TOL}
+    fragment, converged = simulation_stage(args.system, ics, args.t_final, args.out)
     report.update(fragment)
     for v in fragment.get("trajectories", []):
         state = "converged to " + str(v["matched_equilibrium"]) if v["converged"] \
@@ -327,7 +334,7 @@ def cmd_monotone_probe(args, report):
     return passed
 
 
-def spring_config(eps=SPRING_EPS, sigma_r=SPRING_SIGMA_R):
+def spring_config(eps=SPRING_EPS):
     """Built-in demo configuration (nonlinear spring with fast filter)."""
     cert = nonlinear_spring_certificate()
     return {
@@ -341,14 +348,14 @@ def spring_config(eps=SPRING_EPS, sigma_r=SPRING_SIGMA_R):
         "certificate": {
             "P_r": cert.P_r.a.tolist(), "P_f": cert.P_f.a.tolist(),
             "lambda_r": cert.lambda_r, "lambda_f": cert.lambda_f,
-            "sigma_r": sigma_r, "sigma_f": cert.sigma_f, "p": cert.p,
+            "sigma_r": cert.sigma_r, "sigma_f": cert.sigma_f, "p": cert.p,
         },
         "initial_conditions": [list(ic) for ic in SPRING_INITIAL_CONDITIONS],
     }
 
 
 def cmd_reproduce_paper(args, report):
-    system = args.system
+    system, cert = args.system, build_certificate(args.cfg)
     report["eps"] = args.eps
     checks = {}
 
@@ -360,30 +367,20 @@ def cmd_reproduce_paper(args, report):
             report[f"{name}_error" if key == "error" else key] = value
         return verdict
 
-    try:
-        cert = build_certificate(args.cfg)
-    except ConfigError as e:
-        cert = None
-        report["certificate"] = {"error": str(e)}
-        checks["certificate_feasible"] = False
-    if cert is not None:
-        report["certificate"] = certificate_report(system, cert)
-        checks["certificate_feasible"] = report["certificate"]["feasible"]
-        eps_hat = add("epsilon_star", epsilon_star_stage(system, cert))
-        checks["eps_below_threshold"] = eps_hat is not None and args.eps < eps_hat
+    report["certificate"] = certificate_report(system, cert)
+    checks["certificate_feasible"] = report["certificate"]["feasible"]
+    eps_hat = add("epsilon_star", epsilon_star_stage(system, cert))
+    checks["eps_below_threshold"] = eps_hat is not None and args.eps < eps_hat
 
     # the reference trajectories ride in the probe's batch, so one integration
-    # serves both; without a probe run the simulation integrates them itself
-    ics, probe, run = args.cfg["initial_conditions"], None, None
-    if cert is not None:
-        probe = probe_stage(system, cert, PROBE_PAIRS, SPRING_T_FINAL, PROBE_SEED, riders=ics)
-        run = probe[0].get("monotone_probe", {}).pop("riders", None)
-    converged = add("simulate", simulation_stage(system, ics, SPRING_T_FINAL,
-                                                 CONVERGENCE_TOL, args.out, run))
+    # serves both; after a failed probe the simulation integrates them itself
+    ics = args.cfg["initial_conditions"]
+    probe = probe_stage(system, cert, PROBE_PAIRS, SPRING_T_FINAL, PROBE_SEED, riders=ics)
+    run = probe[0].get("monotone_probe", {}).pop("riders", None)
+    converged = add("simulate", simulation_stage(system, ics, SPRING_T_FINAL, args.out, run))
     checks["three_equilibria"] = len(report["equilibria"]) == 3
     checks["all_converged"] = bool(converged)
-    if probe is not None:
-        checks["monotone_probe"] = bool(add("monotone_probe", probe))
+    checks["monotone_probe"] = bool(add("monotone_probe", probe))
 
     report["tolerances"] = {"convergence": CONVERGENCE_TOL,
                             "probe_classification": CONE_BOUNDARY_BAND,
@@ -428,7 +425,6 @@ def build_parser():
     p = sub.add_parser("simulate", help="integrate trajectories and check convergence")
     p.add_argument("config")
     p.add_argument("--t-final", type=float, default=SPRING_T_FINAL)
-    p.add_argument("--tol", type=float, default=CONVERGENCE_TOL)
     p.add_argument("--out", default="out")
     p.set_defaults(func=cmd_simulate)
 
@@ -445,7 +441,6 @@ def build_parser():
                        help="run the full built-in worked example end to end")
     p.add_argument("--out", default="out")
     p.add_argument("--eps", type=float, default=SPRING_EPS)
-    p.add_argument("--sigma-r", type=float, default=SPRING_SIGMA_R, dest="sigma_r")
     p.set_defaults(func=cmd_reproduce_paper)
 
     return parser
@@ -458,14 +453,14 @@ def main(argv=None):
         return EXIT_USAGE if e.code else EXIT_OK
     try:
         # the numeric flags that must be positive and finite, where a command has them
-        for name in ("t_final", "tol", "pairs"):
+        for name in ("t_final", "pairs"):
             if not 0 < vars(args).get(name, 1) < float("inf"):
                 raise ConfigError(f"--{name.replace('_', '-')} must be positive and "
                                   f"finite, got {vars(args)[name]}")
         if vars(args).get("seed", 0) < 0:
             raise ConfigError(f"--seed must be a non-negative integer, got {args.seed}")
         args.cfg = (load_config(args.config) if "config" in args
-                    else spring_config(eps=args.eps, sigma_r=args.sigma_r))
+                    else spring_config(eps=args.eps))
         args.system = build_system(args.cfg)
         report = new_report(args)
         verdict = args.func(args, report)

@@ -337,21 +337,20 @@ def find_equilibria(sys):
     return found
 
 
-def detect_convergence(traj, equilibria, tol=CONVERGENCE_TOL):
+def detect_convergence(traj, equilibria):
     """Match the trajectory's final state to an equilibrium: the final state
-    must lie within tol of it and the samples of the final quarter of the
-    time span must vary by less than tol. The quarter is taken by time, so
-    an adaptive grid, dense where the steps were small, gets the same check
-    as a uniform one. Returns the matched equilibrium or None."""
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    must lie within CONVERGENCE_TOL of it and the samples of the final
+    quarter of the time span must vary by less than CONVERGENCE_TOL. The
+    quarter is taken by time, so an adaptive grid, dense where the steps were
+    small, gets the same check as a uniform one. Returns the matched
+    equilibrium or None."""
     final = traj.final_state
     t0, t1 = traj.times[0], traj.times[-1]
     tail = traj.states[traj.times >= t0 + 0.75 * (t1 - t0)]
-    if np.abs(tail - final).max() > tol:
+    if np.abs(tail - final).max() > CONVERGENCE_TOL:
         return None
     for q in equilibria:
-        if np.linalg.norm(final - np.asarray(q)) <= tol:
+        if np.linalg.norm(final - np.asarray(q)) <= CONVERGENCE_TOL:
             return np.asarray(q)
     return None
 

@@ -129,7 +129,7 @@ def test_criterion_5_simulation_reproduction():
     verdicts = []
     for j in range(len(ics)):
         traj = Trajectory(times, states[:, j, :])
-        verdicts.append(detect_convergence(traj, equilibria, tol=1e-3))
+        verdicts.append(detect_convergence(traj, equilibria))
     assert time.perf_counter() - start < 60.0
     assert all(v is not None for v in verdicts), \
         f"unconverged initial conditions: {[i for i, v in enumerate(verdicts) if v is None]}"

@@ -1,7 +1,9 @@
+import argparse
 import importlib
 import json
 import os
 import pathlib
+import re
 import subprocess
 import sys
 import warnings
@@ -30,21 +32,22 @@ def spring_cfg_path(tmp_path, **kw):
     return write_cfg(tmp_path, spring_config(**kw))
 
 
+LINEAR_CONFIG = {
+    "spec_version": 1,
+    "kind": "linear",
+    "A": [[0.0]],
+    "B": [[1.0]],
+    "C": [[1.0]],
+    "D": [[-1.0]],
+    "eps": 0.1,
+    "certificate": {"P_r": [[1.0]], "P_f": [[1.0]], "lambda_r": 0.0,
+                    "lambda_f": 0.0, "sigma_r": 0.5, "sigma_f": 1.0, "p": 0},
+    "initial_conditions": [[1.0, 0.0]],
+}
+
+
 def linear_cfg(tmp_path, **overrides):
-    cfg = {
-        "spec_version": 1,
-        "kind": "linear",
-        "A": [[0.0]],
-        "B": [[1.0]],
-        "C": [[1.0]],
-        "D": [[-1.0]],
-        "eps": 0.1,
-        "certificate": {"P_r": [[1.0]], "P_f": [[1.0]], "lambda_r": 0.0,
-                        "lambda_f": 0.0, "sigma_r": 0.5, "sigma_f": 1.0, "p": 0},
-        "initial_conditions": [[1.0, 0.0]],
-    }
-    cfg.update(overrides)
-    return write_cfg(tmp_path, cfg)
+    return write_cfg(tmp_path, {**LINEAR_CONFIG, **overrides})
 
 
 def test_missing_config_exits_1(tmp_path):
@@ -85,8 +88,9 @@ def test_certify_spring_passes(tmp_path, capsys):
 
 
 def test_certify_infeasible_exits_2(tmp_path):
-    code = main(["certify", spring_cfg_path(tmp_path, sigma_r=10.0)])
-    assert code == 2
+    cfg = spring_config()
+    cfg["certificate"]["sigma_r"] = 10.0
+    assert main(["certify", write_cfg(tmp_path, cfg)]) == 2
 
 
 def test_decouple_scalar(tmp_path):
@@ -312,18 +316,7 @@ def test_reproduce_paper_reports_probe_failure(tmp_path, capsys, monkeypatch, er
     rep = json.loads((out / "report.json").read_text())
     assert rep["monotone_probe_error"] == str(error)
     assert rep["checks"]["monotone_probe"] is False
-    assert len(rep["csv_files"]) == 5
-
-
-def test_reproduce_paper_without_certificate_simulates_alone(tmp_path, capsys):
-    # no certificate, so no probe: the trajectories are integrated as simulate does
-    out = tmp_path / "out"
-    assert main(["--no-timestamp", "reproduce-paper", "--sigma-r", "nan",
-                 "--out", str(out)]) == 2
-    assert "certificate_feasible: FAIL" in capsys.readouterr().out
-    rep = json.loads((out / "report.json").read_text())
-    assert "error" in rep["certificate"]
-    assert "monotone_probe" not in rep and "monotone_probe" not in rep["checks"]
+    # without the probe's batch the trajectories are integrated as simulate does
     assert len(rep["csv_files"]) == 5 and len(rep["trajectories"]) == 5
     sim = tmp_path / "sim"
     main(["--no-timestamp", "simulate", spring_cfg_path(tmp_path), "--out", str(sim)])
@@ -509,13 +502,34 @@ def test_newton_meets_zero_divisor_exits_1(tmp_path, capsys):
      "omega interval for x1 must be a finite pair lo < hi, got [False, True]\n"),
     ("monotone-probe", "omega", {"x1": [-3, 3], "x2": ["-3", 3], "z1": [-3, 3]},
      "omega interval for x2 must be a finite pair lo < hi, got ['-3', 3]\n"),
+    ("certify", None, {**LINEAR_CONFIG, "B": [["1"]]}, "B must be numbers, got [['1']]\n"),
+    ("certify", None, {**LINEAR_CONFIG, "B": [[True]]}, "B must be numbers, got [[True]]\n"),
+    ("epsilon-star", None, {**LINEAR_CONFIG, "C": [[False]]},
+     "C must be numbers, got [[False]]\n"),
+    ("certify", None, {**LINEAR_CONFIG, "A": [["-1"]]}, "A must be numbers, got [['-1']]\n"),
+    ("certify", None, {**LINEAR_CONFIG, "A": [[None]]}, "A must be numbers, got [[None]]\n"),
+    ("certify", None, {**LINEAR_CONFIG, "D": {"vertices": [[[-1]], [[True]]]}},
+     "D must be numbers, got [[True]]\n"),
+    ("certify", None, {**LINEAR_CONFIG, "certificate": {
+        **LINEAR_CONFIG["certificate"], "P_r": [["-1"]], "p": 1}},
+     "invalid certificate: P_r must be numbers, got [['-1']]\n"),
+    ("epsilon-star", "certificate", {**spring_config()["certificate"], "P_f": [[True]]},
+     "invalid certificate: P_f must be numbers, got [[True]]\n"),
+    ("simulate", "initial_conditions", [["1", 0, 0]],
+     "initial_conditions must be numbers, got [['1', 0, 0]]\n"),
+    ("simulate", "initial_conditions", [[True, 0, 0]],
+     "initial_conditions must be numbers, got [[True, 0, 0]]\n"),
+    ("decouple", "linearization_point", [0, False, 0],
+     "linearization_point must be numbers, got [0, False, 0]\n"),
 ], ids=["linearization-point", "initial-conditions", "linearization-point-nan",
         "linearization-point-infinity", "initial-conditions-nan", "initial-conditions-infinity",
         "hull-list", "certificate-list", "certificate-rate-list", "config-list",
         "misspelled-omega", "sigma-nan", "sigma-infinity", "lambda-nan", "lambda-infinity",
         "p-fraction", "n_r-fraction", "n_f-bool", "spec-version-bool", "spec-version-float",
         "eps-bool", "eps-string", "sigma-string", "lambda-bool", "sigma-bool", "lambda-string",
-        "omega-bool", "omega-string"])
+        "omega-bool", "omega-string", "B-string", "B-bool", "C-bool", "A-string", "A-null",
+        "D-vertex-bool", "P_r-string", "P_f-bool", "initial-conditions-string",
+        "initial-conditions-bool", "linearization-point-bool"])
 def test_malformed_numeric_field_exits_1(tmp_path, capsys, command, field, value, message):
     # field None: value is the whole config
     cfg = value if field is None else {**spring_config(), field: value}
@@ -597,7 +611,6 @@ def test_bad_omega_exits_1(tmp_path, capsys, kind, command, omega):
 
 @pytest.mark.parametrize("command, flag, value", [("simulate", "--t-final", "0"),
                                                   ("monotone-probe", "--t-final", "0"),
-                                                  ("simulate", "--tol", "0"),
                                                   ("monotone-probe", "--pairs", "0"),
                                                   ("simulate", "--t-final", "inf"),
                                                   ("monotone-probe", "--t-final", "inf")])
@@ -680,15 +693,38 @@ def test_report_key_order(tmp_path, argv, keys):
 
 
 @pytest.mark.parametrize("argv", [["certify"], ["bogus"],
-                                  ["monotone-probe", "x", "--pairs", "abc"]])
-def test_usage_error_exits_1(capsys, argv):
+                                  ["monotone-probe", "x", "--pairs", "abc"],
+                                  ["simulate", "config.json", "--tol", "1e-3"],
+                                  ["reproduce-paper", "--sigma-r", "0.01"]])
+def test_usage_error_exits_1(tmp_path, capsys, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)  # where a command that did run would write
+    linear_cfg(tmp_path)
     assert main(argv) == 1
-    assert "error: " in capsys.readouterr().err  # argparse's own message
+    assert "usage: spdominance" in capsys.readouterr().err  # argparse's own message
 
 
 def test_help_exits_0(capsys):
     assert main(["--help"]) == 0
     assert capsys.readouterr().out.startswith("usage: spdominance")
+
+
+def test_readme_documents_every_flag():
+    # README's "Command line" section names every flag of every subcommand,
+    # and each flag that an spdominance command in README shows is one its
+    # subcommand takes
+    parser = cli.build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    flags = {name: {f for a in parser._actions + p._actions for f in a.option_strings
+                    if f.startswith("--") and f != "--help"}
+             for name, p in sub.choices.items()}
+    readme = (pathlib.Path(__file__).resolve().parent.parent / "README.md").read_text()
+    section = readme.split("\n## Command line\n")[1].split("\n## ")[0]
+    assert set().union(*flags.values()) - set(re.findall(r"--[a-z][a-z-]*", section)) == set()
+    commands = [line.split() for line in readme.splitlines() if line.startswith("spdominance ")]
+    assert commands
+    for words in commands:
+        command = next(w for w in words[1:] if not w.startswith("--"))
+        assert {w for w in words if w.startswith("--")} <= flags[command], words
 
 
 def test_parser_is_built_once(tmp_path, monkeypatch):

@@ -465,13 +465,13 @@ def test_find_equilibria_skips_failed_seeds():
 
 def test_detect_convergence_scalar():
     traj = trajectory(decay_system(), [1.0], (0, 20))
-    match = detect_convergence(traj, [np.zeros(1)], tol=1e-3)
+    match = detect_convergence(traj, [np.zeros(1)])
     assert match is not None and match[0] == 0.0
 
 
 def test_detect_convergence_oscillator_none():
     traj = trajectory(oscillator(), [1.0, 0.0], (0, 10))
-    assert detect_convergence(traj, [np.zeros(2)], tol=1e-3) is None
+    assert detect_convergence(traj, [np.zeros(2)]) is None
 
 
 @pytest.mark.parametrize("t_final, converges", [(8.0, False), (12.0, True)])
@@ -490,7 +490,7 @@ def test_detect_convergence_final_quarter_by_time(grid, t_final, converges):
                                      np.linspace(t_final - split, t_final, 900)]),
     }[grid]
     traj = Trajectory(times, np.exp(-times)[:, None])
-    match = detect_convergence(traj, [np.zeros(1)], tol=1e-3)
+    match = detect_convergence(traj, [np.zeros(1)])
     assert (match is not None) == converges
 
 
