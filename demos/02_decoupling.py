@@ -13,9 +13,9 @@ every (A, D) vertex pair.
 
 import numpy as np
 
-from spdominance import (MatrixPolytope, a_block_hull, build_decoupling, epsilon_star,
-                         full_system_matrix, nonlinear_spring_certificate,
-                         nonlinear_spring_system, reduced_model, solve_chang_lti)
+from spdominance import (build_decoupling, epsilon_star, full_system_matrix, jacobian_hull,
+                         nonlinear_spring_certificate, nonlinear_spring_system,
+                         reduced_model, solve_chang_lti)
 
 A = np.array([[0.0, 1.0], [2.0, 0.0]])
 B = np.array([[0.0], [-5.0]])
@@ -38,14 +38,14 @@ print("off-diagonal residual after transforming:",
       f"{np.linalg.norm(Md[:2, 2:]) + np.linalg.norm(Md[2:, :2]):.2e}")
 print("det T_inv:", np.linalg.det(dec.T_inv))  # always exactly 1
 
-# threshold for the spring example: the A-block hull covers the varying
-# stiffness, its vertices at the ends of the stiffness's interval enclosure
+# threshold for the spring example: the Jacobian hull covers the varying
+# stiffness, its corners at the ends of the stiffness's interval enclosure
 # over omega, and the certificate must hold for both blocks at every
 # (A, D) vertex pair
 cert = nonlinear_spring_certificate()
-A_poly = a_block_hull(nonlinear_spring_system())[0]
-print("stiffness enclosure:", [float(A[1, 0]) for A in A_poly.vertices])
-eps_hat, violations = epsilon_star(A_poly, B, C, MatrixPolytope([D]), cert)
+hull = jacobian_hull(nonlinear_spring_system())
+print("stiffness enclosure:", [float(A[1, 0]) for A in hull[0].vertices])
+eps_hat, violations = epsilon_star(*hull, cert)
 print(f"eps threshold, checked at every (A, D) vertex pair: {eps_hat:.4f}  "
       "(the example runs at 0.01)")
 print("re-check points below it that failed:", violations)

@@ -12,7 +12,7 @@ from .decouple import (ChangDecoupling, build_decoupling, epsilon_star,
                        full_system_matrix, reduced_model, solve_chang_lti)
 from .expressions import diff_expr, interval, parse_expr
 from .systems import (SPRING_INITIAL_CONDITIONS, LinearSPSystem, NonlinearSPSystem,
-                      a_block_hull, jacobians, nonlinear_spring_certificate,
+                      jacobian_hull, jacobians, nonlinear_spring_certificate,
                       nonlinear_spring_system)
 from .integrate import (Trajectory, VariationalTrajectory, detect_convergence,
                         find_equilibria, integrate, integrate_variational,
@@ -28,7 +28,7 @@ __all__ = [
     "full_system_matrix", "reduced_model", "solve_chang_lti",
     "diff_expr", "interval", "parse_expr",
     "SPRING_INITIAL_CONDITIONS", "LinearSPSystem", "NonlinearSPSystem",
-    "a_block_hull", "jacobians",
+    "jacobian_hull", "jacobians",
     "nonlinear_spring_certificate", "nonlinear_spring_system",
     "Trajectory", "VariationalTrajectory", "detect_convergence",
     "find_equilibria", "integrate", "integrate_variational",

@@ -5,13 +5,14 @@ from __future__ import annotations
 
 import numpy as np
 
-from .cone import CONE_BOUNDARY_BAND, cone_ratio, make_cone
+from .cone import CONE_BOUNDARY_BAND, MatrixConeSpec, cone_ratio
 from .decouple import reduced_model
 from .errors import NotScalarParameterized
+from .expressions import free_vars
 from .integrate import CONVERGENCE_TOL, detect_convergence, integrate
 from .linalg import SymMatrix
 from .sampling import sample_cone_pairs
-from .systems import SPRING_T_FINAL, LinearSPSystem, _varying_entries, jacobians
+from .systems import SPRING_T_FINAL, LinearSPSystem, jacobians
 
 PROBE_PAIRS = 100
 PROBE_SEED = 42
@@ -32,8 +33,8 @@ def fast_coupling_gain(sys):
     if isinstance(sys, LinearSPSystem):
         A, B, C, D = sys.fixed_blocks()
     else:
-        varying = [(key, i, j) for key, i, j, _ in _varying_entries(sys)
-                   if key in ("C", "D")]
+        varying = [(key, i, j) for key in "CD" for i, row in enumerate(
+            sys.jacobian_asts()[key]) for j, e in enumerate(row) if free_vars(e)]
         if varying:
             raise NotScalarParameterized(
                 f"fast-block Jacobian entries {varying} vary over omega; "
@@ -47,10 +48,11 @@ def certificate_cone(sys, cert):
     """Cone of the certificate in the original coordinates.
 
     The slow and fast certificates hold in the decoupled coordinates
-    w = T0^{-1} s, so the cone matrix is
-    Q = T0^{-T} blkdiag(P_r, P_f) T0^{-1} with T0^{-1} = [[I, 0], [L0, I]]
-    (see fast_coupling_gain). The eps -> 0 transform is used because it
-    is constant, so one cone serves every Jacobian of the hull.
+    w = T0^{-1} s, so the cone matrix is Q = T0^{-T} blkdiag(P_r, P_f) T0^{-1}
+    with T0^{-1} = [[I, 0], [L0, I]] (see fast_coupling_gain). The eps -> 0
+    transform is used because it is constant, so one cone serves every Jacobian
+    of the hull. T0^{-1} is unit lower-triangular, so Q keeps the inertia the
+    certificate checked for blkdiag(P_r, P_f) (Sylvester's law): rank cert.p.
     """
     cert.check_blocks(sys.n_r, sys.n_f)
     n_r, n_f = cert.n_r, cert.n_f
@@ -59,7 +61,7 @@ def certificate_cone(sys, cert):
     P = np.zeros((n_r + n_f, n_r + n_f))
     P[:n_r, :n_r] = cert.P_r.a
     P[n_r:, n_r:] = cert.P_f.a
-    return make_cone(SymMatrix(T_inv.T @ P @ T_inv))
+    return MatrixConeSpec(SymMatrix(T_inv.T @ P @ T_inv), cert.p)
 
 
 def monotone_probe(sys, cert, n_pairs=PROBE_PAIRS, t_final=SPRING_T_FINAL,

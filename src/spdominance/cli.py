@@ -34,7 +34,7 @@ from .errors import (ConfigError, DimensionMismatch, EvalError, NoConvergence, N
 from .integrate import (CONVERGENCE_TOL, Trajectory, find_equilibria, integrate,
                         write_trajectory_csv)
 from .systems import (SPRING_BOX, SPRING_EPS, SPRING_F, SPRING_G, SPRING_INITIAL_CONDITIONS,
-                      SPRING_T_FINAL, LinearSPSystem, NonlinearSPSystem, a_block_hull,
+                      SPRING_T_FINAL, LinearSPSystem, NonlinearSPSystem, jacobian_hull,
                       jacobians, nonlinear_spring_certificate, state_names)
 
 EXIT_OK = 0
@@ -75,11 +75,16 @@ def _matrix_or_polytope(value, what):
     return MatrixPolytope([numbers(v, what) for v in value["vertices"]])
 
 
+def is_number(v):
+    """Whether v is a JSON number a double holds: no bool, nor an int beyond it."""
+    return type(v) is float or type(v) is int and abs(v) <= _sys.float_info.max
+
+
 def numbers(value, field):
     """A config value, a number or nested lists, as given once each entry is a
-    JSON number, not a bool, a string, null or a ragged row; ConfigError
+    JSON number (is_number), not a string, null or a ragged row; ConfigError
     naming the field otherwise."""
-    if not all(type(v) in (int, float) for v in np.asarray(value, dtype=object).flat):
+    if not all(map(is_number, np.asarray(value, dtype=object).flat)):
         raise ConfigError(f"{field} must be numbers, got {value!r}")
     return value
 
@@ -100,9 +105,9 @@ def integer_field(value, field):
 
 
 def number_field(value, field):
-    """A config value that must be a JSON number, not a bool or a string, as a
-    float; ConfigError otherwise."""
-    if type(value) not in (int, float):
+    """A config value that must be a JSON number (is_number), as a float;
+    ConfigError otherwise."""
+    if not is_number(value):
         raise ConfigError(f"{field} must be a number, got {value!r}")
     return float(value)
 
@@ -141,18 +146,10 @@ def build_certificate(cfg):
         raise ConfigError(f"invalid certificate: {e}")
 
 
-def coupling_inputs(system):
-    """(A polytope, B, C, D polytope) for the eps-threshold search."""
-    if isinstance(system, NonlinearSPSystem):
-        A_poly, B, C, D = a_block_hull(system)
-        return A_poly, B, C, MatrixPolytope([D])
-    return system.A, system.B, system.C, system.D
-
-
 def slow_fast_polytopes(system):
     """Polytopes of reduced-model matrices and fast blocks for certification:
     one reduced matrix A - B D^{-1} C per (A, D) vertex pair."""
-    A_poly, B, C, D_poly = coupling_inputs(system)
+    A_poly, B, C, D_poly = jacobian_hull(system)
     verts = [reduced_model(A, B, C, D)[2]
              for A in A_poly.vertices for D in D_poly.vertices]
     return MatrixPolytope(verts), D_poly
@@ -201,7 +198,7 @@ def _failed(label, error):
 def epsilon_star_stage(system, cert, eps_max=EPS_MAX):
     """The eps threshold and its re-check's violations; the verdict is the threshold."""
     try:
-        eps_hat, violations = epsilon_star(*coupling_inputs(system), cert, eps_max=eps_max)
+        eps_hat, violations = epsilon_star(*jacobian_hull(system), cert, eps_max=eps_max)
     except InfeasibleAtFloor as e:
         return {"epsilon_star": None, **_failed("infeasible", e)}, None
     return {"epsilon_star": eps_hat, "monotone_violations": violations}, eps_hat
@@ -446,6 +443,7 @@ def build_parser():
     return parser
 
 
+@np.errstate(over="raise", divide="raise", invalid="raise")  # a config's overflow exits 1
 def main(argv=None):
     try:
         args = build_parser().parse_args(argv)
@@ -466,7 +464,7 @@ def main(argv=None):
         verdict = args.func(args, report)
         write_report(report, os.path.join(args.out, "report.json") if "out" in args
                      else args.report)
-    except (ConfigError, DimensionMismatch, EvalError, NonpositiveEps,
+    except (ConfigError, DimensionMismatch, EvalError, FloatingPointError, NonpositiveEps,
             NotScalarParameterized, SingularD) as e:
         print(f"config error: {e}", file=_sys.stderr)
         return EXIT_USAGE

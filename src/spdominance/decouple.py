@@ -64,6 +64,8 @@ def reduced_model(A, B, C, D):
     A, B, C, D = _blocks(A, B, C, D)
     _check_nonsingular(D)
     D_inv = np.linalg.inv(D)
+    if not np.isfinite(D_inv).all():  # a tiny D of condition 1 inverts to inf
+        raise SingularD("fast block's inverse overflows")
     L0 = D_inv @ C
     H0 = B @ D_inv
     A0 = A - B @ L0

@@ -48,7 +48,7 @@ class EvalError(ArithmeticError):
 
 
 class NotScalarParameterized(ValueError):
-    """Jacobian varies in more than one entry; two-vertex hull not applicable."""
+    """Jacobian varies in B, C or D, or in over MAX_HULL_ENTRIES entries of A."""
 
 
 class NonFinite(FloatingPointError):

@@ -1,9 +1,10 @@
 """System definitions: nonlinear two-time-scale systems over the expression
-DSL, symbolic Jacobians, scalar-parameter Jacobian hulls enclosed over omega,
+DSL, symbolic Jacobians, the Jacobian hull enclosed over omega,
 damped Newton, and the built-in nonlinear-spring demo system."""
 
 from __future__ import annotations
 
+import itertools
 import warnings
 from dataclasses import dataclass
 
@@ -44,7 +45,7 @@ class _StateSpace:
             try:
                 lo, hi = omega[name] = tuple(np.nan if isinstance(v, (bool, str)) else float(v)
                                              for v in self.omega[name])
-            except (TypeError, ValueError):
+            except (OverflowError, TypeError, ValueError):
                 lo = hi = np.nan
             if not -np.inf < lo < hi < np.inf:
                 raise ConfigError(f"omega interval for {name} must be a finite pair "
@@ -175,37 +176,32 @@ def jacobians(sys, point):
     return J[:n_r, :n_r], J[:n_r, n_r:], J[n_r:, :n_r], J[n_r:, n_r:]
 
 
-def _varying_entries(sys):
-    """Positions of non-constant Jacobian entries, as (block, i, j, ast)."""
-    out = []
-    for key, rows in sys.jacobian_asts().items():
-        for i, row in enumerate(rows):
-            for j, e in enumerate(row):
-                if free_vars(e):
-                    out.append((key, i, j, e))
-    return out
+MAX_HULL_ENTRIES = 8  # varying Jacobian entries a hull encloses, so at most 2^8 corners
 
 
-def a_block_hull(sys):
-    """Hull of the A blocks over omega when at most one Jacobian entry, in A,
-    varies with the state: a vertex at each end of its interval enclosure (one
-    vertex when nothing varies). Returns (A polytope, B, C, D), B, C, D constant."""
-    varying = _varying_entries(sys)
+def jacobian_hull(sys):
+    """(A polytope, B, C, D polytope) over omega: a LinearSPSystem's own blocks,
+    or the Jacobian at omega's center with each varying entry of A at either
+    end of its interval enclosure, one corner per combination (the entries in
+    row-major order). A - B D^{-1} C is affine in A, so with B, C and D constant
+    the corners enclose every reduced matrix over omega; NotScalarParameterized
+    when one of them varies, or more than MAX_HULL_ENTRIES entries of A do."""
+    if isinstance(sys, LinearSPSystem):
+        return sys.A, sys.B, sys.C, sys.D
+    jac = sys.jacobian_asts()
+    for block in "BCD":
+        if any(free_vars(e) for row in jac[block] for e in row):
+            raise NotScalarParameterized(f"varying entry sits in block {block}; the "
+                                         "hull of A0 matrices is only affine in A")
+    rows, cols = np.nonzero([[bool(free_vars(e)) for e in row] for row in jac["A"]])
+    if len(rows) > MAX_HULL_ENTRIES:
+        raise NotScalarParameterized(f"{len(rows)} varying Jacobian entries in A, "
+                                     f"more than MAX_HULL_ENTRIES = {MAX_HULL_ENTRIES}")
     A, B, C, D = jacobians(sys, sys.omega_center())
-    if not varying:
-        return MatrixPolytope([A]), B, C, D
-    if len(varying) > 1:
-        where = [(k, i, j) for k, i, j, _ in varying]
-        raise NotScalarParameterized(f"multiple varying Jacobian entries: {where}")
-    block, i, j, entry_ast = varying[0]
-    if block != "A":
-        raise NotScalarParameterized(
-            f"varying entry sits in block {block}; the hull of A0 matrices "
-            "is only affine in an entry of A")
-    verts = [A.copy(), A.copy()]
-    for Av, val in zip(verts, interval(entry_ast, sys.omega)):
-        Av[i, j] = val
-    return MatrixPolytope(verts), B, C, D
+    ends = [interval(jac["A"][i][j], sys.omega) for i, j in zip(rows, cols)]
+    corners = np.repeat(A[None], 2 ** len(rows), axis=0)
+    corners[:, rows, cols] = list(itertools.product(*ends))
+    return MatrixPolytope(corners), B, C, MatrixPolytope([D])
 
 
 def damped_newton(fun, jac, x, tol, max_iter):

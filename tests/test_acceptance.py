@@ -5,6 +5,7 @@ one pass/fail line per criterion. Runtime budgets are asserted where the
 computation is heavy.
 """
 
+import json
 import time
 
 import numpy as np
@@ -13,7 +14,7 @@ import pytest
 from spdominance.analyze import certificate_cone, monotone_probe
 from spdominance.certify import (MatrixPolytope, SPDominanceCertificate,
                                  certify_polytope, certify_sp, lmi_residual)
-from spdominance.cli import coupling_inputs, slow_fast_polytopes
+from spdominance.cli import build_certificate, build_system, main, slow_fast_polytopes
 from spdominance.decouple import (build_decoupling, epsilon_star,
                                   full_system_matrix, reduced_model,
                                   solve_chang_lti)
@@ -24,7 +25,7 @@ from spdominance.integrate import (Trajectory, detect_convergence,
                                    integrate_variational, make_rhs)
 from spdominance.linalg import SymMatrix, inertia, nsd_margin
 from spdominance.systems import (LinearSPSystem, NonlinearSPSystem,
-                                 SPRING_INITIAL_CONDITIONS, jacobians,
+                                 SPRING_INITIAL_CONDITIONS, jacobian_hull, jacobians,
                                  nonlinear_spring_certificate, nonlinear_spring_system)
 
 from test_decouple import scalar_epsilon_star
@@ -176,15 +177,46 @@ def test_rank_2_cone_end_to_end():
     cert = SPDominanceCertificate(**block, p=2)
     slow, fast = certify_sp(cert, *slow_fast_polytopes(sys_))
     assert (slow.worst_margin, fast.worst_margin) == pytest.approx((-2.5, -7.0), abs=1e-12)
-    eps_hat, violations = epsilon_star(*coupling_inputs(sys_), cert)
+    eps_hat, violations = epsilon_star(*jacobian_hull(sys_), cert)
     assert 0.05 < eps_hat < 1.0 and violations == []  # below eps_max: the search bisects
     assert eps_hat == pytest.approx(0.618267136204145, rel=1e-12, abs=0)
-    assert eps_hat == pytest.approx(scalar_epsilon_star(*coupling_inputs(sys_), cert),
+    assert eps_hat == pytest.approx(scalar_epsilon_star(*jacobian_hull(sys_), cert),
                                     rel=1e-12, abs=0)
     assert certificate_cone(sys_, cert).rank_k == 2
     probe = monotone_probe(sys_, cert, n_pairs=20)
     assert probe["interior"] == probe["total_classifications"] == 4000 and probe["passed"]
     assert time.perf_counter() - start < 10.0
+
+
+# this repo's nonlinear k = 2 example, not the paper's (whose worked example is
+# the k = 1 spring): A[0, 0] and A[1, 1] both vary, each enclosed to about
+# [-1.4803, 0.5] over omega, so the Jacobian hull has 4 corners
+RANK_2_NONLINEAR_CONFIG = {
+    "spec_version": 1, "kind": "nonlinear", "n_r": 3, "n_f": 1, "eps": 0.02,
+    "f": ["2*tanh(x1) - 1.5*x1 - x2 + 0.5*z1", "x1 + 2*tanh(x2) - 1.5*x2", "x1 - 3*x3"],
+    "g": ["x2 - z1"],
+    "omega": {name: [-3.0, 3.0] for name in ("x1", "x2", "x3", "z1")},
+    "certificate": {"P_r": [[-1.0, 0.0, 0.0], [0.0, -1.0, 0.0], [0.0, 0.0, 1.0]],
+                    "P_f": [[1.0]], "lambda_r": 2.0, "lambda_f": 0.5,
+                    "sigma_r": 0.1, "sigma_f": 0.5, "p": 2},
+}
+
+
+def test_rank_2_nonlinear_example(tmp_path):
+    path, report = tmp_path / "config.json", tmp_path / "rep.json"
+    path.write_text(json.dumps(RANK_2_NONLINEAR_CONFIG))
+    sys_ = build_system(RANK_2_NONLINEAR_CONFIG)
+    cert = build_certificate(RANK_2_NONLINEAR_CONFIG)
+    assert len(jacobian_hull(sys_)[0].vertices) == 4
+    assert main(["certify", str(path), "--report", str(report)]) == 0
+    rep = json.loads(report.read_text())["certificate"]
+    assert (rep["slow"]["worst_margin"], rep["fast"]["worst_margin"]) == pytest.approx(
+        (-0.09161849673583634, -0.5), rel=1e-12, abs=0)
+    assert main(["epsilon-star", str(path), "--report", str(report)]) == 0
+    rep = json.loads(report.read_text())
+    assert rep["epsilon_star"] == pytest.approx(0.09813095992690334, rel=1e-12, abs=0)
+    assert rep["monotone_violations"] == []
+    assert certificate_cone(sys_, cert).rank_k == 2
 
 
 def test_criterion_7_lyapunov_decrease():

@@ -1,4 +1,5 @@
 import argparse
+import copy
 import importlib
 import json
 import os
@@ -10,6 +11,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from spdominance import cli
 from spdominance.analyze import PROBE_BOUNDARY_ALLOWANCE, PROBE_SAMPLES, convergence_report
@@ -44,6 +47,9 @@ LINEAR_CONFIG = {
                     "lambda_f": 0.0, "sigma_r": 0.5, "sigma_f": 1.0, "p": 0},
     "initial_conditions": [[1.0, 0.0]],
 }
+
+
+BEYOND_DOUBLE = int("9" * 400)  # a JSON integer that no float holds
 
 
 def linear_cfg(tmp_path, **overrides):
@@ -150,7 +156,7 @@ def test_epsilon_star_spring_exceeds_eps(tmp_path):
 
 
 @pytest.mark.parametrize("command", ["certify", "epsilon-star"])
-@pytest.mark.parametrize("field, value", [("f", ["x2*x2", "7*tanh(x1) - 5*x1 - 5*z1"]),
+@pytest.mark.parametrize("field, value", [("f", ["x2", "7*tanh(x1) - 5*x1 - 5*z1 - z1^3"]),
                                           ("g", ["x2 - z1 - z1^3"])])
 def test_hull_not_scalar_exits_1(tmp_path, capsys, command, field, value):
     cfg = spring_config()
@@ -168,6 +174,16 @@ def test_declared_hull_exits_1(tmp_path, capsys, command):
     assert main([command, write_cfg(tmp_path, cfg)] + extra) == 1
     assert capsys.readouterr().err == (
         "config error: hull is not read: the Jacobian hull is enclosed from f, g and omega\n")
+
+
+@pytest.mark.parametrize("command, overrides", [
+    ("decouple", {"eps": 1e-320}),
+    ("certify", {"certificate": {**LINEAR_CONFIG["certificate"], "P_f": [[1e308]]}})],
+    ids=["eps-tiny", "P_f-huge"])
+def test_floating_point_overflow_exits_1(tmp_path, capsys, command, overrides):
+    # D / eps and the fast block's LMI residual overflow a double: one line, exit 1
+    assert main([command, linear_cfg(tmp_path, **overrides)]) == 1
+    assert capsys.readouterr().err.startswith("config error: overflow encountered in ")
 
 
 def test_decouple_zero_eps_exits_1(tmp_path, capsys):
@@ -241,6 +257,26 @@ def test_simulate_wrong_initial_condition_length_exits_1(tmp_path, capsys):
 def test_singular_fast_block_exits_1(tmp_path, capsys, command):
     assert main([command, linear_cfg(tmp_path, D=[[0.0]])]) == 1
     assert capsys.readouterr().err.startswith("config error: fast block numerically singular")
+
+
+@pytest.mark.parametrize("command", ["certify", "monotone-probe"])
+def test_fast_block_inverse_overflow_exits_1(tmp_path, capsys, command):
+    # D = 1e-320 has condition number 1, but D^-1 overflows to inf: certify used
+    # to exit 2 on a NaN margin, and the probe to raise on an infinite cone
+    assert main([command, linear_cfg(tmp_path, D=[[1e-320]])]) == 1
+    assert capsys.readouterr().err == "config error: fast block's inverse overflows\n"
+
+
+def test_probe_cone_rank_is_the_certificates(tmp_path, capsys):
+    # beside P_f = 2^31 the cone matrix's slow eigenvalues used to count as zero
+    # in a second inertia check, which raised SingularP; the cone now takes the
+    # certificate's rank, and the sampler finds the thin cone exhausted
+    cfg = spring_config()
+    cfg["certificate"]["P_f"] = [[2 ** 31]]
+    path = write_cfg(tmp_path, cfg)
+    assert main(["certify", path]) == 0
+    assert main(["monotone-probe", path]) == 2
+    assert capsys.readouterr().out.splitlines()[-1].startswith("sampling exhausted: ")
 
 
 @pytest.mark.parametrize("command", ["simulate", "monotone-probe", "reproduce-paper"])
@@ -521,6 +557,11 @@ def test_newton_meets_zero_divisor_exits_1(tmp_path, capsys):
      "initial_conditions must be numbers, got [[True, 0, 0]]\n"),
     ("decouple", "linearization_point", [0, False, 0],
      "linearization_point must be numbers, got [0, False, 0]\n"),
+    ("certify", "eps", BEYOND_DOUBLE, "eps must be a number, got 999"),
+    ("certify", None, {**LINEAR_CONFIG, "A": [[BEYOND_DOUBLE]]}, "A must be numbers, got [[999"),
+    ("certify", "certificate", {**spring_config()["certificate"],
+                                "P_r": [[-BEYOND_DOUBLE, 0], [0, 1]]},
+     "invalid certificate: P_r must be numbers, got [[-999"),
 ], ids=["linearization-point", "initial-conditions", "linearization-point-nan",
         "linearization-point-infinity", "initial-conditions-nan", "initial-conditions-infinity",
         "hull-list", "certificate-list", "certificate-rate-list", "config-list",
@@ -529,7 +570,8 @@ def test_newton_meets_zero_divisor_exits_1(tmp_path, capsys):
         "eps-bool", "eps-string", "sigma-string", "lambda-bool", "sigma-bool", "lambda-string",
         "omega-bool", "omega-string", "B-string", "B-bool", "C-bool", "A-string", "A-null",
         "D-vertex-bool", "P_r-string", "P_f-bool", "initial-conditions-string",
-        "initial-conditions-bool", "linearization-point-bool"])
+        "initial-conditions-bool", "linearization-point-bool", "eps-beyond-double",
+        "A-beyond-double", "P_r-beyond-double"])
 def test_malformed_numeric_field_exits_1(tmp_path, capsys, command, field, value, message):
     # field None: value is the whole config
     cfg = value if field is None else {**spring_config(), field: value}
@@ -748,3 +790,52 @@ def test_exit_code_reaches_the_shell(tmp_path, argv, code):
     done = subprocess.run([sys.executable, "-m", "spdominance.cli"] + argv, cwd=tmp_path,
                           env=env, capture_output=True, timeout=120)
     assert done.returncode == code
+
+
+# a 2+1 linear system that certify, epsilon-star and the probe pass, for the fuzz
+LINEAR_2_1_CONFIG = {
+    "spec_version": 1, "kind": "linear", "eps": 0.1,
+    "A": [[-1.0, 0.0], [0.0, -3.0]], "B": [[0.0], [0.1]], "C": [[0.1, 0.0]], "D": [[-1.0]],
+    "certificate": {"P_r": [[-1.0, 0.0], [0.0, 1.0]], "P_f": [[1.0]], "lambda_r": 2.0,
+                    "lambda_f": 0.5, "sigma_r": 0.5, "sigma_f": 0.5, "p": 1},
+    "initial_conditions": [[1.0, 0.0, 0.0]],
+}
+CERTIFICATE_KEYS = ("P_r", "P_f", "lambda_r", "lambda_f", "sigma_r", "sigma_f", "p")
+FUZZ_FIELDS = (
+    [("spring", (key,)) for key in ("spec_version", "n_r", "n_f", "eps", "f", "g", "omega",
+                                    "certificate", "initial_conditions", "linearization_point")]
+    + [("spring", path) for path in (("f", 1), ("g", 0), ("omega", "x1"),
+                                     ("initial_conditions", 0))]
+    + [("linear", (key,)) for key in ("A", "B", "C", "D", "eps", "omega", "certificate",
+                                      "initial_conditions")]
+    + [("linear", path) for path in (("A", 0), ("D", 0), ("initial_conditions", 0))]
+    + [(base, ("certificate", key)) for base in ("spring", "linear") for key in CERTIFICATE_KEYS])
+# -2^31 is not among them: as the linear D it makes simulate grind through ~10^9
+# stability-bound steps rather than fail (ROADMAP item 2)
+ODD_VALUES = [BEYOND_DOUBLE, -BEYOND_DOUBLE, float("nan"), float("-inf"), "x1", "", True, None,
+              {}, {"vertices": []}, [[1.0, 2.0], [3.0]], 2 ** 31, 1e-320, 0, 1e308]
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(field=st.sampled_from(FUZZ_FIELDS), value=st.sampled_from(ODD_VALUES),
+       depth=st.integers(0, 2))
+# the two configs whose probe used to end in SingularP
+@example(field=("spring", ("certificate", "P_f")), value=2 ** 31, depth=2)
+@example(field=("linear", ("D",)), value=1e-320, depth=2)
+def test_config_fuzz_never_raises(tmp_path_factory, field, value, depth):
+    # one field of a working config replaced by an odd value, nested depth lists
+    # deep: every command returns an exit code, whatever the value
+    base, path = field
+    cfg = copy.deepcopy(spring_config() if base == "spring" else LINEAR_2_1_CONFIG)
+    node = cfg
+    for key in path[:-1]:
+        node = node[key]
+    for _ in range(depth):
+        value = [value]
+    node[path[-1]] = value
+    tmp = tmp_path_factory.mktemp("fuzz")
+    config = write_cfg(tmp, cfg)
+    for argv in (["certify"], ["epsilon-star"], ["decouple"],
+                 ["simulate", "--t-final", "0.1", "--out", str(tmp / "out")],
+                 ["monotone-probe", "--pairs", "2", "--t-final", "0.1"]):
+        assert main([argv[0], config] + argv[1:]) in (0, 1, 2)

@@ -15,7 +15,7 @@ from spdominance.decouple import (BISECT_STEPS, CHANG_RESIDUAL_TOL, EPS_FLOOR, E
                                   solve_chang_lti)
 from spdominance.errors import (InfeasibleAtFloor, NoConvergence,
                                 NonpositiveEps, SingularD)
-from spdominance.systems import (LinearSPSystem, a_block_hull, nonlinear_spring_certificate,
+from spdominance.systems import (LinearSPSystem, jacobian_hull, nonlinear_spring_certificate,
                                  nonlinear_spring_system)
 
 A_SPRING = np.array([[0.0, 1.0], [2.0, 0.0]])
@@ -550,13 +550,12 @@ def test_epsilon_star_calls_eig_once_per_round(monkeypatch):
         return eig(a)
 
     monkeypatch.setattr(decouple.np.linalg, "eig", counted)
-    A_poly, B, C, D = a_block_hull(nonlinear_spring_system())
+    hull = jacobian_hull(nonlinear_spring_system())
     cert = nonlinear_spring_certificate()
-    eps_hat, _ = epsilon_star(A_poly, B, C, MatrixPolytope([D]), cert)
+    eps_hat, _ = epsilon_star(*hull, cert)
     assert len(calls) <= 1 + (BISECT_STEPS // 3 - 1) + 1
     monkeypatch.undo()
-    assert eps_hat == pytest.approx(
-        scalar_epsilon_star(A_poly, B, C, MatrixPolytope([D]), cert), rel=1e-12, abs=0)
+    assert eps_hat == pytest.approx(scalar_epsilon_star(*hull, cert), rel=1e-12, abs=0)
 
 
 def count_stacked_solves(monkeypatch):

@@ -9,8 +9,9 @@ from spdominance.cli import slow_fast_polytopes
 from spdominance.decouple import reduced_model
 from spdominance.errors import NonpositiveEps, NotScalarParameterized
 from spdominance.expressions import compile_field, guarded, interval
-from spdominance.systems import (LinearSPSystem, NonlinearSPSystem, a_block_hull,
-                                 damped_newton, jacobians, nonlinear_spring_system)
+from spdominance.systems import (MAX_HULL_ENTRIES, LinearSPSystem, NonlinearSPSystem,
+                                 damped_newton, jacobian_hull, jacobians,
+                                 nonlinear_spring_system)
 
 BOX3 = {"x1": (-3.0, 3.0), "x2": (-3.0, 3.0), "z1": (-3.0, 3.0)}
 SLOPE_LO = 7 * (1 - np.tanh(3.0) ** 2) - 5  # d/dx1 [7 tanh(x1) - 5 x1] at x1 = +-3
@@ -81,14 +82,36 @@ def test_scalar_hull_spring_vertices():
 def test_scalar_hull_constant_system_single_vertex():
     sys_ = NonlinearSPSystem(2, 1, ["x2", "-2*x1 - 3*x2 + z1"], ["-x1 - z1"],
                              0.1, BOX3)
-    hull, _, _, _ = a_block_hull(sys_)
+    hull, _, _, _ = jacobian_hull(sys_)
     assert len(hull.vertices) == 1
 
 
-def test_scalar_hull_rejects_multiple_varying_entries():
+def test_jacobian_hull_corners_in_product_order():
+    # A = [[0, 2 x2], [1 - tanh(x1)^2, 0]]: two varying entries, four corners,
+    # each varying entry at an end of its enclosure, the rest as at the center
     sys_ = NonlinearSPSystem(2, 1, ["x2 * x2", "tanh(x1)"], ["x2 - z1"], 0.1, BOX3)
-    with pytest.raises(NotScalarParameterized):
-        a_block_hull(sys_)
+    hull, B, C, D = jacobian_hull(sys_)
+    jac = sys_.jacobian_asts()["A"]
+    ends = [interval(jac[0][1], sys_.omega), interval(jac[1][0], sys_.omega)]
+    assert ends[0][0] < ends[0][1] and ends[1][0] < ends[1][1]
+    center = jacobians(sys_, sys_.omega_center())
+    varying = np.array([[False, True], [True, False]])
+    assert len(hull.vertices) == 4
+    for corner, (a01, a10) in zip(hull.vertices, itertools.product(*ends)):
+        assert (corner[0, 1], corner[1, 0]) == (a01, a10)
+        assert np.array_equal(corner[~varying], center[0][~varying])
+    for got, want in zip((B, C, D.vertices[0]), center[1:]):
+        assert np.array_equal(got, want)
+
+
+def test_jacobian_hull_rejects_more_than_max_entries():
+    # every entry of the 3 x 3 A block is 2 x_j: 9 varying entries
+    f = ["x1^2 + x2^2 + x3^2"] * 3
+    box = {name: (-1.0, 1.0) for name in ("x1", "x2", "x3", "z1")}
+    sys_ = NonlinearSPSystem(3, 1, f, ["x1 - z1"], 0.1, box)
+    assert MAX_HULL_ENTRIES == 8
+    with pytest.raises(NotScalarParameterized, match="9 varying"):
+        jacobian_hull(sys_)
 
 
 def test_sampled_bounds_within_analytic_range():
@@ -236,14 +259,14 @@ def test_reduced_matrix_agrees_with_manifold_chain_rule():
         assert np.allclose(reduced_model(A, B, C, D)[2], chain, atol=1e-8)
 
 
-def test_a_block_hull_rejects_varying_fast_block():
+def test_jacobian_hull_rejects_varying_fast_block():
     sys_ = NonlinearSPSystem(2, 1, ["x2", "-x1"], ["x2 - z1 - z1^3"], 0.1, BOX3)
     with pytest.raises(NotScalarParameterized, match="block D"):
-        a_block_hull(sys_)
+        jacobian_hull(sys_)
 
 
-def test_a_block_hull_spring():
-    poly, B, C, D = a_block_hull(nonlinear_spring_system())
+def test_jacobian_hull_spring():
+    poly, B, C, D = jacobian_hull(nonlinear_spring_system())
     assert np.allclose(poly.vertices[0], [[0, 1], [SLOPE_LO, 0]], rtol=0, atol=1e-12)
     assert np.allclose(poly.vertices[1], [[0, 1], [2, 0]], rtol=0, atol=1e-12)
     assert np.allclose(B, [[0], [-5]])
