@@ -7,13 +7,13 @@ inequality at the two extreme stiffness matrices certifies it for every
 system in between, because the residual is affine in the system matrix.
 """
 
-from spdominance import (CONE_BOUNDARY_BAND, MatrixPolytope, SymMatrix,
-                         certify_polytope, cone_ratio, inertia, make_cone)
+from spdominance import (CONE_BOUNDARY_BAND, certify_polytope, cone_ratio, inertia,
+                         make_cone, symmetric, vertex_stack)
 
-P_r = SymMatrix([[-5.1987, 3.6260], [3.6260, 6.1987]])
-print("inertia of P_r:", inertia(P_r).as_tuple())   # one negative direction
+P_r = symmetric([[-5.1987, 3.6260], [3.6260, 6.1987]])
+print("inertia of P_r:", inertia(P_r))   # one negative direction
 
-vertices = MatrixPolytope([
+vertices = vertex_stack([
     [[0.0, 1.0], [-5.0, -5.0]],   # stiffest spring
     [[0.0, 1.0], [2.0, -5.0]],    # softest (near the origin)
 ])

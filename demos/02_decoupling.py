@@ -44,7 +44,7 @@ print("det T_inv:", np.linalg.det(dec.T_inv))  # always exactly 1
 # (A, D) vertex pair
 cert = nonlinear_spring_certificate()
 hull = jacobian_hull(nonlinear_spring_system())
-print("stiffness enclosure:", [float(A[1, 0]) for A in hull[0].vertices])
+print("stiffness enclosure:", [float(A[1, 0]) for A in hull[0]])
 eps_hat, violations = epsilon_star(*hull, cert)
 print(f"eps threshold, checked at every (A, D) vertex pair: {eps_hat:.4f}  "
       "(the example runs at 0.01)")

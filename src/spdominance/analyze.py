@@ -10,7 +10,7 @@ from .decouple import reduced_model
 from .errors import NotScalarParameterized
 from .expressions import free_vars
 from .integrate import CONVERGENCE_TOL, detect_convergence, integrate
-from .linalg import SymMatrix
+from .linalg import symmetric
 from .sampling import sample_cone_pairs
 from .systems import SPRING_T_FINAL, LinearSPSystem, jacobians
 
@@ -59,9 +59,9 @@ def certificate_cone(sys, cert):
     T_inv = np.eye(n_r + n_f)
     T_inv[n_r:, :n_r] = fast_coupling_gain(sys)
     P = np.zeros((n_r + n_f, n_r + n_f))
-    P[:n_r, :n_r] = cert.P_r.a
-    P[n_r:, n_r:] = cert.P_f.a
-    return MatrixConeSpec(SymMatrix(T_inv.T @ P @ T_inv), cert.p)
+    P[:n_r, :n_r] = cert.P_r
+    P[n_r:, n_r:] = cert.P_f
+    return MatrixConeSpec(symmetric(T_inv.T @ P @ T_inv), cert.p)
 
 
 def monotone_probe(sys, cert, n_pairs=PROBE_PAIRS, t_final=SPRING_T_FINAL,
@@ -117,7 +117,7 @@ def monotone_probe(sys, cert, n_pairs=PROBE_PAIRS, t_final=SPRING_T_FINAL,
         "cone": {
             "transform": "T0^-1 = [[I, 0], [L0, I]], L0 = D^-1 C (eps -> 0)",
             "L0": L0.tolist(),
-            "matrix": cone_spec.P.a.tolist(),
+            "matrix": cone_spec.P.tolist(),
             "rank_k": cone_spec.rank_k,
             "used_for": "sampling and classification",
         },

@@ -18,38 +18,32 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionMismatch, check_eps
-from .linalg import SymMatrix, _as_sym, eigvalsh_stack, inertia
+from .linalg import eigvalsh_stack, inertia, symmetric
 
 FEASIBILITY_MARGIN = 0.0
 
 
-@dataclass(frozen=True)
-class MatrixPolytope:
-    """Convex hull of square matrices, given by its vertices."""
-
-    vertices: tuple
-
-    def __init__(self, vertices):
-        vs = tuple(np.atleast_2d(np.asarray(v, dtype=float)) for v in vertices)
-        if not vs:
-            raise ValueError("polytope needs at least one vertex")
-        n = vs[0].shape[0]
-        for v in vs:
-            if v.shape != (n, n):
-                raise DimensionMismatch(f"vertex of shape {v.shape}, expected ({n}, {n})")
-        object.__setattr__(self, "vertices", vs)
-
-    @property
-    def n(self):
-        return self.vertices[0].shape[0]
+def vertex_stack(vertices):
+    """A polytope of square matrices, the convex hull of its vertices, as a
+    read-only (k, n, n) stack of them."""
+    vs = [np.atleast_2d(np.asarray(v, dtype=float)) for v in vertices]
+    if not vs:
+        raise ValueError("polytope needs at least one vertex")
+    n = vs[0].shape[0]
+    for v in vs:
+        if v.shape != (n, n):
+            raise DimensionMismatch(f"vertex of shape {v.shape}, expected ({n}, {n})")
+    stack = np.array(vs)
+    stack.flags.writeable = False
+    return stack
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # arrays have no single-bool ==
 class SPDominanceCertificate:
     """Candidate certificate for the slow/fast pair of dominance conditions."""
 
-    P_r: SymMatrix
-    P_f: SymMatrix
+    P_r: np.ndarray
+    P_f: np.ndarray
     lambda_r: float
     lambda_f: float
     sigma_r: float
@@ -57,27 +51,26 @@ class SPDominanceCertificate:
     p: int
 
     def __post_init__(self):
-        object.__setattr__(self, "P_r", _as_sym(self.P_r))
-        object.__setattr__(self, "P_f", _as_sym(self.P_f))
+        object.__setattr__(self, "P_r", symmetric(self.P_r))
+        object.__setattr__(self, "P_f", symmetric(self.P_f))
         if not (0 < self.sigma_r < np.inf and 0 < self.sigma_f < np.inf):  # NaN fails too
             raise ValueError("sigma_r and sigma_f must be positive and finite")
         if not (0 <= self.lambda_r < np.inf and 0 <= self.lambda_f < np.inf):
             raise ValueError("lambda_r and lambda_f must be nonnegative and finite")
         ir = inertia(self.P_r)
-        if ir.as_tuple() != (self.p, 0, self.P_r.n - self.p):
-            raise ValueError(f"inertia of P_r is {ir.as_tuple()}, expected "
-                             f"({self.p}, 0, {self.P_r.n - self.p})")
+        if ir != (self.p, 0, self.n_r - self.p):
+            raise ValueError(f"inertia of P_r is {ir}, expected ({self.p}, 0, {self.n_r - self.p})")
         iff = inertia(self.P_f)
-        if iff.as_tuple() != (0, 0, self.P_f.n):
-            raise ValueError(f"P_f must be positive definite, inertia is {iff.as_tuple()}")
+        if iff != (0, 0, self.n_f):
+            raise ValueError(f"P_f must be positive definite, inertia is {iff}")
 
     @property
     def n_r(self):
-        return self.P_r.n
+        return len(self.P_r)
 
     @property
     def n_f(self):
-        return self.P_f.n
+        return len(self.P_f)
 
     def check_blocks(self, n_r, n_f):
         """DimensionMismatch unless the blocks are n_r and n_f states wide."""
@@ -104,7 +97,7 @@ def _cert_result(margins):
 def lmi_residual(P, A, lam, sigma):
     """S = P*A + A^T*P + 2*lam*P + sigma*I, symmetrized, for each A of a stack
     (..., n, n); the condition holds at an A iff its S <= 0."""
-    P = _as_sym(P).a
+    P = np.asarray(P, dtype=float)
     A = np.atleast_2d(np.asarray(A, dtype=float))
     if A.shape[-2:] != P.shape:
         raise DimensionMismatch(f"A has shape {A.shape}, expected (..., {len(P)}, {len(P)})")
@@ -112,10 +105,11 @@ def lmi_residual(P, A, lam, sigma):
     return 0.5 * (S + S.mT)
 
 
-def certify_polytope(P, polytope, lam, sigma):
-    """Check the dominance residual at every vertex; all margins <= 0
-    certifies the condition on the whole hull (the residual is affine in A)."""
-    S = lmi_residual(P, np.array(polytope.vertices), lam, sigma)
+def certify_polytope(P, vertices, lam, sigma):
+    """Check the dominance residual at every vertex of a (k, n, n) stack; all
+    margins <= 0 certifies the condition on the whole hull (the residual is
+    affine in A)."""
+    S = lmi_residual(P, vertices, lam, sigma)
     return _cert_result(eigvalsh_stack(S)[:, -1])
 
 
@@ -123,7 +117,7 @@ def certify_sp(cert, slow, fast):
     """Verify the slow condition (P_r over the reduced-model polytope) and
     the fast condition (P_f over the fast-block polytope). Both feasible
     means the two-time-scale dominance hypotheses hold."""
-    cert.check_blocks(slow.n, fast.n)
+    cert.check_blocks(slow.shape[-1], fast.shape[-1])
     return (certify_polytope(cert.P_r, slow, cert.lambda_r, cert.sigma_r),
             certify_polytope(cert.P_f, fast, cert.lambda_f, cert.sigma_f))
 

@@ -24,7 +24,7 @@ import numpy as np
 
 from . import __version__
 from .analyze import PROBE_PAIRS, PROBE_SEED, convergence_report, monotone_probe
-from .certify import FEASIBILITY_MARGIN, MatrixPolytope, SPDominanceCertificate, certify_sp
+from .certify import FEASIBILITY_MARGIN, SPDominanceCertificate, certify_sp, vertex_stack
 from .cone import CONE_BOUNDARY_BAND
 from .decouple import (BISECT_STEPS, EPS_FLOOR, EPS_MAX, InfeasibleAtFloor,
                        build_decoupling, chang_residuals, coupling_residual_limit,
@@ -69,10 +69,10 @@ def load_config(path):
 
 def _matrix_or_polytope(value, what):
     if not isinstance(value, dict):
-        return numbers(value, what)
+        return vertex_stack([numbers(value, what)])
     if "vertices" not in value:
         raise ConfigError(f"{what}: polytope object needs a \"vertices\" list")
-    return MatrixPolytope([numbers(v, what) for v in value["vertices"]])
+    return vertex_stack([numbers(v, what) for v in value["vertices"]])
 
 
 def is_number(v):
@@ -147,12 +147,11 @@ def build_certificate(cfg):
 
 
 def slow_fast_polytopes(system):
-    """Polytopes of reduced-model matrices and fast blocks for certification:
+    """Vertex stacks of reduced-model matrices and fast blocks for certification:
     one reduced matrix A - B D^{-1} C per (A, D) vertex pair."""
-    A_poly, B, C, D_poly = jacobian_hull(system)
-    verts = [reduced_model(A, B, C, D)[2]
-             for A in A_poly.vertices for D in D_poly.vertices]
-    return MatrixPolytope(verts), D_poly
+    A_vertices, B, C, D_vertices = jacobian_hull(system)
+    return np.array([reduced_model(A, B, C, D)[2]
+                     for A in A_vertices for D in D_vertices]), D_vertices
 
 
 # -- reports ----------------------------------------------------------------
@@ -259,8 +258,9 @@ def cmd_decouple(args, report):
     system = args.system
     eps = args.eps if args.eps is not None else system.eps
     if isinstance(system, NonlinearSPSystem):
-        point = args.cfg.get("linearization_point") or [0.0] * system.dim
-        A, B, C, D = jacobians(system, numeric_field(point, "linearization_point"))
+        point = args.cfg.get("linearization_point")  # the origin when absent or null
+        A, B, C, D = jacobians(system, np.zeros(system.dim) if point is None
+                               else numeric_field(point, "linearization_point"))
     else:
         A, B, C, D = system.fixed_blocks()
     report["eps"] = eps
@@ -343,7 +343,7 @@ def spring_config(eps=SPRING_EPS):
         "g": list(SPRING_G),
         "omega": {n: [-SPRING_BOX, SPRING_BOX] for n in state_names(2, 1)},
         "certificate": {
-            "P_r": cert.P_r.a.tolist(), "P_f": cert.P_f.a.tolist(),
+            "P_r": cert.P_r.tolist(), "P_f": cert.P_f.tolist(),
             "lambda_r": cert.lambda_r, "lambda_f": cert.lambda_f,
             "sigma_r": cert.sigma_r, "sigma_f": cert.sigma_f, "p": cert.p,
         },

@@ -13,19 +13,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateCone, DimensionMismatch, SingularP
-from .linalg import SymMatrix, _as_sym, inertia
+from .linalg import inertia, symmetric
 
 CONE_BOUNDARY_BAND = 1e-9
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # arrays have no single-bool ==
 class MatrixConeSpec:
-    P: SymMatrix
+    P: np.ndarray
     rank_k: int
-
-    @property
-    def n(self):
-        return self.P.n
 
 
 def make_cone(P):
@@ -34,20 +30,20 @@ def make_cone(P):
     rank_k = 0 (positive-definite P) is admitted; it expresses plain
     asymptotic stability with the same machinery.
     """
-    P = _as_sym(P)
-    ine = inertia(P)
-    if ine.zero > 0:
-        raise SingularP(f"P has {ine.zero} eigenvalue(s) at numerical zero; cone degenerate")
-    if ine.neg == P.n:
+    P = symmetric(P)
+    neg, zero, _ = inertia(P)
+    if zero > 0:
+        raise SingularP(f"P has {zero} eigenvalue(s) at numerical zero; cone degenerate")
+    if neg == len(P):
         raise DegenerateCone("P is negative definite; the cone is all of R^n")
-    return MatrixConeSpec(P=P, rank_k=ine.neg)
+    return MatrixConeSpec(P=P, rank_k=neg)
 
 
 def cone_ratio(cone, v):
     """v^T P v / ||v||^2 over the last axis of v, 0 for a zero vector."""
     v = np.asarray(v, dtype=float)
-    if v.shape[-1:] != (cone.n,):
-        raise DimensionMismatch(f"vectors of shape {v.shape} vs cone in dimension {cone.n}")
-    q = ((v @ cone.P.a) * v).sum(axis=-1)
+    if v.shape[-1:] != (len(cone.P),):
+        raise DimensionMismatch(f"vectors of shape {v.shape} vs cone in dimension {len(cone.P)}")
+    q = ((v @ cone.P) * v).sum(axis=-1)
     nrm2 = (v * v).sum(axis=-1)
     return q / np.where(nrm2 > 0, nrm2, 1.0)  # q is 0 for a zero v

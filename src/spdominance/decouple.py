@@ -53,19 +53,22 @@ def _blocks(A, B, C, D):
 
 
 def _check_nonsingular(D):
+    """D^{-1} of a fast block, or of each in a stack; SingularD where one is
+    numerically singular or its inverse overflows."""
     rcond = np.min(1.0 / np.linalg.cond(D))  # of the worst matrix in a stack
     if not np.isfinite(rcond) or rcond < RCOND_MIN:
         raise SingularD(f"fast block numerically singular (rcond={rcond:.2e})")
+    D_inv = np.linalg.inv(D)
+    if not np.isfinite(D_inv).all():  # a tiny D of condition 1 inverts to inf
+        raise SingularD("fast block's inverse overflows")
+    return D_inv
 
 
 def reduced_model(A, B, C, D):
     """Zero-perturbation quantities: L0 = D^{-1} C, H0 = B D^{-1},
     A0 = A - B L0 (the slow/reduced system matrix)."""
     A, B, C, D = _blocks(A, B, C, D)
-    _check_nonsingular(D)
-    D_inv = np.linalg.inv(D)
-    if not np.isfinite(D_inv).all():  # a tiny D of condition 1 inverts to inf
-        raise SingularD("fast block's inverse overflows")
+    D_inv = _check_nonsingular(D)
     L0 = D_inv @ C
     H0 = B @ D_inv
     A0 = A - B @ L0
@@ -182,9 +185,10 @@ def full_system_matrix(A, B, C, D, eps):
     return np.block([[A, B], [C / eps, D / eps]])
 
 
-def epsilon_star(A_polytope, B, C, D_polytope, cert, eps_max=EPS_MAX):
+def epsilon_star(A_vertices, B, C, D_vertices, cert, eps_max=EPS_MAX):
     """Bisect for the largest eps in [EPS_FLOOR, eps_max] at which the
-    proof-level block conditions are feasible at every (A, D) vertex pair.
+    proof-level block conditions are feasible at every (A, D) vertex pair of
+    the (k, n, n) stacks A_vertices and D_vertices.
 
     Each round evaluates, over every vertex pair in one stacked solve, the
     next 3 levels of the bisection tree below [lo, hi], 7 midpoints, and below
@@ -213,10 +217,10 @@ def epsilon_star(A_polytope, B, C, D_polytope, cert, eps_max=EPS_MAX):
     check_eps(eps_max)
     if eps_max < EPS_FLOOR:
         raise NonpositiveEps(f"eps_max {eps_max} is below the floor EPS_FLOOR = {EPS_FLOOR}")
-    A, B, C, D = zip(*(_blocks(A_v, B, C, D_v) for A_v in A_polytope.vertices
-                       for D_v in D_polytope.vertices))
-    _check_nonsingular(np.array(D_polytope.vertices))
-    A, B, C, D = np.array(A), B[0], C[0], np.array(D)
+    _, B, C, _ = _blocks(A_vertices[0], B, C, D_vertices[0])
+    _check_nonsingular(D_vertices)
+    A = np.repeat(A_vertices, len(D_vertices), axis=0)  # every (A, D) vertex pair, A-major
+    D = np.tile(D_vertices, (len(A_vertices), 1, 1))
     cert.check_blocks(A.shape[-1], D.shape[-1])
     seen = {}  # eps -> (worst margin, least closing measure) over every vertex pair
 

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .certify import MatrixPolytope
+from .certify import vertex_stack
 from .errors import ConfigError, DimensionMismatch, NotScalarParameterized, check_eps
 from .expressions import compile_field, diff_expr, free_vars, guarded, interval, parse_expr
 
@@ -33,13 +33,13 @@ class _StateSpace:
 
     def _check_omega(self):
         """Set omega to {name: (lo, hi)}, [-1, 1] in every state when omega is
-        empty or None. Raises ConfigError unless omega maps exactly the
+        None. Raises ConfigError unless omega is a dict that maps exactly the
         state names, each to a finite pair lo < hi of numbers (no bool or str)."""
-        if not self.omega:
+        if self.omega is None:
             self.omega = {name: (-1.0, 1.0) for name in self.names}
         if not isinstance(self.omega, dict) or set(self.omega) != set(self.names):
-            raise ConfigError(f"omega must name exactly the states {self.names}, "
-                              f"got {list(self.omega)}")
+            got = list(self.omega) if isinstance(self.omega, dict) else self.omega
+            raise ConfigError(f"omega must name exactly the states {self.names}, got {got!r}")
         omega = {}
         for name in self.names:
             try:
@@ -111,8 +111,8 @@ class NonlinearSPSystem(_StateSpace):
 
 @dataclass
 class LinearSPSystem(_StateSpace):
-    """dx/dt = A x + B z, eps * dz/dt = C x + D z. A and D may be matrix
-    polytopes (vertex lists); B and C are fixed."""
+    """dx/dt = A x + B z, eps * dz/dt = C x + D z. A and D are vertex stacks, of
+    which a value of at most 2 dimensions is one vertex; B and C are fixed."""
 
     A: object
     B: np.ndarray
@@ -123,33 +123,30 @@ class LinearSPSystem(_StateSpace):
 
     def __post_init__(self):
         check_eps(self.eps)
-        if not isinstance(self.A, MatrixPolytope):
-            self.A = MatrixPolytope([self.A])
-        if not isinstance(self.D, MatrixPolytope):
-            self.D = MatrixPolytope([self.D])
+        self.A, self.D = (vertex_stack(m if np.ndim(m) == 3 else [m]) for m in (self.A, self.D))
         self.B, self.C = (np.atleast_2d(np.asarray(m, dtype=float))
                           for m in (self.B, self.C))
-        n_r, n_f = self.A.n, self.D.n
+        n_r, n_f = self.n_r, self.n_f
         if self.B.shape != (n_r, n_f) or self.C.shape != (n_f, n_r):
             raise DimensionMismatch(
                 f"B{self.B.shape} / C{self.C.shape} inconsistent with n_r={n_r}, n_f={n_f}")
-        for name, blocks in zip("ABCD", (self.A.vertices, [self.B], [self.C], self.D.vertices)):
+        for name, blocks in zip("ABCD", (self.A, self.B, self.C, self.D)):
             if not np.isfinite(blocks).all():
                 raise ValueError(f"{name} must be finite, got a NaN or infinite entry")
         self._check_omega()
 
     @property
     def n_r(self):
-        return self.A.n
+        return self.A.shape[-1]
 
     @property
     def n_f(self):
-        return self.D.n
+        return self.D.shape[-1]
 
     def fixed_blocks(self):
-        if len(self.A.vertices) > 1 or len(self.D.vertices) > 1:
+        if len(self.A) > 1 or len(self.D) > 1:
             raise ConfigError("system has polytopic blocks; pick a vertex explicitly")
-        return self.A.vertices[0], self.B, self.C, self.D.vertices[0]
+        return self.A[0], self.B, self.C, self.D[0]
 
 
 def jacobian_kernel(sys):
@@ -180,7 +177,7 @@ MAX_HULL_ENTRIES = 8  # varying Jacobian entries a hull encloses, so at most 2^8
 
 
 def jacobian_hull(sys):
-    """(A polytope, B, C, D polytope) over omega: a LinearSPSystem's own blocks,
+    """(A stack, B, C, D stack) over omega: a LinearSPSystem's own blocks,
     or the Jacobian at omega's center with each varying entry of A at either
     end of its interval enclosure, one corner per combination (the entries in
     row-major order). A - B D^{-1} C is affine in A, so with B, C and D constant
@@ -201,7 +198,7 @@ def jacobian_hull(sys):
     ends = [interval(jac["A"][i][j], sys.omega) for i, j in zip(rows, cols)]
     corners = np.repeat(A[None], 2 ** len(rows), axis=0)
     corners[:, rows, cols] = list(itertools.product(*ends))
-    return MatrixPolytope(corners), B, C, MatrixPolytope([D])
+    return corners, B, C, D[None]
 
 
 def damped_newton(fun, jac, x, tol, max_iter):

@@ -12,8 +12,8 @@ import numpy as np
 import pytest
 
 from spdominance.analyze import certificate_cone, monotone_probe
-from spdominance.certify import (MatrixPolytope, SPDominanceCertificate,
-                                 certify_polytope, certify_sp, lmi_residual)
+from spdominance.certify import (SPDominanceCertificate, certify_polytope,
+                                 certify_sp, lmi_residual, vertex_stack)
 from spdominance.cli import build_certificate, build_system, main, slow_fast_polytopes
 from spdominance.decouple import (build_decoupling, epsilon_star,
                                   full_system_matrix, reduced_model,
@@ -23,7 +23,7 @@ from spdominance.expressions import compile_field
 from spdominance.integrate import (Trajectory, detect_convergence,
                                    find_equilibria, integrate,
                                    integrate_variational, make_rhs)
-from spdominance.linalg import SymMatrix, inertia, nsd_margin
+from spdominance.linalg import inertia, nsd_margin, symmetric
 from spdominance.systems import (LinearSPSystem, NonlinearSPSystem,
                                  SPRING_INITIAL_CONDITIONS, jacobian_hull, jacobians,
                                  nonlinear_spring_certificate, nonlinear_spring_system)
@@ -39,23 +39,23 @@ M_HI = [[0.0, 1.0], [2.0, -5.0]]
 
 def test_criterion_1_worked_example_certificate():
     start = time.perf_counter()
-    P = SymMatrix(P_R)
+    P = symmetric(P_R)
     for M in (M_LO, M_HI):
         S = lmi_residual(P, M, 2.0, 0.01)
         margin = nsd_margin(S)
         assert margin <= 1e-9
         assert margin == pytest.approx(quad_eig_oracle(S)[-1], abs=1e-12)
-    fast = lmi_residual(SymMatrix([[1.0]]), [[-1.0]], 0.5, 1.0)
+    fast = lmi_residual(symmetric([[1.0]]), [[-1.0]], 0.5, 1.0)
     assert nsd_margin(fast) == pytest.approx(0.0, abs=1e-12)
     assert time.perf_counter() - start < 1.0
 
 
 def test_criterion_2_inertia():
-    assert inertia(SymMatrix(P_R)).as_tuple() == (1, 0, 1)
+    assert inertia(symmetric(P_R)) == (1, 0, 1)
     block = np.zeros((3, 3))
     block[:2, :2] = P_R
     block[2, 2] = 1.0
-    assert inertia(SymMatrix(block)).as_tuple() == (1, 0, 2)
+    assert inertia(symmetric(block)) == (1, 0, 2)
 
 
 def test_criterion_3_chang_solver():
@@ -90,19 +90,19 @@ def test_criterion_3_chang_solver():
 def test_criterion_4_eps_threshold_search():
     start = time.perf_counter()
     cert = nonlinear_spring_certificate()
-    A_poly = MatrixPolytope([[[0.0, 1.0], [-5.0, 0.0]], [[0.0, 1.0], [2.0, 0.0]]])
+    A_poly = vertex_stack([[[0.0, 1.0], [-5.0, 0.0]], [[0.0, 1.0], [2.0, 0.0]]])
     eps_hat, _ = epsilon_star(A_poly, [[0.0], [-5.0]], [[0.0, 1.0]],
-                              MatrixPolytope([[[-1.0]]]), cert)
+                              vertex_stack([[[-1.0]]]), cert)
     assert eps_hat >= 0.01
 
     flat = SPDominanceCertificate(P_r=np.eye(2), P_f=[[1.0]], lambda_r=0.0,
                                   lambda_f=0.0, sigma_r=1.0, sigma_f=1.0, p=0)
-    assert epsilon_star(MatrixPolytope([-np.eye(2)]), np.zeros((2, 1)),
-                        np.zeros((1, 2)), MatrixPolytope([[[-2.0]]]),
+    assert epsilon_star(vertex_stack([-np.eye(2)]), np.zeros((2, 1)),
+                        np.zeros((1, 2)), vertex_stack([[[-2.0]]]),
                         flat)[0] == pytest.approx(1.0)
     with pytest.raises(InfeasibleAtFloor):
-        epsilon_star(MatrixPolytope([-np.eye(2)]), np.zeros((2, 1)),
-                     np.zeros((1, 2)), MatrixPolytope([[[1.0]]]), flat)
+        epsilon_star(vertex_stack([-np.eye(2)]), np.zeros((2, 1)),
+                     np.zeros((1, 2)), vertex_stack([[[1.0]]]), flat)
     assert time.perf_counter() - start < 10.0
 
 
@@ -207,7 +207,7 @@ def test_rank_2_nonlinear_example(tmp_path):
     path.write_text(json.dumps(RANK_2_NONLINEAR_CONFIG))
     sys_ = build_system(RANK_2_NONLINEAR_CONFIG)
     cert = build_certificate(RANK_2_NONLINEAR_CONFIG)
-    assert len(jacobian_hull(sys_)[0].vertices) == 4
+    assert len(jacobian_hull(sys_)[0]) == 4
     assert main(["certify", str(path), "--report", str(report)]) == 0
     rep = json.loads(report.read_text())["certificate"]
     assert (rep["slow"]["worst_margin"], rep["fast"]["worst_margin"]) == pytest.approx(
@@ -231,7 +231,7 @@ def test_criterion_7_lyapunov_decrease():
             (n, n), order="F")
         P = 0.5 * (P + P.T)
         sigma = 0.5
-        cert = certify_polytope(SymMatrix(P), MatrixPolytope([A]), 0.0, sigma)
+        cert = certify_polytope(symmetric(P), vertex_stack([A]), 0.0, sigma)
         assert cert.feasible
 
         sys_ = NonlinearSPSystem(

@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
-from spdominance.certify import (MatrixPolytope, SPDominanceCertificate,
-                                 block_conditions, certify_polytope,
-                                 certify_sp, lmi_residual)
+from spdominance.certify import (SPDominanceCertificate, block_conditions,
+                                 certify_polytope, certify_sp, lmi_residual,
+                                 vertex_stack)
 from spdominance.errors import DimensionMismatch, NonpositiveEps
-from spdominance.linalg import SymMatrix, nsd_margin
+from spdominance.linalg import nsd_margin, symmetric
 
 from test_linalg import quad_eig_oracle
 
@@ -20,30 +20,30 @@ def spring_cert(sigma_r=0.01):
 
 
 def test_lmi_residual_scalar():
-    S = lmi_residual(SymMatrix([[1.0]]), [[-1.0]], 0.0, 1.0)
+    S = lmi_residual(symmetric([[1.0]]), [[-1.0]], 0.0, 1.0)
     assert S[0, 0] == pytest.approx(-1.0)
 
 
 def test_lmi_residual_fast_block_boundary():
-    S = lmi_residual(SymMatrix([[1.0]]), [[-1.0]], 0.5, 1.0)
+    S = lmi_residual(symmetric([[1.0]]), [[-1.0]], 0.5, 1.0)
     assert S[0, 0] == pytest.approx(0.0, abs=1e-15)
 
 
 def test_lmi_residual_spring_slow_vs_oracle():
-    S = lmi_residual(SymMatrix(P_R), M_HI, 2.0, 0.01)
+    S = lmi_residual(symmetric(P_R), M_HI, 2.0, 0.01)
     margin = nsd_margin(S)
     assert margin <= 0.0
     assert margin == pytest.approx(quad_eig_oracle(S)[-1], rel=1e-12)
 
 
 def test_certify_polytope_trivial():
-    res = certify_polytope(SymMatrix(np.eye(2)), MatrixPolytope([-np.eye(2)]), 0.0, 1.0)
+    res = certify_polytope(symmetric(np.eye(2)), vertex_stack([-np.eye(2)]), 0.0, 1.0)
     assert res.feasible
     assert res.worst_margin == pytest.approx(-1.0)
 
 
 def test_certify_polytope_spring_vertices():
-    res = certify_polytope(SymMatrix(P_R), MatrixPolytope([M_LO, M_HI]), 2.0, 0.01)
+    res = certify_polytope(symmetric(P_R), vertex_stack([M_LO, M_HI]), 2.0, 0.01)
     assert res.feasible
     assert all(m <= 0 for m in res.margins)
 
@@ -54,13 +54,13 @@ def test_certify_polytope_outside_slope_range():
     P = np.array(P_R)
     S = P @ A + A.T @ P + 4.0 * P + 0.01 * np.eye(2)
     expect = quad_eig_oracle(S)[-1]
-    res = certify_polytope(SymMatrix(P_R), MatrixPolytope([A]), 2.0, 0.01)
+    res = certify_polytope(symmetric(P_R), vertex_stack([A]), 2.0, 0.01)
     assert res.worst_margin == pytest.approx(expect, rel=1e-12)
     assert res.feasible == (expect <= 0)
 
 
 def test_certify_polytope_nan_vertex_infeasible():
-    res = certify_polytope(P_R, MatrixPolytope([M_LO, [[np.nan, 1.0], [2.0, -5.0]]]),
+    res = certify_polytope(P_R, vertex_stack([M_LO, [[np.nan, 1.0], [2.0, -5.0]]]),
                            2.0, 0.01)
     assert not res.feasible
     assert res.worst_vertex == 1
@@ -68,8 +68,8 @@ def test_certify_polytope_nan_vertex_infeasible():
 
 
 def test_certify_sp_spring():
-    slow, fast = certify_sp(spring_cert(), MatrixPolytope([M_LO, M_HI]),
-                            MatrixPolytope([[[-1.0]]]))
+    slow, fast = certify_sp(spring_cert(), vertex_stack([M_LO, M_HI]),
+                            vertex_stack([[[-1.0]]]))
     assert slow.feasible and fast.feasible
     assert fast.worst_margin == pytest.approx(0.0, abs=1e-12)
 
@@ -77,16 +77,16 @@ def test_certify_sp_spring():
 def test_certify_sp_stability_case():
     cert = SPDominanceCertificate(P_r=np.eye(2), P_f=np.eye(2), lambda_r=0.0,
                                   lambda_f=0.0, sigma_r=1.0, sigma_f=1.0, p=0)
-    slow, fast = certify_sp(cert, MatrixPolytope([-np.eye(2)]),
-                            MatrixPolytope([-np.eye(2)]))
+    slow, fast = certify_sp(cert, vertex_stack([-np.eye(2)]),
+                            vertex_stack([-np.eye(2)]))
     assert slow.feasible and fast.feasible
 
 
 def test_certify_sp_unstable_fast_block():
     cert = SPDominanceCertificate(P_r=[[1.0]], P_f=[[1.0]], lambda_r=0.0,
                                   lambda_f=0.0, sigma_r=1.0, sigma_f=1.0, p=0)
-    _, fast = certify_sp(cert, MatrixPolytope([[[-1.0]]]),
-                         MatrixPolytope([[[1.0]]]))
+    _, fast = certify_sp(cert, vertex_stack([[[-1.0]]]),
+                         vertex_stack([[[1.0]]]))
     assert not fast.feasible
     assert fast.worst_margin == pytest.approx(2.0 + 1.0)  # 2 + 2*lam_f + sigma_f
 
@@ -145,7 +145,7 @@ def test_block_conditions_rejects_bad_eps():
 
 def test_residual_affine_in_A():
     rng = np.random.default_rng(17)
-    P = SymMatrix(P_R)
+    P = symmetric(P_R)
     A1 = rng.standard_normal((2, 2))
     A2 = rng.standard_normal((2, 2))
     for alpha in rng.uniform(0, 1, 5):
@@ -157,32 +157,32 @@ def test_residual_affine_in_A():
 
 def test_hull_points_feasible_when_vertices_feasible():
     rng = np.random.default_rng(23)
-    P = SymMatrix(P_R)
+    P = symmetric(P_R)
     for alpha in rng.uniform(0, 1, 5):
         A = alpha * np.array(M_LO) + (1 - alpha) * np.array(M_HI)
         assert nsd_margin(lmi_residual(P, A, 2.0, 0.01)) <= 1e-12
 
 
 def test_margin_shift_in_sigma():
-    base = certify_polytope(SymMatrix(P_R), MatrixPolytope([M_LO, M_HI]), 2.0, 0.01)
-    shifted = certify_polytope(SymMatrix(P_R), MatrixPolytope([M_LO, M_HI]), 2.0, 0.51)
+    base = certify_polytope(symmetric(P_R), vertex_stack([M_LO, M_HI]), 2.0, 0.01)
+    shifted = certify_polytope(symmetric(P_R), vertex_stack([M_LO, M_HI]), 2.0, 0.51)
     assert shifted.worst_margin - base.worst_margin == pytest.approx(0.5, abs=1e-10)
 
 
 def test_dimension_mismatch():
     with pytest.raises(DimensionMismatch):
-        lmi_residual(SymMatrix(np.eye(2)), np.eye(3), 0.0, 1.0)
+        lmi_residual(symmetric(np.eye(2)), np.eye(3), 0.0, 1.0)
     with pytest.raises(DimensionMismatch):
-        certify_polytope(SymMatrix(np.eye(3)), MatrixPolytope([np.eye(2)]), 0.0, 1.0)
+        certify_polytope(symmetric(np.eye(3)), vertex_stack([np.eye(2)]), 0.0, 1.0)
     with pytest.raises(DimensionMismatch, match=r"certificate blocks 2\+1 vs system 3\+1"):
-        certify_sp(spring_cert(), MatrixPolytope([np.eye(3)]), MatrixPolytope([[[-1.0]]]))
+        certify_sp(spring_cert(), vertex_stack([np.eye(3)]), vertex_stack([[[-1.0]]]))
 
 
 def per_vertex_margin(P, A, lam, sigma):
     """The residual's largest eigenvalue for one vertex, formed as a single
-    matrix and symmetrized through SymMatrix: the reference that the stacked
+    matrix and symmetrized through symmetric: the reference that the stacked
     lmi_residual must reproduce bit for bit."""
-    return nsd_margin(SymMatrix(P @ A + A.T @ P + 2.0 * lam * P + sigma * np.eye(len(P))))
+    return nsd_margin(symmetric(P @ A + A.T @ P + 2.0 * lam * P + sigma * np.eye(len(P))))
 
 
 def random_polytope_cases():
@@ -190,16 +190,16 @@ def random_polytope_cases():
     for n in range(1, 9):
         for k in range(1, 5):
             X = rng.standard_normal((n, n))
-            P = SymMatrix(X + X.T).a
+            P = symmetric(X + X.T)
             yield P, rng.standard_normal((k, n, n)), rng.uniform(0.0, 2.0), rng.uniform(0.0, 1.0)
-    P, vertices = SymMatrix(P_R).a, np.array([M_LO, M_HI, M_HI])
+    P, vertices = symmetric(P_R), np.array([M_LO, M_HI, M_HI])
     vertices[1, 1, 0] = np.nan
     yield P, vertices, 2.0, 0.01
 
 
 def test_certify_polytope_matches_per_vertex_reference():
     for P, vertices, lam, sigma in random_polytope_cases():
-        res = certify_polytope(P, MatrixPolytope(vertices), lam, sigma)
+        res = certify_polytope(P, vertex_stack(vertices), lam, sigma)
         expect = [per_vertex_margin(P, A, lam, sigma) for A in vertices]
         assert np.array_equal(res.margins, expect, equal_nan=True)
         assert all(type(m) is float for m in res.margins)
@@ -228,7 +228,7 @@ def test_one_eigvalsh_call_per_polytope(monkeypatch):
 
     cert = spring_cert()
     monkeypatch.setattr(np.linalg, "eigvalsh", counted)
-    certify_polytope(P_R, MatrixPolytope([M_LO, M_HI, M_LO]), 2.0, 0.01)
+    certify_polytope(P_R, vertex_stack([M_LO, M_HI, M_LO]), 2.0, 0.01)
     assert calls == [(3, 2, 2)]
-    certify_sp(cert, MatrixPolytope([M_LO, M_HI]), MatrixPolytope([[[-1.0]]]))
+    certify_sp(cert, vertex_stack([M_LO, M_HI]), vertex_stack([[[-1.0]]]))
     assert calls[1:] == [(2, 2, 2), (1, 1, 1)]

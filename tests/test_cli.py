@@ -259,10 +259,11 @@ def test_singular_fast_block_exits_1(tmp_path, capsys, command):
     assert capsys.readouterr().err.startswith("config error: fast block numerically singular")
 
 
-@pytest.mark.parametrize("command", ["certify", "monotone-probe"])
+@pytest.mark.parametrize("command", ["certify", "monotone-probe", "epsilon-star", "decouple"])
 def test_fast_block_inverse_overflow_exits_1(tmp_path, capsys, command):
     # D = 1e-320 has condition number 1, but D^-1 overflows to inf: certify used
-    # to exit 2 on a NaN margin, and the probe to raise on an infinite cone
+    # to exit 2 on a NaN margin, the probe to raise on an infinite cone, and
+    # epsilon-star and decouple to exit 2 as infeasible or without a modulus gap
     assert main([command, linear_cfg(tmp_path, D=[[1e-320]])]) == 1
     assert capsys.readouterr().err == "config error: fast block's inverse overflows\n"
 
@@ -562,6 +563,20 @@ def test_newton_meets_zero_divisor_exits_1(tmp_path, capsys):
     ("certify", "certificate", {**spring_config()["certificate"],
                                 "P_r": [[-BEYOND_DOUBLE, 0], [0, 1]]},
      "invalid certificate: P_r must be numbers, got [[-999"),
+    # a falsy omega or linearization point used to become the default
+    ("certify", "omega", False, "omega must name exactly the states ['x1', 'x2', 'z1'], "
+     "got False\n"),
+    ("certify", "omega", 0, "omega must name exactly the states ['x1', 'x2', 'z1'], got 0\n"),
+    ("epsilon-star", "omega", "", "omega must name exactly the states ['x1', 'x2', 'z1'], "
+     "got ''\n"),
+    ("certify", "omega", [], "omega must name exactly the states ['x1', 'x2', 'z1'], got []\n"),
+    ("monotone-probe", "omega", {}, "omega must name exactly the states ['x1', 'x2', 'z1'], "
+     "got []\n"),
+    ("decouple", "linearization_point", False, "linearization_point must be numbers, "
+     "got False\n"),
+    ("decouple", "linearization_point", 0, "point of shape (), expected (3,)\n"),
+    ("certify", None, {**LINEAR_CONFIG, "A": [[[-1.0]], [[-2.0]]]},
+     "vertex of shape (2, 1, 1), expected (2, 2)\n"),
 ], ids=["linearization-point", "initial-conditions", "linearization-point-nan",
         "linearization-point-infinity", "initial-conditions-nan", "initial-conditions-infinity",
         "hull-list", "certificate-list", "certificate-rate-list", "config-list",
@@ -571,7 +586,9 @@ def test_newton_meets_zero_divisor_exits_1(tmp_path, capsys):
         "omega-bool", "omega-string", "B-string", "B-bool", "C-bool", "A-string", "A-null",
         "D-vertex-bool", "P_r-string", "P_f-bool", "initial-conditions-string",
         "initial-conditions-bool", "linearization-point-bool", "eps-beyond-double",
-        "A-beyond-double", "P_r-beyond-double"])
+        "A-beyond-double", "P_r-beyond-double", "omega-false", "omega-zero",
+        "omega-empty-string", "omega-empty-list", "omega-empty-object",
+        "linearization-point-false", "linearization-point-zero", "A-plain-3d"])
 def test_malformed_numeric_field_exits_1(tmp_path, capsys, command, field, value, message):
     # field None: value is the whole config
     cfg = value if field is None else {**spring_config(), field: value}

@@ -5,11 +5,11 @@ from hypothesis import strategies as st
 
 from spdominance import analyze
 from spdominance.analyze import certificate_cone, monotone_probe
-from spdominance.certify import SPDominanceCertificate
+from spdominance.certify import SPDominanceCertificate, vertex_stack
 from spdominance.cone import CONE_BOUNDARY_BAND, cone_ratio, make_cone
 from spdominance.errors import (DegenerateCone, DimensionMismatch,
                                 NotScalarParameterized, SingularP)
-from spdominance.linalg import SymMatrix, inertia
+from spdominance.linalg import inertia, symmetric
 from spdominance.systems import (LinearSPSystem, NonlinearSPSystem,
                                  nonlinear_spring_certificate,
                                  nonlinear_spring_system)
@@ -28,28 +28,28 @@ def cone_locate(cone, v):
 
 
 def test_make_cone_rank_one():
-    assert make_cone(SymMatrix(np.diag([-1.0, 1.0]))).rank_k == 1
+    assert make_cone(symmetric(np.diag([-1.0, 1.0]))).rank_k == 1
 
 
 def test_make_cone_block_diag():
     P = np.zeros((3, 3))
     P[:2, :2] = P_R
     P[2, 2] = 1.0
-    assert make_cone(SymMatrix(P)).rank_k == 1
+    assert make_cone(symmetric(P)).rank_k == 1
 
 
 def test_make_cone_singular_rejected():
     with pytest.raises(SingularP):
-        make_cone(SymMatrix(np.diag([1.0, 0.0])))
+        make_cone(symmetric(np.diag([1.0, 0.0])))
 
 
 def test_make_cone_rank_zero_admitted():
-    assert make_cone(SymMatrix(np.eye(3))).rank_k == 0
+    assert make_cone(symmetric(np.eye(3))).rank_k == 0
 
 
 def test_make_cone_negative_definite_rejected():
     with pytest.raises(DegenerateCone):
-        make_cone(SymMatrix(-np.eye(2)))
+        make_cone(symmetric(-np.eye(2)))
 
 
 def test_quad_form_examples():
@@ -69,19 +69,19 @@ def test_quad_form_dimension_mismatch():
 
 
 def test_cone_locate_examples():
-    cone = make_cone(SymMatrix(np.diag([-1.0, 1.0])))
+    cone = make_cone(symmetric(np.diag([-1.0, 1.0])))
     assert cone_locate(cone, [1.0, 0.0]) == "interior"
     assert cone_locate(cone, [0.0, 1.0]) == "outside"
     assert cone_locate(cone, [1.0, 1.0]) == "boundary"
 
 
 def test_cone_locate_zero_vector_is_boundary():
-    cone = make_cone(SymMatrix(np.diag([-1.0, 1.0])))
+    cone = make_cone(symmetric(np.diag([-1.0, 1.0])))
     assert cone_locate(cone, [0.0, 0.0]) == "boundary"
 
 
 def test_cone_locate_symmetry_and_scale_invariance():
-    cone = make_cone(SymMatrix(P_R))
+    cone = make_cone(symmetric(P_R))
     rng = np.random.default_rng(5)
     for _ in range(50):
         v = rng.standard_normal(2)
@@ -110,8 +110,8 @@ def test_negative_eigenspace_inside_cone():
     P = np.zeros((3, 3))
     P[:2, :2] = P_R
     P[2, 2] = 1.0
-    cone = make_cone(SymMatrix(P))
-    vals, vecs = np.linalg.eigh(cone.P.a)
+    cone = make_cone(symmetric(P))
+    vals, vecs = np.linalg.eigh(cone.P)
     neg_dirs = vecs[:, vals < 0]
     rng = np.random.default_rng(9)
     for _ in range(30):
@@ -121,7 +121,7 @@ def test_negative_eigenspace_inside_cone():
 
 def test_quad_form_matches_eigenbasis_sum():
     cone = make_cone(P_R)
-    vals, vecs = np.linalg.eigh(cone.P.a)
+    vals, vecs = np.linalg.eigh(cone.P)
     rng = np.random.default_rng(13)
     for _ in range(20):
         v = rng.standard_normal(2)
@@ -131,7 +131,7 @@ def test_quad_form_matches_eigenbasis_sum():
 
 
 def test_cone_locate_uses_relative_band():
-    cone = make_cone(SymMatrix(np.diag([-1.0, 1.0])))
+    cone = make_cone(symmetric(np.diag([-1.0, 1.0])))
     # v^T P v = -2e-12 lies inside the band, -4 * CONE_BOUNDARY_BAND outside it,
     # whatever the scale of v
     v = np.array([1.0, 1.0 - 1e-12])
@@ -151,15 +151,15 @@ def test_certificate_cone_spring_is_decoupled():
     blk[:2, :2] = P_R
     blk[2, 2] = 1.0
     cone = certificate_cone(nonlinear_spring_system(), nonlinear_spring_certificate())
-    np.testing.assert_allclose(cone.P.a, T0_inv.T @ blk @ T0_inv, atol=1e-15)
-    assert inertia(cone.P).as_tuple() == (1, 0, 2)
+    np.testing.assert_allclose(cone.P, T0_inv.T @ blk @ T0_inv, atol=1e-15)
+    assert inertia(cone.P) == (1, 0, 2)
     assert cone.rank_k == 1
 
     rng = np.random.default_rng(21)
     for _ in range(20):
         dx = rng.standard_normal(2)
         on_manifold = np.array([dx[0], dx[1], dx[1]])  # no fast deviation
-        assert on_manifold @ cone.P.a @ on_manifold == pytest.approx(
+        assert on_manifold @ cone.P @ on_manifold == pytest.approx(
             dx @ np.array(P_R) @ dx, rel=1e-12, abs=1e-12)
 
 
@@ -170,7 +170,7 @@ def test_certificate_cone_linear_uses_fixed_blocks():
                                   lambda_f=0.0, sigma_r=0.5, sigma_f=1.0, p=1)
     T0_inv = np.array([[1.0, 0.0], [-0.5, 1.0]])
     expect = T0_inv.T @ np.diag([-1.0, 1.0]) @ T0_inv
-    np.testing.assert_allclose(certificate_cone(sys_, cert).P.a, expect, atol=1e-15)
+    np.testing.assert_allclose(certificate_cone(sys_, cert).P, expect, atol=1e-15)
 
 
 def test_certificate_cone_rejects_varying_fast_block():
@@ -197,7 +197,7 @@ def test_probe_stays_in_decoupled_cone(seed):
 def test_probe_locates_worst_margin(monkeypatch):
     # one difference planted along the cone's positive direction is the worst
     sys_, cert = nonlinear_spring_system(), nonlinear_spring_certificate()
-    outward = np.linalg.eigh(certificate_cone(sys_, cert).P.a)[1][:, 2]
+    outward = np.linalg.eigh(certificate_cone(sys_, cert).P)[1][:, 2]
     integrate = analyze.integrate
     stored = {}
 
@@ -233,7 +233,7 @@ def test_probe_counts_match_cone_locate(monkeypatch):
     # one outside difference are planted in the integrated states
     sys_, cert = nonlinear_spring_system(), nonlinear_spring_certificate()
     cone = certificate_cone(sys_, cert)
-    vals, vecs = np.linalg.eigh(cone.P.a)
+    vals, vecs = np.linalg.eigh(cone.P)
     on_boundary = vecs[:, 0] / np.sqrt(-vals[0]) + vecs[:, 2] / np.sqrt(vals[2])
     integrate = analyze.integrate
     stored = {}
@@ -262,5 +262,16 @@ def test_probe_counts_match_cone_locate(monkeypatch):
     assert ratios.shape == (4, 5) and ratios[2, 1] == 0.0
     for idx in np.ndindex(4, 5):
         v = batch[idx]
-        expect = v @ cone.P.a @ v / (v @ v) if v.any() else 0.0
+        expect = v @ cone.P @ v / (v @ v) if v.any() else 0.0
         assert ratios[idx] == pytest.approx(expect, rel=1e-12, abs=1e-15)
+
+
+def test_matrices_are_read_only_symmetric_arrays():
+    cert = nonlinear_spring_certificate()
+    cone = certificate_cone(nonlinear_spring_system(), cert)
+    for P in (cert.P_r, cert.P_f, cone.P, make_cone(P_R).P):
+        assert type(P) is np.ndarray and not P.flags.writeable
+        assert np.array_equal(P, P.T)
+    stack = vertex_stack([[[0.0, 1.0], [-5.0, -5.0]]])
+    assert stack.shape == (1, 2, 2) and not stack.flags.writeable
+    assert inertia(P_R) == (1, 0, 1)

@@ -6,8 +6,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from spdominance import cli, decouple
-from spdominance.certify import (FEASIBILITY_MARGIN, MatrixPolytope, SPDominanceCertificate,
-                                 block_conditions, block_margins)
+from spdominance.certify import (FEASIBILITY_MARGIN, SPDominanceCertificate,
+                                 block_conditions, block_margins, vertex_stack)
 from spdominance.decouple import (BISECT_STEPS, CHANG_RESIDUAL_TOL, EPS_FLOOR, EPS_MAX,
                                   MONOTONE_CHECK_POINTS, build_decoupling, chang_residuals,
                                   chang_stack, coupling_residual_limit, epsilon_star,
@@ -218,17 +218,17 @@ def test_chang_first_order_in_eps():
 
 
 def test_epsilon_star_spring():
-    A_poly = MatrixPolytope([[[0.0, 1.0], [-5.0, 0.0]], [[0.0, 1.0], [2.0, 0.0]]])
+    A_poly = vertex_stack([[[0.0, 1.0], [-5.0, 0.0]], [[0.0, 1.0], [2.0, 0.0]]])
     eps_hat, violations = epsilon_star(A_poly, B_SPRING, C_SPRING,
-                                       MatrixPolytope([D_SPRING]), spring_cert())
+                                       vertex_stack([D_SPRING]), spring_cert())
     assert eps_hat >= 0.01 and violations == []
 
 
 def test_epsilon_star_decoupled_hits_eps_max():
     cert = SPDominanceCertificate(P_r=np.eye(2), P_f=[[1.0]], lambda_r=0.0,
                                   lambda_f=0.0, sigma_r=1.0, sigma_f=1.0, p=0)
-    eps_hat, violations = epsilon_star(MatrixPolytope([-np.eye(2)]), np.zeros((2, 1)),
-                                       np.zeros((1, 2)), MatrixPolytope([[[-2.0]]]), cert)
+    eps_hat, violations = epsilon_star(vertex_stack([-np.eye(2)]), np.zeros((2, 1)),
+                                       np.zeros((1, 2)), vertex_stack([[[-2.0]]]), cert)
     assert eps_hat == pytest.approx(1.0) and violations == []
 
 
@@ -236,16 +236,16 @@ def test_epsilon_star_unstable_fast_block():
     cert = SPDominanceCertificate(P_r=np.eye(2), P_f=[[1.0]], lambda_r=0.0,
                                   lambda_f=0.0, sigma_r=1.0, sigma_f=1.0, p=0)
     with pytest.raises(InfeasibleAtFloor):
-        epsilon_star(MatrixPolytope([-np.eye(2)]), np.zeros((2, 1)),
-                     np.zeros((1, 2)), MatrixPolytope([[[1.0]]]), cert)
+        epsilon_star(vertex_stack([-np.eye(2)]), np.zeros((2, 1)),
+                     np.zeros((1, 2)), vertex_stack([[[1.0]]]), cert)
 
 
 def test_epsilon_star_decreases_with_sigma():
-    A_poly = MatrixPolytope([[[0.0, 1.0], [-5.0, 0.0]], [[0.0, 1.0], [2.0, 0.0]]])
+    A_poly = vertex_stack([[[0.0, 1.0], [-5.0, 0.0]], [[0.0, 1.0], [2.0, 0.0]]])
     loose, _ = epsilon_star(A_poly, B_SPRING, C_SPRING,
-                            MatrixPolytope([D_SPRING]), spring_cert(sigma_f=1.0))
+                            vertex_stack([D_SPRING]), spring_cert(sigma_f=1.0))
     tight, _ = epsilon_star(A_poly, B_SPRING, C_SPRING,
-                            MatrixPolytope([D_SPRING]), spring_cert(sigma_f=1.9))
+                            vertex_stack([D_SPRING]), spring_cert(sigma_f=1.9))
     assert tight <= loose + 1e-12
 
 
@@ -256,8 +256,8 @@ def scalar_epsilon_star(A_poly, B, C, D_poly, cert, eps_max=EPS_MAX):
     result drops to the largest of the MONOTONE_CHECK_POINTS log-spaced
     re-check points below the lowest infeasible one."""
     def feasible(eps):
-        for A in A_poly.vertices:
-            for D in D_poly.vertices:
+        for A in A_poly:
+            for D in D_poly:
                 try:
                     L = solve_chang_lti(A, B, C, D, eps)
                 except NoConvergence:
@@ -325,9 +325,9 @@ def lmi_system(rng, n_r, n_f, n_a, n_d, feasible, fast_scale=1.0):
     Q, R = orthogonal(rng, n_r), orthogonal(rng, n_f)
     cert = SPDominanceCertificate(P_r=Q @ P_hat @ Q.T, P_f=np.eye(n_f), lambda_r=lam,
                                   lambda_f=0.25, sigma_r=sigma_r, sigma_f=0.25, p=1)
-    return (MatrixPolytope([Q @ A @ Q.T for A in A_verts]), Q @ B @ R.T,
+    return (vertex_stack([Q @ A @ Q.T for A in A_verts]), Q @ B @ R.T,
             fast_scale * R @ C @ Q.T,
-            MatrixPolytope([fast_scale * R @ D @ R.T for D in D_verts]), cert)
+            vertex_stack([fast_scale * R @ D @ R.T for D in D_verts]), cert)
 
 
 # where the modes swap roles (n_r = n_f = 1 with a fast slow block), eps_max can be
@@ -359,8 +359,8 @@ def test_epsilon_star_raises_where_only_eps_max_passes():
     # at eps = 1 the smallest-modulus mode of [[eps A, eps B], [C, D]] is D's, so
     # L is the other root and eps_max passes while the floor fails
     system = lmi_system(np.random.default_rng(0), 1, 1, 1, 1, False)
-    assert np.allclose([m.item() for m in (system[0].vertices[0], system[1], system[2],
-                                           system[3].vertices[0])],
+    assert np.allclose([m.item() for m in (system[0][0], system[1], system[2],
+                                           system[3][0])],
                        [-2.12, -0.3, 0.3, -0.94], atol=0.005)
     with pytest.raises(InfeasibleAtFloor):
         epsilon_star(*system)
@@ -604,8 +604,8 @@ def tree_epsilon_star(A_poly, B, C, D_poly, cert, eps_max=EPS_MAX):
     decouple.chang_stack, and no prediction; the same first call, stop once
     one ulp wide, and re-check. Returns (eps_hat, violations), without
     warnings."""
-    A = np.array([a for a in A_poly.vertices for _ in D_poly.vertices])
-    D = np.array([d for _ in A_poly.vertices for d in D_poly.vertices])
+    A = np.array([a for a in A_poly for _ in D_poly])
+    D = np.array([d for _ in A_poly for d in D_poly])
 
     def feasible(eps):
         m, eps = len(eps), np.repeat(eps, len(A))[:, None, None]
@@ -691,7 +691,7 @@ def splitting_threshold_system():
 def splitting_and_margin(system, eps):
     """chang_stack's why and closing measure, and the worst block margin, at eps."""
     A_poly, B, C, D_poly, cert = system
-    A, D = A_poly.vertices[0][None], D_poly.vertices[0][None]
+    A, D = A_poly[0][None], D_poly[0][None]
     eps = np.full((1, 1, 1), eps)
     L, why, _, closing = chang_stack(A, B, C, D, eps)
     return why[0], closing[0], max(m[0] for m in block_margins(cert, A, B, L, D, eps))

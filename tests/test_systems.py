@@ -74,16 +74,16 @@ def test_jacobians_vs_finite_differences():
 
 def test_scalar_hull_spring_vertices():
     hull, _ = slow_fast_polytopes(nonlinear_spring_system())
-    assert len(hull.vertices) == 2
-    assert np.allclose(hull.vertices[0], [[0, 1], [SLOPE_LO, -5]], rtol=0, atol=1e-12)
-    assert np.allclose(hull.vertices[1], [[0, 1], [2, -5]], rtol=0, atol=1e-12)
+    assert len(hull) == 2
+    assert np.allclose(hull[0], [[0, 1], [SLOPE_LO, -5]], rtol=0, atol=1e-12)
+    assert np.allclose(hull[1], [[0, 1], [2, -5]], rtol=0, atol=1e-12)
 
 
 def test_scalar_hull_constant_system_single_vertex():
     sys_ = NonlinearSPSystem(2, 1, ["x2", "-2*x1 - 3*x2 + z1"], ["-x1 - z1"],
                              0.1, BOX3)
     hull, _, _, _ = jacobian_hull(sys_)
-    assert len(hull.vertices) == 1
+    assert len(hull) == 1
 
 
 def test_jacobian_hull_corners_in_product_order():
@@ -96,11 +96,11 @@ def test_jacobian_hull_corners_in_product_order():
     assert ends[0][0] < ends[0][1] and ends[1][0] < ends[1][1]
     center = jacobians(sys_, sys_.omega_center())
     varying = np.array([[False, True], [True, False]])
-    assert len(hull.vertices) == 4
-    for corner, (a01, a10) in zip(hull.vertices, itertools.product(*ends)):
+    assert len(hull) == 4
+    for corner, (a01, a10) in zip(hull, itertools.product(*ends)):
         assert (corner[0, 1], corner[1, 0]) == (a01, a10)
         assert np.array_equal(corner[~varying], center[0][~varying])
-    for got, want in zip((B, C, D.vertices[0]), center[1:]):
+    for got, want in zip((B, C, D[0]), center[1:]):
         assert np.array_equal(got, want)
 
 
@@ -267,8 +267,8 @@ def test_jacobian_hull_rejects_varying_fast_block():
 
 def test_jacobian_hull_spring():
     poly, B, C, D = jacobian_hull(nonlinear_spring_system())
-    assert np.allclose(poly.vertices[0], [[0, 1], [SLOPE_LO, 0]], rtol=0, atol=1e-12)
-    assert np.allclose(poly.vertices[1], [[0, 1], [2, 0]], rtol=0, atol=1e-12)
+    assert np.allclose(poly[0], [[0, 1], [SLOPE_LO, 0]], rtol=0, atol=1e-12)
+    assert np.allclose(poly[1], [[0, 1], [2, 0]], rtol=0, atol=1e-12)
     assert np.allclose(B, [[0], [-5]])
 
 
