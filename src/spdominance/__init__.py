@@ -3,11 +3,11 @@ for singularly perturbed systems."""
 
 __version__ = "0.1.0"
 
-from .linalg import inertia, nsd_margin, sym_eigvals, symmetric
+from .linalg import inertia, sym_eigvals, symmetric
 from .cone import CONE_BOUNDARY_BAND, MatrixConeSpec, cone_ratio, make_cone
-from .certify import (CertResult, SPDominanceCertificate, block_conditions,
-                      certify_polytope, certify_sp, lmi_residual, vertex_stack)
-from .decouple import (ChangDecoupling, build_decoupling, epsilon_star,
+from .certify import (CertResult, SPDominanceCertificate, certify_polytope, lmi_residual,
+                      vertex_stack)
+from .decouple import (ChangDecoupling, build_decoupling, certify_sp, epsilon_star,
                        full_system_matrix, reduced_model, solve_chang_lti)
 from .expressions import diff_expr, interval, parse_expr
 from .systems import (SPRING_INITIAL_CONDITIONS, LinearSPSystem, NonlinearSPSystem,
@@ -19,11 +19,10 @@ from .integrate import (Trajectory, VariationalTrajectory, detect_convergence,
 from .analyze import certificate_cone, monotone_probe
 
 __all__ = [
-    "inertia", "nsd_margin", "sym_eigvals", "symmetric",
+    "inertia", "sym_eigvals", "symmetric",
     "CONE_BOUNDARY_BAND", "MatrixConeSpec", "cone_ratio", "make_cone",
-    "CertResult", "SPDominanceCertificate", "block_conditions",
-    "certify_polytope", "certify_sp", "lmi_residual", "vertex_stack",
-    "ChangDecoupling", "build_decoupling", "epsilon_star",
+    "CertResult", "SPDominanceCertificate", "certify_polytope", "lmi_residual", "vertex_stack",
+    "ChangDecoupling", "build_decoupling", "certify_sp", "epsilon_star",
     "full_system_matrix", "reduced_model", "solve_chang_lti",
     "diff_expr", "interval", "parse_expr",
     "SPRING_INITIAL_CONDITIONS", "LinearSPSystem", "NonlinearSPSystem",

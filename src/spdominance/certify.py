@@ -17,8 +17,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionMismatch, check_eps
-from .linalg import eigvalsh_stack, inertia, symmetric
+from .errors import DimensionMismatch
+from .linalg import eigvalsh_stack, sym_inertia, symmetric
 
 FEASIBILITY_MARGIN = 0.0
 
@@ -57,10 +57,10 @@ class SPDominanceCertificate:
             raise ValueError("sigma_r and sigma_f must be positive and finite")
         if not (0 <= self.lambda_r < np.inf and 0 <= self.lambda_f < np.inf):
             raise ValueError("lambda_r and lambda_f must be nonnegative and finite")
-        ir = inertia(self.P_r)
+        ir = sym_inertia(self.P_r)
         if ir != (self.p, 0, self.n_r - self.p):
             raise ValueError(f"inertia of P_r is {ir}, expected ({self.p}, 0, {self.n_r - self.p})")
-        iff = inertia(self.P_f)
+        iff = sym_inertia(self.P_f)
         if iff != (0, 0, self.n_f):
             raise ValueError(f"P_f must be positive definite, inertia is {iff}")
 
@@ -113,15 +113,6 @@ def certify_polytope(P, vertices, lam, sigma):
     return _cert_result(eigvalsh_stack(S)[:, -1])
 
 
-def certify_sp(cert, slow, fast):
-    """Verify the slow condition (P_r over the reduced-model polytope) and
-    the fast condition (P_f over the fast-block polytope). Both feasible
-    means the two-time-scale dominance hypotheses hold."""
-    cert.check_blocks(slow.shape[-1], fast.shape[-1])
-    return (certify_polytope(cert.P_r, slow, cert.lambda_r, cert.sigma_r),
-            certify_polytope(cert.P_f, fast, cert.lambda_f, cert.sigma_f))
-
-
 def block_margins(cert, A, B, L, D, eps):
     """Largest eigenvalues of the proof-level block residuals over stacks of A,
     L, D and eps: slow block A - B*L with P_r, fast block D/eps + L*B with P_f,
@@ -130,14 +121,3 @@ def block_margins(cert, A, B, L, D, eps):
     sigma = 0.5 * min(cert.sigma_r, cert.sigma_f)
     return [eigvalsh_stack(lmi_residual(P, M, cert.lambda_r, sigma))[..., -1]
             for P, M in ((cert.P_r, A - B @ L), (cert.P_f, D / eps + L @ B))]
-
-
-def block_conditions(cert, A, B, L_eps, D, eps):
-    """block_margins at a given eps, one (A, L_eps, D)."""
-    check_eps(eps)
-    A, B, D, L = (np.atleast_2d(np.asarray(m, dtype=float)) for m in (A, B, D, L_eps))
-    n_r, n_f = cert.n_r, cert.n_f
-    if A.shape != (n_r, n_r) or B.shape != (n_r, n_f) or D.shape != (n_f, n_f) \
-            or L.shape != (n_f, n_r):
-        raise DimensionMismatch("block shapes inconsistent with certificate dimensions")
-    return tuple(_cert_result([m]) for m in block_margins(cert, A, B, L, D, eps))

@@ -24,11 +24,11 @@ import numpy as np
 
 from . import __version__
 from .analyze import PROBE_PAIRS, PROBE_SEED, convergence_report, monotone_probe
-from .certify import FEASIBILITY_MARGIN, SPDominanceCertificate, certify_sp, vertex_stack
+from .certify import FEASIBILITY_MARGIN, SPDominanceCertificate, vertex_stack
 from .cone import CONE_BOUNDARY_BAND
 from .decouple import (BISECT_STEPS, EPS_FLOOR, EPS_MAX, InfeasibleAtFloor,
-                       build_decoupling, chang_residuals, coupling_residual_limit,
-                       epsilon_star, full_system_matrix, reduced_model)
+                       build_decoupling, certify_sp, chang_residuals,
+                       coupling_residual_limit, epsilon_star, full_system_matrix)
 from .errors import (ConfigError, DimensionMismatch, EvalError, NoConvergence, NonFinite,
                      NonpositiveEps, NotScalarParameterized, SamplingExhausted, SingularD)
 from .integrate import (CONVERGENCE_TOL, Trajectory, find_equilibria, integrate,
@@ -146,14 +146,6 @@ def build_certificate(cfg):
         raise ConfigError(f"invalid certificate: {e}")
 
 
-def slow_fast_polytopes(system):
-    """Vertex stacks of reduced-model matrices and fast blocks for certification:
-    one reduced matrix A - B D^{-1} C per (A, D) vertex pair."""
-    A_vertices, B, C, D_vertices = jacobian_hull(system)
-    return np.array([reduced_model(A, B, C, D)[2]
-                     for A in A_vertices for D in D_vertices]), D_vertices
-
-
 # -- reports ----------------------------------------------------------------
 
 def new_report(args):
@@ -164,20 +156,13 @@ def new_report(args):
 
 
 def certificate_report(system, cert):
-    """Slow and fast certificate verdicts over the system's polytopes."""
-    slow_res, fast_res = certify_sp(cert, *slow_fast_polytopes(system))
+    """Slow and fast certificate verdicts over the system's Jacobian hull."""
+    slow_res, fast_res = certify_sp(*jacobian_hull(system), cert)
     return {
         "slow": dataclasses.asdict(slow_res),
         "fast": dataclasses.asdict(fast_res),
         "feasible": bool(slow_res.feasible and fast_res.feasible),
     }
-
-
-def write_report(report, path):
-    if path:
-        os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
-        with open(path, "w") as fh:
-            fh.write(json.dumps(report, indent=2) + "\n")
 
 
 def _failed(label, error):
@@ -258,9 +243,12 @@ def cmd_decouple(args, report):
     system = args.system
     eps = args.eps if args.eps is not None else system.eps
     if isinstance(system, NonlinearSPSystem):
-        point = args.cfg.get("linearization_point")  # the origin when absent or null
-        A, B, C, D = jacobians(system, np.zeros(system.dim) if point is None
-                               else numeric_field(point, "linearization_point"))
+        given = args.cfg.get("linearization_point")  # the origin when absent or null
+        point = numeric_field([0] * system.dim if given is None else given, "linearization_point")
+        if point.shape != (system.dim,):
+            raise ConfigError(f"linearization_point must be {system.dim} numbers, "
+                              f"got {given!r}")
+        A, B, C, D = jacobians(system, point)
     else:
         A, B, C, D = system.fixed_blocks()
     report["eps"] = eps
@@ -271,18 +259,12 @@ def cmd_decouple(args, report):
     except NoConvergence as e:
         report.update(decoupling=None, **_failed("no convergence", e))
         return None
-    M = full_system_matrix(A, B, C, D, eps)
-    Md = dec.T_inv @ M @ dec.T
+    Md = dec.T_inv @ full_system_matrix(A, B, C, D, eps) @ dec.T
     n_r = A.shape[0]
     offdiag = max(np.linalg.norm(Md[:n_r, n_r:]), np.linalg.norm(Md[n_r:, :n_r]))
     r_l, r_h = chang_residuals(A, B, C, D, dec.L, dec.H, eps)
-    report["decoupling"] = {
-        "L": dec.L.tolist(),
-        "H": dec.H.tolist(),
-        "T": dec.T.tolist(),
-        "T_inv": dec.T_inv.tolist(),
-        "slow_block": dec.slow_block.tolist(),
-        "fast_block": dec.fast_block.tolist(),
+    report["decoupling"] = {  # every matrix of dec, L to fast_block, then its checks
+        **{key: value.tolist() for key, value in vars(dec).items() if key != "eps"},
         "det_T_inv": float(np.linalg.det(dec.T_inv)),
         "coupling_residuals": [float(r_l), float(r_h)],
         "block_diagonalization_residual": float(offdiag),
@@ -462,8 +444,11 @@ def main(argv=None):
         args.system = build_system(args.cfg)
         report = new_report(args)
         verdict = args.func(args, report)
-        write_report(report, os.path.join(args.out, "report.json") if "out" in args
-                     else args.report)
+        path = os.path.join(args.out, "report.json") if "out" in args else args.report
+        if path:
+            os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
+            with open(path, "w") as fh:
+                fh.write(json.dumps(report, indent=2) + "\n")
     except (ConfigError, DimensionMismatch, EvalError, FloatingPointError, NonpositiveEps,
             NotScalarParameterized, SingularD) as e:
         print(f"config error: {e}", file=_sys.stderr)

@@ -6,6 +6,7 @@ bisected in rounds, each one stacked solve over all vertex pairs of the next 3
 tree levels and a predicted path below; the first round shares the call that
 tests the search's two ends, and the search stops once its bracket is one ulp
 wide. It is checked at every (A, D) vertex pair, not over the hull between.
+It and certify_sp take a hull as jacobian_hull returns it: vertex_pairs pairs it.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .certify import FEASIBILITY_MARGIN, block_margins
+from .certify import FEASIBILITY_MARGIN, block_margins, certify_polytope
 from .errors import (DimensionMismatch, InfeasibleAtFloor, NoConvergence,
                      NonpositiveEps, SingularD, check_eps)
 
@@ -73,6 +74,17 @@ def reduced_model(A, B, C, D):
     H0 = B @ D_inv
     A0 = A - B @ L0
     return L0, H0, A0
+
+
+def vertex_pairs(A_vertices, B, C, D_vertices, cert):
+    """Every (A, D) vertex pair of a hull as jacobian_hull returns it, A-major:
+    stacks A, D and L0 = D^{-1} C with one slot per pair, and B and C. SingularD
+    where a D vertex is singular, DimensionMismatch where cert's blocks differ."""
+    _, B, C, _ = _blocks(A_vertices[0], B, C, D_vertices[0])
+    L0, k = _check_nonsingular(D_vertices) @ C, len(A_vertices)
+    cert.check_blocks(B.shape[0], C.shape[0])
+    return (np.repeat(A_vertices, len(D_vertices), axis=0), B, C,
+            np.tile(D_vertices, (k, 1, 1)), np.tile(L0, (k, 1, 1)))
 
 
 def _l_equation(A, B, C, D, L, eps):
@@ -185,6 +197,15 @@ def full_system_matrix(A, B, C, D, eps):
     return np.block([[A, B], [C / eps, D / eps]])
 
 
+def certify_sp(A_vertices, B, C, D_vertices, cert):
+    """Verify the slow condition (P_r over A - B D^{-1} C at every vertex pair)
+    and the fast condition (P_f over the D vertices) on a hull as jacobian_hull
+    returns it. Both feasible: the dominance hypotheses hold over the hull."""
+    A, B, _, _, L0 = vertex_pairs(A_vertices, B, C, D_vertices, cert)
+    return (certify_polytope(cert.P_r, A - B @ L0, cert.lambda_r, cert.sigma_r),
+            certify_polytope(cert.P_f, D_vertices, cert.lambda_f, cert.sigma_f))
+
+
 def epsilon_star(A_vertices, B, C, D_vertices, cert, eps_max=EPS_MAX):
     """Bisect for the largest eps in [EPS_FLOOR, eps_max] at which the
     proof-level block conditions are feasible at every (A, D) vertex pair of
@@ -217,11 +238,7 @@ def epsilon_star(A_vertices, B, C, D_vertices, cert, eps_max=EPS_MAX):
     check_eps(eps_max)
     if eps_max < EPS_FLOOR:
         raise NonpositiveEps(f"eps_max {eps_max} is below the floor EPS_FLOOR = {EPS_FLOOR}")
-    _, B, C, _ = _blocks(A_vertices[0], B, C, D_vertices[0])
-    _check_nonsingular(D_vertices)
-    A = np.repeat(A_vertices, len(D_vertices), axis=0)  # every (A, D) vertex pair, A-major
-    D = np.tile(D_vertices, (len(A_vertices), 1, 1))
-    cert.check_blocks(A.shape[-1], D.shape[-1])
+    A, B, C, D, _ = vertex_pairs(A_vertices, B, C, D_vertices, cert)
     seen = {}  # eps -> (worst margin, least closing measure) over every vertex pair
 
     def feasible(points):

@@ -36,6 +36,7 @@ EQUILIBRIUM_TOL = 1e-10
 NEWTON_MAX_ITER = 100
 EQUILIBRIUM_MERGE_RADIUS = 1e-6
 CONVERGENCE_TOL = 1e-3
+STEP_BUDGET = 1e6  # spectral radius x span of a linear run: up to ~1.6e5 explicit steps
 
 
 @dataclass
@@ -70,6 +71,17 @@ def default_step(sys):
                           f"DOP853 pair: the first step eps/20 = {h:.3g} "
                           f"is at or below its step floor {DP_STEP_FLOOR:.3g}")
     return h
+
+
+def check_step_budget(sys, t_span):
+    """ConfigError when sys is linear and its spectral radius times the span
+    exceeds STEP_BUDGET: the explicit pair's steps stay near 6 / radius, so a
+    fast block that stiff would take minutes."""
+    if isinstance(sys, LinearSPSystem):
+        M = full_system_matrix(*sys.fixed_blocks(), sys.eps)
+        if (work := np.abs(np.linalg.eigvals(M)).max() * (t_span[1] - t_span[0])) > STEP_BUDGET:
+            raise ConfigError(f"spectral radius times span is {work:.3g}, above the "
+                              f"explicit DOP853 pair's step budget {STEP_BUDGET:.3g}")
 
 
 def make_rhs(sys):
@@ -269,20 +281,16 @@ def integrate(sys, x0s, t_span, sample_times=None):
     if x0s.ndim != 2 or x0s.shape[1] != sys.dim:
         raise DimensionMismatch(f"initial states of shape {x0s.shape}, "
                                 f"expected (n_traj, {sys.dim})")
+    check_step_budget(sys, t_span)
     return dopri_run(make_rhs(sys), x0s, t_span, default_step(sys), sample_times)
 
 
 def make_variational_rhs(sys):
     """Joint right-hand side on (base, delta) pairs: the delta half is driven
     by the Jacobian blocks evaluated at the current base state."""
-    if isinstance(sys, LinearSPSystem):
-        base_rhs = make_rhs(sys)
-        dim = sys.dim
-
-        def rhs(s):
-            return np.concatenate([base_rhs(s[..., :dim]), base_rhs(s[..., dim:])],
-                                  axis=-1)
-        return rhs
+    if isinstance(sys, LinearSPSystem):  # its variation obeys the system itself
+        rhs = make_rhs(sys)
+        return lambda s: rhs(s.reshape(s.shape[:-1] + (2, sys.dim))).reshape(s.shape)
 
     if not isinstance(sys, NonlinearSPSystem):
         raise TypeError(f"cannot integrate {type(sys).__name__}")
@@ -314,6 +322,7 @@ def integrate_variational(sys, x0, delta0, t_span):
     if x0.shape != (sys.dim,) or delta0.shape != (sys.dim,):
         raise DimensionMismatch("x0 and delta0 must have the system dimension")
     y0 = np.concatenate([x0, delta0])
+    check_step_budget(sys, t_span)
     times, states, _ = dopri_run(make_variational_rhs(sys), y0, t_span, default_step(sys))
     base = Trajectory(times=times, states=states[:, :sys.dim])
     return VariationalTrajectory(base=base, delta_states=states[:, sys.dim:])

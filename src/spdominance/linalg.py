@@ -39,12 +39,14 @@ def eigvalsh_stack(a):
 
 
 def sym_eigvals(S):
-    """Eigenvalues of a symmetric matrix, ascending (NaN where eigvalsh_stack says)."""
-    return eigvalsh_stack(symmetric(S))
+    """Eigenvalues of a symmetric matrix, as symmetric returns one, ascending
+    (NaN where eigvalsh_stack says); S is not symmetrized again."""
+    return eigvalsh_stack(S)
 
 
-def inertia(S):
-    """(negative, zero, positive) counts of the eigenvalues.
+def sym_inertia(S):
+    """(negative, zero, positive) counts of the eigenvalues of a symmetric
+    matrix, as symmetric returns one; S is not symmetrized again.
 
     Zero means within INERTIA_ZERO_TOL * max(1, spectral radius); the
     matrices here span magnitudes from 1e-2 to 1e1, so it tracks scale.
@@ -56,7 +58,6 @@ def inertia(S):
     return neg, len(vals) - neg - pos, pos
 
 
-def nsd_margin(S):
-    """Largest eigenvalue of S. S is negative semidefinite iff the result
-    is <= 0; a negative value is the strict feasibility margin."""
-    return float(sym_eigvals(S)[-1])
+def inertia(S):
+    """sym_inertia of symmetric(S): any square S, with symmetric's checks and warning."""
+    return sym_inertia(symmetric(S))

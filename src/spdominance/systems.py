@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .certify import vertex_stack
+from .certify import SPDominanceCertificate, vertex_stack
 from .errors import ConfigError, DimensionMismatch, NotScalarParameterized, check_eps
 from .expressions import compile_field, diff_expr, free_vars, guarded, interval, parse_expr
 
@@ -283,7 +283,6 @@ def nonlinear_spring_system(eps=SPRING_EPS):
 
 def nonlinear_spring_certificate():
     """Verified rank-1 dominance certificate for the demo system."""
-    from .certify import SPDominanceCertificate
     return SPDominanceCertificate(
         P_r=[[-5.1987, 3.6260], [3.6260, 6.1987]],
         P_f=[[1.0]],

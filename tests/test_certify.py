@@ -1,17 +1,21 @@
 import numpy as np
 import pytest
 
-from spdominance.certify import (SPDominanceCertificate, block_conditions,
-                                 certify_polytope, certify_sp, lmi_residual,
-                                 vertex_stack)
+from spdominance.certify import (SPDominanceCertificate, block_margins, certify_polytope,
+                                 lmi_residual, vertex_stack)
+from spdominance.decouple import certify_sp, epsilon_star, solve_chang_lti
 from spdominance.errors import DimensionMismatch, NonpositiveEps
-from spdominance.linalg import nsd_margin, symmetric
+from spdominance.linalg import eigvalsh_stack, symmetric
 
 from test_linalg import quad_eig_oracle
 
 P_R = [[-5.1987, 3.6260], [3.6260, 6.1987]]
 M_LO = [[0.0, 1.0], [-5.0, -5.0]]
 M_HI = [[0.0, 1.0], [2.0, -5.0]]
+# the spring's Jacobian hull: B, C and D constant, and A at the ends of the
+# stiffness, whose reduced matrices A - B D^{-1} C are M_LO and M_HI
+SPRING_HULL = (vertex_stack([[[0.0, 1.0], [-5.0, 0.0]], [[0.0, 1.0], [2.0, 0.0]]]),
+               np.array([[0.0], [-5.0]]), np.array([[0.0, 1.0]]), vertex_stack([[[-1.0]]]))
 
 
 def spring_cert(sigma_r=0.01):
@@ -31,7 +35,7 @@ def test_lmi_residual_fast_block_boundary():
 
 def test_lmi_residual_spring_slow_vs_oracle():
     S = lmi_residual(symmetric(P_R), M_HI, 2.0, 0.01)
-    margin = nsd_margin(S)
+    margin = eigvalsh_stack(S)[-1]
     assert margin <= 0.0
     assert margin == pytest.approx(quad_eig_oracle(S)[-1], rel=1e-12)
 
@@ -68,25 +72,25 @@ def test_certify_polytope_nan_vertex_infeasible():
 
 
 def test_certify_sp_spring():
-    slow, fast = certify_sp(spring_cert(), vertex_stack([M_LO, M_HI]),
-                            vertex_stack([[[-1.0]]]))
+    slow, fast = certify_sp(*SPRING_HULL, spring_cert())
     assert slow.feasible and fast.feasible
+    assert slow.margins == certify_polytope(P_R, vertex_stack([M_LO, M_HI]), 2.0, 0.01).margins
     assert fast.worst_margin == pytest.approx(0.0, abs=1e-12)
 
 
 def test_certify_sp_stability_case():
     cert = SPDominanceCertificate(P_r=np.eye(2), P_f=np.eye(2), lambda_r=0.0,
                                   lambda_f=0.0, sigma_r=1.0, sigma_f=1.0, p=0)
-    slow, fast = certify_sp(cert, vertex_stack([-np.eye(2)]),
-                            vertex_stack([-np.eye(2)]))
+    slow, fast = certify_sp(vertex_stack([-np.eye(2)]), np.zeros((2, 2)), np.zeros((2, 2)),
+                            vertex_stack([-np.eye(2)]), cert)
     assert slow.feasible and fast.feasible
 
 
 def test_certify_sp_unstable_fast_block():
     cert = SPDominanceCertificate(P_r=[[1.0]], P_f=[[1.0]], lambda_r=0.0,
                                   lambda_f=0.0, sigma_r=1.0, sigma_f=1.0, p=0)
-    _, fast = certify_sp(cert, vertex_stack([[[-1.0]]]),
-                         vertex_stack([[[1.0]]]))
+    _, fast = certify_sp(vertex_stack([[[-1.0]]]), [[0.0]], [[0.0]], vertex_stack([[[1.0]]]),
+                         cert)
     assert not fast.feasible
     assert fast.worst_margin == pytest.approx(2.0 + 1.0)  # 2 + 2*lam_f + sigma_f
 
@@ -104,14 +108,13 @@ def test_certificate_validation():
 
 
 def test_block_conditions_spring_small_eps():
-    from spdominance.decouple import solve_chang_lti
     A = np.array([[0.0, 1.0], [2.0, 0.0]])
     B = np.array([[0.0], [-5.0]])
     C = np.array([[0.0, 1.0]])
     D = np.array([[-1.0]])
     L = solve_chang_lti(A, B, C, D, 0.01)
-    slow, fast = block_conditions(spring_cert(), A, B, L, D, 0.01)
-    assert slow.feasible and fast.feasible
+    slow, fast = block_margins(spring_cert(), A, B, L, D, 0.01)
+    assert slow <= 0.0 and fast <= 0.0
 
 
 def test_block_conditions_large_eps_infeasible():
@@ -120,9 +123,9 @@ def test_block_conditions_large_eps_infeasible():
     A = np.array([[0.0, 1.0], [2.0, 0.0]])
     B = np.array([[0.0], [-5.0]])
     D = np.array([[-1.0]])
-    _, fast = block_conditions(spring_cert(), A, B, L0, D, 10.0)
-    assert not fast.feasible
-    assert fast.worst_margin == pytest.approx(-0.2 + 10.0 + 4.0 + 0.005)
+    _, fast = block_margins(spring_cert(), A, B, L0, D, 10.0)
+    assert fast > 0.0
+    assert fast == pytest.approx(-0.2 + 10.0 + 4.0 + 0.005)
 
 
 def test_block_conditions_decoupled_reduce_to_certify_sp():
@@ -130,17 +133,16 @@ def test_block_conditions_decoupled_reduce_to_certify_sp():
                                   lambda_f=0.0, sigma_r=1.0, sigma_f=1.0, p=0)
     A = -2.0 * np.eye(2)
     D = -3.0 * np.eye(2)
-    slow, fast = block_conditions(cert, A, np.zeros((2, 2)), np.zeros((2, 2)), D, 1.0)
+    slow, fast = block_margins(cert, A, np.zeros((2, 2)), np.zeros((2, 2)), D, 1.0)
     sigma = 0.5  # common sigma = min(sigma_r, sigma_f)/2
-    assert slow.worst_margin == pytest.approx(-4.0 + sigma)
-    assert fast.worst_margin == pytest.approx(-6.0 + sigma)
+    assert slow == pytest.approx(-4.0 + sigma)
+    assert fast == pytest.approx(-6.0 + sigma)
 
 
 def test_block_conditions_rejects_bad_eps():
-    cert = spring_cert()
-    with pytest.raises(NonpositiveEps):
-        block_conditions(cert, np.eye(2), np.zeros((2, 1)), np.zeros((1, 2)),
-                         -np.eye(1), 0.0)
+    for eps_max in (0.0, float("nan")):
+        with pytest.raises(NonpositiveEps):
+            epsilon_star(*SPRING_HULL, spring_cert(), eps_max=eps_max)
 
 
 def test_residual_affine_in_A():
@@ -160,7 +162,7 @@ def test_hull_points_feasible_when_vertices_feasible():
     P = symmetric(P_R)
     for alpha in rng.uniform(0, 1, 5):
         A = alpha * np.array(M_LO) + (1 - alpha) * np.array(M_HI)
-        assert nsd_margin(lmi_residual(P, A, 2.0, 0.01)) <= 1e-12
+        assert eigvalsh_stack(lmi_residual(P, A, 2.0, 0.01))[-1] <= 1e-12
 
 
 def test_margin_shift_in_sigma():
@@ -175,14 +177,15 @@ def test_dimension_mismatch():
     with pytest.raises(DimensionMismatch):
         certify_polytope(symmetric(np.eye(3)), vertex_stack([np.eye(2)]), 0.0, 1.0)
     with pytest.raises(DimensionMismatch, match=r"certificate blocks 2\+1 vs system 3\+1"):
-        certify_sp(spring_cert(), vertex_stack([np.eye(3)]), vertex_stack([[[-1.0]]]))
+        certify_sp(vertex_stack([np.eye(3)]), np.zeros((3, 1)), np.zeros((1, 3)),
+                   vertex_stack([[[-1.0]]]), spring_cert())
 
 
 def per_vertex_margin(P, A, lam, sigma):
     """The residual's largest eigenvalue for one vertex, formed as a single
     matrix and symmetrized through symmetric: the reference that the stacked
     lmi_residual must reproduce bit for bit."""
-    return nsd_margin(symmetric(P @ A + A.T @ P + 2.0 * lam * P + sigma * np.eye(len(P))))
+    return eigvalsh_stack(symmetric(P @ A + A.T @ P + 2.0 * lam * P + sigma * np.eye(len(P))))[-1]
 
 
 def random_polytope_cases():
@@ -230,5 +233,5 @@ def test_one_eigvalsh_call_per_polytope(monkeypatch):
     monkeypatch.setattr(np.linalg, "eigvalsh", counted)
     certify_polytope(P_R, vertex_stack([M_LO, M_HI, M_LO]), 2.0, 0.01)
     assert calls == [(3, 2, 2)]
-    certify_sp(cert, vertex_stack([M_LO, M_HI]), vertex_stack([[[-1.0]]]))
+    certify_sp(*SPRING_HULL, cert)
     assert calls[1:] == [(2, 2, 2), (1, 1, 1)]

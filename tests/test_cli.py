@@ -574,7 +574,9 @@ def test_newton_meets_zero_divisor_exits_1(tmp_path, capsys):
      "got []\n"),
     ("decouple", "linearization_point", False, "linearization_point must be numbers, "
      "got False\n"),
-    ("decouple", "linearization_point", 0, "point of shape (), expected (3,)\n"),
+    ("decouple", "linearization_point", 0, "linearization_point must be 3 numbers, got 0\n"),
+    ("decouple", "linearization_point", [0, 0],
+     "linearization_point must be 3 numbers, got [0, 0]\n"),
     ("certify", None, {**LINEAR_CONFIG, "A": [[[-1.0]], [[-2.0]]]},
      "vertex of shape (2, 1, 1), expected (2, 2)\n"),
 ], ids=["linearization-point", "initial-conditions", "linearization-point-nan",
@@ -588,7 +590,8 @@ def test_newton_meets_zero_divisor_exits_1(tmp_path, capsys):
         "initial-conditions-bool", "linearization-point-bool", "eps-beyond-double",
         "A-beyond-double", "P_r-beyond-double", "omega-false", "omega-zero",
         "omega-empty-string", "omega-empty-list", "omega-empty-object",
-        "linearization-point-false", "linearization-point-zero", "A-plain-3d"])
+        "linearization-point-false", "linearization-point-zero", "linearization-point-short",
+        "A-plain-3d"])
 def test_malformed_numeric_field_exits_1(tmp_path, capsys, command, field, value, message):
     # field None: value is the whole config
     cfg = value if field is None else {**spring_config(), field: value}
@@ -817,6 +820,8 @@ LINEAR_2_1_CONFIG = {
                     "lambda_f": 0.5, "sigma_r": 0.5, "sigma_f": 0.5, "p": 1},
     "initial_conditions": [[1.0, 0.0, 0.0]],
 }
+
+
 CERTIFICATE_KEYS = ("P_r", "P_f", "lambda_r", "lambda_f", "sigma_r", "sigma_f", "p")
 FUZZ_FIELDS = (
     [("spring", (key,)) for key in ("spec_version", "n_r", "n_f", "eps", "f", "g", "omega",
@@ -827,10 +832,8 @@ FUZZ_FIELDS = (
                                       "initial_conditions")]
     + [("linear", path) for path in (("A", 0), ("D", 0), ("initial_conditions", 0))]
     + [(base, ("certificate", key)) for base in ("spring", "linear") for key in CERTIFICATE_KEYS])
-# -2^31 is not among them: as the linear D it makes simulate grind through ~10^9
-# stability-bound steps rather than fail (ROADMAP item 2)
 ODD_VALUES = [BEYOND_DOUBLE, -BEYOND_DOUBLE, float("nan"), float("-inf"), "x1", "", True, None,
-              {}, {"vertices": []}, [[1.0, 2.0], [3.0]], 2 ** 31, 1e-320, 0, 1e308]
+              {}, {"vertices": []}, [[1.0, 2.0], [3.0]], 2 ** 31, -2 ** 31, 1e-320, 0, 1e308]
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
@@ -839,6 +842,8 @@ ODD_VALUES = [BEYOND_DOUBLE, -BEYOND_DOUBLE, float("nan"), float("-inf"), "x1", 
 # the two configs whose probe used to end in SingularP
 @example(field=("spring", ("certificate", "P_f")), value=2 ** 31, depth=2)
 @example(field=("linear", ("D",)), value=1e-320, depth=2)
+# a fast block too stiff for the explicit pair, which simulate and the probe refuse
+@example(field=("linear", ("D",)), value=-2 ** 31, depth=2)
 def test_config_fuzz_never_raises(tmp_path_factory, field, value, depth):
     # one field of a working config replaced by an odd value, nested depth lists
     # deep: every command returns an exit code, whatever the value
@@ -856,3 +861,14 @@ def test_config_fuzz_never_raises(tmp_path_factory, field, value, depth):
                  ["simulate", "--t-final", "0.1", "--out", str(tmp / "out")],
                  ["monotone-probe", "--pairs", "2", "--t-final", "0.1"]):
         assert main([argv[0], config] + argv[1:]) in (0, 1, 2)
+
+
+@pytest.mark.parametrize("argv", [["simulate", "--out", "out"],
+                                  ["monotone-probe", "--pairs", "2"]])
+def test_stiff_linear_fast_block_exits_1(tmp_path, capsys, monkeypatch, argv):
+    # a fast eigenvalue near -2e10: stepping it would take ~1e9 stability-bound steps
+    monkeypatch.chdir(tmp_path)
+    config = write_cfg(tmp_path, {**LINEAR_2_1_CONFIG, "D": [[-2 ** 31]]})
+    assert main([argv[0], config, "--t-final", "0.1"] + argv[1:]) == 1
+    assert capsys.readouterr().err == ("config error: spectral radius times span is 2.15e+09, "
+                                       "above the explicit DOP853 pair's step budget 1e+06\n")

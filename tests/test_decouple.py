@@ -6,11 +6,11 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from spdominance import cli, decouple
-from spdominance.certify import (FEASIBILITY_MARGIN, SPDominanceCertificate,
-                                 block_conditions, block_margins, vertex_stack)
+from spdominance.certify import (FEASIBILITY_MARGIN, SPDominanceCertificate, block_margins,
+                                 certify_polytope, vertex_stack)
 from spdominance.decouple import (BISECT_STEPS, CHANG_RESIDUAL_TOL, EPS_FLOOR, EPS_MAX,
                                   MONOTONE_CHECK_POINTS, build_decoupling, chang_residuals,
-                                  chang_stack, coupling_residual_limit, epsilon_star,
+                                  certify_sp, chang_stack, coupling_residual_limit, epsilon_star,
                                   full_system_matrix, reduced_model,
                                   solve_chang_lti)
 from spdominance.errors import (InfeasibleAtFloor, NoConvergence,
@@ -251,7 +251,7 @@ def test_epsilon_star_decreases_with_sigma():
 
 def scalar_epsilon_star(A_poly, B, C, D_poly, cert, eps_max=EPS_MAX):
     """Reference search: feasibility one eps and one vertex pair at a time
-    through solve_chang_lti and block_conditions; an infeasible floor raises,
+    through solve_chang_lti and block_margins; an infeasible floor raises,
     then BISECT_STEPS plain bisection steps, unless eps_max is feasible; the
     result drops to the largest of the MONOTONE_CHECK_POINTS log-spaced
     re-check points below the lowest infeasible one."""
@@ -262,8 +262,7 @@ def scalar_epsilon_star(A_poly, B, C, D_poly, cert, eps_max=EPS_MAX):
                     L = solve_chang_lti(A, B, C, D, eps)
                 except NoConvergence:
                     return False
-                slow, fast = block_conditions(cert, A, B, L, D, eps)
-                if not (slow.feasible and fast.feasible):
+                if not all(m <= FEASIBILITY_MARGIN for m in block_margins(cert, A, B, L, D, eps)):
                     return False
         return True
 
@@ -352,6 +351,37 @@ def test_stacked_search_matches_scalar_bisection(seed, n_r, n_f, n_a, n_d, feasi
             epsilon_star(*system)
         return
     assert epsilon_star(*system)[0] == pytest.approx(want, rel=1e-12, abs=0)
+
+
+def linear_2x3_hull_system():
+    """A LinearSPSystem of 2 A vertices and 3 D vertices, and its certificate."""
+    A, B, C, D, cert = lmi_system(np.random.default_rng(5), 3, 2, 2, 3, True)
+    return LinearSPSystem(A=A, B=B, C=C, D=D), cert
+
+
+@pytest.mark.parametrize("make", [linear_2x3_hull_system,
+                                  lambda: (nonlinear_spring_system(),
+                                           nonlinear_spring_certificate())],
+                         ids=["linear-2x3", "spring"])
+def test_certify_sp_pairs_the_hull_a_major(make):
+    # certify_sp's slow margins, bit for bit, are those of one reduced_model
+    # call per (A, D) vertex pair, A-major; it and epsilon_star take the same
+    # jacobian_hull tuple as it comes
+    system, cert = make()
+    hull = jacobian_hull(system)
+    A_vertices, B, C, D_vertices = hull
+    reduced = np.array([reduced_model(A, B, C, D)[2] for A in A_vertices for D in D_vertices])
+    slow, fast = certify_sp(*hull, cert)
+    expect = certify_polytope(cert.P_r, reduced, cert.lambda_r, cert.sigma_r).margins
+    assert [m.hex() for m in slow.margins] == [m.hex() for m in expect]
+    assert len(set(expect)) == len(expect)  # each pair's margin differs: the order shows
+    assert fast == certify_polytope(cert.P_f, D_vertices, cert.lambda_f, cert.sigma_f)
+    A, _, _, D, L0 = decouple.vertex_pairs(*hull, cert)
+    for k, (A_k, D_k) in enumerate(zip(A, D)):
+        assert np.array_equal(A_k, A_vertices[k // len(D_vertices)])
+        assert np.array_equal(D_k, D_vertices[k % len(D_vertices)])
+    assert np.array_equal(A - B @ L0, reduced)
+    assert 0 < epsilon_star(*hull, cert)[0] <= EPS_MAX
 
 
 def test_epsilon_star_raises_where_only_eps_max_passes():

@@ -7,7 +7,7 @@ import pytest
 from spdominance.analyze import certificate_cone
 from spdominance.errors import ConfigError, DimensionMismatch, NonFinite
 from spdominance.expressions import compile_field
-from spdominance.integrate import (DP_STEP_FLOOR, DP_TOL, STATE_NORM_LIMIT, _DP_TABLE,
+from spdominance.integrate import (DP_STEP_FLOOR, DP_TOL, STATE_NORM_LIMIT, STEP_BUDGET, _DP_TABLE,
                                    Trajectory, default_step, detect_convergence,
                                    dopri_run, find_equilibria, integrate,
                                    integrate_variational, make_rhs,
@@ -161,6 +161,16 @@ def test_default_step_rejects_eps_at_step_floor(eps):
     # eps/20 is at or below dopri_run's step floor: too stiff, not an escape
     with pytest.raises(ConfigError, match="too stiff for the explicit"):
         default_step(nonlinear_spring_system(eps=eps))
+
+
+def test_linear_system_beyond_step_budget_is_refused():
+    # spectral radius |D| / eps = 1e6, over a span just past STEP_BUDGET / 1e6
+    sys_ = LinearSPSystem(A=[[-1.0]], B=[[0.0]], C=[[0.0]], D=[[-1e5]], eps=0.1)
+    span = 1.01 * STEP_BUDGET / 1e6
+    with pytest.raises(ConfigError, match="above the explicit DOP853 pair's step budget"):
+        integrate(sys_, [[1.0, 1.0]], (0.0, span))
+    with pytest.raises(ConfigError, match="above the explicit DOP853 pair's step budget"):
+        integrate_variational(sys_, [1.0, 1.0], [1.0, 0.0], (0.0, span))
 
 
 def test_integrate_checks_batch_shape():

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spdominance.linalg import inertia, nsd_margin, sym_eigvals, symmetric
+from spdominance.linalg import eigvalsh_stack, inertia, sym_eigvals, symmetric
 
 P_R = [[-5.1987, 3.6260], [3.6260, 6.1987]]
 
@@ -98,31 +98,33 @@ def test_eigvals_sorted_and_trace():
         assert np.isclose(vals.sum(), np.trace(S), rtol=1e-10, atol=1e-10)
 
 
-def test_nsd_margin_examples():
-    assert nsd_margin(symmetric(-np.eye(2))) == pytest.approx(-1.0)
-    assert nsd_margin(symmetric(np.zeros((2, 2)))) == pytest.approx(0.0, abs=1e-14)
+def test_eigvalsh_stack_largest_examples():
+    assert eigvalsh_stack(-np.eye(2))[-1] == pytest.approx(-1.0)
+    assert eigvalsh_stack(np.zeros((2, 2)))[-1] == pytest.approx(0.0, abs=1e-14)
 
 
-def test_nsd_margin_lmi_residual_vs_oracle():
+def test_eigvalsh_stack_lmi_residual_vs_oracle():
     P = np.array(P_R)
     M = np.array([[0.0, 1.0], [-5.0, -5.0]])
     S = P @ M + M.T @ P + 4.0 * P + 0.01 * np.eye(2)
-    margin = nsd_margin(symmetric(S))
+    margin = eigvalsh_stack(symmetric(S))[-1]
     assert margin <= 0.0
     assert margin == pytest.approx(quad_eig_oracle(S)[-1], rel=1e-12, abs=1e-12)
 
 
-def test_nsd_margin_equals_last_eigenvalue():
+def test_eigvalsh_stack_matches_each_slice():
     rng = np.random.default_rng(19)
-    S = rng.standard_normal((4, 4))
-    S = symmetric(S + S.T)
-    assert nsd_margin(S) == sym_eigvals(S)[-1]
+    S = rng.standard_normal((3, 4, 4))
+    S = S + S.mT
+    assert np.array_equal(eigvalsh_stack(S), [sym_eigvals(symmetric(s)) for s in S])
 
 
 @pytest.mark.parametrize("d", [1.0, -1.0])
-def test_nsd_margin_of_nan_matrix_is_nan(d):
-    # LAPACK alone returns [0, -0] here, which would read as semidefinite
-    assert np.isnan(nsd_margin(symmetric([[np.nan, 0.0], [0.0, d]])))
+def test_eigvalsh_stack_of_nan_matrix_is_nan(d):
+    # LAPACK alone returns [0, -0] here, which would read as semidefinite;
+    # the finite matrix stacked beside it keeps its eigenvalues
+    vals = eigvalsh_stack(np.array([[[np.nan, 0.0], [0.0, d]], [[d, 0.0], [0.0, 2.0]]]))
+    assert np.isnan(vals[0]).all() and np.array_equal(vals[1], sorted([d, 2.0]))
 
 
 def test_symmetrization_warning():

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from spdominance import systems
-from spdominance.cli import slow_fast_polytopes
 from spdominance.decouple import reduced_model
 from spdominance.errors import NonpositiveEps, NotScalarParameterized
 from spdominance.expressions import compile_field, guarded, interval
@@ -73,7 +72,8 @@ def test_jacobians_vs_finite_differences():
 
 
 def test_scalar_hull_spring_vertices():
-    hull, _ = slow_fast_polytopes(nonlinear_spring_system())
+    A_vertices, B, C, D_vertices = jacobian_hull(nonlinear_spring_system())
+    hull = [reduced_model(A, B, C, D_vertices[0])[2] for A in A_vertices]
     assert len(hull) == 2
     assert np.allclose(hull[0], [[0, 1], [SLOPE_LO, -5]], rtol=0, atol=1e-12)
     assert np.allclose(hull[1], [[0, 1], [2, -5]], rtol=0, atol=1e-12)
