@@ -44,8 +44,9 @@ def fast_coupling_gain(sys):
     return L0
 
 
-def certificate_cone(sys, cert):
-    """Cone of the certificate in the original coordinates.
+def certificate_cone(sys, cert, L0=None):
+    """Cone of the certificate in the original coordinates; L0, when given,
+    is fast_coupling_gain(sys), which is otherwise computed here.
 
     The slow and fast certificates hold in the decoupled coordinates
     w = T0^{-1} s, so the cone matrix is Q = T0^{-T} blkdiag(P_r, P_f) T0^{-1}
@@ -57,7 +58,7 @@ def certificate_cone(sys, cert):
     cert.check_blocks(sys.n_r, sys.n_f)
     n_r, n_f = cert.n_r, cert.n_f
     T_inv = np.eye(n_r + n_f)
-    T_inv[n_r:, :n_r] = fast_coupling_gain(sys)
+    T_inv[n_r:, :n_r] = fast_coupling_gain(sys) if L0 is None else L0
     P = np.zeros((n_r + n_f, n_r + n_f))
     P[:n_r, :n_r] = cert.P_r
     P[n_r:, n_r:] = cert.P_f
@@ -87,7 +88,7 @@ def monotone_probe(sys, cert, n_pairs=PROBE_PAIRS, t_final=SPRING_T_FINAL,
     returned as "riders": (times, states, stats), on t = 0 and the sample times.
     """
     L0 = fast_coupling_gain(sys)
-    cone_spec = certificate_cone(sys, cert)
+    cone_spec = certificate_cone(sys, cert, L0)
     box = [sys.omega[name] for name in sys.names]
     pairs = sample_cone_pairs(np.random.default_rng(seed), box, cone_spec, n_pairs)
     sample_times = [k * t_final / PROBE_SAMPLES for k in range(1, PROBE_SAMPLES + 1)]

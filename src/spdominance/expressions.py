@@ -68,32 +68,22 @@ class Call:
     arg: object
 
 
-_NUMBER_RE = re.compile(r"(\d+\.\d*|\.\d+|\d+)([eE][+-]?\d+)?")
+# a number, an identifier or an operator, tried in that order
+_TOKEN_RE = re.compile(r"(\d+\.\d*|\.\d+|\d+)([eE][+-]?\d+)?|([A-Za-z_][A-Za-z_0-9]*)|[-+*/^()]")
 
 
 def _tokenize(text):
-    tokens = []
-    pos = 0
+    tokens, pos = [], 0
     while pos < len(text):
         if text[pos].isspace():
             pos += 1
-            continue
-        m = _NUMBER_RE.match(text, pos)
-        if m:
-            tokens.append(("num", float(m.group(0)), pos))
+        elif m := _TOKEN_RE.match(text, pos):
+            kind = "num" if m[1] else "ident" if m[3] else m[0]
+            tokens.append((kind, float(m[0]) if m[1] else m[0], pos))
             pos = m.end()
-            continue
-        m = re.match(r"[A-Za-z_][A-Za-z_0-9]*", text[pos:])
-        if m:
-            tokens.append(("ident", m.group(0), pos))
-            pos += m.end()
-            continue
-        if text[pos] in "+-*/^()":
-            tokens.append((text[pos], text[pos], pos))
-            pos += 1
-            continue
-        raise ParseError(f"unexpected character {text[pos]!r}", pos,
-                         {"number", "identifier", "operator"})
+        else:
+            raise ParseError(f"unexpected character {text[pos]!r}", pos,
+                             {"number", "identifier", "operator"})
     tokens.append(("end", None, len(text)))
     return tokens
 
@@ -311,12 +301,32 @@ def compile_field(asts, var_names):
     to out.T[k] (a constant component broadcasts), so out has shape
     s.shape[:-1] + (len(asts),). s.T[i] is the column s[..., i] of a batch
     (..., dim), or a numpy scalar, cheaper than a 0-d array, for one state
-    (dim,); powers are ufunc calls, so a state and its batch row agree bitwise."""
+    (dim,); powers are ufunc calls, so a state and its batch row agree bitwise.
+    Each distinct subexpression is computed once per call, into a local where
+    it is first evaluated: the operations keep their order, minus repeats, so
+    the bits and the first error stay. Subtrees are keyed by source text, as
+    Const(0.0) == Const(-0.0)."""
+    keys, uses, shared = {}, {}, {}
+
+    def count(ast):  # its source text; counts it and each subtree in it
+        keys[id(ast)] = k = _numpy_source(ast, count)  # ids hold while asts live
+        uses[k] = uses.get(k, 0) + 1
+        return k
+
+    def source(ast):
+        k = keys[id(ast)]
+        if k not in shared and uses[k] > 1 and not isinstance(ast, (Const, Var)):
+            shared[k] = f"_c{len(shared)}"
+            return f"({shared[k]} := {_numpy_source(ast, source)})"
+        return shared.get(k) or _numpy_source(ast, source)
+
+    for a in asts:
+        count(a)
     lines = ["def field(s):", "    sT = s.T"]
     lines += [f"    {name} = sT[{i}]" for i, name in enumerate(var_names)]
     lines.append(f"    out = np.empty(s.shape[:-1] + ({len(asts)},))")
     lines.append("    o = out.T")
-    lines += [f"    o[{i}] = {_numpy_source(a)}" for i, a in enumerate(asts)]
+    lines += [f"    o[{i}] = {source(a)}" for i, a in enumerate(asts)]
     lines.append("    return out")
     namespace = {"np": np, "__builtins__": {}}
     exec("\n".join(lines), namespace)  # source generated from our own AST
@@ -382,19 +392,19 @@ def interval(ast, box):
     return float(lo), float(hi)
 
 
-def _numpy_source(ast):
+def _numpy_source(ast, sub):  # sub gives the operands' sources
     if isinstance(ast, Const):
         return repr(ast.value)
     if isinstance(ast, Var):
         return ast.name
     if isinstance(ast, Neg):
-        return f"(-{_numpy_source(ast.arg)})"
+        return f"(-{sub(ast.arg)})"
     if isinstance(ast, Call):
-        return f"np.{ast.fn}({_numpy_source(ast.arg)})"
+        return f"np.{ast.fn}({sub(ast.arg)})"
     if isinstance(ast, Pow):  # the ufuncs an array's ** calls; a scalar's ** rounds apart
-        base, k = _numpy_source(ast.base), ast.exponent
+        base, k = sub(ast.base), ast.exponent
         return {2: f"np.square({base})", -1: f"np.reciprocal({base})"}.get(
             k, f"np.power({base}, {k})")
     if isinstance(ast, BinOp):
-        return f"({_numpy_source(ast.left)} {ast.op} {_numpy_source(ast.right)})"
+        return f"({sub(ast.left)} {ast.op} {sub(ast.right)})"
     raise TypeError(f"not an AST node: {ast!r}")

@@ -36,7 +36,7 @@ EQUILIBRIUM_TOL = 1e-10
 NEWTON_MAX_ITER = 100
 EQUILIBRIUM_MERGE_RADIUS = 1e-6
 CONVERGENCE_TOL = 1e-3
-STEP_BUDGET = 1e6  # spectral radius x span of a linear run: up to ~1.6e5 explicit steps
+STEP_BUDGET = 1e6  # spectral radius x span; any run stops after STEP_BUDGET / 6 steps
 
 
 @dataclass
@@ -192,7 +192,9 @@ def dopri_run(rhs, y0, t_span, h0, sample_times=None):
     each. stats names the method and its tolerance and counts accepted and
     rejected steps and rhs evaluations. Raises NonFinite when an accepted
     state leaves the finite range, the error estimate is NaN or the step
-    underflows below DP_STEP_FLOOR * max(1, |t|).
+    underflows below DP_STEP_FLOOR * max(1, |t|), and ConfigError once
+    STEP_BUDGET / 6 steps, accepted or rejected, have not reached t1 (a
+    stiff field holds the step near 6 / radius, as check_step_budget says).
     """
     t0, t1 = float(t_span[0]), float(t_span[1])
     if h0 <= 0 or t1 <= t0:
@@ -207,14 +209,16 @@ def dopri_run(rhs, y0, t_span, h0, sample_times=None):
     y0 = np.array(y0, dtype=float)
     # G holds the accepted state, then its 13 stage derivatives; stage r's state
     # is the one product coef[r, :r + 2] @ G[:r + 2], coef[r] = (1, step * row r);
-    # the 13th, the solution's, waits for acceptance: E5 and E3 weight it 0
+    # the 13th, the solution's, waits for acceptance: E5 and E3 weight it 0; the
+    # products are the rows' bound dots, np.dot's C routine without its dispatch
     G = np.empty((14,) + y0.shape)
     G_flat = G.reshape(14, -1)
     G[0], G[1] = y0, rhs(y0)
     G[13] = G[1]  # so until the first step is accepted it is finite
     coef = np.ones((14, 14))  # column 0, the state's weight, stays 1
-    stages = [(coef[r, :r + 2], G_flat[:r + 2], 2 + r) for r in range(11)]
-    err_coef, K_flat = coef[12:, 1:], G_flat[1:]
+    stages = [(coef[r, :r + 2].dot, G_flat[:r + 2], 2 + r) for r in range(11)]
+    solution, err_dot = coef[11, :13].dot, coef[12:, 1:].dot
+    G_sol, K_flat = G_flat[:13], G_flat[1:]
     y_new = np.empty_like(y0)  # each stage state in turn; the last is the 8th-order solution
     y_new_flat = y_new.reshape(-1)
     abs_y = np.abs(G_flat[0])  # |y| of the accepted state, carried into the next scale
@@ -229,17 +233,20 @@ def dopri_run(rhs, y0, t_span, h0, sample_times=None):
             # solution leaves every bounded set, e.g. x' = x^3 at t = 1/(2 x0^2)
             if h < DP_STEP_FLOOR * max(1.0, abs(t)):
                 raise NonFinite(f"state escaped at t={t:.6g}: step size underflow (h={h:.3g})")
+            if (n := stats["steps"] + stats["rejected"]) >= STEP_BUDGET / 6:
+                raise ConfigError(f"{n} steps reached only t={t:.6g}, the explicit DOP853 pair's "
+                                  f"step budget {STEP_BUDGET / 6:.3g}: too stiff, or too long a span")
             # stretch by up to 1% rather than leave a sliver before the stop
             landing = t + 1.01 * h >= stop
             step = stop - t if landing else h
             np.multiply(_DP_TABLE, step, out=coef[:, 1:])
-            for c, g, k in stages:
-                np.dot(c, g, out=y_new_flat)
+            for dot, g, k in stages:
+                dot(g, out=y_new_flat)
                 G[k] = rhs(y_new)
-            np.dot(coef[11, :13], G_flat[:13], out=y_new_flat)
+            solution(G_sol, out=y_new_flat)
             stats["rhs_evals"] += 11
             # the E5 and E3 errors / DP_TOL, over 1 + max(|y|, |y_new|)
-            np.dot(err_coef, K_flat, out=err_vec)
+            err_dot(K_flat, out=err_vec)
             np.abs(y_new_flat, out=abs_new)
             np.maximum(abs_y, abs_new, out=scale)
             scale += 1.0
@@ -300,16 +307,22 @@ def make_variational_rhs(sys):
         dx, dz = deltas[:sys.n_r], deltas[sys.n_r:]
         inv_eps = Const(1.0 / sys.eps)
 
-        def dot(row, names):
-            # sum of entry * delta over the nonzero entries, starting from 0.0:
-            # a partial sum that starts at +0.0 is never -0.0, so leaving out the
-            # zero entries (each term +-0.0 for a finite delta) changes no result
-            terms = [BinOp("*", e, Var(d)) for e, d in zip(row, names) if e != Const(0.0)]
-            return functools.reduce(lambda a, b: BinOp("+", a, b), terms, Const(0.0))
+        add = functools.partial(BinOp, "+")
 
-        d_slow = [BinOp("+", dot(a, dx), dot(b, dz)) for a, b in zip(jac["A"], jac["B"])]
-        d_fast = [BinOp("*", BinOp("+", dot(c, dx), dot(d, dz)), inv_eps)
-                  for c, d in zip(jac["C"], jac["D"])]
+        def half(row, names):  # entry * delta over the nonzero entries, from 0.0
+            terms = [Var(d) if e == Const(1.0) else BinOp("*", e, Var(d))
+                     for e, d in zip(row, names) if e != Const(0.0)]
+            return functools.reduce(add, terms, Const(0.0))
+
+        def dot(row_x, row_z):
+            # a partial sum that starts at +0.0 is never -0.0, so leaving out the
+            # zero entries (each term +-0.0 for a finite delta) and an empty half
+            # (+0.0) changes no result, nor does writing 1.0 * delta as delta
+            halves = [h for h in (half(row_x, dx), half(row_z, dz)) if h != Const(0.0)]
+            return functools.reduce(add, halves) if halves else Const(0.0)
+
+        d_slow = [dot(a, b) for a, b in zip(jac["A"], jac["B"])]
+        d_fast = [BinOp("*", dot(c, d), inv_eps) for c, d in zip(jac["C"], jac["D"])]
         sys._var_kernel = compile_field(_derivative_asts(sys) + d_slow + d_fast, sys.names + deltas)
     return sys._var_kernel
 

@@ -872,3 +872,17 @@ def test_stiff_linear_fast_block_exits_1(tmp_path, capsys, monkeypatch, argv):
     assert main([argv[0], config, "--t-final", "0.1"] + argv[1:]) == 1
     assert capsys.readouterr().err == ("config error: spectral radius times span is 2.15e+09, "
                                        "above the explicit DOP853 pair's step budget 1e+06\n")
+
+
+@pytest.mark.parametrize("argv", [["simulate", "--out", "out"],
+                                  ["monotone-probe", "--pairs", "2"]])
+def test_stiff_nonlinear_fast_block_exits_1(tmp_path, capsys, monkeypatch, argv):
+    # g scaled by 2^31 puts a fast eigenvalue near -2e11, which no check sees
+    # before stepping; the step budget, scaled down to 1,000 steps here, stops it
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(sys.modules["spdominance.integrate"], "STEP_BUDGET", 6000.0)
+    config = write_cfg(tmp_path, {**spring_config(), "g": ["2147483648*(x2 - z1)"]})
+    assert main([argv[0], config, "--t-final", "0.1"] + argv[1:]) == 1
+    assert re.fullmatch(r"config error: 1000 steps reached only t=\S+, the explicit DOP853 pair's "
+                        r"step budget 1e\+03: too stiff, or too long a span\n",
+                        capsys.readouterr().err)

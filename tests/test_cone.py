@@ -227,6 +227,19 @@ def test_probe_riders_share_its_run():
     assert states.shape == (201, 2, 3) and states[0].tolist() == riders
 
 
+def test_probe_computes_l0_once(monkeypatch):
+    # one reduced_model call gives the report's L0 and the cone's matrix
+    sys_, cert = nonlinear_spring_system(), nonlinear_spring_certificate()
+    calls = []
+    reduced_model = analyze.reduced_model
+    monkeypatch.setattr(analyze, "reduced_model", lambda *a: calls.append(a) or reduced_model(*a))
+    probe = monotone_probe(sys_, cert, n_pairs=2, t_final=0.1, seed=42)
+    assert len(calls) == 1
+    monkeypatch.undo()
+    assert probe["cone"]["L0"] == analyze.fast_coupling_gain(sys_).tolist()
+    assert probe["cone"]["matrix"] == certificate_cone(sys_, cert).P.tolist()
+
+
 def test_probe_counts_match_cone_locate(monkeypatch):
     # the probe's one cone_ratio call over every stored difference counts as
     # cone_locate does vector by vector; one zero, one nonzero boundary and

@@ -247,6 +247,66 @@ def test_state_matches_its_batch_row_bit_for_bit(asts, dim, seed):
             assert field(state).tobytes() == row.tobytes()
 
 
+def _shared_components(pool):
+    """Components built over a pool of subtrees, so that they share some."""
+    part = st.one_of(st.sampled_from(pool), ASTS)
+    return st.lists(st.recursive(part, lambda sub: st.one_of(
+        st.builds(BinOp, st.sampled_from("+-*/"), sub, sub),
+        st.builds(Neg, sub),
+        st.builds(Call, st.sampled_from(sorted(FUNCTIONS)), sub)), max_leaves=4),
+        min_size=2, max_size=4)
+
+
+X1 = Var("x1")
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(asts=st.lists(ASTS, min_size=1, max_size=3).flatmap(_shared_components),
+       seed=st.integers(0, 2**32 - 1))
+# equal as ASTs, since Const(0.0) == Const(-0.0), but not bit for bit
+@example(asts=[BinOp("*", X1, Const(0.0)), BinOp("*", X1, Const(-0.0))], seed=0)
+@example(asts=[Call("tanh", X1), BinOp("*", Const(7.0), Call("tanh", X1))], seed=0)
+def test_shared_subtrees_keep_every_component_bit_for_bit(asts, seed):
+    # each component of one kernel, where a repeated subtree is computed once,
+    # has the bits of a kernel of that component alone, for a state and a batch
+    names = ["x1", "x2", "x3"]
+    rng = np.random.default_rng(seed)
+    states = rng.uniform(-3, 3, (8, 3))
+    zeros = rng.random(states.shape) < 0.25
+    states[zeros] = rng.choice([0.0, -0.0], zeros.sum())
+
+    def run(kernel, s):
+        try:
+            return kernel(s)
+        except ZeroDivisionError:  # a constant over a constant 0
+            return None
+
+    field, alone = compile_field(asts, names), [compile_field([a], names) for a in asts]
+    with np.errstate(all="ignore"):
+        for s in (states, *states):
+            whole, parts = run(field, s), [run(k, s) for k in alone]
+            if any(part is None for part in parts):
+                assert whole is None
+                continue
+            for k, part in enumerate(parts):
+                assert whole[..., k].tobytes() == part[..., 0].tobytes()
+
+
+@pytest.mark.parametrize("srcs, point, message", [
+    (["x3 / x2 + 1", "2 * (x3 / x2)"], (0.0, 0.0, 1.0), "division by zero"),
+    (["x1 - x2", "tanh(x1 - x2)"], (np.inf, np.inf, 1.0), "invalid value encountered in subtract"),
+    # the first failing operation is reported, whichever subtree is shared
+    (["x3 / x2 + (x1 - x1)", "(x1 - x1) * 2"], (np.inf, 0.0, 1.0), "division by zero"),
+    (["(x1 - x1) + x3 / x2", "(x3 / x2) * 2"], (np.inf, 0.0, 1.0),
+     "invalid value encountered in subtract"),
+])
+def test_guarded_message_of_a_shared_subtree(srcs, point, message):
+    field = guarded(compile_field([parse_expr(src) for src in srcs], ["x1", "x2", "x3"]))
+    for s in (np.array(point), np.array([(0.5, 1.0, 1.0), point])):
+        with pytest.raises(EvalError, match=f"^{message}$"):
+            field(s)
+
+
 @pytest.mark.parametrize("src, point, message", [
     ("x1 / 0", (1.0, 0.0), "division by zero"),
     ("x1 / x2", (0.0, 0.0), "division by zero"),

@@ -417,6 +417,26 @@ def test_variational_kernel_compiles_once_per_system(monkeypatch):
     assert first.delta_states.tobytes() == second.delta_states.tobytes()
 
 
+def test_spring_variational_kernel_calls_tanh_once(monkeypatch):
+    # tanh(x1) is in the field and in its Jacobian: computed once per call
+    kernel = make_variational_rhs(nonlinear_spring_system())
+    calls = []
+
+    class CountingNumpy:
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+        def tanh(self, x):
+            calls.append(x)
+            return np.tanh(x)
+
+    monkeypatch.setitem(kernel.__globals__, "np", CountingNumpy())
+    for s in (np.ones(6), np.ones((5, 6))):
+        calls.clear()
+        kernel(s)
+        assert len(calls) == 1
+
+
 def test_variational_vs_two_trajectory_difference():
     sys_ = nonlinear_spring_system()
     x0 = np.array([1.0, 1.0, 1.0])
