@@ -6,13 +6,10 @@ from __future__ import annotations
 import numpy as np
 
 from .cone import CONE_BOUNDARY_BAND, MatrixConeSpec, cone_ratio
-from .decouple import reduced_model
-from .errors import NotScalarParameterized
-from .expressions import free_vars
 from .integrate import CONVERGENCE_TOL, detect_convergence, integrate
 from .linalg import symmetric
 from .sampling import sample_cone_pairs
-from .systems import SPRING_T_FINAL, LinearSPSystem, jacobians
+from .systems import SPRING_T_FINAL
 
 PROBE_PAIRS = 100
 PROBE_SEED = 42
@@ -21,44 +18,20 @@ PROBE_SAMPLES = 200
 PROBE_BOUNDARY_ALLOWANCE = 0.01
 
 
-def fast_coupling_gain(sys):
-    """L0 = D^{-1} C of the eps -> 0 decoupling transform
-    T0^{-1} = [[I, 0], [L0, I]], which maps a state (x, z) to the slow
-    state x and the distance z + L0 x from the slow manifold.
-
-    L0 is constant only when C and D are: a LinearSPSystem supplies them
-    through fixed_blocks(); a nonlinear system whose C or D varies over
-    omega has no single cone and raises NotScalarParameterized.
-    """
-    if isinstance(sys, LinearSPSystem):
-        A, B, C, D = sys.fixed_blocks()
-    else:
-        varying = [(key, i, j) for key in "CD" for i, row in enumerate(
-            sys.jacobian_asts()[key]) for j, e in enumerate(row) if free_vars(e)]
-        if varying:
-            raise NotScalarParameterized(
-                f"fast-block Jacobian entries {varying} vary over omega; "
-                "no constant decoupling transform, hence no single cone")
-        A, B, C, D = jacobians(sys, sys.omega_center())
-    L0, _, _ = reduced_model(A, B, C, D)
-    return L0
-
-
-def certificate_cone(sys, cert, L0=None):
-    """Cone of the certificate in the original coordinates; L0, when given,
-    is fast_coupling_gain(sys), which is otherwise computed here.
+def certificate_cone(sys, cert):
+    """Cone of the certificate in the original coordinates.
 
     The slow and fast certificates hold in the decoupled coordinates
     w = T0^{-1} s, so the cone matrix is Q = T0^{-T} blkdiag(P_r, P_f) T0^{-1}
-    with T0^{-1} = [[I, 0], [L0, I]] (see fast_coupling_gain). The eps -> 0
-    transform is used because it is constant, so one cone serves every Jacobian
-    of the hull. T0^{-1} is unit lower-triangular, so Q keeps the inertia the
+    with T0^{-1} = [[I, 0], [L0, I]] and L0 = sys.L0. The eps -> 0 transform
+    is used because it is constant, so one cone serves every Jacobian of the
+    hull. T0^{-1} is unit lower-triangular, so Q keeps the inertia the
     certificate checked for blkdiag(P_r, P_f) (Sylvester's law): rank cert.p.
     """
     cert.check_blocks(sys.n_r, sys.n_f)
     n_r, n_f = cert.n_r, cert.n_f
     T_inv = np.eye(n_r + n_f)
-    T_inv[n_r:, :n_r] = fast_coupling_gain(sys) if L0 is None else L0
+    T_inv[n_r:, :n_r] = sys.L0
     P = np.zeros((n_r + n_f, n_r + n_f))
     P[:n_r, :n_r] = cert.P_r
     P[n_r:, n_r:] = cert.P_f
@@ -87,8 +60,7 @@ def monotone_probe(sys, cert, n_pairs=PROBE_PAIRS, t_final=SPRING_T_FINAL,
     pairs in the same batch (one that escapes fails the probe); their run is
     returned as "riders": (times, states, stats), on t = 0 and the sample times.
     """
-    L0 = fast_coupling_gain(sys)
-    cone_spec = certificate_cone(sys, cert, L0)
+    cone_spec = certificate_cone(sys, cert)
     box = [sys.omega[name] for name in sys.names]
     pairs = sample_cone_pairs(np.random.default_rng(seed), box, cone_spec, n_pairs)
     sample_times = [k * t_final / PROBE_SAMPLES for k in range(1, PROBE_SAMPLES + 1)]
@@ -117,7 +89,7 @@ def monotone_probe(sys, cert, n_pairs=PROBE_PAIRS, t_final=SPRING_T_FINAL,
         "boundary_allowance": PROBE_BOUNDARY_ALLOWANCE,
         "cone": {
             "transform": "T0^-1 = [[I, 0], [L0, I]], L0 = D^-1 C (eps -> 0)",
-            "L0": L0.tolist(),
+            "L0": sys.L0.tolist(),
             "matrix": cone_spec.P.tolist(),
             "rank_k": cone_spec.rank_k,
             "used_for": "sampling and classification",

@@ -50,6 +50,9 @@ def _blocks(A, B, C, D):
             or C.shape != (n_f, n_r) or D.shape != (n_f, n_f):
         raise DimensionMismatch(
             f"inconsistent blocks: A{A.shape} B{B.shape} C{C.shape} D{D.shape}")
+    if not n_r or not n_f:
+        raise DimensionMismatch(f"n_r = {n_r}, n_f = {n_f}: the blocks need a slow "
+                                "and a fast state")
     return A, B, C, D
 
 

@@ -68,6 +68,11 @@ class Call:
     arg: object
 
 
+# the most levels (operators, powers, calls, unary minuses) an AST may nest above
+# its leaves: compile_field's source nests a parenthesis per level, and CPython's
+# parser takes 200 nested parentheses
+MAX_NESTING = 200
+
 # a number, an identifier or an operator, tried in that order
 _TOKEN_RE = re.compile(r"(\d+\.\d*|\.\d+|\d+)([eE][+-]?\d+)?|([A-Za-z_][A-Za-z_0-9]*)|[-+*/^()]")
 
@@ -92,6 +97,7 @@ class _Parser:
     def __init__(self, text):
         self.tokens = _tokenize(text)
         self.i = 0
+        self.height = {}  # id of each node parsed -> its levels above its leaves
 
     def peek(self):
         return self.tokens[self.i]
@@ -107,6 +113,16 @@ class _Parser:
             raise ParseError(f"unexpected token {tok[1]!r}", tok[2], {kind})
         return self.advance()
 
+    def nest(self, node):
+        """node, one level above its highest operand (a leaf, operator or
+        exponent has no key: level 0); ParseError beyond MAX_NESTING levels."""
+        height = 1 + max(self.height.get(id(v), 0) for v in vars(node).values())
+        if height > MAX_NESTING:
+            raise ParseError(f"expression nested deeper than MAX_NESTING = {MAX_NESTING} "
+                             "levels", self.peek()[2])
+        self.height[id(node)] = height
+        return node
+
     def parse(self):
         ast = self.expr()
         tok = self.peek()
@@ -118,14 +134,14 @@ class _Parser:
         node = self.term()
         while self.peek()[0] in ("+", "-"):
             op = self.advance()[0]
-            node = BinOp(op, node, self.term())
+            node = self.nest(BinOp(op, node, self.term()))
         return node
 
     def term(self):
         node = self.factor()
         while self.peek()[0] in ("*", "/"):
             op = self.advance()[0]
-            node = BinOp(op, node, self.factor())
+            node = self.nest(BinOp(op, node, self.factor()))
         return node
 
     def factor(self):
@@ -142,14 +158,14 @@ class _Parser:
                 raise ParseError("exponent must be an integer literal", tok[2],
                                  {"integer"})
             self.advance()
-            return Pow(node, sign * int(tok[1]))
+            return self.nest(Pow(node, sign * int(tok[1])))
         return node
 
     def base(self):
         tok = self.peek()
         if tok[0] == "-":
             self.advance()
-            return Neg(self.base())
+            return self.nest(Neg(self.base()))
         if tok[0] == "num":
             self.advance()
             return Const(tok[1])
@@ -162,7 +178,7 @@ class _Parser:
                 self.advance()
                 arg = self.expr()
                 self.expect(")")
-                return Call(tok[1], arg)
+                return self.nest(Call(tok[1], arg))
             return Var(tok[1])
         if tok[0] == "(":
             self.advance()
@@ -174,8 +190,13 @@ class _Parser:
 
 
 def parse_expr(text):
-    """Parse DSL source to an AST. Raises ParseError with position info."""
-    return _Parser(text).parse()
+    """Parse DSL source to an AST. Raises ParseError with position info, also
+    where it nests deeper than MAX_NESTING levels or than the stack allows."""
+    parser = _Parser(text)
+    try:
+        return parser.parse()
+    except RecursionError:
+        raise ParseError("expression nested too deeply to parse", parser.peek()[2]) from None
 
 
 def free_vars(ast):
@@ -305,7 +326,8 @@ def compile_field(asts, var_names):
     Each distinct subexpression is computed once per call, into a local where
     it is first evaluated: the operations keep their order, minus repeats, so
     the bits and the first error stay. Subtrees are keyed by source text, as
-    Const(0.0) == Const(-0.0)."""
+    Const(0.0) == Const(-0.0). EvalError where an AST nests too deeply to
+    compile: past the stack's depth or CPython's 200 nested parentheses."""
     keys, uses, shared = {}, {}, {}
 
     def count(ast):  # its source text; counts it and each subtree in it
@@ -320,16 +342,18 @@ def compile_field(asts, var_names):
             return f"({shared[k]} := {_numpy_source(ast, source)})"
         return shared.get(k) or _numpy_source(ast, source)
 
-    for a in asts:
-        count(a)
     lines = ["def field(s):", "    sT = s.T"]
     lines += [f"    {name} = sT[{i}]" for i, name in enumerate(var_names)]
     lines.append(f"    out = np.empty(s.shape[:-1] + ({len(asts)},))")
     lines.append("    o = out.T")
-    lines += [f"    o[{i}] = {source(a)}" for i, a in enumerate(asts)]
-    lines.append("    return out")
     namespace = {"np": np, "__builtins__": {}}
-    exec("\n".join(lines), namespace)  # source generated from our own AST
+    try:
+        for a in asts:
+            count(a)
+        lines += [f"    o[{i}] = {source(a)}" for i, a in enumerate(asts)]
+        exec("\n".join(lines + ["    return out"]), namespace)  # source from our own AST
+    except (RecursionError, SyntaxError):
+        raise EvalError("expression nested too deeply to compile") from None
     return namespace["field"]
 
 

@@ -12,18 +12,14 @@ jointly with its variation, both from default_step(sys) = min(1e-3, eps/20).
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .decouple import full_system_matrix
 from .errors import ConfigError, DimensionMismatch, NonFinite
-from .expressions import BinOp, Const, Var, compile_field, guarded
-from .systems import (LinearSPSystem, NonlinearSPSystem, damped_newton, jacobian_kernel,
-                      state_names)
+from .systems import LinearSPSystem, NonlinearSPSystem, damped_newton, state_names
 
 STATE_NORM_LIMIT = 1e12
 CSV_MAX_ROWS = 100_000
@@ -78,8 +74,8 @@ def check_step_budget(sys, t_span):
     exceeds STEP_BUDGET: the explicit pair's steps stay near 6 / radius, so a
     fast block that stiff would take minutes."""
     if isinstance(sys, LinearSPSystem):
-        M = full_system_matrix(*sys.fixed_blocks(), sys.eps)
-        if (work := np.abs(np.linalg.eigvals(M)).max() * (t_span[1] - t_span[0])) > STEP_BUDGET:
+        work = np.abs(np.linalg.eigvals(sys.matrix)).max() * (t_span[1] - t_span[0])
+        if work > STEP_BUDGET:
             raise ConfigError(f"spectral radius times span is {work:.3g}, above the "
                               f"explicit DOP853 pair's step budget {STEP_BUDGET:.3g}")
 
@@ -88,24 +84,12 @@ def make_rhs(sys):
     """Vectorized right-hand side: maps states of shape (..., dim) to
     derivatives of the same shape."""
     if isinstance(sys, LinearSPSystem):
-        M = full_system_matrix(*sys.fixed_blocks(), sys.eps)
-
-        def rhs(s):
-            return s @ M.T
-
-        return rhs
+        M = sys.matrix
+        return lambda s: s @ M.T
 
     if not isinstance(sys, NonlinearSPSystem):
         raise TypeError(f"cannot integrate {type(sys).__name__}")
-    return compile_field(_derivative_asts(sys), sys.names)
-
-
-def _derivative_asts(sys):
-    """The state derivative's components: f, then each g times 1/eps. The
-    product stays last (1/eps is not folded into g), so each fast component
-    rounds as g's value scaled by 1/eps."""
-    inv_eps = Const(1.0 / sys.eps)
-    return sys.f + [BinOp("*", e, inv_eps) for e in sys.g]
+    return sys.derivative_kernel
 
 
 # Hairer's DOP853 (Hairer, Norsett & Wanner, Solving Ordinary Differential
@@ -301,30 +285,7 @@ def make_variational_rhs(sys):
 
     if not isinstance(sys, NonlinearSPSystem):
         raise TypeError(f"cannot integrate {type(sys).__name__}")
-    if sys._var_kernel is None:  # compiled once per system, as jacobian_kernel is
-        jac = sys.jacobian_asts()
-        deltas = ["d" + name for name in sys.names]
-        dx, dz = deltas[:sys.n_r], deltas[sys.n_r:]
-        inv_eps = Const(1.0 / sys.eps)
-
-        add = functools.partial(BinOp, "+")
-
-        def half(row, names):  # entry * delta over the nonzero entries, from 0.0
-            terms = [Var(d) if e == Const(1.0) else BinOp("*", e, Var(d))
-                     for e, d in zip(row, names) if e != Const(0.0)]
-            return functools.reduce(add, terms, Const(0.0))
-
-        def dot(row_x, row_z):
-            # a partial sum that starts at +0.0 is never -0.0, so leaving out the
-            # zero entries (each term +-0.0 for a finite delta) and an empty half
-            # (+0.0) changes no result, nor does writing 1.0 * delta as delta
-            halves = [h for h in (half(row_x, dx), half(row_z, dz)) if h != Const(0.0)]
-            return functools.reduce(add, halves) if halves else Const(0.0)
-
-        d_slow = [dot(a, b) for a, b in zip(jac["A"], jac["B"])]
-        d_fast = [BinOp("*", dot(c, d), inv_eps) for c, d in zip(jac["C"], jac["D"])]
-        sys._var_kernel = compile_field(_derivative_asts(sys) + d_slow + d_fast, sys.names + deltas)
-    return sys._var_kernel
+    return sys.variational_kernel
 
 
 def integrate_variational(sys, x0, delta0, t_span):
@@ -347,8 +308,7 @@ def find_equilibria(sys):
     equilibria. A zero divisor in the residual or the Jacobian raises
     EvalError."""
     axes = [np.linspace(*sys.omega[name], EQUILIBRIUM_GRID) for name in sys.names]
-    field = guarded(compile_field(sys.f + sys.g, sys.names))
-    roots = damped_newton(field, jacobian_kernel(sys), list(itertools.product(*axes)),
+    roots = damped_newton(sys.field, sys.jacobian_kernel, list(itertools.product(*axes)),
                           EQUILIBRIUM_TOL, NEWTON_MAX_ITER)
     found = []
     for point in roots[~np.isnan(roots).any(axis=1)]:  # NaN rows failed

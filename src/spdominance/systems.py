@@ -1,18 +1,22 @@
 """System definitions: nonlinear two-time-scale systems over the expression
-DSL, symbolic Jacobians, the Jacobian hull enclosed over omega,
-damped Newton, and the built-in nonlinear-spring demo system."""
+DSL and linear ones, the Jacobian hull enclosed over omega, damped Newton,
+and the built-in nonlinear-spring demo system."""
 
 from __future__ import annotations
 
+import functools
 import itertools
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .certify import SPDominanceCertificate, vertex_stack
+from .decouple import full_system_matrix, reduced_model
 from .errors import ConfigError, DimensionMismatch, NotScalarParameterized, check_eps
-from .expressions import compile_field, diff_expr, free_vars, guarded, interval, parse_expr
+from .expressions import (BinOp, Const, Var, compile_field, diff_expr, free_vars, guarded,
+                          interval, parse_expr)
 
 
 def state_names(n_r, n_f):
@@ -20,8 +24,13 @@ def state_names(n_r, n_f):
 
 
 class _StateSpace:
-    """What both system kinds share: the states x1..x{n_r}, z1..z{n_f} and
-    the box omega, which maps each state to a finite (lo, hi) interval."""
+    """What both system kinds share: the states x1..x{n_r}, z1..z{n_f}, the
+    box omega, which maps each state to a finite (lo, hi) interval, and L0 =
+    D^{-1} C of the eps -> 0 decoupling transform T0^{-1} = [[I, 0], [L0, I]],
+    which maps (x, z) to x and the distance z + L0 x from the slow manifold.
+    What a system derives from its definition is a cached_property, computed
+    at first use; nothing assigns a system's fields after construction, so no
+    cached value goes stale."""
 
     @property
     def names(self):
@@ -87,26 +96,85 @@ class NonlinearSPSystem(_StateSpace):
         if unknown:
             raise ValueError(f"undeclared variable(s): {sorted(unknown)}")
         self._check_omega()
-        rhs0 = guarded(compile_field(self.f + self.g, self.names))(np.zeros(self.dim))
-        if np.abs(rhs0).max() > 1e-12:
+        if np.abs(self.field(np.zeros(self.dim))).max() > 1e-12:
             warnings.warn("system does not vanish at the origin; "
                           "dominance theory assumes a shifted equilibrium there")
-        self._jac_asts = self._jac_kernel = self._var_kernel = None
 
-    # -- symbolic machinery -------------------------------------------------
+    @cached_property
+    def field(self):
+        """(f, g) at states (..., dim); a zero divisor raises EvalError."""
+        return guarded(compile_field(self.f + self.g, self.names))
 
+    @cached_property
     def jacobian_asts(self):
         """Symbolic partials: dict of blocks 'A','B','C','D' -> 2-D lists."""
-        if self._jac_asts is None:
-            xs = self.names[:self.n_r]
-            zs = self.names[self.n_r:]
-            self._jac_asts = {
-                "A": [[diff_expr(e, v) for v in xs] for e in self.f],
-                "B": [[diff_expr(e, v) for v in zs] for e in self.f],
-                "C": [[diff_expr(e, v) for v in xs] for e in self.g],
-                "D": [[diff_expr(e, v) for v in zs] for e in self.g],
-            }
-        return self._jac_asts
+        xs, zs = self.names[:self.n_r], self.names[self.n_r:]
+        return {key: [[diff_expr(e, v) for v in vs] for e in es] for key, es, vs in
+                (("A", self.f, xs), ("B", self.f, zs), ("C", self.g, xs), ("D", self.g, zs))}
+
+    def varying_entries(self, blocks):
+        """(block, i, j) of each state-dependent entry of the named Jacobian blocks."""
+        return [(key, i, j) for key in blocks for i, row in enumerate(self.jacobian_asts[key])
+                for j, e in enumerate(row) if free_vars(e)]
+
+    @cached_property
+    def jacobian_kernel(self):
+        """The full Jacobian [[A, B], [C, D]] of (f, g): points (..., dim) ->
+        (..., dim, dim). A zero divisor raises EvalError."""
+        jac, dim = self.jacobian_asts, self.dim
+        rows = ([a + b for a, b in zip(jac["A"], jac["B"])]
+                + [c + d for c, d in zip(jac["C"], jac["D"])])
+        entries = guarded(compile_field([e for row in rows for e in row], self.names))
+        return lambda point: entries(point).reshape(np.shape(point)[:-1] + (dim, dim))
+
+    @cached_property
+    def derivative_asts(self):
+        """The state derivative's components: f, then each g times 1/eps. The
+        product stays last (1/eps is not folded into g), so each fast component
+        rounds as g's value scaled by 1/eps."""
+        inv_eps = Const(1.0 / self.eps)
+        return self.f + [BinOp("*", e, inv_eps) for e in self.g]
+
+    @cached_property
+    def derivative_kernel(self):
+        """The state derivative (f, g/eps): states (..., dim) -> derivatives."""
+        return compile_field(self.derivative_asts, self.names)
+
+    @cached_property
+    def variational_kernel(self):
+        """make_variational_rhs's kernel, on (base, delta) states (..., 2 dim)."""
+        jac = self.jacobian_asts
+        deltas = ["d" + name for name in self.names]
+        dx, dz = deltas[:self.n_r], deltas[self.n_r:]
+        inv_eps = Const(1.0 / self.eps)
+
+        add = functools.partial(BinOp, "+")
+
+        def half(row, names):  # entry * delta over the nonzero entries, from 0.0
+            terms = [Var(d) if e == Const(1.0) else BinOp("*", e, Var(d))
+                     for e, d in zip(row, names) if e != Const(0.0)]
+            return functools.reduce(add, terms, Const(0.0))
+
+        def dot(row_x, row_z):
+            # a partial sum that starts at +0.0 is never -0.0, so leaving out the
+            # zero entries (each term +-0.0 for a finite delta) and an empty half
+            # (+0.0) changes no result, nor does writing 1.0 * delta as delta
+            halves = [h for h in (half(row_x, dx), half(row_z, dz)) if h != Const(0.0)]
+            return functools.reduce(add, halves) if halves else Const(0.0)
+
+        d_slow = [dot(a, b) for a, b in zip(jac["A"], jac["B"])]
+        d_fast = [BinOp("*", dot(c, d), inv_eps) for c, d in zip(jac["C"], jac["D"])]
+        return compile_field(self.derivative_asts + d_slow + d_fast, self.names + deltas)
+
+    @cached_property
+    def L0(self):
+        """L0 from the Jacobian at omega's center; NotScalarParameterized where
+        an entry of C or D varies over omega: no constant decoupling transform."""
+        if varying := self.varying_entries("CD"):
+            raise NotScalarParameterized(
+                f"fast-block Jacobian entries {varying} vary over omega; "
+                "no constant decoupling transform, hence no single cone")
+        return reduced_model(*jacobians(self, self.omega_center()))[0]
 
 
 @dataclass
@@ -148,18 +216,15 @@ class LinearSPSystem(_StateSpace):
             raise ConfigError("system has polytopic blocks; pick a vertex explicitly")
         return self.A[0], self.B, self.C, self.D[0]
 
+    @cached_property
+    def matrix(self):
+        """The system matrix [[A, B], [C/eps, D/eps]] of the fixed blocks."""
+        return full_system_matrix(*self.fixed_blocks(), self.eps)
 
-def jacobian_kernel(sys):
-    """The full Jacobian [[A, B], [C, D]] of (f, g), compiled once per system:
-    points (..., dim) -> (..., dim, dim). A zero divisor raises EvalError."""
-    if sys._jac_kernel is None:
-        jac = sys.jacobian_asts()
-        rows = ([a + b for a, b in zip(jac["A"], jac["B"])]
-                + [c + d for c, d in zip(jac["C"], jac["D"])])
-        field = guarded(compile_field([e for row in rows for e in row], sys.names))
-        sys._jac_kernel = lambda point: field(point).reshape(
-            np.shape(point)[:-1] + (sys.dim, sys.dim))
-    return sys._jac_kernel
+    @cached_property
+    def L0(self):
+        """L0 of the fixed blocks; ConfigError where A or D is a polytope."""
+        return reduced_model(*self.fixed_blocks())[0]
 
 
 def jacobians(sys, point):
@@ -169,7 +234,7 @@ def jacobians(sys, point):
         raise DimensionMismatch(f"point of shape {point.shape}, expected ({sys.dim},)")
     if not sys.in_omega(point):
         warnings.warn("Jacobian requested outside the declared state-space box")
-    J, n_r = jacobian_kernel(sys)(point), sys.n_r
+    J, n_r = sys.jacobian_kernel(point), sys.n_r
     return J[:n_r, :n_r], J[:n_r, n_r:], J[n_r:, :n_r], J[n_r:, n_r:]
 
 
@@ -185,19 +250,18 @@ def jacobian_hull(sys):
     when one of them varies, or more than MAX_HULL_ENTRIES entries of A do."""
     if isinstance(sys, LinearSPSystem):
         return sys.A, sys.B, sys.C, sys.D
-    jac = sys.jacobian_asts()
-    for block in "BCD":
-        if any(free_vars(e) for row in jac[block] for e in row):
-            raise NotScalarParameterized(f"varying entry sits in block {block}; the "
-                                         "hull of A0 matrices is only affine in A")
-    rows, cols = np.nonzero([[bool(free_vars(e)) for e in row] for row in jac["A"]])
-    if len(rows) > MAX_HULL_ENTRIES:
-        raise NotScalarParameterized(f"{len(rows)} varying Jacobian entries in A, "
+    if varying := sys.varying_entries("BCD"):
+        raise NotScalarParameterized(f"varying entry sits in block {varying[0][0]}; the "
+                                     "hull of A0 matrices is only affine in A")
+    entries = sys.varying_entries("A")
+    if len(entries) > MAX_HULL_ENTRIES:
+        raise NotScalarParameterized(f"{len(entries)} varying Jacobian entries in A, "
                                      f"more than MAX_HULL_ENTRIES = {MAX_HULL_ENTRIES}")
     A, B, C, D = jacobians(sys, sys.omega_center())
-    ends = [interval(jac["A"][i][j], sys.omega) for i, j in zip(rows, cols)]
-    corners = np.repeat(A[None], 2 ** len(rows), axis=0)
-    corners[:, rows, cols] = list(itertools.product(*ends))
+    ends = [interval(sys.jacobian_asts["A"][i][j], sys.omega) for _, i, j in entries]
+    corners = np.repeat(A[None], 2 ** len(entries), axis=0)
+    corners[:, [i for _, i, _ in entries], [j for _, _, j in entries]] = list(
+        itertools.product(*ends))
     return corners, B, C, D[None]
 
 

@@ -481,6 +481,51 @@ def test_singular_expression_exits_1(tmp_path, capsys, command):
         assert capsys.readouterr().err == "config error: division by zero\n", f
 
 
+NESTED_G = {  # the spring's g nested past what compiles, each in its own way
+    "sum-250": " + ".join(["x2"] * 249) + " - 250*z1",
+    "sum-1200": " + ".join(["x2"] * 1199) + " - 1200*z1",
+    "minus-600": "-" * 600 + "(x2 - z1)",
+    "parentheses-600": "(" * 600 + "x2 - z1" + ")" * 600,
+}
+
+
+@pytest.mark.parametrize("command", ["certify", "simulate"])
+@pytest.mark.parametrize("shape", NESTED_G)
+def test_deeply_nested_expression_exits_1(tmp_path, capsys, command, shape):
+    cfg = {**spring_config(), "g": [NESTED_G[shape]]}
+    extra = ["--out", str(tmp_path / "out")] if command == "simulate" else []
+    assert main([command, write_cfg(tmp_path, cfg)] + extra) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: expression nested ") and err.count("\n") == 1
+
+
+def test_sum_at_max_nesting_certifies_and_simulate_refuses_one_level_more(tmp_path, capsys):
+    # 201 terms nest MAX_NESTING levels: certify runs as before; simulate's
+    # g/eps adds a level its kernel cannot compile, a config error
+    cfg = {**spring_config(), "g": [" + ".join(["x2"] * 200) + " - 201*z1"]}
+    path = write_cfg(tmp_path, cfg)
+    assert main(["certify", path]) == 0
+    capsys.readouterr()
+    assert main(["simulate", path, "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == "config error: expression nested too deeply to compile\n"
+
+
+@pytest.mark.parametrize("overrides, n_r, n_f, simulated", [
+    ({"n_f": 0, "f": ["x2", "7*tanh(x1) - 5*x1"], "g": [], "initial_conditions": [[1, 1]],
+      "omega": {"x1": [-3, 3], "x2": [-3, 3]}}, 2, 0, 2),
+    ({"n_r": 0, "f": [], "g": ["-z1"], "initial_conditions": [[1]], "omega": {"z1": [-3, 3]}},
+     0, 1, 0),
+], ids=["no-fast-state", "no-slow-state"])
+def test_decouple_without_slow_or_fast_state_exits_1(tmp_path, capsys, overrides, n_r, n_f,
+                                                     simulated):
+    path = write_cfg(tmp_path, {**spring_config(), **overrides})
+    assert main(["decouple", path]) == 1
+    assert capsys.readouterr().err == (f"config error: n_r = {n_r}, n_f = {n_f}: the blocks "
+                                       "need a slow and a fast state\n")
+    # the system still integrates: the undamped slow pair does not converge
+    assert main(["simulate", path, "--out", str(tmp_path / "out")]) == simulated
+
+
 def test_newton_meets_zero_divisor_exits_1(tmp_path, capsys):
     # the equilibrium grid seeds x1 = 1, where the Jacobian divides by zero
     cfg = {"spec_version": 1, "kind": "nonlinear", "n_r": 1, "n_f": 1, "eps": 0.1,

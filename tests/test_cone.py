@@ -3,14 +3,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spdominance import analyze
+from spdominance import analyze, systems
 from spdominance.analyze import certificate_cone, monotone_probe
 from spdominance.certify import SPDominanceCertificate, vertex_stack
 from spdominance.cone import CONE_BOUNDARY_BAND, cone_ratio, make_cone
 from spdominance.errors import (DegenerateCone, DimensionMismatch,
                                 NotScalarParameterized, SingularP)
 from spdominance.linalg import inertia, symmetric
-from spdominance.systems import (LinearSPSystem, NonlinearSPSystem,
+from spdominance.systems import (LinearSPSystem, NonlinearSPSystem, jacobians,
                                  nonlinear_spring_certificate,
                                  nonlinear_spring_system)
 
@@ -228,16 +228,18 @@ def test_probe_riders_share_its_run():
 
 
 def test_probe_computes_l0_once(monkeypatch):
-    # one reduced_model call gives the report's L0 and the cone's matrix
+    # one reduced_model call, the system's L0, gives the report's L0 and the cone's matrix
     sys_, cert = nonlinear_spring_system(), nonlinear_spring_certificate()
     calls = []
-    reduced_model = analyze.reduced_model
-    monkeypatch.setattr(analyze, "reduced_model", lambda *a: calls.append(a) or reduced_model(*a))
+    reduced_model = systems.reduced_model
+    monkeypatch.setattr(systems, "reduced_model", lambda *a: calls.append(a) or reduced_model(*a))
     probe = monotone_probe(sys_, cert, n_pairs=2, t_final=0.1, seed=42)
     assert len(calls) == 1
     monkeypatch.undo()
-    assert probe["cone"]["L0"] == analyze.fast_coupling_gain(sys_).tolist()
-    assert probe["cone"]["matrix"] == certificate_cone(sys_, cert).P.tolist()
+    fresh = nonlinear_spring_system()  # derives its own L0
+    L0 = reduced_model(*jacobians(fresh, fresh.omega_center()))[0]
+    assert probe["cone"]["L0"] == L0.tolist()
+    assert probe["cone"]["matrix"] == certificate_cone(fresh, cert).P.tolist()
 
 
 def test_probe_counts_match_cone_locate(monkeypatch):

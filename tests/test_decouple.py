@@ -13,7 +13,7 @@ from spdominance.decouple import (BISECT_STEPS, CHANG_RESIDUAL_TOL, EPS_FLOOR, E
                                   certify_sp, chang_stack, coupling_residual_limit, epsilon_star,
                                   full_system_matrix, reduced_model,
                                   solve_chang_lti)
-from spdominance.errors import (InfeasibleAtFloor, NoConvergence,
+from spdominance.errors import (DimensionMismatch, InfeasibleAtFloor, NoConvergence,
                                 NonpositiveEps, SingularD)
 from spdominance.systems import (LinearSPSystem, jacobian_hull, nonlinear_spring_certificate,
                                  nonlinear_spring_system)
@@ -60,6 +60,14 @@ def test_reduced_model_identity_blocks():
 def test_reduced_model_singular_d():
     with pytest.raises(SingularD):
         reduced_model(np.eye(2), np.eye(2), np.eye(2), np.zeros((2, 2)))
+
+
+@pytest.mark.parametrize("n_r, n_f", [(2, 0), (0, 1)])
+def test_empty_block_is_a_dimension_mismatch(n_r, n_f):
+    A, B, C, D = np.zeros((n_r, n_r)), np.zeros((n_r, n_f)), np.zeros((n_f, n_r)), -np.eye(n_f)
+    for decouple_blocks in (reduced_model, lambda *blocks: build_decoupling(*blocks, 0.1)):
+        with pytest.raises(DimensionMismatch, match="need a slow and a fast state"):
+            decouple_blocks(A, B, C, D)
 
 
 def test_chang_scalar_quadratic_root():

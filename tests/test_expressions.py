@@ -4,8 +4,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from spdominance.errors import EvalError, ParseError
-from spdominance.expressions import (FUNCTIONS, BinOp, Call, Const, Neg, Pow, Var,
-                                     compile_field, diff_expr, free_vars, guarded,
+from spdominance.expressions import (FUNCTIONS, MAX_NESTING, BinOp, Call, Const, Neg, Pow,
+                                     Var, compile_field, diff_expr, free_vars, guarded,
                                      interval, parse_expr, simplify)
 
 
@@ -68,6 +68,37 @@ def test_parse_error_reports_position():
 def test_parse_error_unknown_function():
     with pytest.raises(ParseError):
         parse_expr("sinh(x1)")
+
+
+def test_parse_refuses_nesting_beyond_max_nesting():
+    # a sum of n terms nests n - 1 levels: MAX_NESTING levels parse, one more
+    # is refused, as are unary minuses and calls past it; parentheses alone add
+    # no level, and nested past the stack they are a ParseError, not a RecursionError
+    assert MAX_NESTING == 200
+    parse_expr(" + ".join(["x1"] * (MAX_NESTING + 1)))
+    for text in [" + ".join(["x1"] * (MAX_NESTING + 2)), " + ".join(["x1"] * 1200),
+                 "-" * (MAX_NESTING + 1) + "x1", "-" * 600 + "x1",
+                 "exp(" * (MAX_NESTING + 1) + "x1" + ")" * (MAX_NESTING + 1)]:
+        with pytest.raises(ParseError, match=f"nested deeper than MAX_NESTING = {MAX_NESTING}"):
+            parse_expr(text)
+    assert parse_expr("(" * 150 + "x1" + ")" * 150) == Var("x1")
+    with pytest.raises(ParseError, match="nested too deeply to parse"):
+        parse_expr("(" * 600 + "x1" + ")" * 600)
+
+
+def test_compile_field_refuses_what_python_cannot_nest():
+    # compile_field's source nests a parenthesis per level: 200 compile, 201 are
+    # past CPython's parser and 1200 past the stack; both are EvalError
+    def chain(n):  # n unary minuses over x1
+        ast = Var("x1")
+        for _ in range(n):
+            ast = Neg(ast)
+        return ast
+
+    assert compile_field([chain(200)], ["x1"])(np.array([2.0]))[0] == 2.0
+    for n in (201, 1200):
+        with pytest.raises(EvalError, match="nested too deeply to compile"):
+            compile_field([chain(n)], ["x1"])
 
 
 def test_diff_spring_nonlinearity():

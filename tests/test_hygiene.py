@@ -2,8 +2,8 @@
 public name resolves, no module imports a name it never uses, no src
 function takes a parameter it never reads, every top-level function and
 class of src is referenced by the program itself (not by tests alone)
-outside its own definition, and every attribute src stores on self is read
-somewhere."""
+outside its own definition, every attribute src stores on self is read
+somewhere, and src stores no _-prefixed attribute on another object."""
 
 import ast
 import pathlib
@@ -91,6 +91,16 @@ def self_attribute_stores(path):
             and isinstance(node.value, ast.Name) and node.value.id == "self"]
 
 
+def private_stores_off_self(path):
+    """'file:line: target' for each store of a _-prefixed attribute on an
+    object other than self, such as a module caching its state on a system."""
+    return [f"{path.relative_to(ROOT)}:{node.lineno}: {ast.unparse(node)}"
+            for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)
+            and node.attr.startswith("_")
+            and not (isinstance(node.value, ast.Name) and node.value.id == "self")]
+
+
 def attribute_reads(tree):
     """Each attribute name a tree reads: as .name, or through getattr or
     hasattr with a literal name."""
@@ -128,3 +138,9 @@ def test_every_src_attribute_is_read():
     assert src
     assert [hit for path in src for name, hit in self_attribute_stores(path)
             if name not in read] == []
+
+
+def test_src_stores_no_private_attribute_on_another_object():
+    src = [path for path in SOURCES if path.is_relative_to(ROOT / "src")]
+    assert src
+    assert [hit for path in src for hit in private_stores_off_self(path)] == []

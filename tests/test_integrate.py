@@ -1,9 +1,9 @@
-import importlib
 import itertools
 
 import numpy as np
 import pytest
 
+from spdominance import systems
 from spdominance.analyze import certificate_cone
 from spdominance.errors import ConfigError, DimensionMismatch, NonFinite
 from spdominance.expressions import compile_field
@@ -401,8 +401,7 @@ def test_variational_zero_delta_stays_zero():
 
 
 def test_variational_kernel_compiles_once_per_system(monkeypatch):
-    # the package exports the integrate function under the module's name
-    module = importlib.import_module("spdominance.integrate")
+    # the system compiles its variational kernel; (f, g) was compiled when it was built
     calls = []
 
     def counted(*args):
@@ -410,7 +409,7 @@ def test_variational_kernel_compiles_once_per_system(monkeypatch):
         return compile_field(*args)
 
     sys_ = nonlinear_spring_system()
-    monkeypatch.setattr(module, "compile_field", counted)
+    monkeypatch.setattr(systems, "compile_field", counted)
     first = integrate_variational(sys_, [1.0, 1.0, 1.0], [0.1, 0.0, 0.0], (0, 0.1))
     second = integrate_variational(sys_, [1.0, 1.0, 1.0], [0.1, 0.0, 0.0], (0, 0.1))
     assert len(calls) == 1
@@ -588,7 +587,7 @@ def reference_rhs(sys):
 def reference_variational_rhs(sys):
     base_rhs = reference_rhs(sys)
     dim = sys.dim
-    jac = sys.jacobian_asts()
+    jac = sys.jacobian_asts
     entry_fns = {key: [compile_field([e], sys.names) for row in jac[key] for e in row]
                  for key in "ABCD"}
     n_r, n_f = sys.n_r, sys.n_f

@@ -5,12 +5,14 @@ import numpy as np
 import pytest
 
 from spdominance import systems
-from spdominance.decouple import reduced_model
+from spdominance.analyze import monotone_probe
+from spdominance.decouple import epsilon_star, reduced_model
 from spdominance.errors import NonpositiveEps, NotScalarParameterized
 from spdominance.expressions import compile_field, guarded, interval
+from spdominance.integrate import find_equilibria, integrate, integrate_variational
 from spdominance.systems import (MAX_HULL_ENTRIES, LinearSPSystem, NonlinearSPSystem,
                                  damped_newton, jacobian_hull, jacobians,
-                                 nonlinear_spring_system)
+                                 nonlinear_spring_certificate, nonlinear_spring_system)
 
 BOX3 = {"x1": (-3.0, 3.0), "x2": (-3.0, 3.0), "z1": (-3.0, 3.0)}
 SLOPE_LO = 7 * (1 - np.tanh(3.0) ** 2) - 5  # d/dx1 [7 tanh(x1) - 5 x1] at x1 = +-3
@@ -43,6 +45,39 @@ def test_jacobian_kernel_compiled_once_per_system(monkeypatch):
     assert all(np.array_equal(a, b) for a, b in zip(first, again))
     jacobians(other, np.zeros(3))  # another system compiles its own
     assert len(compiled) == 2
+
+
+def test_each_kernel_and_l0_derived_once_per_system(monkeypatch):
+    # every check and run of the spring, twice over, reads what its system
+    # derived once: four compiled kernels ((f, g), the Jacobian, the derivative
+    # and the variational kernel) and one L0; another system derives its own
+    compiled, reduced = [], []
+    compile_field, reduced_model = systems.compile_field, systems.reduced_model
+    monkeypatch.setattr(systems, "compile_field", lambda *a: compiled.append(a) or compile_field(*a))
+    monkeypatch.setattr(systems, "reduced_model", lambda *a: reduced.append(a) or reduced_model(*a))
+    sys_, cert = nonlinear_spring_system(), nonlinear_spring_certificate()
+    for _ in range(2):
+        epsilon_star(*jacobian_hull(sys_), cert)
+        monotone_probe(sys_, cert, n_pairs=2, t_final=0.1, riders=[[1.0, 1.0, 1.0]])
+        find_equilibria(sys_)
+        integrate(sys_, [[1.0, 1.0, 1.0]], (0.0, 0.1))
+        integrate_variational(sys_, [1.0, 1.0, 1.0], [0.1, 0.0, 0.0], (0.0, 0.1))
+    assert len(compiled) == 4
+    assert len(reduced) == 1
+    monotone_probe(nonlinear_spring_system(), cert, n_pairs=2, t_final=0.1)
+    assert (len(compiled), len(reduced)) == (7, 2)  # (f, g), Jacobian, derivative
+
+
+@pytest.mark.parametrize("g", [" + ".join(["x2"] * 194) + " - 195*z1",
+                               "tanh(" * 95 + "x2" + ")" * 95 + " - z1"], ids=["sum-195", "tanh-95"])
+def test_deep_expressions_compile_every_kernel(g):
+    # well inside MAX_NESTING: each of the four kernels compiles and evaluates
+    sys_ = NonlinearSPSystem(2, 1, ["x2", "7*tanh(x1) - 5*x1 - 5*z1"], [g], 0.01, BOX3)
+    state = np.array([0.5, -0.25, 0.125])
+    assert np.isfinite(sys_.field(state)).all()
+    assert np.isfinite(sys_.jacobian_kernel(state)).all()
+    assert np.isfinite(sys_.derivative_kernel(state)).all()
+    assert np.isfinite(sys_.variational_kernel(np.tile(state, 2))).all()
 
 
 def test_linear_system_encoded_as_dsl_has_constant_jacobians():
@@ -91,7 +126,7 @@ def test_jacobian_hull_corners_in_product_order():
     # each varying entry at an end of its enclosure, the rest as at the center
     sys_ = NonlinearSPSystem(2, 1, ["x2 * x2", "tanh(x1)"], ["x2 - z1"], 0.1, BOX3)
     hull, B, C, D = jacobian_hull(sys_)
-    jac = sys_.jacobian_asts()["A"]
+    jac = sys_.jacobian_asts["A"]
     ends = [interval(jac[0][1], sys_.omega), interval(jac[1][0], sys_.omega)]
     assert ends[0][0] < ends[0][1] and ends[1][0] < ends[1][1]
     center = jacobians(sys_, sys_.omega_center())
@@ -117,7 +152,7 @@ def test_jacobian_hull_rejects_more_than_max_entries():
 def test_sampled_bounds_within_analytic_range():
     # the entry sampled over omega lies in its enclosure, inside the range (-5, 2]
     sys_ = nonlinear_spring_system()
-    entry = sys_.jacobian_asts()["A"][1][0]
+    entry = sys_.jacobian_asts["A"][1][0]
     lo, hi = interval(entry, sys_.omega)
     samples = compile_field([entry], ["x1"])(np.linspace(-3.0, 3.0, 1001)[:, None])
     assert -5.0 < lo <= samples.min() and samples.max() <= hi < 2.0 + 1e-12
@@ -196,7 +231,7 @@ def test_damped_newton_batch_matches_scalar_loop(name, max_iter):
     axes = [np.linspace(*sys_.omega[n], 5) for n in sys_.names]
     seeds = np.array(list(itertools.product(*axes)))
     field = guarded(compile_field(sys_.f + sys_.g, sys_.names))
-    jac = systems.jacobian_kernel(sys_)
+    jac = sys_.jacobian_kernel
     roots = damped_newton(field, jac, seeds, 1e-10, max_iter)
     assert roots.shape == seeds.shape
     for seed, root in zip(seeds, roots):
@@ -240,7 +275,7 @@ def test_solve_manifold_no_real_root():
         return g_field(np.insert(z, 0, 1.0, axis=-1))
 
     def dg_dz(z):
-        return systems.jacobian_kernel(sys_)(np.insert(z, 0, 1.0, axis=-1))[..., 1:, 1:]
+        return sys_.jacobian_kernel(np.insert(z, 0, 1.0, axis=-1))[..., 1:, 1:]
 
     assert np.isnan(damped_newton(g, dg_dz, [[2.0]], 1e-12, 100)).all()
     with pytest.raises(NewtonFailure, match="no descent"):
