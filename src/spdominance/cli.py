@@ -242,15 +242,11 @@ def cmd_certify(args, report):
 def cmd_decouple(args, report):
     system = args.system
     eps = args.eps if args.eps is not None else system.eps
-    if isinstance(system, NonlinearSPSystem):
-        given = args.cfg.get("linearization_point")  # the origin when absent or null
-        point = numeric_field([0] * system.dim if given is None else given, "linearization_point")
-        if point.shape != (system.dim,):
-            raise ConfigError(f"linearization_point must be {system.dim} numbers, "
-                              f"got {given!r}")
-        A, B, C, D = jacobians(system, point)
-    else:
-        A, B, C, D = system.fixed_blocks()
+    given = args.cfg.get("linearization_point")  # the origin when absent or null
+    point = numeric_field([0] * system.dim if given is None else given, "linearization_point")
+    if point.shape != (system.dim,):
+        raise ConfigError(f"linearization_point must be {system.dim} numbers, got {given!r}")
+    A, B, C, D = jacobians(system, point)
     report["eps"] = eps
     report["tolerances"] = {"coupling_residual": coupling_residual_limit(B, C),
                             "block_diagonal_residual": BLOCK_DIAGONAL_TOL}

@@ -217,9 +217,22 @@ class LinearSPSystem(_StateSpace):
         return self.A[0], self.B, self.C, self.D[0]
 
     @cached_property
-    def matrix(self):
-        """The system matrix [[A, B], [C/eps, D/eps]] of the fixed blocks."""
-        return full_system_matrix(*self.fixed_blocks(), self.eps)
+    def jacobian_kernel(self):
+        """The fixed blocks' [[A, B], [C, D]], broadcast: points (..., dim) -> (..., dim, dim)."""
+        J = full_system_matrix(*self.fixed_blocks(), 1.0)
+        return lambda point: np.broadcast_to(J, np.shape(point)[:-1] + J.shape)
+
+    @cached_property
+    def derivative_kernel(self):
+        """The state derivative M s, M = [[A, B], [C/eps, D/eps]] of the fixed blocks."""
+        M = full_system_matrix(*self.fixed_blocks(), self.eps)
+        return lambda s: s @ M.T
+
+    @cached_property
+    def variational_kernel(self):
+        """derivative_kernel on (base, delta) states (..., 2 dim): the variation obeys it too."""
+        rhs = self.derivative_kernel
+        return lambda s: rhs(s.reshape(s.shape[:-1] + (2, self.dim))).reshape(s.shape)
 
     @cached_property
     def L0(self):
@@ -228,7 +241,7 @@ class LinearSPSystem(_StateSpace):
 
 
 def jacobians(sys, point):
-    """Evaluate the four Jacobian blocks of (f, g) at a state point."""
+    """The four Jacobian blocks at a state point: of (f, g), or a linear system's."""
     point = np.asarray(point, dtype=float)
     if point.shape != (sys.dim,):
         raise DimensionMismatch(f"point of shape {point.shape}, expected ({sys.dim},)")

@@ -922,12 +922,29 @@ def test_stiff_linear_fast_block_exits_1(tmp_path, capsys, monkeypatch, argv):
 @pytest.mark.parametrize("argv", [["simulate", "--out", "out"],
                                   ["monotone-probe", "--pairs", "2"]])
 def test_stiff_nonlinear_fast_block_exits_1(tmp_path, capsys, monkeypatch, argv):
-    # g scaled by 2^31 puts a fast eigenvalue near -2e11, which no check sees
-    # before stepping; the step budget, scaled down to 1,000 steps here, stops it
+    # g scaled by 2^31 puts a fast eigenvalue near -2e11 at the initial states,
+    # refused before the first step as a stiff linear fast block is
     monkeypatch.chdir(tmp_path)
-    monkeypatch.setattr(sys.modules["spdominance.integrate"], "STEP_BUDGET", 6000.0)
     config = write_cfg(tmp_path, {**spring_config(), "g": ["2147483648*(x2 - z1)"]})
     assert main([argv[0], config, "--t-final", "0.1"] + argv[1:]) == 1
-    assert re.fullmatch(r"config error: 1000 steps reached only t=\S+, the explicit DOP853 pair's "
-                        r"step budget 1e\+03: too stiff, or too long a span\n",
-                        capsys.readouterr().err)
+    assert capsys.readouterr().err == ("config error: spectral radius times span is 2.15e+10, "
+                                       "above the explicit DOP853 pair's step budget 1e+06\n")
+
+
+@pytest.mark.filterwarnings("ignore:system does not vanish at the origin")
+def test_start_the_field_overflows_at_exits_2(tmp_path, capsys):
+    # exp(720) overflows in the field and in its Jacobian: the step budget leaves
+    # that state out, and the integrator reports it as escaped
+    cfg = {**spring_config(), "f": ["x2", "exp(x1) - 5*x1 - 5*z1"],
+           "initial_conditions": [[720, 0, 0]]}
+    assert main(["simulate", write_cfg(tmp_path, cfg), "--t-final", "0.1",
+                 "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().out == "diverged: state escaped at t=0: non-finite error estimate\n"
+
+
+def test_decouple_checks_a_linear_linearization_point(tmp_path, capsys):
+    # a linear system reads its blocks through jacobians too, so the point is checked
+    assert main(["decouple", write_cfg(tmp_path, {**LINEAR_2_1_CONFIG,
+                                                  "linearization_point": [0, 0]})]) == 1
+    assert capsys.readouterr().err == ("config error: linearization_point must be 3 numbers, "
+                                       "got [0, 0]\n")

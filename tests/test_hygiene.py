@@ -3,7 +3,8 @@ public name resolves, no module imports a name it never uses, no src
 function takes a parameter it never reads, every top-level function and
 class of src is referenced by the program itself (not by tests alone)
 outside its own definition, every attribute src stores on self is read
-somewhere, and src stores no _-prefixed attribute on another object."""
+somewhere, src stores no _-prefixed attribute on another object, and only
+the modules that build systems import a system class."""
 
 import ast
 import pathlib
@@ -101,6 +102,20 @@ def private_stores_off_self(path):
             and not (isinstance(node.value, ast.Name) and node.value.id == "self")]
 
 
+SYSTEM_CLASSES = {"LinearSPSystem", "NonlinearSPSystem"}
+# the modules that define, build or re-export the system classes; every other
+# module reads a system through the attributes both kinds share
+SYSTEM_BUILDERS = {"systems.py", "cli.py", "__init__.py"}
+
+
+def system_class_imports(path):
+    """'file:line: name' for each system class a module imports."""
+    return [f"{path.relative_to(ROOT)}:{node.lineno}: {alias.name}"
+            for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.ImportFrom)
+            for alias in node.names if alias.name in SYSTEM_CLASSES]
+
+
 def attribute_reads(tree):
     """Each attribute name a tree reads: as .name, or through getattr or
     hasattr with a literal name."""
@@ -144,3 +159,10 @@ def test_src_stores_no_private_attribute_on_another_object():
     src = [path for path in SOURCES if path.is_relative_to(ROOT / "src")]
     assert src
     assert [hit for path in src for hit in private_stores_off_self(path)] == []
+
+
+def test_only_system_builders_import_a_system_class():
+    src = [path for path in SOURCES if path.is_relative_to(ROOT / "src")
+           and path.name not in SYSTEM_BUILDERS]
+    assert src
+    assert [hit for path in src for hit in system_class_imports(path)] == []

@@ -1,3 +1,4 @@
+import importlib
 import itertools
 
 import numpy as np
@@ -8,17 +9,21 @@ from spdominance.analyze import certificate_cone
 from spdominance.errors import ConfigError, DimensionMismatch, NonFinite
 from spdominance.expressions import compile_field
 from spdominance.integrate import (DP_STEP_FLOOR, DP_TOL, STATE_NORM_LIMIT, STEP_BUDGET, _DP_TABLE,
-                                   Trajectory, default_step, detect_convergence,
+                                   Trajectory, check_step_budget, default_step,
+                                   detect_convergence,
                                    dopri_run, find_equilibria, integrate,
                                    integrate_variational, make_rhs,
                                    make_variational_rhs, write_trajectory_csv)
 from spdominance.sampling import sample_cone_pairs
-from spdominance.systems import (LinearSPSystem, NonlinearSPSystem,
+from spdominance.systems import (SPRING_F, LinearSPSystem, NonlinearSPSystem,
                                  SPRING_INITIAL_CONDITIONS,
                                  nonlinear_spring_certificate,
                                  nonlinear_spring_system)
 
 BOX = {"x1": (-3.0, 3.0), "x2": (-3.0, 3.0), "z1": (-3.0, 3.0)}
+BOX2 = {"x1": (-3.0, 3.0), "z1": (-3.0, 3.0)}
+# the module, which the package's integrate function shadows as an attribute
+integrate_module = importlib.import_module("spdominance.integrate")
 
 
 def decay_system():
@@ -163,14 +168,51 @@ def test_default_step_rejects_eps_at_step_floor(eps):
         default_step(nonlinear_spring_system(eps=eps))
 
 
-def test_linear_system_beyond_step_budget_is_refused():
+def assert_refused_before_stepping(monkeypatch, sys_, span):
+    """integrate and integrate_variational refuse sys_ over span by its step
+    budget without taking a step."""
+    def no_stepping(*args):
+        raise AssertionError("dopri_run called")
+
+    monkeypatch.setattr(integrate_module, "dopri_run", no_stepping)
+    x0 = np.ones(sys_.dim)
+    with pytest.raises(ConfigError, match="above the explicit DOP853 pair's step budget"):
+        integrate(sys_, [x0], (0.0, span))
+    with pytest.raises(ConfigError, match="above the explicit DOP853 pair's step budget"):
+        integrate_variational(sys_, x0, np.eye(sys_.dim)[0], (0.0, span))
+
+
+def test_linear_system_beyond_step_budget_is_refused(monkeypatch):
     # spectral radius |D| / eps = 1e6, over a span just past STEP_BUDGET / 1e6
     sys_ = LinearSPSystem(A=[[-1.0]], B=[[0.0]], C=[[0.0]], D=[[-1e5]], eps=0.1)
-    span = 1.01 * STEP_BUDGET / 1e6
-    with pytest.raises(ConfigError, match="above the explicit DOP853 pair's step budget"):
-        integrate(sys_, [[1.0, 1.0]], (0.0, span))
-    with pytest.raises(ConfigError, match="above the explicit DOP853 pair's step budget"):
-        integrate_variational(sys_, [1.0, 1.0], [1.0, 0.0], (0.0, span))
+    assert_refused_before_stepping(monkeypatch, sys_, 1.01 * STEP_BUDGET / 1e6)
+
+
+def test_stiff_nonlinear_system_is_refused_before_stepping(monkeypatch):
+    # the spring with g scaled by 2^31: a fast eigenvalue near -2e11 at every state
+    sys_ = NonlinearSPSystem(2, 1, list(SPRING_F), ["2147483648*(x2 - z1)"], 0.01, BOX)
+    assert_refused_before_stepping(monkeypatch, sys_, 0.1)
+
+
+@pytest.mark.parametrize("f, bad", [("1/(x1 + 2) - 0.5", -2.0), ("exp(x1) - 1", 720.0)],
+                         ids=["zero-divisor", "overflow"])
+def test_step_budget_passes_a_state_whose_jacobian_fails(f, bad):
+    # the Jacobian of f divides by zero, or overflows, at x1 = bad; z1' = -1e7 z1
+    # is stiff everywhere
+    sys_ = NonlinearSPSystem(1, 1, [f], ["-1e7*z1"], 1.0, BOX2)
+    check_step_budget(sys_, np.array([bad, 0.0]), (0.0, 1.0))
+    check_step_budget(sys_, np.array([[bad, 0.0], [bad, 1.0]]), (0.0, 1.0))
+    # the batch is then checked state by state, so a stiff state is still refused
+    with pytest.raises(ConfigError, match="spectral radius times span is 1e\\+07"):
+        check_step_budget(sys_, np.array([[bad, 0.0], [0.0, 0.0]]), (0.0, 1.0))
+
+
+def test_dopri_run_stops_at_step_budget(monkeypatch):
+    # the backstop for a field that stiffens after the start: STEP_BUDGET / 6 steps
+    monkeypatch.setattr(integrate_module, "STEP_BUDGET", 6000.0)
+    with pytest.raises(ConfigError, match=r"^1000 steps reached only t=\S+, the explicit DOP853 "
+                       r"pair's step budget 1e\+03: too stiff, or too long a span$"):
+        dopri_run(lambda s: -1e9 * s, [1.0], (0.0, 1.0), 1e-3)
 
 
 def test_integrate_checks_batch_shape():
@@ -401,7 +443,8 @@ def test_variational_zero_delta_stays_zero():
 
 
 def test_variational_kernel_compiles_once_per_system(monkeypatch):
-    # the system compiles its variational kernel; (f, g) was compiled when it was built
+    # the system compiles its variational kernel, and its Jacobian kernel for the
+    # step budget; (f, g) was compiled when it was built
     calls = []
 
     def counted(*args):
@@ -411,8 +454,9 @@ def test_variational_kernel_compiles_once_per_system(monkeypatch):
     sys_ = nonlinear_spring_system()
     monkeypatch.setattr(systems, "compile_field", counted)
     first = integrate_variational(sys_, [1.0, 1.0, 1.0], [0.1, 0.0, 0.0], (0, 0.1))
+    assert len(calls) == 2
     second = integrate_variational(sys_, [1.0, 1.0, 1.0], [0.1, 0.0, 0.0], (0, 0.1))
-    assert len(calls) == 1
+    assert len(calls) == 2
     assert first.delta_states.tobytes() == second.delta_states.tobytes()
 
 
