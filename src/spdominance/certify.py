@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionMismatch
-from .linalg import eigvalsh_stack, sym_inertia, symmetric
+from .linalg import eigvalsh_stack, inertia, symmetric
 
 FEASIBILITY_MARGIN = 0.0
 
@@ -57,10 +57,10 @@ class SPDominanceCertificate:
             raise ValueError("sigma_r and sigma_f must be positive and finite")
         if not (0 <= self.lambda_r < np.inf and 0 <= self.lambda_f < np.inf):
             raise ValueError("lambda_r and lambda_f must be nonnegative and finite")
-        ir = sym_inertia(self.P_r)
+        ir = inertia(self.P_r)
         if ir != (self.p, 0, self.n_r - self.p):
             raise ValueError(f"inertia of P_r is {ir}, expected ({self.p}, 0, {self.n_r - self.p})")
-        iff = sym_inertia(self.P_f)
+        iff = inertia(self.P_f)
         if iff != (0, 0, self.n_f):
             raise ValueError(f"P_f must be positive definite, inertia is {iff}")
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateCone, DimensionMismatch, SingularP
-from .linalg import sym_inertia, symmetric
+from .linalg import inertia, symmetric
 
 CONE_BOUNDARY_BAND = 1e-9
 
@@ -31,7 +31,7 @@ def make_cone(P):
     asymptotic stability with the same machinery.
     """
     P = symmetric(P)
-    neg, zero, _ = sym_inertia(P)
+    neg, zero, _ = inertia(P)
     if zero > 0:
         raise SingularP(f"P has {zero} eigenvalue(s) at numerical zero; cone degenerate")
     if neg == len(P):

@@ -7,10 +7,11 @@ Grammar (infix, standard precedence):
     factor := base ('^' integer)?
     base   := number | ident | ident '(' expr ')' | '(' expr ')' | '-' base
 
-Function names: tanh, sin, cos, exp. Exponents are integer literals only.
-ASTs are immutable and differentiation is pure. Simplification is limited
-to constant folding and 0/1 identities. compile_field is the one evaluator:
-it turns a list of ASTs into a numpy kernel over states, and guarded
+Function names: tanh, sin, cos, exp. Exponents are integer literals only. A
+unary minus -e is stored as (-1)*e, which IEEE arithmetic makes exact negation.
+ASTs are immutable and differentiation is pure. Simplification is limited to
+constant folding, 0/1 identities and -(-e) = e. compile_field is the one
+evaluator: it turns a list of ASTs into a numpy kernel over states, and guarded
 makes such a kernel report a zero divisor as EvalError. interval encloses
 an AST's values over a box of states.
 """
@@ -55,11 +56,6 @@ class BinOp:
 class Pow:
     base: object
     exponent: int
-
-
-@dataclass(frozen=True)
-class Neg:
-    arg: object
 
 
 @dataclass(frozen=True)
@@ -165,7 +161,7 @@ class _Parser:
         tok = self.peek()
         if tok[0] == "-":
             self.advance()
-            return self.nest(Neg(self.base()))
+            return self.nest(BinOp("*", Const(-1.0), self.base()))
         if tok[0] == "num":
             self.advance()
             return Const(tok[1])
@@ -206,7 +202,7 @@ def free_vars(ast):
         return set()
     if isinstance(ast, BinOp):
         return free_vars(ast.left) | free_vars(ast.right)
-    if isinstance(ast, (Neg, Call)):
+    if isinstance(ast, Call):
         return free_vars(ast.arg)
     if isinstance(ast, Pow):
         return free_vars(ast.base)
@@ -218,16 +214,9 @@ def _is_const(ast, value=None):
 
 
 def simplify(ast):
-    """Constant folding plus 0/1 identities; no algebraic rewriting."""
+    """Constant folding, 0/1 identities and -(-e) = e; no other algebraic rewriting."""
     if isinstance(ast, (Const, Var)):
         return ast
-    if isinstance(ast, Neg):
-        a = simplify(ast.arg)
-        if _is_const(a):
-            return Const(-a.value)
-        if isinstance(a, Neg):
-            return a.arg
-        return Neg(a)
     if isinstance(ast, Call):
         a = simplify(ast.arg)
         if _is_const(a):
@@ -258,10 +247,12 @@ def simplify(ast):
         if _is_const(b, 0):
             return a
         if _is_const(a, 0):
-            return simplify(Neg(b))
+            return simplify(BinOp("*", Const(-1.0), b))
     elif op == "*":
         if _is_const(a, 0) or _is_const(b, 0):
             return Const(0.0)
+        if _is_const(a, -1) and isinstance(b, BinOp) and b.op == "*" and _is_const(b.left, -1):
+            return b.right  # -(-e) is e, bit for bit
         if _is_const(a, 1):
             return b
         if _is_const(b, 1):
@@ -284,31 +275,24 @@ def _diff(ast, var):
         return Const(0.0)
     if isinstance(ast, Var):
         return Const(1.0 if ast.name == var else 0.0)
-    if isinstance(ast, Neg):
-        return Neg(_diff(ast.arg, var))
     if isinstance(ast, Pow):
         # d(u^n) = n * u^(n-1) * u'
         du = _diff(ast.base, var)
         return BinOp("*", BinOp("*", Const(float(ast.exponent)),
                                 Pow(ast.base, ast.exponent - 1)), du)
-    if isinstance(ast, Call):
-        du = _diff(ast.arg, var)
+    if isinstance(ast, Call):  # the chain rule: outer'(u) * u'
         u = ast.arg
-        if ast.fn == "tanh":
-            outer = BinOp("-", Const(1.0), Pow(Call("tanh", u), 2))
-        elif ast.fn == "sin":
-            outer = Call("cos", u)
-        elif ast.fn == "cos":
-            outer = Neg(Call("sin", u))
-        else:  # exp
-            outer = Call("exp", u)
-        return BinOp("*", outer, du)
+        outer = {"tanh": BinOp("-", Const(1.0), Pow(ast, 2)), "sin": Call("cos", u),
+                 "cos": BinOp("*", Const(-1.0), Call("sin", u)), "exp": ast}[ast.fn]
+        return BinOp("*", outer, _diff(u, var))
     if isinstance(ast, BinOp):
         da = _diff(ast.left, var)
         db = _diff(ast.right, var)
         if ast.op in ("+", "-"):
             return BinOp(ast.op, da, db)
         if ast.op == "*":
+            if _is_const(ast.left, -1):  # -e: -(e'), as 0*e + -(e') makes -0.0 +0.0
+                return BinOp("*", ast.left, db)
             return BinOp("+", BinOp("*", da, ast.right), BinOp("*", ast.left, db))
         # quotient rule
         num = BinOp("-", BinOp("*", da, ast.right), BinOp("*", ast.left, db))
@@ -386,9 +370,7 @@ def interval(ast, box):
         return ast.value, ast.value
     if isinstance(ast, Var):
         return tuple(box[ast.name])
-    if isinstance(ast, Neg):
-        ends = [-v for v in interval(ast.arg, box)]
-    elif isinstance(ast, Call):
+    if isinstance(ast, Call):
         a, b = interval(ast.arg, box)
         fn = FUNCTIONS[ast.fn]
         ends = [fn(a), fn(b)]  # tanh and exp increase
@@ -421,8 +403,6 @@ def _numpy_source(ast, sub):  # sub gives the operands' sources
         return repr(ast.value)
     if isinstance(ast, Var):
         return ast.name
-    if isinstance(ast, Neg):
-        return f"(-{sub(ast.arg)})"
     if isinstance(ast, Call):
         return f"np.{ast.fn}({sub(ast.arg)})"
     if isinstance(ast, Pow):  # the ufuncs an array's ** calls; a scalar's ** rounds apart

@@ -73,12 +73,16 @@ def default_step(sys):
 def check_step_budget(sys, x0s, t_span):
     """After default_step's check, ConfigError when the spectral radius of the
     Jacobian of (f, g/eps) at a state of x0s (..., dim) times the span exceeds
-    STEP_BUDGET (steps stay near 6 / radius). A state where it raises EvalError
-    or is not finite passes; dopri_run's step count is the backstop."""
+    STEP_BUDGET (steps stay near 6 / radius). A state where the Jacobian of
+    (f, g) raises EvalError or is not finite passes; dopri_run's step count is
+    the backstop. One where it is finite but a fast row overflows once divided
+    by eps has an infinite radius, so it is refused."""
     default_step(sys)
     try:
-        J = sys.jacobian_kernel(x0s) / np.repeat([1.0, sys.eps], [sys.n_r, sys.n_f])[:, None]
-        radius = np.abs(np.linalg.eigvals(J)).max(initial=0.0)
+        J = sys.jacobian_kernel(x0s)
+        J = J[np.isfinite(J).all(axis=(-2, -1))]
+        J = J / np.repeat([1.0, sys.eps], [sys.n_r, sys.n_f])[:, None]
+        radius = np.abs(np.linalg.eigvals(J)).max(initial=0.0) if np.isfinite(J).all() else np.inf
     except (EvalError, np.linalg.LinAlgError):  # then state by state: only those it fails at pass
         for x0 in x0s if np.ndim(x0s) > 1 else ():
             check_step_budget(sys, x0, t_span)

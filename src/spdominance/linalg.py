@@ -44,20 +44,15 @@ def sym_eigvals(S):
     return eigvalsh_stack(S)
 
 
-def sym_inertia(S):
-    """(negative, zero, positive) counts of the eigenvalues of a symmetric
-    matrix, as symmetric returns one; S is not symmetrized again.
+def inertia(S):
+    """(negative, zero, positive) counts of the eigenvalues of symmetric(S), any
+    square S; symmetric's own output passes unchanged and unwarned.
 
     Zero means within INERTIA_ZERO_TOL * max(1, spectral radius); the
     matrices here span magnitudes from 1e-2 to 1e1, so it tracks scale.
     """
-    vals = sym_eigvals(S)
+    vals = sym_eigvals(symmetric(S))
     zero_tol = INERTIA_ZERO_TOL * max(1.0, float(np.abs(vals).max()))
     neg = int(np.sum(vals < -zero_tol))
     pos = int(np.sum(vals > zero_tol))
     return neg, len(vals) - neg - pos, pos
-
-
-def inertia(S):
-    """sym_inertia of symmetric(S): any square S, with symmetric's checks and warning."""
-    return sym_inertia(symmetric(S))

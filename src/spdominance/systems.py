@@ -314,8 +314,10 @@ def damped_newton(fun, jac, x, tol, max_iter):
 
 
 def _row_norms(r):
-    """np.linalg.norm of each row, rounded as it rounds one vector."""
-    return np.sqrt(np.vecdot(r, r))
+    """np.linalg.norm of each row, rounded as it rounds one vector; inf, not
+    converged, where the sum of squares overflows."""
+    with np.errstate(over="ignore"):
+        return np.sqrt(np.vecdot(r, r))
 
 
 def _solve_rows(J, r):

@@ -23,6 +23,15 @@ def spring_cert(sigma_r=0.01):
                                   lambda_f=0.5, sigma_r=sigma_r, sigma_f=1.0, p=1)
 
 
+def test_certificate_warns_once_for_an_asymmetric_block():
+    # the inertia checks symmetrize again, but symmetric's own output passes unwarned
+    with pytest.warns(UserWarning, match="asymmetry") as record:
+        cert = SPDominanceCertificate(P_r=[[-5.1987, 3.6260], [3.6261, 6.1987]], P_f=[[1.0]],
+                                      lambda_r=2.0, lambda_f=0.5, sigma_r=0.01, sigma_f=1.0,
+                                      p=1)
+    assert len(record) == 1 and cert.P_r[0, 1] == cert.P_r[1, 0]
+
+
 def test_lmi_residual_scalar():
     S = lmi_residual(symmetric([[1.0]]), [[-1.0]], 0.0, 1.0)
     assert S[0, 0] == pytest.approx(-1.0)

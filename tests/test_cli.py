@@ -931,6 +931,19 @@ def test_stiff_nonlinear_fast_block_exits_1(tmp_path, capsys, monkeypatch, argv)
                                        "above the explicit DOP853 pair's step budget 1e+06\n")
 
 
+@pytest.mark.parametrize("argv", [["simulate", "--out", "out"],
+                                  ["monotone-probe", "--pairs", "2"]])
+def test_fast_block_stiff_only_divided_by_eps_exits_1(tmp_path, capsys, monkeypatch, argv):
+    # g's Jacobian, 1e307, is finite but overflows divided by eps: an infinite
+    # radius, refused before the first step; simulate's Newton, whose residual
+    # norm overflows at some seeds, fails those seeds rather than the command
+    monkeypatch.chdir(tmp_path)
+    config = write_cfg(tmp_path, {**spring_config(), "g": ["1e307*(x2 - z1)"]})
+    assert main([argv[0], config, "--t-final", "0.1"] + argv[1:]) == 1
+    assert capsys.readouterr().err == ("config error: spectral radius times span is inf, "
+                                       "above the explicit DOP853 pair's step budget 1e+06\n")
+
+
 @pytest.mark.filterwarnings("ignore:system does not vanish at the origin")
 def test_start_the_field_overflows_at_exits_2(tmp_path, capsys):
     # exp(720) overflows in the field and in its Jacobian: the step budget leaves

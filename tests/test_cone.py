@@ -31,6 +31,13 @@ def test_make_cone_rank_one():
     assert make_cone(symmetric(np.diag([-1.0, 1.0]))).rank_k == 1
 
 
+def test_make_cone_warns_once_for_an_asymmetric_p():
+    # inertia symmetrizes again, but symmetric's own output passes unwarned
+    with pytest.warns(UserWarning, match="asymmetry") as record:
+        cone = make_cone([[-5.1987, 3.6260], [3.6261, 6.1987]])
+    assert len(record) == 1 and cone.rank_k == 1
+
+
 def test_make_cone_block_diag():
     P = np.zeros((3, 3))
     P[:2, :2] = P_R

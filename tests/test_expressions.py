@@ -4,9 +4,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from spdominance.errors import EvalError, ParseError
-from spdominance.expressions import (FUNCTIONS, MAX_NESTING, BinOp, Call, Const, Neg, Pow,
-                                     Var, compile_field, diff_expr, free_vars, guarded,
-                                     interval, parse_expr, simplify)
+from spdominance.expressions import (FUNCTIONS, MAX_NESTING, BinOp, Call, Const, Pow, Var,
+                                     compile_field, diff_expr, free_vars, guarded, interval,
+                                     parse_expr, simplify)
 
 
 def value(ast, point):
@@ -21,14 +21,17 @@ def interpret(ast, env):
         return ast.value
     if isinstance(ast, Var):
         return env[ast.name]
-    if isinstance(ast, Neg):
-        return -interpret(ast.arg, env)
     if isinstance(ast, Call):
         return FUNCTIONS[ast.fn](interpret(ast.arg, env))
     if isinstance(ast, Pow):
         return interpret(ast.base, env) ** ast.exponent
     ops = {"+": np.add, "-": np.subtract, "*": np.multiply, "/": np.divide}
     return ops[ast.op](interpret(ast.left, env), interpret(ast.right, env))
+
+
+def negate(ast):
+    """-ast as the parser stores it: the product (-1)*ast."""
+    return BinOp("*", Const(-1.0), ast)
 
 
 def fd_oracle(ast, var, point, step=1e-6):
@@ -44,6 +47,32 @@ def test_parse_spring_nonlinearity():
 
 def test_parse_variable():
     assert parse_expr("x2") == Var("x2")
+
+
+def test_unary_minus_is_a_product_by_minus_one():
+    assert parse_expr("-x1") == BinOp("*", Const(-1.0), Var("x1"))
+    assert parse_expr("--x1") == negate(negate(Var("x1")))
+    # a double negation cancels, also where simplify's 0 - b or cos' derivative negates
+    assert simplify(parse_expr("-(-x1)")) == Var("x1")
+    assert diff_expr(parse_expr("z1 - cos(x1)"), "x1") == Call("sin", Var("x1"))
+    assert diff_expr(parse_expr("-(z1 - x1*x2)"), "x1") == Var("x2")
+
+
+def test_product_by_minus_one_is_exact_negation():
+    # the kernel of -x1 has np.negative's bits and raises no flag, for one state and a batch
+    xs = np.array([0.0, -0.0, np.inf, -np.inf, 5e-324, -5e-324, 1.7e308, -1.7e308])
+    field = compile_field([parse_expr("-x1")], ["x1"])
+    with np.errstate(all="raise"):
+        assert field(xs[:, None])[:, 0].tobytes() == np.negative(xs).tobytes()
+        for x in xs:
+            assert field(np.array([x])).tobytes() == np.negative(np.array([x])).tobytes()
+
+
+def test_interval_of_a_negation_negates_and_widens_once():
+    box = {"x1": (-0.5, 2.0), "x2": (0.25, 1.0)}
+    lo, hi = interval(parse_expr("x1 + x2"), box)
+    assert interval(parse_expr("-(x1 + x2)"), box) == (np.nextafter(-hi, -np.inf),
+                                                      np.nextafter(-lo, np.inf))
 
 
 def test_parse_power_and_division():
@@ -89,10 +118,10 @@ def test_parse_refuses_nesting_beyond_max_nesting():
 def test_compile_field_refuses_what_python_cannot_nest():
     # compile_field's source nests a parenthesis per level: 200 compile, 201 are
     # past CPython's parser and 1200 past the stack; both are EvalError
-    def chain(n):  # n unary minuses over x1
+    def chain(n):  # n unary minuses over x1, each a product by -1
         ast = Var("x1")
         for _ in range(n):
-            ast = Neg(ast)
+            ast = negate(ast)
         return ast
 
     assert compile_field([chain(200)], ["x1"])(np.array([2.0]))[0] == 2.0
@@ -249,7 +278,7 @@ LEAVES = st.one_of(st.sampled_from([Var("x1"), Var("x2"), Var("x3")]),
 ASTS = st.recursive(LEAVES, lambda sub: st.one_of(
     st.builds(BinOp, st.sampled_from("+-*/"), sub, sub),
     st.builds(Pow, sub, st.integers(-3, 4)),
-    st.builds(Neg, sub),
+    sub.map(negate),
     st.builds(Call, st.sampled_from(sorted(FUNCTIONS)), sub)), max_leaves=8)
 
 
@@ -283,7 +312,7 @@ def _shared_components(pool):
     part = st.one_of(st.sampled_from(pool), ASTS)
     return st.lists(st.recursive(part, lambda sub: st.one_of(
         st.builds(BinOp, st.sampled_from("+-*/"), sub, sub),
-        st.builds(Neg, sub),
+        sub.map(negate),
         st.builds(Call, st.sampled_from(sorted(FUNCTIONS)), sub)), max_leaves=4),
         min_size=2, max_size=4)
 

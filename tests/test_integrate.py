@@ -207,6 +207,15 @@ def test_step_budget_passes_a_state_whose_jacobian_fails(f, bad):
         check_step_budget(sys_, np.array([[bad, 0.0], [0.0, 0.0]]), (0.0, 1.0))
 
 
+def test_step_budget_refuses_a_fast_row_that_overflows_divided_by_eps():
+    # g's Jacobian entries, +-1e307, are finite; divided by eps = 0.01 they are not,
+    # so the radius is inf, for one state and in a batch beside a finite one
+    sys_ = NonlinearSPSystem(2, 1, list(SPRING_F), ["1e307*(x2 - z1)"], 0.01, BOX)
+    for x0s in ([1.0, 1.0, 1.0], [[1.0, 1.0, 1.0], [0.0, 0.0, 0.0]]):
+        with pytest.raises(ConfigError, match="^spectral radius times span is inf, "):
+            check_step_budget(sys_, np.array(x0s), (0.0, 0.1))
+
+
 def test_dopri_run_stops_at_step_budget(monkeypatch):
     # the backstop for a field that stiffens after the start: STEP_BUDGET / 6 steps
     monkeypatch.setattr(integrate_module, "STEP_BUDGET", 6000.0)
@@ -518,6 +527,16 @@ def test_find_equilibria_spring():
     assert got[2] == pytest.approx(xstar, abs=1e-8)
     for q in eqs:
         assert np.allclose(q[1:], 0.0, atol=1e-10)
+
+
+def test_find_equilibria_survives_an_overflowing_residual_norm():
+    # a residual of about 1e307 squares past the largest double: its norm reads
+    # inf, not converged, where overflow raises, and Newton still finds the spring's three
+    sys_ = NonlinearSPSystem(2, 1, list(SPRING_F), ["1e307*(x2 - z1)"], 0.01, BOX)
+    with np.errstate(over="raise"):
+        eqs = find_equilibria(sys_)
+    xstar = bisection_root(lambda x: 7 * np.tanh(x) - 5 * x, 1.0, 1.4)
+    assert np.allclose(eqs, [[-xstar, 0, 0], [0, 0, 0], [xstar, 0, 0]], atol=1e-8)
 
 
 def test_find_equilibria_stable_linear():
