@@ -33,9 +33,8 @@ from .errors import (ConfigError, DimensionMismatch, EvalError, NoConvergence, N
                      NonpositiveEps, NotScalarParameterized, SamplingExhausted, SingularD)
 from .integrate import (CONVERGENCE_TOL, Trajectory, find_equilibria, integrate,
                         write_trajectory_csv)
-from .systems import (SPRING_BOX, SPRING_EPS, SPRING_F, SPRING_G, SPRING_INITIAL_CONDITIONS,
-                      SPRING_T_FINAL, LinearSPSystem, NonlinearSPSystem, jacobian_hull,
-                      jacobians, nonlinear_spring_certificate, state_names)
+from .systems import (SPRING_EPS, SPRING_T_FINAL, LinearSPSystem, NonlinearSPSystem,
+                      jacobian_hull, jacobians, spring_config)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -307,26 +306,6 @@ def cmd_monotone_probe(args, report):
               f"{probe['boundary_warnings']} boundary warnings, "
               f"{probe['outside']} outside; worst margin {probe['worst_quadform_margin']:.3e}")
     return passed
-
-
-def spring_config(eps=SPRING_EPS):
-    """Built-in demo configuration (nonlinear spring with fast filter)."""
-    cert = nonlinear_spring_certificate()
-    return {
-        "spec_version": 1,
-        "kind": "nonlinear",
-        "n_r": 2, "n_f": 1,
-        "eps": eps,
-        "f": list(SPRING_F),
-        "g": list(SPRING_G),
-        "omega": {n: [-SPRING_BOX, SPRING_BOX] for n in state_names(2, 1)},
-        "certificate": {
-            "P_r": cert.P_r.tolist(), "P_f": cert.P_f.tolist(),
-            "lambda_r": cert.lambda_r, "lambda_f": cert.lambda_f,
-            "sigma_r": cert.sigma_r, "sigma_f": cert.sigma_f, "p": cert.p,
-        },
-        "initial_conditions": [list(ic) for ic in SPRING_INITIAL_CONDITIONS],
-    }
 
 
 def cmd_reproduce_paper(args, report):

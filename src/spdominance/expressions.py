@@ -229,7 +229,10 @@ def simplify(ast):
         if ast.exponent == 1:
             return base
         if _is_const(base):
-            return Const(base.value ** ast.exponent)
+            try:
+                return Const(base.value ** ast.exponent)
+            except (OverflowError, ZeroDivisionError):  # left for evaluation, as x/0 is
+                pass
         return Pow(base, ast.exponent)
     a = simplify(ast.left)
     b = simplify(ast.right)
@@ -330,7 +333,7 @@ def compile_field(asts, var_names):
     lines += [f"    {name} = sT[{i}]" for i, name in enumerate(var_names)]
     lines.append(f"    out = np.empty(s.shape[:-1] + ({len(asts)},))")
     lines.append("    o = out.T")
-    namespace = {"np": np, "__builtins__": {}}
+    namespace = {"np": np, "inf": np.inf, "nan": np.nan, "__builtins__": {}}  # repr writes inf, nan
     try:
         for a in asts:
             count(a)

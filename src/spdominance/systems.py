@@ -1,6 +1,6 @@
 """System definitions: nonlinear two-time-scale systems over the expression
 DSL and linear ones, the Jacobian hull enclosed over omega, damped Newton,
-and the built-in nonlinear-spring demo system."""
+and the built-in nonlinear-spring demo, defined once as a config (spring_config)."""
 
 from __future__ import annotations
 
@@ -87,6 +87,9 @@ class NonlinearSPSystem(_StateSpace):
 
     def __post_init__(self):
         check_eps(self.eps)
+        for k in ("f", "g"):  # a string would be read one character per entry
+            if isinstance(v := getattr(self, k), str):
+                raise ValueError(f"{k} must be a list of expressions, got the string {v!r}")
         self.f = [parse_expr(e) if isinstance(e, str) else e for e in self.f]
         self.g = [parse_expr(e) if isinstance(e, str) else e for e in self.g]
         if len(self.f) != self.n_r or len(self.g) != self.n_f:
@@ -331,12 +334,8 @@ def _solve_rows(J, r):
 
 # -- built-in demo system ---------------------------------------------------
 
-SPRING_F = ("x2", "7*tanh(x1) - 5*x1 - 5*z1")
-SPRING_G = ("x2 - z1",)
-SPRING_BOX = 3.0  # omega is [-SPRING_BOX, SPRING_BOX] in every state
 SPRING_T_FINAL = 9.0  # the paper's horizon
 SPRING_EPS = 0.01  # the worked example's perturbation parameter
-SPRING_SIGMA_R = 0.01  # the slow certificate's margin sigma_r
 
 SPRING_INITIAL_CONDITIONS = (
     (1.0, 1.0, 1.0),
@@ -347,25 +346,29 @@ SPRING_INITIAL_CONDITIONS = (
 )
 
 
+def spring_config(eps=SPRING_EPS):
+    """The demo: a mass with a saturating spring force and a fast filter on the
+    velocity feedback, x1' = x2, x2' = 7 tanh(x1) - 5 x1 - 5 z1, eps z1' = x2 - z1,
+    on [-3, 3] in every state, with its verified rank-1 dominance certificate."""
+    return {
+        "spec_version": 1, "kind": "nonlinear", "n_r": 2, "n_f": 1, "eps": eps,
+        "f": ["x2", "7*tanh(x1) - 5*x1 - 5*z1"],
+        "g": ["x2 - z1"],
+        "omega": {n: [-3.0, 3.0] for n in state_names(2, 1)},
+        "certificate": {
+            "P_r": [[-5.1987, 3.6260], [3.6260, 6.1987]], "P_f": [[1.0]],
+            "lambda_r": 2.0, "lambda_f": 0.5, "sigma_r": 0.01, "sigma_f": 1.0, "p": 1,
+        },
+        "initial_conditions": [list(ic) for ic in SPRING_INITIAL_CONDITIONS],
+    }
+
+
 def nonlinear_spring_system(eps=SPRING_EPS):
-    """Mass with a saturating spring force and a fast first-order filter on
-    the velocity feedback: x1' = x2, x2' = 7 tanh(x1) - 5 x1 - 5 z,
-    eps z' = x2 - z."""
-    return NonlinearSPSystem(
-        n_r=2, n_f=1,
-        f=list(SPRING_F),
-        g=list(SPRING_G),
-        eps=eps,
-        omega={n: (-SPRING_BOX, SPRING_BOX) for n in state_names(2, 1)},
-    )
+    """spring_config's system."""
+    cfg = spring_config(eps)
+    return NonlinearSPSystem(**{k: cfg[k] for k in ("n_r", "n_f", "f", "g", "eps", "omega")})
 
 
 def nonlinear_spring_certificate():
-    """Verified rank-1 dominance certificate for the demo system."""
-    return SPDominanceCertificate(
-        P_r=[[-5.1987, 3.6260], [3.6260, 6.1987]],
-        P_f=[[1.0]],
-        lambda_r=2.0, lambda_f=0.5,
-        sigma_r=SPRING_SIGMA_R, sigma_f=1.0,
-        p=1,
-    )
+    """spring_config's certificate."""
+    return SPDominanceCertificate(**spring_config()["certificate"])

@@ -645,6 +645,22 @@ def test_malformed_numeric_field_exits_1(tmp_path, capsys, command, field, value
     assert capsys.readouterr().err.startswith(f"config error: {message}")
 
 
+@pytest.mark.parametrize("command", ["certify", "epsilon-star", "decouple", "simulate",
+                                     "monotone-probe"])
+@pytest.mark.parametrize("field, value, message", [
+    ("f", ["x2", "7*tanh(x1) - 5*x1 - 5*z1 + 1e400*x1*x2"],
+     "invalid value encountered in multiply"),  # inf * 0 at the origin
+    ("f", "12", "f must be a list of expressions, got the string '12'"),
+    ("g", "z1", "g must be a list of expressions, got the string 'z1'"),
+], ids=["constant-beyond-double", "f-string", "g-string"])
+def test_expression_config_error_exits_1(tmp_path, capsys, command, field, value, message):
+    # the 1e400 literal compiles as inf (it used to end in a NameError traceback);
+    # a bare string used to be read one character per entry
+    extra = ["--out", str(tmp_path / "out")] if command == "simulate" else []
+    assert main([command, write_cfg(tmp_path, {**spring_config(), field: value})] + extra) == 1
+    assert capsys.readouterr().err == f"config error: {message}\n"
+
+
 @pytest.mark.parametrize("command", ["certify", "epsilon-star", "decouple", "monotone-probe"])
 @pytest.mark.parametrize("block, value", [("D", {"vertices": [[[float("nan")]]]}),
                                           ("A", {"vertices": [[[float("nan")]]]}),

@@ -175,6 +175,27 @@ def test_simplify_identities():
     assert simplify(Call("tanh", Const(0.0))) == Const(0.0)
 
 
+def test_simplify_leaves_a_constant_power_python_cannot_compute():
+    # 0.0 ** -1 and 1e300 ** 2 raise in Python: the Pow is left for evaluation
+    # to report, as a constant division by zero is
+    assert isinstance(diff_expr(parse_expr("(0*x1)^-1"), "x1"), Const)
+    assert diff_expr(parse_expr("1e300^2*x1"), "x1") == Pow(Const(1e300), 2)
+    ast = simplify(parse_expr("(0*x1)^-1"))
+    assert ast == Pow(Const(0.0), -1)
+    with pytest.raises(EvalError, match="^division by zero$"):
+        guarded(compile_field([ast], ["x1"]))(np.zeros(1))
+    with pytest.raises(EvalError, match="^division by zero$"):
+        interval(ast, {"x1": (-1.0, 1.0)})
+
+
+def test_constants_beyond_the_double_range_compile():
+    # repr writes such a constant as inf or nan, which the kernel binds
+    asts = [parse_expr("1e400*x1"), simplify(parse_expr("1e300*1e300 - 1e400"))]
+    assert isinstance(asts[1], Const) and np.isnan(asts[1].value)
+    out = compile_field(asts, ["x1"])(np.array([2.0]))
+    assert out[0] == np.inf and np.isnan(out[1])
+
+
 def test_division_by_zero_raises():
     field = guarded(compile_field([parse_expr("1 / x1")], ["x1"]))
     with pytest.raises(EvalError, match="^division by zero$"):

@@ -15,10 +15,10 @@ from spdominance.integrate import (DP_STEP_FLOOR, DP_TOL, STATE_NORM_LIMIT, STEP
                                    integrate_variational, make_rhs,
                                    make_variational_rhs, write_trajectory_csv)
 from spdominance.sampling import sample_cone_pairs
-from spdominance.systems import (SPRING_F, LinearSPSystem, NonlinearSPSystem,
+from spdominance.systems import (LinearSPSystem, NonlinearSPSystem,
                                  SPRING_INITIAL_CONDITIONS,
                                  nonlinear_spring_certificate,
-                                 nonlinear_spring_system)
+                                 nonlinear_spring_system, spring_config)
 
 BOX = {"x1": (-3.0, 3.0), "x2": (-3.0, 3.0), "z1": (-3.0, 3.0)}
 BOX2 = {"x1": (-3.0, 3.0), "z1": (-3.0, 3.0)}
@@ -190,7 +190,7 @@ def test_linear_system_beyond_step_budget_is_refused(monkeypatch):
 
 def test_stiff_nonlinear_system_is_refused_before_stepping(monkeypatch):
     # the spring with g scaled by 2^31: a fast eigenvalue near -2e11 at every state
-    sys_ = NonlinearSPSystem(2, 1, list(SPRING_F), ["2147483648*(x2 - z1)"], 0.01, BOX)
+    sys_ = NonlinearSPSystem(2, 1, spring_config()["f"], ["2147483648*(x2 - z1)"], 0.01, BOX)
     assert_refused_before_stepping(monkeypatch, sys_, 0.1)
 
 
@@ -210,7 +210,7 @@ def test_step_budget_passes_a_state_whose_jacobian_fails(f, bad):
 def test_step_budget_refuses_a_fast_row_that_overflows_divided_by_eps():
     # g's Jacobian entries, +-1e307, are finite; divided by eps = 0.01 they are not,
     # so the radius is inf, for one state and in a batch beside a finite one
-    sys_ = NonlinearSPSystem(2, 1, list(SPRING_F), ["1e307*(x2 - z1)"], 0.01, BOX)
+    sys_ = NonlinearSPSystem(2, 1, spring_config()["f"], ["1e307*(x2 - z1)"], 0.01, BOX)
     for x0s in ([1.0, 1.0, 1.0], [[1.0, 1.0, 1.0], [0.0, 0.0, 0.0]]):
         with pytest.raises(ConfigError, match="^spectral radius times span is inf, "):
             check_step_budget(sys_, np.array(x0s), (0.0, 0.1))
@@ -532,7 +532,7 @@ def test_find_equilibria_spring():
 def test_find_equilibria_survives_an_overflowing_residual_norm():
     # a residual of about 1e307 squares past the largest double: its norm reads
     # inf, not converged, where overflow raises, and Newton still finds the spring's three
-    sys_ = NonlinearSPSystem(2, 1, list(SPRING_F), ["1e307*(x2 - z1)"], 0.01, BOX)
+    sys_ = NonlinearSPSystem(2, 1, spring_config()["f"], ["1e307*(x2 - z1)"], 0.01, BOX)
     with np.errstate(over="raise"):
         eqs = find_equilibria(sys_)
     xstar = bisection_root(lambda x: 7 * np.tanh(x) - 5 * x, 1.0, 1.4)

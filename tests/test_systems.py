@@ -1,4 +1,5 @@
 import itertools
+import pathlib
 import warnings
 
 import numpy as np
@@ -6,13 +7,15 @@ import pytest
 
 from spdominance import systems
 from spdominance.analyze import monotone_probe
+from spdominance.cli import build_certificate, build_system
 from spdominance.decouple import epsilon_star, reduced_model
 from spdominance.errors import NonpositiveEps, NotScalarParameterized
 from spdominance.expressions import compile_field, guarded, interval
 from spdominance.integrate import find_equilibria, integrate, integrate_variational
 from spdominance.systems import (MAX_HULL_ENTRIES, LinearSPSystem, NonlinearSPSystem,
                                  damped_newton, jacobian_hull, jacobians,
-                                 nonlinear_spring_certificate, nonlinear_spring_system)
+                                 nonlinear_spring_certificate, nonlinear_spring_system,
+                                 spring_config)
 
 BOX3 = {"x1": (-3.0, 3.0), "x2": (-3.0, 3.0), "z1": (-3.0, 3.0)}
 SLOPE_LO = 7 * (1 - np.tanh(3.0) ** 2) - 5  # d/dx1 [7 tanh(x1) - 5 x1] at x1 = +-3
@@ -305,6 +308,27 @@ def test_jacobian_hull_spring():
     assert np.allclose(poly[0], [[0, 1], [SLOPE_LO, 0]], rtol=0, atol=1e-12)
     assert np.allclose(poly[1], [[0, 1], [2, 0]], rtol=0, atol=1e-12)
     assert np.allclose(B, [[0], [-5]])
+
+
+@pytest.mark.parametrize("eps", [0.01, 0.05])
+def test_spring_system_is_built_from_its_config(eps):
+    sys_, built = nonlinear_spring_system(eps), build_system(spring_config(eps))
+    assert (sys_.f, sys_.g, sys_.eps, sys_.omega) == (built.f, built.g, built.eps, built.omega)
+
+
+def test_spring_certificate_is_built_from_its_config():
+    cert, built = nonlinear_spring_certificate(), build_certificate(spring_config())
+    for name in ("P_r", "P_f"):
+        assert getattr(cert, name).tobytes() == getattr(built, name).tobytes()
+    rates = ("lambda_r", "lambda_f", "sigma_r", "sigma_f")
+    assert [np.float64(getattr(cert, k)).tobytes() for k in rates] == \
+        [np.float64(getattr(built, k)).tobytes() for k in rates]
+    assert cert.p == built.p == 1
+
+
+def test_spring_is_written_once_in_src():
+    src = pathlib.Path(systems.__file__).parents[1]
+    assert sum(p.read_text().count("7*tanh(x1) - 5*x1 - 5*z1") for p in src.rglob("*.py")) == 1
 
 
 def test_origin_warning_for_shifted_system():
