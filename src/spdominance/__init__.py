@@ -4,7 +4,7 @@ for singularly perturbed systems."""
 __version__ = "0.1.0"
 
 from .linalg import inertia, sym_eigvals, symmetric
-from .cone import CONE_BOUNDARY_BAND, MatrixConeSpec, cone_ratio, make_cone
+from .cone import CONE_BOUNDARY_BAND, cone_ratio, make_cone
 from .certify import (CertResult, SPDominanceCertificate, certify_polytope, lmi_residual,
                       vertex_stack)
 from .decouple import (ChangDecoupling, build_decoupling, certify_sp, epsilon_star,
@@ -20,7 +20,7 @@ from .analyze import certificate_cone, monotone_probe
 
 __all__ = [
     "inertia", "sym_eigvals", "symmetric",
-    "CONE_BOUNDARY_BAND", "MatrixConeSpec", "cone_ratio", "make_cone",
+    "CONE_BOUNDARY_BAND", "cone_ratio", "make_cone",
     "CertResult", "SPDominanceCertificate", "certify_polytope", "lmi_residual", "vertex_stack",
     "ChangDecoupling", "build_decoupling", "certify_sp", "epsilon_star",
     "full_system_matrix", "reduced_model", "solve_chang_lti",

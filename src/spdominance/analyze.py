@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .cone import CONE_BOUNDARY_BAND, MatrixConeSpec, cone_ratio
+from .cone import CONE_BOUNDARY_BAND, cone_ratio
 from .integrate import CONVERGENCE_TOL, detect_convergence, integrate
 from .linalg import symmetric
 from .sampling import sample_cone_pairs
@@ -19,7 +19,7 @@ PROBE_BOUNDARY_ALLOWANCE = 0.01
 
 
 def certificate_cone(sys, cert):
-    """Cone of the certificate in the original coordinates.
+    """Cone matrix of the certificate in the original coordinates, read-only.
 
     The slow and fast certificates hold in the decoupled coordinates
     w = T0^{-1} s, so the cone matrix is Q = T0^{-T} blkdiag(P_r, P_f) T0^{-1}
@@ -35,7 +35,7 @@ def certificate_cone(sys, cert):
     P = np.zeros((n_r + n_f, n_r + n_f))
     P[:n_r, :n_r] = cert.P_r
     P[n_r:, n_r:] = cert.P_f
-    return MatrixConeSpec(symmetric(T_inv.T @ P @ T_inv), cert.p)
+    return symmetric(T_inv.T @ P @ T_inv)
 
 
 def monotone_probe(sys, cert, n_pairs=PROBE_PAIRS, t_final=SPRING_T_FINAL,
@@ -60,9 +60,9 @@ def monotone_probe(sys, cert, n_pairs=PROBE_PAIRS, t_final=SPRING_T_FINAL,
     pairs in the same batch (one that escapes fails the probe); their run is
     returned as "riders": (times, states, stats), on t = 0 and the sample times.
     """
-    cone_spec = certificate_cone(sys, cert)
+    cone = certificate_cone(sys, cert)
     box = [sys.omega[name] for name in sys.names]
-    pairs = sample_cone_pairs(np.random.default_rng(seed), box, cone_spec, n_pairs)
+    pairs = sample_cone_pairs(np.random.default_rng(seed), box, cone, n_pairs)
     sample_times = [k * t_final / PROBE_SAMPLES for k in range(1, PROBE_SAMPLES + 1)]
 
     x0s = np.array([p for pair in pairs for p in pair])
@@ -73,7 +73,7 @@ def monotone_probe(sys, cert, n_pairs=PROBE_PAIRS, t_final=SPRING_T_FINAL,
     times, states, stats = integrate(sys, x0s, (0.0, sample_times[-1]), sample_times)
 
     # (sample, pair) ratios of each pair's difference at t > 0
-    ratio = cone_ratio(cone_spec, states[1:, :n_rows:2] - states[1:, 1:n_rows:2])
+    ratio = cone_ratio(cone, states[1:, :n_rows:2] - states[1:, 1:n_rows:2])
     sample, worst = np.unravel_index(np.argmax(ratio), ratio.shape)
     interior = int(np.sum(ratio < -CONE_BOUNDARY_BAND))
     outside = int(np.sum(ratio > CONE_BOUNDARY_BAND))
@@ -90,8 +90,8 @@ def monotone_probe(sys, cert, n_pairs=PROBE_PAIRS, t_final=SPRING_T_FINAL,
         "cone": {
             "transform": "T0^-1 = [[I, 0], [L0, I]], L0 = D^-1 C (eps -> 0)",
             "L0": sys.L0.tolist(),
-            "matrix": cone_spec.P.tolist(),
-            "rank_k": cone_spec.rank_k,
+            "matrix": cone.tolist(),
+            "rank_k": cert.p,
             "used_for": "sampling and classification",
         },
         "interior": interior,

@@ -259,7 +259,7 @@ def cmd_decouple(args, report):
     offdiag = max(np.linalg.norm(Md[:n_r, n_r:]), np.linalg.norm(Md[n_r:, :n_r]))
     r_l, r_h = chang_residuals(A, B, C, D, dec.L, dec.H, eps)
     report["decoupling"] = {  # every matrix of dec, L to fast_block, then its checks
-        **{key: value.tolist() for key, value in vars(dec).items() if key != "eps"},
+        **{key: value.tolist() for key, value in vars(dec).items()},
         "det_T_inv": float(np.linalg.det(dec.T_inv)),
         "coupling_residuals": [float(r_l), float(r_h)],
         "block_diagonalization_residual": float(offdiag),

@@ -33,7 +33,6 @@ WHY = np.array(["", "Array must not contain infs or NaNs", "no strict modulus ga
 
 @dataclass(frozen=True)
 class ChangDecoupling:
-    eps: float
     L: np.ndarray
     H: np.ndarray
     T: np.ndarray
@@ -189,7 +188,7 @@ def build_decoupling(A, B, C, D, eps):
     T = np.block([[I_r, eps * H], [-L, I_f - eps * L @ H]])
     # unit-determinant closed-form inverse
     T_inv = np.block([[I_r - eps * H @ L, -eps * H], [L, I_f]])
-    return ChangDecoupling(eps=eps, L=L, H=H, T=T, T_inv=T_inv,
+    return ChangDecoupling(L=L, H=H, T=T, T_inv=T_inv,
                            slow_block=A - B @ L,
                            fast_block=D / eps + L @ B)
 

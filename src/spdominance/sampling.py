@@ -15,9 +15,9 @@ from .errors import SamplingExhausted
 MAX_SAMPLING_ATTEMPTS = 100_000
 
 
-def sample_cone_pairs(rng, box, cone_spec, n_pairs):
+def sample_cone_pairs(rng, box, P, n_pairs):
     """Draw pairs of points in the box whose nonzero difference lies in the cone
-    (interior or boundary) by rejection, in at most MAX_SAMPLING_ATTEMPTS draws
+    of P (interior or boundary) by rejection, in at most MAX_SAMPLING_ATTEMPTS draws
     of rng, a numpy Generator. Candidates come in blocks, the same stream as one
     draw at a time, one cone_ratio call each; the first n_pairs accepted stay."""
     lo, hi = np.array(box, dtype=float).T
@@ -31,7 +31,7 @@ def sample_cone_pairs(rng, box, cone_spec, n_pairs):
         attempts += m  # read only after every block fell short
         ab = rng.uniform(lo, hi, size=(m, 2, len(lo)))
         d = ab[:, 0] - ab[:, 1]
-        taken = np.flatnonzero(d.any(axis=1) & (cone_ratio(cone_spec, d) <= CONE_BOUNDARY_BAND))
+        taken = np.flatnonzero(d.any(axis=1) & (cone_ratio(P, d) <= CONE_BOUNDARY_BAND))
         taken = taken[:n_pairs - len(pairs)]
         pairs += zip(ab[taken, 0], ab[taken, 1])
     return pairs

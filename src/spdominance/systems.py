@@ -74,7 +74,7 @@ class _StateSpace:
 class NonlinearSPSystem(_StateSpace):
     """dx/dt = f(x, z), eps * dz/dt = g(x, z), on a box state-space omega.
 
-    f and g entries are DSL expressions (strings or ASTs) over the variables
+    f and g are lists of DSL expression strings over the variables
     x1..x{n_r}, z1..z{n_f}. omega's invariance is the caller's responsibility.
     """
 
@@ -90,8 +90,10 @@ class NonlinearSPSystem(_StateSpace):
         for k in ("f", "g"):  # a string would be read one character per entry
             if isinstance(v := getattr(self, k), str):
                 raise ValueError(f"{k} must be a list of expressions, got the string {v!r}")
-        self.f = [parse_expr(e) if isinstance(e, str) else e for e in self.f]
-        self.g = [parse_expr(e) if isinstance(e, str) else e for e in self.g]
+            if not isinstance(v, (list, tuple)) or not all(isinstance(e, str) for e in v):
+                raise ValueError(f"{k} must be a list of expression strings, got {v!r}")
+        self.f = [parse_expr(e) for e in self.f]
+        self.g = [parse_expr(e) for e in self.g]
         if len(self.f) != self.n_r or len(self.g) != self.n_f:
             raise DimensionMismatch(
                 f"need {self.n_r} f entries and {self.n_f} g entries")

@@ -26,7 +26,8 @@ from spdominance.integrate import (Trajectory, detect_convergence,
 from spdominance.linalg import eigvalsh_stack, inertia, symmetric
 from spdominance.systems import (LinearSPSystem, NonlinearSPSystem,
                                  SPRING_INITIAL_CONDITIONS, jacobian_hull, jacobians,
-                                 nonlinear_spring_certificate, nonlinear_spring_system)
+                                 nonlinear_spring_certificate, nonlinear_spring_system,
+                                 spring_config)
 
 from test_decouple import scalar_epsilon_star
 from test_integrate import bisection_root, rk4_run
@@ -182,7 +183,7 @@ def test_rank_2_cone_end_to_end():
     assert eps_hat == pytest.approx(0.618267136204145, rel=1e-12, abs=0)
     assert eps_hat == pytest.approx(scalar_epsilon_star(*jacobian_hull(sys_), cert),
                                     rel=1e-12, abs=0)
-    assert certificate_cone(sys_, cert).rank_k == 2
+    assert inertia(certificate_cone(sys_, cert))[0] == 2
     probe = monotone_probe(sys_, cert, n_pairs=20)
     assert probe["interior"] == probe["total_classifications"] == 4000 and probe["passed"]
     assert time.perf_counter() - start < 10.0
@@ -216,7 +217,26 @@ def test_rank_2_nonlinear_example(tmp_path):
     rep = json.loads(report.read_text())
     assert rep["epsilon_star"] == pytest.approx(0.09813095992690334, rel=1e-12, abs=0)
     assert rep["monotone_violations"] == []
-    assert certificate_cone(sys_, cert).rank_k == 2
+    assert inertia(certificate_cone(sys_, cert))[0] == 2
+
+
+LINEAR_RANK_1_CONFIG = {
+    "spec_version": 1, "kind": "linear", "A": [[-1.0]], "B": [[1.0]], "C": [[2.0]],
+    "D": [[-4.0]], "eps": 0.1,
+    "certificate": {"P_r": [[-1.0]], "P_f": [[1.0]], "lambda_r": 0.0, "lambda_f": 0.0,
+                    "sigma_r": 0.5, "sigma_f": 1.0, "p": 1},
+}
+
+
+@pytest.mark.parametrize("cfg, rank", [(spring_config(), 1), (RANK_2_NONLINEAR_CONFIG, 2),
+                                       (LINEAR_RANK_1_CONFIG, 1)],
+                         ids=["spring", "rank-2-nonlinear", "linear"])
+def test_probe_rank_is_its_cone_inertia(cfg, rank):
+    # the report's rank_k is the certificate's p; by Sylvester's law it is the
+    # count of negative eigenvalues of the cone matrix the probe samples with
+    sys_, cert = build_system(cfg), build_certificate(cfg)
+    probe = monotone_probe(sys_, cert, n_pairs=2, t_final=0.1)
+    assert probe["cone"]["rank_k"] == inertia(certificate_cone(sys_, cert))[0] == cert.p == rank
 
 
 def test_criterion_7_lyapunov_decrease():

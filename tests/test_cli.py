@@ -652,10 +652,20 @@ def test_malformed_numeric_field_exits_1(tmp_path, capsys, command, field, value
      "invalid value encountered in multiply"),  # inf * 0 at the origin
     ("f", "12", "f must be a list of expressions, got the string '12'"),
     ("g", "z1", "g must be a list of expressions, got the string 'z1'"),
-], ids=["constant-beyond-double", "f-string", "g-string"])
+    ("f", 12, "f must be a list of expression strings, got 12"),
+    ("f", ["x2", 7], "f must be a list of expression strings, got ['x2', 7]"),
+    ("f", None, "f must be a list of expression strings, got None"),
+    ("f", [["x2"], "x1"], "f must be a list of expression strings, got [['x2'], 'x1']"),
+    ("f", {"x2": 0, "7*tanh(x1) - 5*x1 - 5*z1": 0}, "f must be a list of expression "
+     "strings, got {'x2': 0, '7*tanh(x1) - 5*x1 - 5*z1': 0}"),
+    ("g", {"x2 - z1": [1, 2]}, "g must be a list of expression strings, "
+     "got {'x2 - z1': [1, 2]}"),
+], ids=["constant-beyond-double", "f-string", "g-string", "f-number", "f-number-entry",
+        "f-null", "f-list-entry", "f-object", "g-object"])
 def test_expression_config_error_exits_1(tmp_path, capsys, command, field, value, message):
     # the 1e400 literal compiles as inf (it used to end in a NameError traceback);
-    # a bare string used to be read one character per entry
+    # a bare string used to be read one character per entry, a JSON object as
+    # its keys, and a non-string entry failed with a message naming no field
     extra = ["--out", str(tmp_path / "out")] if command == "simulate" else []
     assert main([command, write_cfg(tmp_path, {**spring_config(), field: value})] + extra) == 1
     assert capsys.readouterr().err == f"config error: {message}\n"

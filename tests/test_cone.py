@@ -28,21 +28,21 @@ def cone_locate(cone, v):
 
 
 def test_make_cone_rank_one():
-    assert make_cone(symmetric(np.diag([-1.0, 1.0]))).rank_k == 1
+    assert inertia(make_cone(symmetric(np.diag([-1.0, 1.0]))))[0] == 1
 
 
 def test_make_cone_warns_once_for_an_asymmetric_p():
     # inertia symmetrizes again, but symmetric's own output passes unwarned
     with pytest.warns(UserWarning, match="asymmetry") as record:
         cone = make_cone([[-5.1987, 3.6260], [3.6261, 6.1987]])
-    assert len(record) == 1 and cone.rank_k == 1
+    assert len(record) == 1 and inertia(cone)[0] == 1
 
 
 def test_make_cone_block_diag():
     P = np.zeros((3, 3))
     P[:2, :2] = P_R
     P[2, 2] = 1.0
-    assert make_cone(symmetric(P)).rank_k == 1
+    assert inertia(make_cone(symmetric(P)))[0] == 1
 
 
 def test_make_cone_singular_rejected():
@@ -51,7 +51,7 @@ def test_make_cone_singular_rejected():
 
 
 def test_make_cone_rank_zero_admitted():
-    assert make_cone(symmetric(np.eye(3))).rank_k == 0
+    assert inertia(make_cone(symmetric(np.eye(3))))[0] == 0
 
 
 def test_make_cone_negative_definite_rejected():
@@ -118,7 +118,7 @@ def test_negative_eigenspace_inside_cone():
     P[:2, :2] = P_R
     P[2, 2] = 1.0
     cone = make_cone(symmetric(P))
-    vals, vecs = np.linalg.eigh(cone.P)
+    vals, vecs = np.linalg.eigh(cone)
     neg_dirs = vecs[:, vals < 0]
     rng = np.random.default_rng(9)
     for _ in range(30):
@@ -128,7 +128,7 @@ def test_negative_eigenspace_inside_cone():
 
 def test_quad_form_matches_eigenbasis_sum():
     cone = make_cone(P_R)
-    vals, vecs = np.linalg.eigh(cone.P)
+    vals, vecs = np.linalg.eigh(cone)
     rng = np.random.default_rng(13)
     for _ in range(20):
         v = rng.standard_normal(2)
@@ -158,15 +158,14 @@ def test_certificate_cone_spring_is_decoupled():
     blk[:2, :2] = P_R
     blk[2, 2] = 1.0
     cone = certificate_cone(nonlinear_spring_system(), nonlinear_spring_certificate())
-    np.testing.assert_allclose(cone.P, T0_inv.T @ blk @ T0_inv, atol=1e-15)
-    assert inertia(cone.P) == (1, 0, 2)
-    assert cone.rank_k == 1
+    np.testing.assert_allclose(cone, T0_inv.T @ blk @ T0_inv, atol=1e-15)
+    assert inertia(cone) == (1, 0, 2)
 
     rng = np.random.default_rng(21)
     for _ in range(20):
         dx = rng.standard_normal(2)
         on_manifold = np.array([dx[0], dx[1], dx[1]])  # no fast deviation
-        assert on_manifold @ cone.P @ on_manifold == pytest.approx(
+        assert on_manifold @ cone @ on_manifold == pytest.approx(
             dx @ np.array(P_R) @ dx, rel=1e-12, abs=1e-12)
 
 
@@ -177,7 +176,7 @@ def test_certificate_cone_linear_uses_fixed_blocks():
                                   lambda_f=0.0, sigma_r=0.5, sigma_f=1.0, p=1)
     T0_inv = np.array([[1.0, 0.0], [-0.5, 1.0]])
     expect = T0_inv.T @ np.diag([-1.0, 1.0]) @ T0_inv
-    np.testing.assert_allclose(certificate_cone(sys_, cert).P, expect, atol=1e-15)
+    np.testing.assert_allclose(certificate_cone(sys_, cert), expect, atol=1e-15)
 
 
 def test_certificate_cone_rejects_varying_fast_block():
@@ -204,7 +203,7 @@ def test_probe_stays_in_decoupled_cone(seed):
 def test_probe_locates_worst_margin(monkeypatch):
     # one difference planted along the cone's positive direction is the worst
     sys_, cert = nonlinear_spring_system(), nonlinear_spring_certificate()
-    outward = np.linalg.eigh(certificate_cone(sys_, cert).P)[1][:, 2]
+    outward = np.linalg.eigh(certificate_cone(sys_, cert))[1][:, 2]
     integrate = analyze.integrate
     stored = {}
 
@@ -246,7 +245,7 @@ def test_probe_computes_l0_once(monkeypatch):
     fresh = nonlinear_spring_system()  # derives its own L0
     L0 = reduced_model(*jacobians(fresh, fresh.omega_center()))[0]
     assert probe["cone"]["L0"] == L0.tolist()
-    assert probe["cone"]["matrix"] == certificate_cone(fresh, cert).P.tolist()
+    assert probe["cone"]["matrix"] == certificate_cone(fresh, cert).tolist()
 
 
 def test_probe_counts_match_cone_locate(monkeypatch):
@@ -255,7 +254,7 @@ def test_probe_counts_match_cone_locate(monkeypatch):
     # one outside difference are planted in the integrated states
     sys_, cert = nonlinear_spring_system(), nonlinear_spring_certificate()
     cone = certificate_cone(sys_, cert)
-    vals, vecs = np.linalg.eigh(cone.P)
+    vals, vecs = np.linalg.eigh(cone)
     on_boundary = vecs[:, 0] / np.sqrt(-vals[0]) + vecs[:, 2] / np.sqrt(vals[2])
     integrate = analyze.integrate
     stored = {}
@@ -284,14 +283,14 @@ def test_probe_counts_match_cone_locate(monkeypatch):
     assert ratios.shape == (4, 5) and ratios[2, 1] == 0.0
     for idx in np.ndindex(4, 5):
         v = batch[idx]
-        expect = v @ cone.P @ v / (v @ v) if v.any() else 0.0
+        expect = v @ cone @ v / (v @ v) if v.any() else 0.0
         assert ratios[idx] == pytest.approx(expect, rel=1e-12, abs=1e-15)
 
 
 def test_matrices_are_read_only_symmetric_arrays():
     cert = nonlinear_spring_certificate()
     cone = certificate_cone(nonlinear_spring_system(), cert)
-    for P in (cert.P_r, cert.P_f, cone.P, make_cone(P_R).P):
+    for P in (cert.P_r, cert.P_f, cone, make_cone(P_R)):
         assert type(P) is np.ndarray and not P.flags.writeable
         assert np.array_equal(P, P.T)
     stack = vertex_stack([[[0.0, 1.0], [-5.0, -5.0]]])

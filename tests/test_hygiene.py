@@ -4,10 +4,14 @@ function takes a parameter it never reads, every top-level function and
 class of src is referenced by the program itself (not by tests alone)
 outside its own definition, every attribute src stores on self is read
 somewhere, src stores no _-prefixed attribute on another object, and only
-the modules that build systems import a system class."""
+the modules that build systems import a system class. One case runs the
+program instead: reproduce-paper loads none of the test-only packages."""
 
 import ast
+import os
 import pathlib
+import subprocess
+import sys
 from collections import Counter
 
 import spdominance
@@ -166,3 +170,21 @@ def test_only_system_builders_import_a_system_class():
            and path.name not in SYSTEM_BUILDERS]
     assert src
     assert [hit for path in src for hit in system_class_imports(path)] == []
+
+
+TEST_ONLY_PACKAGES = {"scipy", "hypothesis", "pytest"}
+
+
+def test_runtime_loads_no_test_only_package(tmp_path):
+    # numpy is the one runtime dependency: reproduce-paper in a fresh process
+    # exits 2 by design (ROADMAP's standing failures) and loads none of these
+    out = str(tmp_path / "out")
+    code = ("import sys; from spdominance import cli; "
+            f"status = cli.main(['--no-timestamp', 'reproduce-paper', '--out', {out!r}]); "
+            f"print(sorted({{m.split('.')[0] for m in sys.modules}} & {TEST_ONLY_PACKAGES!r})); "
+            "sys.exit(status)")
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": path}, timeout=120)
+    assert run.returncode == 2, run.stderr
+    assert run.stdout.splitlines()[-1] == "[]"
