@@ -36,11 +36,9 @@ class InfeasibleAtFloor(RuntimeError):
 
 
 class ParseError(ValueError):
-    def __init__(self, message, position, expected=()):
-        super().__init__(f"{message} at position {position}"
-                         + (f" (expected one of: {', '.join(sorted(expected))})" if expected else ""))
+    def __init__(self, message, position):
+        super().__init__(f"{message} at position {position}")
         self.position = position
-        self.expected = frozenset(expected)
 
 
 class EvalError(ArithmeticError):

@@ -1,14 +1,16 @@
 """A minimal expression DSL with symbolic differentiation.
 
-Grammar (infix, standard precedence):
+Grammar (Python's, with ^ for **; so -x^2 is -(x^2), and (-x)^2 squares -x):
 
     expr   := term (('+'|'-') term)*
     term   := factor (('*'|'/') factor)*
-    factor := base ('^' integer)?
-    base   := number | ident | ident '(' expr ')' | '(' expr ')' | '-' base
+    factor := '-' factor | power
+    power  := base ('^' '-'? integer)?
+    base   := number | ident | ident '(' expr ')' | '(' expr ')'
 
-Function names: tanh, sin, cos, exp. Exponents are integer literals only. A
-unary minus -e is stored as (-1)*e, which IEEE arithmetic makes exact negation.
+Function names: tanh, sin, cos, exp. An exponent is an integer literal (with its
+sign, it may stand in parentheses). A unary minus -e is stored as (-1)*e,
+which IEEE arithmetic makes exact negation.
 ASTs are immutable and differentiation is pure. Simplification is limited to
 constant folding, 0/1 identities and -(-e) = e. compile_field is the one
 evaluator: it turns a list of ASTs into a numpy kernel over states, and guarded
@@ -18,8 +20,10 @@ an AST's values over a box of states.
 
 from __future__ import annotations
 
+import ast as pyast
 import operator
 import re
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -69,130 +73,71 @@ class Call:
 # parser takes 200 nested parentheses
 MAX_NESTING = 200
 
-# a number, an identifier or an operator, tried in that order
-_TOKEN_RE = re.compile(r"(\d+\.\d*|\.\d+|\d+)([eE][+-]?\d+)?|([A-Za-z_][A-Za-z_0-9]*)|[-+*/^()]")
-
-
-def _tokenize(text):
-    tokens, pos = [], 0
-    while pos < len(text):
-        if text[pos].isspace():
-            pos += 1
-        elif m := _TOKEN_RE.match(text, pos):
-            kind = "num" if m[1] else "ident" if m[3] else m[0]
-            tokens.append((kind, float(m[0]) if m[1] else m[0], pos))
-            pos = m.end()
-        else:
-            raise ParseError(f"unexpected character {text[pos]!r}", pos,
-                             {"number", "identifier", "operator"})
-    tokens.append(("end", None, len(text)))
-    return tokens
-
-
-class _Parser:
-    def __init__(self, text):
-        self.tokens = _tokenize(text)
-        self.i = 0
-        self.height = {}  # id of each node parsed -> its levels above its leaves
-
-    def peek(self):
-        return self.tokens[self.i]
-
-    def advance(self):
-        tok = self.tokens[self.i]
-        self.i += 1
-        return tok
-
-    def expect(self, kind):
-        tok = self.peek()
-        if tok[0] != kind:
-            raise ParseError(f"unexpected token {tok[1]!r}", tok[2], {kind})
-        return self.advance()
-
-    def nest(self, node):
-        """node, one level above its highest operand (a leaf, operator or
-        exponent has no key: level 0); ParseError beyond MAX_NESTING levels."""
-        height = 1 + max(self.height.get(id(v), 0) for v in vars(node).values())
-        if height > MAX_NESTING:
-            raise ParseError(f"expression nested deeper than MAX_NESTING = {MAX_NESTING} "
-                             "levels", self.peek()[2])
-        self.height[id(node)] = height
-        return node
-
-    def parse(self):
-        ast = self.expr()
-        tok = self.peek()
-        if tok[0] != "end":
-            raise ParseError(f"trailing input {tok[1]!r}", tok[2], {"end of input"})
-        return ast
-
-    def expr(self):
-        node = self.term()
-        while self.peek()[0] in ("+", "-"):
-            op = self.advance()[0]
-            node = self.nest(BinOp(op, node, self.term()))
-        return node
-
-    def term(self):
-        node = self.factor()
-        while self.peek()[0] in ("*", "/"):
-            op = self.advance()[0]
-            node = self.nest(BinOp(op, node, self.factor()))
-        return node
-
-    def factor(self):
-        node = self.base()
-        if self.peek()[0] == "^":
-            self.advance()
-            tok = self.peek()
-            sign = 1
-            if tok[0] == "-":
-                self.advance()
-                sign = -1
-                tok = self.peek()
-            if tok[0] != "num" or tok[1] != int(tok[1]):
-                raise ParseError("exponent must be an integer literal", tok[2],
-                                 {"integer"})
-            self.advance()
-            return self.nest(Pow(node, sign * int(tok[1])))
-        return node
-
-    def base(self):
-        tok = self.peek()
-        if tok[0] == "-":
-            self.advance()
-            return self.nest(BinOp("*", Const(-1.0), self.base()))
-        if tok[0] == "num":
-            self.advance()
-            return Const(tok[1])
-        if tok[0] == "ident":
-            self.advance()
-            if self.peek()[0] == "(":
-                if tok[1] not in FUNCTIONS:
-                    raise ParseError(f"unknown function {tok[1]!r}", tok[2],
-                                     set(FUNCTIONS))
-                self.advance()
-                arg = self.expr()
-                self.expect(")")
-                return self.nest(Call(tok[1], arg))
-            return Var(tok[1])
-        if tok[0] == "(":
-            self.advance()
-            node = self.expr()
-            self.expect(")")
-            return node
-        raise ParseError(f"unexpected token {tok[1]!r}", tok[2],
-                         {"number", "identifier", "(", "-"})
+# the DSL's characters once whitespace is a space, and Python's power, which
+# the DSL writes ^
+_REFUSED_RE = re.compile(r"[^A-Za-z0-9_.+\-*/^() ]|\*\*")
+_NUMBER_RE = re.compile(r"(\d+\.\d*|\.\d+|\d+)([eE][+-]?\d+)?")  # a literal's text
+_BINOPS = {pyast.Add: "+", pyast.Sub: "-", pyast.Mult: "*", pyast.Div: "/"}
 
 
 def parse_expr(text):
-    """Parse DSL source to an AST. Raises ParseError with position info, also
-    where it nests deeper than MAX_NESTING levels or than the stack allows."""
-    parser = _Parser(text)
+    """Parse DSL source to an AST with Python's parser, ^ read as **, so a unary
+    minus binds looser than ^. Raises ParseError at a position in text, also
+    where it nests deeper than MAX_NESTING levels or than the parser allows."""
+    src = "".join(" " if c.isspace() else c for c in text)
+    if bad := _REFUSED_RE.search(src):
+        raise ParseError(f"{bad[0]!r} is not in the expression language", bad.start())
+    body = src.lstrip()
+    py = body.replace("^", "**")
+    # where[i] is the position in text of py[i], and of its end at len(py)
+    where = [len(src) - len(body) + i for i, c in enumerate(body)
+             for _ in range(1 + (c == "^"))] + [len(text)]
+
+    def convert(node, depth):  # node's AST; depth levels nest above it
+        at = where[node.col_offset]
+        if isinstance(node, (pyast.BinOp, pyast.UnaryOp, pyast.Call)) and depth == MAX_NESTING:
+            raise ParseError(f"expression nested deeper than MAX_NESTING = {MAX_NESTING} "
+                             "levels", at)
+        if isinstance(node, pyast.Constant) and _NUMBER_RE.fullmatch(
+                literal := py[node.col_offset:node.end_col_offset]):
+            return Const(float(literal))
+        if isinstance(node, pyast.Name):
+            return Var(node.id)
+        if isinstance(node, pyast.UnaryOp) and isinstance(node.op, pyast.USub):
+            return BinOp("*", Const(-1.0), convert(node.operand, depth + 1))
+        if isinstance(node, pyast.BinOp) and isinstance(node.op, pyast.Pow):
+            k, sign = node.right, 1
+            if isinstance(k, pyast.UnaryOp) and isinstance(k.op, pyast.USub):
+                k, sign = k.operand, -1
+            k = convert(k, depth) if isinstance(k, pyast.Constant) else None
+            if k is None or not k.value.is_integer():  # inf is not: x1^1e400
+                raise ParseError("exponent must be an integer literal",
+                                 where[node.right.col_offset])
+            return Pow(convert(node.left, depth + 1), sign * int(k.value))
+        if isinstance(node, pyast.BinOp) and type(node.op) in _BINOPS:
+            return BinOp(_BINOPS[type(node.op)], convert(node.left, depth + 1),
+                         convert(node.right, depth + 1))
+        if isinstance(node, pyast.Call) and isinstance(node.func, pyast.Name) \
+                and node.func.col_offset == node.col_offset:  # not (exp)(x1)
+            if node.func.id not in FUNCTIONS:
+                raise ParseError(f"unknown function {node.func.id!r}", at)
+            if len(node.args) == 1 and not node.keywords:
+                return Call(node.func.id, convert(node.args[0], depth + 1))
+        raise ParseError(f"{py[node.col_offset:node.end_col_offset]!r} is not in the "
+                         "expression language", at)
+
     try:
-        return parser.parse()
-    except RecursionError:
-        raise ParseError("expression nested too deeply to parse", parser.peek()[2]) from None
+        with warnings.catch_warnings():  # a literal run into a keyword, as 1if, warns
+            warnings.simplefilter("error", SyntaxWarning)
+            tree = pyast.parse(py, mode="eval")
+    except SyntaxError as e:
+        at = where[e.offset - 1] if 0 < (e.offset or 0) <= len(py) else len(text)  # 0: the end
+        msg = re.split(r"[.;] ", e.msg)[0]  # less Python's advice: a comma, an 0o prefix
+        raise ParseError("expression nested too deeply to parse"
+                         if msg == "too many nested parentheses" else msg, at) from None
+    except (MemoryError, RecursionError):
+        raise ParseError("expression nested too deeply to parse", len(text)) from None
+    return convert(tree.body, 0)
 
 
 def free_vars(ast):
@@ -252,7 +197,9 @@ def simplify(ast):
         if _is_const(a, 0):
             return simplify(BinOp("*", Const(-1.0), b))
     elif op == "*":
-        if _is_const(a, 0) or _is_const(b, 0):
+        # a constant subtree left unfolded has no value, so 0 times it is not 0
+        if (_is_const(a, 0) or _is_const(b, 0)) and all(
+                isinstance(e, Const) or free_vars(e) for e in (a, b)):
             return Const(0.0)
         if _is_const(a, -1) and isinstance(b, BinOp) and b.op == "*" and _is_const(b.left, -1):
             return b.right  # -(-e) is e, bit for bit
@@ -278,8 +225,9 @@ def _diff(ast, var):
         return Const(0.0)
     if isinstance(ast, Var):
         return Const(1.0 if ast.name == var else 0.0)
-    if isinstance(ast, Pow):
-        # d(u^n) = n * u^(n-1) * u'
+    if isinstance(ast, Pow):  # d(u^n) = n * u^(n-1) * u', and u^0 is 1
+        if ast.exponent == 0:
+            return Const(0.0)
         du = _diff(ast.base, var)
         return BinOp("*", BinOp("*", Const(float(ast.exponent)),
                                 Pow(ast.base, ast.exponent - 1)), du)

@@ -124,10 +124,9 @@ def test_criterion_5_simulation_reproduction():
     # final quarter [3T/4, T], which is about the distance at 3T/4. So
     # 2.2e-2 * exp(-0.596 * (3T/4 - 9)) < 1e-3 needs 3T/4 > 14.2, T > 18.9;
     # T = 20 starts the tail at t = 15, where that bound is ~6e-4.
-    h = 0.01 / 20
     t_paper, t_final = 9.0, 20.0
     ics = np.array(SPRING_INITIAL_CONDITIONS)
-    times, states = rk4_run(make_rhs(sys_), ics, (0, t_final), h)
+    times, states, _ = integrate(sys_, ics, (0.0, t_final), np.arange(1, 401) / 20.0)
     verdicts = []
     for j in range(len(ics)):
         traj = Trajectory(times, states[:, j, :])
@@ -136,10 +135,10 @@ def test_criterion_5_simulation_reproduction():
     assert all(v is not None for v in verdicts), \
         f"unconverged initial conditions: {[i for i, v in enumerate(verdicts) if v is None]}"
 
-    # the paper's horizon: RK4 states at t = 9 against a tight Radau solve
+    # the paper's horizon: DOP853 states at t = 9 against a tight Radau solve
     solve_ivp = pytest.importorskip("scipy.integrate").solve_ivp
-    k = int(round(t_paper / h))
-    assert times[k] == pytest.approx(t_paper, abs=1e-9)
+    k = 180  # times[0] is t = 0, then every 1/20
+    assert times[k] == t_paper
 
     def spring(t, s):
         x1, x2, z = s

@@ -650,6 +650,8 @@ def test_malformed_numeric_field_exits_1(tmp_path, capsys, command, field, value
 @pytest.mark.parametrize("field, value, message", [
     ("f", ["x2", "7*tanh(x1) - 5*x1 - 5*z1 + 1e400*x1*x2"],
      "invalid value encountered in multiply"),  # inf * 0 at the origin
+    ("f", ["x2", "7*tanh(x1) - 5*x1 - 5*z1 + 0*x1^1e400"],
+     "exponent must be an integer literal at position 32"),
     ("f", "12", "f must be a list of expressions, got the string '12'"),
     ("g", "z1", "g must be a list of expressions, got the string 'z1'"),
     ("f", 12, "f must be a list of expression strings, got 12"),
@@ -660,10 +662,11 @@ def test_malformed_numeric_field_exits_1(tmp_path, capsys, command, field, value
      "strings, got {'x2': 0, '7*tanh(x1) - 5*x1 - 5*z1': 0}"),
     ("g", {"x2 - z1": [1, 2]}, "g must be a list of expression strings, "
      "got {'x2 - z1': [1, 2]}"),
-], ids=["constant-beyond-double", "f-string", "g-string", "f-number", "f-number-entry",
-        "f-null", "f-list-entry", "f-object", "g-object"])
+], ids=["constant-beyond-double", "exponent-beyond-double", "f-string", "g-string",
+        "f-number", "f-number-entry", "f-null", "f-list-entry", "f-object", "g-object"])
 def test_expression_config_error_exits_1(tmp_path, capsys, command, field, value, message):
-    # the 1e400 literal compiles as inf (it used to end in a NameError traceback);
+    # the 1e400 literal compiles as inf (it used to end in a NameError traceback),
+    # and as an exponent it is refused (it used to end in an OverflowError traceback);
     # a bare string used to be read one character per entry, a JSON object as
     # its keys, and a non-string entry failed with a message naming no field
     extra = ["--out", str(tmp_path / "out")] if command == "simulate" else []

@@ -91,7 +91,53 @@ def test_parse_error_reports_position():
     with pytest.raises(ParseError) as err:
         parse_expr("1 + ")
     assert err.value.position == 4
-    assert err.value.expected
+
+
+def test_unary_minus_binds_looser_than_a_power():
+    # -x^2 is -(x^2), as in Python and in mathematics; (-x)^2 squares -x
+    assert parse_expr("-x1^2") == parse_expr("-(x1^2)") == negate(Pow(Var("x1"), 2))
+    assert parse_expr("(-x1)^2") == Pow(negate(Var("x1")), 2)
+    assert value(parse_expr("-x1^2"), {"x1": 3.0}) == -9.0
+    assert value(parse_expr("exp(-x1^2)"), {"x1": 1.0}) == pytest.approx(np.exp(-1.0))
+    assert simplify(parse_expr("-2^2")) == Const(-4.0)
+
+
+@pytest.mark.parametrize("text", [
+    "x1**2", "x1 // 2", "x1 if x2 else z1", "not x1", "x1 and x2", "x1.real",
+    "tanh(x1)(x2)", "tanh(x1, x2)", "1_0", "0x1F", "1j", "True", "x1 # c", "x\u2081",
+    "\x00", "+x1", "tanh()", "x1^x2", "x1^1.5", "x1^--2", "x1^1e400"])
+def test_parse_refuses_what_only_python_reads(text):
+    with pytest.raises(ParseError) as err:
+        parse_expr(text)
+    assert 0 <= err.value.position <= len(text)
+
+
+# DSL and Python tokens, glued together or spaced
+TOKENS = st.sampled_from(["x1", "x2", "z1", "2", "0", "01", "1.5", ".5", "1e3", "1e400",
+                          "tanh", "exp", "sinh", "(", ")", "+", "-", "*", "/", "^", "**",
+                          " ", "\t", "if", "else", "not", "and", "lambda", ".", "_", "j",
+                          "e", "1_0", "0x1F", ",", "[", "#", "True", "None", "..."])
+
+
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(tokens=st.lists(TOKENS, max_size=12))
+@example(tokens=["x1", "^", "1e400"])
+@example(tokens=["2", "if", "x1", "else", "0"])
+def test_parse_returns_a_dsl_ast_or_a_parse_error(tokens):
+    text = "".join(tokens)
+
+    def nodes(ast):
+        yield ast
+        for v in vars(ast).values():
+            if not isinstance(v, (str, int, float)):
+                yield from nodes(v)
+
+    try:
+        ast = parse_expr(text)
+    except ParseError as e:
+        assert 0 <= e.position <= len(text)
+        return
+    assert all(type(n) in (Const, Var, BinOp, Pow, Call) for n in nodes(ast))
 
 
 def test_parse_error_unknown_function():
@@ -101,18 +147,20 @@ def test_parse_error_unknown_function():
 
 def test_parse_refuses_nesting_beyond_max_nesting():
     # a sum of n terms nests n - 1 levels: MAX_NESTING levels parse, one more
-    # is refused, as are unary minuses and calls past it; parentheses alone add
-    # no level, and nested past the stack they are a ParseError, not a RecursionError
+    # is refused, as are unary minuses past it; parentheses alone add no level,
+    # and past the 200 Python's parser takes they are a ParseError, as are the
+    # parentheses of 201 nested calls
     assert MAX_NESTING == 200
     parse_expr(" + ".join(["x1"] * (MAX_NESTING + 1)))
     for text in [" + ".join(["x1"] * (MAX_NESTING + 2)), " + ".join(["x1"] * 1200),
-                 "-" * (MAX_NESTING + 1) + "x1", "-" * 600 + "x1",
-                 "exp(" * (MAX_NESTING + 1) + "x1" + ")" * (MAX_NESTING + 1)]:
+                 "-" * (MAX_NESTING + 1) + "x1", "-" * 600 + "x1"]:
         with pytest.raises(ParseError, match=f"nested deeper than MAX_NESTING = {MAX_NESTING}"):
             parse_expr(text)
     assert parse_expr("(" * 150 + "x1" + ")" * 150) == Var("x1")
-    with pytest.raises(ParseError, match="nested too deeply to parse"):
-        parse_expr("(" * 600 + "x1" + ")" * 600)
+    for text in ["(" * 600 + "x1" + ")" * 600,
+                 "exp(" * (MAX_NESTING + 1) + "x1" + ")" * (MAX_NESTING + 1)]:
+        with pytest.raises(ParseError, match="nested too deeply to parse"):
+            parse_expr(text)
 
 
 def test_compile_field_refuses_what_python_cannot_nest():
@@ -177,8 +225,13 @@ def test_simplify_identities():
 
 def test_simplify_leaves_a_constant_power_python_cannot_compute():
     # 0.0 ** -1 and 1e300 ** 2 raise in Python: the Pow is left for evaluation
-    # to report, as a constant division by zero is
-    assert isinstance(diff_expr(parse_expr("(0*x1)^-1"), "x1"), Const)
+    # to report, as a constant division by zero is, and 0 times it is not 0
+    d = diff_expr(parse_expr("(0*x1)^-1"), "x1")
+    with pytest.raises(EvalError, match="^division by zero$"):
+        guarded(compile_field([d], ["x1"]))(np.zeros(1))
+    assert simplify(parse_expr("x2 + 0*(1/0)")) != Var("x2")
+    # u^0 is 1, so its derivative is 0 without u^-1
+    assert diff_expr(parse_expr("(0*x1)^0"), "x1") == Const(0.0)
     assert diff_expr(parse_expr("1e300^2*x1"), "x1") == Pow(Const(1e300), 2)
     ast = simplify(parse_expr("(0*x1)^-1"))
     assert ast == Pow(Const(0.0), -1)
